@@ -5,6 +5,9 @@ Exit codes: 0 success, 2 input error, 3 numerical refusal (singular probe
 matrix), 4 closed-form adjudication failure.  Every JSON payload carries a
 ``schema_version`` field.  The environment variable KOSSPROBE_TOLERANCE
 supplies the tolerance when the --tolerance flag is not given.
+
+Only ``oracle`` and ``demo-negative`` need scipy; they import the oracle
+inside their handlers, so every other subcommand starts without it.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from . import __version__
 from .experiment import ConfigError, ExperimentConfig, ExperimentRun, estimate, run, save_run
 from .inversion import SingularProbeMatrixError, invert_noisy, psd_project
 from .kossakowski import BlochState, KossakowskiMatrix, bloch_evolve
-from .oracle import adjudicate, exact_lifted_evolution
 from .probe import (
     CANONICAL_PHASE,
     CHANNELS,
@@ -271,6 +273,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_demo_negative(args) -> int:
+    from .oracle import exact_lifted_evolution  # deferred: loads scipy
+
     g = args.g
     c = KossakowskiMatrix.diagonal(1.0, 1.0, -1.0)
     co = coefficients(ScatteringParams(g=g))
@@ -339,6 +343,8 @@ def _cmd_demo_negative(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .oracle import adjudicate  # deferred: loads scipy
+
     tol = _resolved_tolerance(args, 1e-12)
     report = adjudicate(trials=args.trials, tol=tol)
     if args.out:

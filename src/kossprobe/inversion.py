@@ -46,6 +46,8 @@ def _as_rates(rates) -> np.ndarray:
     r = np.asarray(rates, dtype=float)
     if r.shape != (6,):
         raise ValueError(f"expected 6 rates, got shape {r.shape}")
+    if not np.isfinite(r).all():
+        raise ValueError(f"rates must be finite, got {r.tolist()}")
     return r
 
 
@@ -139,6 +141,8 @@ def invert_noisy(
     s = np.asarray(sigmas, dtype=float)
     if s.shape != (6,):
         raise ValueError(f"expected 6 sigmas, got shape {s.shape}")
+    if not np.isfinite(s).all():
+        raise ValueError(f"sigmas must be finite, got {s.tolist()}")
     if np.any(s < 0):
         raise ValueError("sigmas must be nonnegative")
     _check_conditioning(m)

@@ -24,6 +24,7 @@ sit at 2k|x| = 3pi/2 (mod 2pi).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -44,14 +45,16 @@ class ScatteringParams:
     k: float | None = None
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.g):
+            raise ValueError(f"coupling g must be finite, got {self.g}")
         if self.g < 0:
             warnings.warn(
                 "attractive coupling (g < 0): formulas remain valid but unitarity "
                 "sweeps in this package only cover g >= 0",
                 stacklevel=3,
             )
-        if self.k is not None and self.k <= 0:
-            raise ValueError(f"wavenumber k must be positive, got {self.k}")
+        if self.k is not None and not 0 < self.k < math.inf:
+            raise ValueError(f"wavenumber k must be positive and finite, got {self.k}")
 
     @classmethod
     def from_physical(

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kossprobe
 from kossprobe.cli import main
 
 
@@ -53,6 +58,13 @@ class TestCoeffs:
     def test_conflicting_inputs(self, capsys):
         code, _, _ = run_cli(capsys, "coeffs", "--g", "1", "--J", "1", "--E", "1", "--mass", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("g", ["nan", "inf", "-inf"])
+    def test_non_finite_coupling_is_input_error(self, capsys, g):
+        code, out, err = run_cli(capsys, "coeffs", f"--g={g}", "--output", "json")
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
 
     def test_csv_output(self, capsys):
         code, out, _ = run_cli(capsys, "coeffs", "--g", "2", "--output", "csv")
@@ -254,6 +266,36 @@ class TestSimulateAndInvert:
         assert code == 2
         assert "does not match" in err
 
+    def test_invert_nan_coupling_with_run(self, capsys, tmp_path):
+        c_file = write_c_file(tmp_path, IDENTITY_C)
+        run_cli(
+            capsys, "simulate", "--c-file", c_file, "--g", "2",
+            "--shots", "1000", "--exposure", "0.01", "--calibration", "1.0",
+            "--seed", "3", "--out", str(tmp_path / "r"),
+        )
+        code, out, err = run_cli(
+            capsys, "invert", "--rates", str(tmp_path / "r/run.json"), "--g", "nan"
+        )
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_invert_non_finite_rates_json(self, capsys, tmp_path, bad):
+        rates_file = tmp_path / "rates.json"
+        rates_file.write_text(json.dumps([0.1, bad, 0.0, 0.0, 0.0, 0.0]))
+        code, out, err = run_cli(capsys, "invert", "--rates", str(rates_file), "--g", "2")
+        assert code == 2
+        assert out == ""
+        assert "rates must be finite" in err
+
+    def test_invert_nan_sigma(self, capsys, tmp_path):
+        rates_file = tmp_path / "rates.json"
+        rates_file.write_text(json.dumps({"rates": [0.0] * 6, "sigmas": [0.01] * 5 + [float("nan")]}))
+        code, _, err = run_cli(capsys, "invert", "--rates", str(rates_file), "--g", "2")
+        assert code == 2
+        assert "sigmas must be finite" in err
+
 
 class TestDemoNegative:
     def test_json_payload(self, capsys):
@@ -283,6 +325,56 @@ class TestOracle:
         payload = json.loads(out)
         assert payload["ok"] is True
         assert json.loads(out_path.read_text())["ok"] is True
+
+
+class TestScipyOnlyWhereNeeded:
+    def test_only_oracle_and_demo_negative_load_scipy(self, tmp_path):
+        c_file = write_c_file(tmp_path, IDENTITY_C)
+        light = [
+            ["coeffs", "--g", "2", "--output", "json"],
+            ["forward", "--c-file", c_file, "--g", "2", "--output", "json"],
+            ["build-matrix", "--g", "2", "--output", "json"],
+            ["cp-check", "--c-file", c_file, "--output", "json"],
+            ["simulate", "--c-file", c_file, "--g", "2", "--shots", "1000",
+             "--exposure", "0.01", "--calibration", "1.0", "--seed", "3",
+             "--out", str(tmp_path / "r")],
+            ["invert", "--rates", str(tmp_path / "r" / "run.json"), "--g", "2",
+             "--output", "json"],
+        ]
+        heavy = [
+            ["oracle", "--trials", "3", "--output", "json"],
+            ["demo-negative", "--g", "2", "--output", "json"],
+        ]
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from kossprobe.cli import main\n"
+            "loaded = {'import': 'scipy' in sys.modules}\n"
+            "def call(argv):\n"
+            "    buf = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(buf):\n"
+            "        code = main(argv)\n"
+            "    return code, json.loads(buf.getvalue())\n"
+            f"light = [call(argv)[0] for argv in {light!r}]\n"
+            "loaded['light'] = 'scipy' in sys.modules\n"
+            f"heavy = [call(argv) for argv in {heavy!r}]\n"
+            "loaded['heavy'] = 'scipy' in sys.modules\n"
+            "print(json.dumps({'light': light, 'heavy': heavy, 'scipy_loaded': loaded}))"
+        )
+        # a fresh interpreter: this one has loaded scipy through other tests
+        src = str(Path(kossprobe.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": pythonpath},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout)
+        assert result["light"] == [0] * len(light)
+        (oracle_code, oracle), (demo_code, demo) = result["heavy"]
+        assert oracle_code == 0 and oracle["ok"] is True
+        assert demo_code == 0
+        assert demo["negative_transmitted_rate"] == pytest.approx(-0.4, abs=1e-12)
+        assert result["scipy_loaded"] == {"import": False, "light": False, "heavy": True}
 
 
 class TestParsing:

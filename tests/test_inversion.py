@@ -56,6 +56,13 @@ class TestInvertExact:
         with pytest.raises(ValueError):
             inversion.invert_exact(np.zeros(5), M2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_rates(self, bad):
+        rates = np.zeros(6)
+        rates[3] = bad
+        with pytest.raises(ValueError, match="rates must be finite"):
+            inversion.invert_exact(rates, M2)
+
 
 class TestInvertNoisy:
     def test_zero_sigma_reproduces_exact(self):
@@ -121,6 +128,22 @@ class TestInvertNoisy:
     def test_rejects_negative_sigma(self):
         with pytest.raises(ValueError):
             inversion.invert_noisy(np.zeros(6), -np.ones(6), M2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_rates(self, bad):
+        rates = probe.forward(KossakowskiMatrix.diagonal(1.0, 1.0, -1.0), G2).rates.copy()
+        rates[0] = bad
+        with pytest.raises(ValueError, match="rates must be finite"):
+            inversion.invert_noisy(rates, 0.01 * np.ones(6), M2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_sigma(self, bad):
+        # a non-PSD estimate, so an unchecked sigma would reach the bootstrap
+        rates = probe.forward(KossakowskiMatrix.diagonal(1.0, 1.0, -1.0), G2).rates
+        sigmas = 0.01 * np.ones(6)
+        sigmas[2] = bad
+        with pytest.raises(ValueError, match="sigmas must be finite"):
+            inversion.invert_noisy(rates, sigmas, M2)
 
     def test_result_serializes(self):
         rates = probe.forward(KossakowskiMatrix.identity(), G2).rates

@@ -66,6 +66,18 @@ class TestParams:
         with pytest.raises(ValueError):
             scattering.ScatteringParams(g=1.0, k=-1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_g_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            scattering.ScatteringParams(g=bad)
+        with pytest.raises(ValueError, match="finite"):
+            scattering.coefficients(bad)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_k_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            scattering.ScatteringParams(g=1.0, k=bad)
+
 
 class TestWavefunctions:
     def test_free_propagation(self):
