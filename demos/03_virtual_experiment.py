@@ -6,6 +6,8 @@ spin state.  Binomial counts per channel, rescaled by the calibration, feed
 the linear inversion.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from kossprobe import (
@@ -16,7 +18,6 @@ from kossprobe import (
     estimate,
     run,
 )
-from kossprobe.experiment import with_seed
 from kossprobe.probe import CANONICAL_PHASE
 
 truth = KossakowskiMatrix.identity()
@@ -53,13 +54,7 @@ ns = [1_000, 10_000, 100_000, 1_000_000]
 for n in ns:
     errs = []
     for s in range(8):
-        cfg = with_seed(
-            ExperimentConfig(
-                true_c=truth, g=2.0, phase=CANONICAL_PHASE, exposure=0.01,
-                calibration=0.9, shots_per_channel=n, seed=0,
-            ),
-            1_000 + s,
-        )
+        cfg = replace(config, shots_per_channel=n, seed=1_000 + s)
         res = estimate(run(cfg), m)
         errs.append(np.linalg.norm(res.c_hat.matrix - truth.matrix))
     errors.append(np.mean(errs))
@@ -68,7 +63,7 @@ slope = np.polyfit(np.log10(ns), np.log10(errors), 1)[0]
 print(f"log-log slope: {slope:.3f} (expected -0.5)")
 
 print("\n=== pooling runs ===")
-runs = [run(with_seed(config, s)) for s in range(5)]
+runs = [run(replace(config, seed=s)) for s in range(5)]
 pooled = estimate(runs, m)
 single = estimate(runs[0], m)
 print("single-run errors:", np.round(single.standard_errors(), 5))

@@ -33,7 +33,7 @@ from .probe import (
     forward,
     probability_rate,
 )
-from .scattering import ScatteringCoefficients, ScatteringParams, coefficients, wavefunctions
+from .scattering import ScatteringCoefficients, ScatteringParams, coefficients
 from .experiment import ExperimentConfig, ExperimentRun, estimate, run, save_run, load_run
 
 __all__ = [
@@ -69,5 +69,4 @@ __all__ = [
     "psd_project",
     "run",
     "save_run",
-    "wavefunctions",
 ]

@@ -3,8 +3,8 @@
 Machine-readable payloads go to stdout, human-readable diagnostics to stderr.
 Exit codes: 0 success, 2 input error, 3 numerical refusal (singular probe
 matrix), 4 closed-form adjudication failure.  Every JSON payload carries a
-``schema_version`` field.  The environment variable KOSSPROBE_TOLERANCE
-supplies the tolerance when the --tolerance flag is not given.
+``schema_version`` field.  Every subcommand takes --output; only ``cp-check``
+and ``oracle`` take --tolerance.
 
 Only ``oracle`` and ``demo-negative`` need scipy; they import the oracle
 inside their handlers, so every other subcommand starts without it.
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -41,18 +40,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 EXIT_ADJUDICATION = 4
-
-
-def _resolved_tolerance(args, default: float) -> float:
-    if args.tolerance is not None:
-        return args.tolerance
-    env = os.environ.get("KOSSPROBE_TOLERANCE")
-    if env is not None:
-        try:
-            return float(env)
-        except ValueError as exc:
-            raise ValueError(f"KOSSPROBE_TOLERANCE is not a number: {env!r}") from exc
-    return default
 
 
 def _emit_json(payload: dict) -> None:
@@ -179,15 +166,22 @@ def _read_rates_file(path: str):
     if path.endswith(".csv"):
         rates: dict[str, float] = {}
         sigmas: dict[str, float] = {}
-        lines = [line for line in text.splitlines() if line.strip()]
-        header = [h.strip() for h in lines[0].split(",")]
+        lines = [(n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
+        if not lines:
+            raise ValueError("rates csv is empty; expected header 'label,rate[,sigma]'")
+        header = [h.strip() for h in lines[0][1].split(",")]
         if header[:2] != ["label", "rate"]:
             raise ValueError("rates csv must have header 'label,rate[,sigma]'")
-        for line in lines[1:]:
+        for n, line in lines[1:]:
             parts = [p.strip() for p in line.split(",")]
-            rates[parts[0]] = float(parts[1])
-            if len(parts) > 2 and len(header) > 2:
-                sigmas[parts[0]] = float(parts[2])
+            try:
+                rates[parts[0]] = float(parts[1])
+                if len(parts) > 2 and len(header) > 2:
+                    sigmas[parts[0]] = float(parts[2])
+            except (IndexError, ValueError):
+                raise ValueError(
+                    f"rates csv line {n}: expected 'label,rate[,sigma]', got {line!r}"
+                ) from None
         missing = [label for label in CHANNELS if label not in rates]
         if missing:
             raise ValueError(f"rates csv missing channels: {missing}")
@@ -209,21 +203,22 @@ def _cmd_invert(args) -> int:
     kind, payload, sigmas = _read_rates_file(args.rates)
     seed = args.seed if args.seed is not None else 0
     if kind == "run":
-        experiment_run = payload
-        if abs(experiment_run.config.g - args.g) > 1e-12:
-            raise ValueError(
-                f"--g {args.g} does not match the run's coupling {experiment_run.config.g}"
-            )
-        m = build_matrix_programmatic(coefficients(ScatteringParams(g=args.g)),
-                                      experiment_run.config.phase)
-        result = estimate(experiment_run, m, z=args.z, bootstrap=args.bootstrap, seed=seed)
+        config = payload.config
+        if abs(config.g - args.g) > 1e-12:
+            raise ValueError(f"--g {args.g} does not match the run's coupling {config.g}")
+        # written as "not <=" so that a nan phase is a mismatch too
+        if args.phase is not None and not abs(args.phase - config.phase) <= 1e-12:
+            raise ValueError(f"--phase {args.phase} does not match the run's phase {config.phase}")
+        m = build_matrix_programmatic(coefficients(ScatteringParams(g=args.g)), config.phase)
+        result = estimate(payload, m, z=args.z, bootstrap=args.bootstrap, seed=seed)
     else:
         rates = payload
         if args.sigmas is not None:
             sigmas = np.asarray(json.loads(Path(args.sigmas).read_text()), dtype=float)
         if sigmas is None:
             sigmas = np.zeros(6)
-        m = build_matrix_programmatic(coefficients(ScatteringParams(g=args.g)), args.phase)
+        phase = CANONICAL_PHASE if args.phase is None else args.phase
+        m = build_matrix_programmatic(coefficients(ScatteringParams(g=args.g)), phase)
         result = invert_noisy(rates, sigmas, m, z=args.z, bootstrap=args.bootstrap, seed=seed)
 
     out = result.to_dict()
@@ -236,8 +231,7 @@ def _cmd_invert(args) -> int:
 
 def _cmd_cp_check(args) -> int:
     c = _read_c_file(args.c_file)
-    tol = _resolved_tolerance(args, 1e-10)
-    report = c.cp_check(tol)
+    report = c.cp_check(args.tolerance)
     if args.output == "text":
         sys.stdout.write(f"eigenvalues: {report.eigenvalues}\n")
         sys.stdout.write(f"positive semidefinite: {report.psd}\n")
@@ -345,8 +339,7 @@ def _cmd_demo_negative(args) -> int:
 def _cmd_oracle(args) -> int:
     from .oracle import adjudicate  # deferred: loads scipy
 
-    tol = _resolved_tolerance(args, 1e-12)
-    report = adjudicate(trials=args.trials, tol=tol)
+    report = adjudicate(trials=args.trials, tol=args.tolerance)
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
@@ -365,12 +358,6 @@ def _cmd_oracle(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", choices=("json", "csv", "text"), default="text")
-    common.add_argument(
-        "--tolerance",
-        type=float,
-        default=None,
-        help="numerical tolerance (default per subcommand; KOSSPROBE_TOLERANCE overrides)",
-    )
 
     parser = argparse.ArgumentParser(
         prog="kossprobe",
@@ -404,7 +391,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invert", parents=[common], help="recover C from rates")
     p.add_argument("--rates", required=True, help="rates JSON/CSV or a simulate run file")
     p.add_argument("--g", type=float, required=True)
-    p.add_argument("--phase", type=float, default=CANONICAL_PHASE)
+    p.add_argument(
+        "--phase", type=float, default=None,
+        help="probe phase (default pi/2, or the run's phase; must match a run file's)",
+    )
     p.add_argument("--sigmas", default=None, help="JSON array of six rate uncertainties")
     p.add_argument("--project-psd", action="store_true")
     p.add_argument("--z", type=float, default=3.0, help="significance for the not-CP verdict")
@@ -414,6 +404,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cp-check", parents=[common], help="complete-positivity diagnostics")
     p.add_argument("--c-file", required=True)
+    p.add_argument("--tolerance", type=float, default=1e-10, help="eigenvalue and minor tolerance")
     p.set_defaults(handler=_cmd_cp_check)
 
     p = sub.add_parser("simulate", parents=[common], help="run the virtual experiment")
@@ -438,6 +429,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", parents=[common], help="closed-form adjudication report")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--out", default=None, help="also write the report to this path")
+    p.add_argument("--tolerance", type=float, default=1e-12, help="agreement tolerance")
     p.set_defaults(handler=_cmd_oracle)
 
     return parser

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -239,8 +239,3 @@ def load_run(path) -> ExperimentRun:
 
     data = json.loads(Path(path).read_text())
     return ExperimentRun.from_dict(data)
-
-
-def with_seed(config: ExperimentConfig, seed: int) -> ExperimentConfig:
-    """Convenience for repetition sweeps."""
-    return replace(config, seed=seed)

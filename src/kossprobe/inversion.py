@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kossakowski import KossakowskiMatrix
+from .kossakowski import KossakowskiMatrix, symmetric_from_vector
 from .probe import ProbeMatrix, ProbeResult
 
 CONDITION_LIMIT = 1e10
@@ -106,18 +106,9 @@ class InversionResult:
 def _bootstrap_min_eigenvalue_sigma(
     center: np.ndarray, covariance: np.ndarray, n: int, seed: int
 ) -> float:
-    if n < 2:
-        return 0.0
     rng = np.random.default_rng(seed)
     draws = rng.multivariate_normal(center, covariance, size=n, method="svd")
-    mats = np.empty((n, 3, 3))
-    mats[:, 0, 0] = draws[:, 0]
-    mats[:, 0, 1] = mats[:, 1, 0] = draws[:, 1]
-    mats[:, 0, 2] = mats[:, 2, 0] = draws[:, 2]
-    mats[:, 1, 1] = draws[:, 3]
-    mats[:, 1, 2] = mats[:, 2, 1] = draws[:, 4]
-    mats[:, 2, 2] = draws[:, 5]
-    lambda_min = np.linalg.eigvalsh(mats)[:, 0]
+    lambda_min = np.linalg.eigvalsh(symmetric_from_vector(draws))[:, 0]
     return float(lambda_min.std(ddof=1))
 
 
@@ -145,6 +136,10 @@ def invert_noisy(
         raise ValueError(f"sigmas must be finite, got {s.tolist()}")
     if np.any(s < 0):
         raise ValueError("sigmas must be nonnegative")
+    if not 0.0 < z < np.inf:
+        raise ValueError(f"z must be positive and finite, got {z}")
+    if bootstrap < 2:
+        raise ValueError(f"bootstrap needs at least 2 draws, got {bootstrap}")
     _check_conditioning(m)
 
     c_vec = np.linalg.solve(m.matrix, r)

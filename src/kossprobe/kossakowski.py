@@ -23,7 +23,12 @@ import numpy as np
 
 from .spin import IDENTITY_2, is_hermitian, pauli
 
+# The six free entries of C are its upper triangle in row-major order,
+# np.triu_indices(3); _PARAM_OF_ENTRY[i, j] is the parameter holding C[i, j].
 PARAM_ORDER = ("c11", "c12", "c13", "c22", "c23", "c33")
+_ROWS, _COLS = np.triu_indices(3)
+_PARAM_OF_ENTRY = np.empty((3, 3), dtype=int)
+_PARAM_OF_ENTRY[_ROWS, _COLS] = _PARAM_OF_ENTRY[_COLS, _ROWS] = np.arange(6)
 
 _SIGMA = tuple(pauli(i) for i in (1, 2, 3))
 _SIGMA_LIFTED = tuple(np.kron(IDENTITY_2, s) for s in _SIGMA)
@@ -84,13 +89,7 @@ class KossakowskiMatrix:
 
     @property
     def matrix(self) -> np.ndarray:
-        return np.array(
-            [
-                [self.c11, self.c12, self.c13],
-                [self.c12, self.c22, self.c23],
-                [self.c13, self.c23, self.c33],
-            ]
-        )
+        return symmetric_from_vector(self.vector)
 
     @property
     def vector(self) -> np.ndarray:
@@ -112,7 +111,7 @@ class KossakowskiMatrix:
         if np.max(np.abs(a - a.T)) > tol:
             raise ValueError("matrix is not symmetric within tolerance")
         s = 0.5 * (a + a.T)
-        return cls(s[0, 0], s[0, 1], s[0, 2], s[1, 1], s[1, 2], s[2, 2])
+        return cls(*s[_ROWS, _COLS])
 
     @classmethod
     def diagonal(cls, c1: float, c2: float, c3: float) -> "KossakowskiMatrix":
@@ -129,14 +128,6 @@ class KossakowskiMatrix:
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues in ascending order."""
         return np.linalg.eigvalsh(self.matrix)
-
-    def is_psd(self, tol: float = 1e-10) -> bool:
-        return bool(self.eigenvalues()[0] >= -tol)
-
-    def rotated(self, frame: np.ndarray) -> "KossakowskiMatrix":
-        """The same dissipator expressed in a rotated Pauli frame, C -> O^T C O."""
-        o = np.asarray(frame, dtype=float)
-        return KossakowskiMatrix.from_matrix(o.T @ self.matrix @ o, tol=1e-9)
 
     def cp_check(self, tol: float = 1e-10) -> CPReport:
         """Eigenvalue PSD verdict plus the seven individual minor conditions."""
@@ -171,6 +162,11 @@ class KossakowskiMatrix:
         return cls(**{name: float(data[name]) for name in PARAM_ORDER})
 
 
+def symmetric_from_vector(v) -> np.ndarray:
+    """Symmetric 3x3 matrices from six-parameter vectors, (..., 6) -> (..., 3, 3)."""
+    return np.asarray(v, dtype=float)[..., _PARAM_OF_ENTRY]
+
+
 def as_coupling_matrix(c) -> np.ndarray:
     """Accept a KossakowskiMatrix or any 3x3 array-like and return the array."""
     if isinstance(c, KossakowskiMatrix):
@@ -200,22 +196,22 @@ def _dissipator(c: np.ndarray, rho: np.ndarray, sigmas) -> np.ndarray:
     return out
 
 
-def dissipator_spin(c, rho: np.ndarray, validate: bool = True) -> np.ndarray:
+def dissipator_spin(c, rho: np.ndarray) -> np.ndarray:
     """Apply the dissipator to a 2x2 impurity state; the result is traceless."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2):
         raise ValueError(f"expected a 2x2 state, got shape {rho.shape}")
-    if validate and not is_hermitian(rho, 1e-10):
+    if not is_hermitian(rho, 1e-10):
         raise ValueError("state must be Hermitian")
     return _dissipator(as_coupling_matrix(c), rho, _SIGMA)
 
 
-def dissipator_lifted(c, rho4: np.ndarray, validate: bool = True) -> np.ndarray:
+def dissipator_lifted(c, rho4: np.ndarray) -> np.ndarray:
     """Apply the dissipator on the impurity factor of an electron x impurity state."""
     rho4 = np.asarray(rho4, dtype=complex)
     if rho4.shape != (4, 4):
         raise ValueError(f"expected a 4x4 state, got shape {rho4.shape}")
-    if validate and not is_hermitian(rho4, 1e-10):
+    if not is_hermitian(rho4, 1e-10):
         raise ValueError("state must be Hermitian")
     return _dissipator(as_coupling_matrix(c), rho4, _SIGMA_LIFTED)
 

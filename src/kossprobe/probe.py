@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kossakowski import as_coupling_matrix, d_tilde
+from .kossakowski import PARAM_ORDER, as_coupling_matrix, d_tilde, symmetric_from_vector
 from .scattering import ScatteringCoefficients, probe_amplitudes
 from .spin import BASIS_LABELS, SpinBasis, basis, pauli_frame
 
@@ -90,7 +90,7 @@ class ProbeMatrix:
             "det": self.det,
             "condition_number": self.condition_number,
             "rows": list(CHANNELS),
-            "columns": ["c11", "c12", "c13", "c22", "c23", "c33"],
+            "columns": list(PARAM_ORDER),
         }
 
 
@@ -138,23 +138,14 @@ def forward(
     return ProbeResult(rates=rates, g=coeffs.g, phase=phase)
 
 
-def _unit_couplings() -> list[np.ndarray]:
-    units = []
-    for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)):
-        e = np.zeros((3, 3))
-        e[i, j] = 1.0
-        e[j, i] = 1.0
-        units.append(e)
-    return units
-
-
 def build_matrix_programmatic(
     coeffs: ScatteringCoefficients, phase: float = CANONICAL_PHASE
 ) -> ProbeMatrix:
     """Assemble M column by column: column beta is forward() of the beta-th
     symmetric unit coupling matrix (off-diagonal units carry both mirror
     entries, matching the six-parameter vector convention)."""
-    columns = [forward(e, coeffs, phase).rates for e in _unit_couplings()]
+    units = symmetric_from_vector(np.eye(6))
+    columns = [forward(e, coeffs, phase).rates for e in units]
     m = np.column_stack(columns)
     return ProbeMatrix(
         matrix=m,

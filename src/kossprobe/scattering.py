@@ -35,7 +35,8 @@ _SQRT3 = np.sqrt(3.0)
 
 @dataclass(frozen=True)
 class ScatteringParams:
-    """Dimensionless coupling g, with the wavenumber k when positions matter.
+    """Dimensionless coupling g, with the wavenumber k that maps a detector
+    position x to the probe phase theta = 2k|x|.
 
     ``from_physical`` derives both from the magnetic coupling J, the electron
     energy E and mass m, and hbar.
@@ -80,14 +81,6 @@ class ScatteringCoefficients:
     r1: complex
     g: float
 
-    @property
-    def transmissions(self) -> tuple[complex, complex]:
-        return self.t0, self.t1
-
-    @property
-    def reflections(self) -> tuple[complex, complex]:
-        return self.r0, self.r1
-
 
 def coefficients(params: ScatteringParams | float) -> ScatteringCoefficients:
     """Channel amplitudes t_i = 1/(1 + i alpha_i), r_i = t_i - 1."""
@@ -99,40 +92,13 @@ def coefficients(params: ScatteringParams | float) -> ScatteringCoefficients:
     return ScatteringCoefficients(t0=t0, t1=t1, r0=t0 - 1.0, r1=t1 - 1.0, g=g)
 
 
-def wavefunctions(
-    params: ScatteringParams, x: float, side: str
-) -> tuple[complex, complex]:
-    """Spatial amplitudes (phi0, phi1) at position x.
-
-    phi0 multiplies the singlet spin state and phi1 (with its sqrt(3)
-    normalization) the symmetric triplet combination.  ``side`` must be
-    consistent with the sign of x; x = 0 is evaluated as the transmitted-side
-    limit.  The left side uses the |x| phase convention described in the
-    module docstring.
-    """
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    if side == "left" and x >= 0:
-        raise ValueError("side='left' requires x < 0 (x = 0 belongs to the right side)")
-    if side == "right" and x < 0:
-        raise ValueError("side='right' requires x >= 0")
-    if params.k is None:
-        raise ValueError("ScatteringParams.k is required to evaluate wavefunctions")
-    c = coefficients(params)
-    phase = params.k * abs(x)
-    if side == "right":
-        plane = np.exp(1.0j * phase)
-        return c.t0 * plane, _SQRT3 * c.t1 * plane
-    f0 = np.exp(1.0j * phase) + c.r0 * np.exp(-1.0j * phase)
-    f1 = np.exp(1.0j * phase) + c.r1 * np.exp(-1.0j * phase)
-    return f0, _SQRT3 * f1
-
-
 def probe_amplitudes(
     coeffs: ScatteringCoefficients, side: str, phase: float
 ) -> np.ndarray:
     """Two-component amplitude vector (phi0, phi1) at probe phase theta = 2k|x|.
 
+    phi0 multiplies the singlet spin state and phi1 (with its sqrt(3)
+    normalization) the symmetric triplet combination.
     The detection rates are quadratic forms in this vector; the common
     plane-wave factor on the transmitted side is kept for symmetry and
     cancels in every rate.

@@ -93,6 +93,8 @@ class SpinBasis:
 
         phi0 is the singlet combination, phi1 the normalized sum of the three
         triplet components; both are expressed through this basis's vectors.
+        In the canonical frame phi0 = (|01> - |10>)/sqrt(2) and
+        phi1 = (|00> + (|01> + |10>)/sqrt(2) + |11>)/sqrt(3).
         """
         phi0 = self.vectors[2]
         phi1 = (self.vectors[1] + np.sqrt(2.0) * self.vectors[0]) / np.sqrt(3.0)
@@ -110,24 +112,6 @@ def basis(label: str) -> SpinBasis:
     lifted = np.kron(IDENTITY_2, u)
     vectors = bell_states() @ lifted.T
     return SpinBasis(label=label, vectors=vectors, impurity_rotation=u)
-
-
-@dataclass(frozen=True)
-class SpinStatePair:
-    """The singlet/triplet spin states of a positive-energy eigenstate."""
-
-    phi0: np.ndarray
-    phi1: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.phi0.setflags(write=False)
-        self.phi1.setflags(write=False)
-
-
-def spin_state_pair() -> SpinStatePair:
-    """phi0 = (|01>-|10>)/sqrt(2) and phi1 = (|00> + (|01>+|10>)/sqrt(2) + |11>)/sqrt(3)."""
-    phi0, phi1 = basis("canonical").state_pair()
-    return SpinStatePair(phi0=phi0.copy(), phi1=phi1.copy())
 
 
 def pauli_frame(u: np.ndarray) -> np.ndarray:
@@ -158,19 +142,6 @@ def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     return bool(np.max(np.abs(a - a.conj().T)) <= tol)
 
 
-def is_unitary(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    a = np.asarray(a)
-    return bool(np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0]))) <= tol)
-
-
-def is_psd(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """Positive semidefiniteness of a Hermitian matrix, min eigenvalue >= -tol."""
-    a = np.asarray(a)
-    if not is_hermitian(a, max(tol, 1e-10)):
-        return False
-    return bool(np.linalg.eigvalsh(a)[0] >= -tol)
-
-
 # ---------------------------------------------------------------------------
 # vectorization (column-stacking)
 # ---------------------------------------------------------------------------
@@ -181,39 +152,8 @@ def vec(a: np.ndarray) -> np.ndarray:
     return np.asarray(a).flatten(order="F")
 
 
-def unvec(v: np.ndarray, shape: tuple[int, int] | None = None) -> np.ndarray:
-    """Inverse of :func:`vec`; square by default."""
+def unvec(v: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`vec` for a square matrix."""
     v = np.asarray(v)
-    if shape is None:
-        dim = int(round(np.sqrt(v.size)))
-        shape = (dim, dim)
-    return v.reshape(shape, order="F")
-
-
-def vectorize_superop(map_action, dim: int) -> np.ndarray:
-    """Matrix L with vec(map(rho)) = L vec(rho) for a linear map on dim x dim matrices.
-
-    Probes the map with the matrix units; under column stacking a map
-    rho -> A rho B vectorizes to kron(B^T, A).
-    """
-    l = np.empty((dim * dim, dim * dim), dtype=complex)
-    for b in range(dim):
-        for a in range(dim):
-            unit = np.zeros((dim, dim), dtype=complex)
-            unit[a, b] = 1.0
-            l[:, a + b * dim] = vec(np.asarray(map_action(unit), dtype=complex))
-    return l
-
-
-# ---------------------------------------------------------------------------
-# JSON serialization: nested arrays of [re, im] pairs
-# ---------------------------------------------------------------------------
-
-
-def matrix_to_json(a: np.ndarray) -> list:
-    a = np.asarray(a, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in a]
-
-
-def matrix_from_json(data: list) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in data], dtype=complex)
+    dim = int(round(np.sqrt(v.size)))
+    return v.reshape((dim, dim), order="F")

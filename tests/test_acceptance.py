@@ -5,6 +5,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the PASS lines.
 
 import json
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -222,7 +223,7 @@ def test_criterion_09_end_to_end_estimation():
     repetitions = 200
     for rep in range(repetitions):
         result = experiment.estimate(
-            experiment.run(experiment.with_seed(base, 10_000 + rep)), m
+            experiment.run(replace(base, seed=10_000 + rep)), m
         )
         err = np.abs(result.c_hat.vector - truth.vector)
         covered += bool(np.all(err <= 3.0 * result.standard_errors()))

@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 
 import kossprobe
+from kossprobe import probe
 from kossprobe.cli import main
+from kossprobe.kossakowski import KossakowskiMatrix
+from kossprobe.scattering import coefficients
 
 
 def run_cli(capsys, *argv):
@@ -134,30 +137,19 @@ class TestCpCheck:
         assert payload["eigenvalues"] == [-1.0, 1.0, 1.0]
         assert payload["conditions"]["c33"]["ok"] is False
 
-    def test_tolerance_env_override(self, capsys, tmp_path, monkeypatch):
-        # a tiny negative eigenvalue flips the verdict when the tolerance
-        # comes in tighter through the environment
+    def test_tolerance_flag(self, capsys, tmp_path):
+        # a tiny negative eigenvalue flips the verdict with the tolerance
         c_file = write_c_file(
             tmp_path, {**IDENTITY_C, "c33": -1e-8}, name="c2.json"
         )
-        monkeypatch.setenv("KOSSPROBE_TOLERANCE", "1e-4")
-        code, out, _ = run_cli(capsys, "cp-check", "--c-file", c_file, "--output", "json")
-        assert json.loads(out)["psd"] is True
-        monkeypatch.setenv("KOSSPROBE_TOLERANCE", "1e-12")
-        code, out, _ = run_cli(capsys, "cp-check", "--c-file", c_file, "--output", "json")
-        assert json.loads(out)["psd"] is False
-        # explicit flag wins over the environment
-        code, out, _ = run_cli(
-            capsys, "cp-check", "--c-file", c_file, "--tolerance", "1e-4",
-            "--output", "json",
-        )
-        assert json.loads(out)["psd"] is True
-
-    def test_bad_env_value(self, capsys, tmp_path, monkeypatch):
-        c_file = write_c_file(tmp_path, IDENTITY_C)
-        monkeypatch.setenv("KOSSPROBE_TOLERANCE", "not-a-number")
-        code, _, err = run_cli(capsys, "cp-check", "--c-file", c_file, "--output", "json")
-        assert code == 2
+        for tolerance, psd in ((None, False), ("1e-4", True), ("1e-12", False)):
+            flag = [] if tolerance is None else ["--tolerance", tolerance]
+            code, out, _ = run_cli(
+                capsys, "cp-check", "--c-file", c_file, *flag, "--output", "json"
+            )
+            assert code == 0
+            assert json.loads(out)["psd"] is psd
+            assert json.loads(out)["tolerance"] == float(tolerance or 1e-10)
 
 
 class TestSimulateAndInvert:
@@ -213,10 +205,6 @@ class TestSimulateAndInvert:
         assert "first-order" in err
 
     def test_invert_plain_rates_file(self, capsys, tmp_path):
-        from kossprobe import probe
-        from kossprobe.kossakowski import KossakowskiMatrix
-        from kossprobe.scattering import coefficients
-
         rates = probe.forward(
             KossakowskiMatrix.diagonal(1.0, 1.0, -1.0), coefficients(2.0)
         ).rates
@@ -265,6 +253,53 @@ class TestSimulateAndInvert:
         )
         assert code == 2
         assert "does not match" in err
+
+    def test_invert_phase_mismatch_with_run(self, capsys, tmp_path):
+        c_file = write_c_file(tmp_path, IDENTITY_C)
+        run_cli(
+            capsys, "simulate", "--c-file", c_file, "--g", "2",
+            "--shots", "1000", "--exposure", "0.01", "--calibration", "1.0",
+            "--seed", "3", "--out", str(tmp_path / "r"),
+        )
+        run_file = str(tmp_path / "r/run.json")
+        for phase in ("0.3", "nan"):
+            code, out, err = run_cli(
+                capsys, "invert", "--rates", run_file, "--g", "2", "--phase", phase
+            )
+            assert code == 2
+            assert out == ""
+            assert "--phase" in err and "does not match" in err
+        # the run's own phase, given or left out, is accepted
+        for flag in ([], ["--phase", repr(probe.CANONICAL_PHASE)]):
+            code, _, _ = run_cli(capsys, "invert", "--rates", run_file, "--g", "2", *flag)
+            assert code == 0
+
+    @pytest.mark.parametrize(
+        "text, line", [("label,rate\nP0T\n", "line 2"), ("", "empty"), ("\n\n", "empty")]
+    )
+    def test_invert_malformed_csv(self, capsys, tmp_path, text, line):
+        rates_file = tmp_path / "rates.csv"
+        rates_file.write_text(text)
+        code, out, err = run_cli(capsys, "invert", "--rates", str(rates_file), "--g", "2")
+        assert code == 2
+        assert out == ""
+        assert line in err
+
+    @pytest.mark.parametrize(
+        "flag", [["--bootstrap", "0"], ["--bootstrap", "1"], ["--z", "-1"], ["--z", "nan"]]
+    )
+    def test_invert_bad_verdict_settings(self, capsys, tmp_path, flag):
+        # a near-boundary estimate that needs the bootstrap (indeterminate by default)
+        rates = probe.forward(KossakowskiMatrix.diagonal(1.0, 1.0, -0.01), coefficients(2.0))
+        rates_file = tmp_path / "rates.json"
+        rates_file.write_text(json.dumps({"rates": list(rates.rates), "sigmas": [0.05] * 6}))
+        code, out, _ = run_cli(capsys, "invert", "--rates", str(rates_file), "--g", "2")
+        assert code == 0
+        assert json.loads(out)["cp_verdict"] == "indeterminate"
+        code, out, err = run_cli(capsys, "invert", "--rates", str(rates_file), "--g", "2", *flag)
+        assert code == 2
+        assert out == ""
+        assert flag[0].lstrip("-") in err
 
     def test_invert_nan_coupling_with_run(self, capsys, tmp_path):
         c_file = write_c_file(tmp_path, IDENTITY_C)
@@ -386,4 +421,10 @@ class TestParsing:
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["transmogrify"])
+        assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("command", [["coeffs", "--g", "1"], ["build-matrix", "--g", "1"]])
+    def test_tolerance_only_where_read(self, capsys, command):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, "--tolerance", "1e-3"])
         assert excinfo.value.code == 2

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -38,7 +40,7 @@ class TestConfig:
     def test_round_trip_and_hash(self):
         config = make_config()
         assert experiment.ExperimentConfig.from_dict(config.to_dict()) == config
-        assert config.hash() != experiment.with_seed(config, 8).hash()
+        assert config.hash() != replace(config, seed=8).hash()
 
     def test_per_shot_values(self):
         p, unclamped = make_config().per_shot_probabilities()
@@ -77,7 +79,7 @@ class TestRun:
         assert a == b
         assert a.to_json() == b.to_json()
         assert a.to_csv() == b.to_csv()
-        assert experiment.run(experiment.with_seed(config, 8)) != a
+        assert experiment.run(replace(config, seed=8)) != a
 
     def test_channel_independence_of_substreams(self):
         # changing the true matrix must not perturb the draws of channels
@@ -126,7 +128,7 @@ class TestEstimate:
     def test_pooling_beats_single_run(self):
         config = make_config(shots_per_channel=200_000)
         m = probe.build_matrix_programmatic(coefficients(config.g))
-        runs = [experiment.run(experiment.with_seed(config, s)) for s in range(8)]
+        runs = [experiment.run(replace(config, seed=s)) for s in range(8)]
         pooled = experiment.estimate(runs, m)
         single = experiment.estimate(runs[0], m)
         assert np.all(pooled.standard_errors() < single.standard_errors())

@@ -145,6 +145,21 @@ class TestInvertNoisy:
         with pytest.raises(ValueError, match="sigmas must be finite"):
             inversion.invert_noisy(rates, sigmas, M2)
 
+    @pytest.mark.parametrize(
+        "settings",
+        [{"bootstrap": 0}, {"bootstrap": 1}, {"z": -1.0}, {"z": 0.0}, {"z": np.nan}, {"z": np.inf}],
+    )
+    def test_rejects_bad_verdict_settings(self, settings):
+        # indeterminate by default; a degenerate bootstrap or z must not
+        # turn it into not-CP, and is refused even where no bootstrap runs
+        near = probe.forward(KossakowskiMatrix.diagonal(1.0, 1.0, -0.01), G2).rates
+        sigmas = 0.05 * np.ones(6)
+        assert inversion.invert_noisy(near, sigmas, M2).cp_verdict == inversion.INDETERMINATE
+        inside = probe.forward(KossakowskiMatrix.identity(), G2).rates
+        for rates in (near, inside):
+            with pytest.raises(ValueError, match=next(iter(settings))):
+                inversion.invert_noisy(rates, sigmas, M2, **settings)
+
     def test_result_serializes(self):
         rates = probe.forward(KossakowskiMatrix.identity(), G2).rates
         d = inversion.invert_noisy(rates, 0.01 * np.ones(6), M2).to_dict()

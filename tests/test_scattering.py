@@ -80,60 +80,40 @@ class TestParams:
 
 
 class TestWavefunctions:
+    """The spatial amplitudes (phi0, phi1) at probe phase theta = 2k|x|."""
+
     def test_free_propagation(self):
-        params = scattering.ScatteringParams(g=0.0, k=2.0)
-        x = 0.7
-        phi0, phi1 = scattering.wavefunctions(params, x, "right")
-        assert np.isclose(phi0, np.exp(1j * params.k * x), atol=1e-15)
-        assert np.isclose(phi1, np.sqrt(3) * np.exp(1j * params.k * x), atol=1e-15)
+        co = scattering.coefficients(0.0)
+        theta = 1.4
+        for side in ("transmitted", "reflected"):
+            phi0, phi1 = scattering.probe_amplitudes(co, side, theta)
+            assert np.isclose(phi0, np.exp(0.5j * theta), atol=1e-15)
+            assert np.isclose(phi1, np.sqrt(3) * np.exp(0.5j * theta), atol=1e-15)
 
     def test_transmitted_moduli(self):
-        params = scattering.ScatteringParams(g=2.0, k=1.0)
-        phi0, phi1 = scattering.wavefunctions(params, 1.3, "right")
+        co = scattering.coefficients(2.0)
+        phi0, phi1 = scattering.probe_amplitudes(co, "transmitted", 2.6)
         assert abs(abs(phi0) ** 2 - 0.1) <= 1e-12
         assert abs(abs(phi1) ** 2 - 1.5) <= 1e-12
 
     def test_reflected_quarter_wave_moduli(self):
         # at 2k|x| = pi/2 the squared moduli reproduce the quarter-wave
         # constants 2 - |t|^2 + 2 Im(t) of the reflected-side rates
-        params = scattering.ScatteringParams(g=2.0, k=1.0)
-        x = -np.pi / 4.0
-        phi0, phi1 = scattering.wavefunctions(params, x, "left")
+        co = scattering.coefficients(2.0)
+        phi0, phi1 = scattering.probe_amplitudes(co, "reflected", np.pi / 2.0)
         assert abs(abs(phi0) ** 2 - 2.5) <= 1e-12
         assert abs(abs(phi1) ** 2 / 3.0 - 0.5) <= 1e-12
 
-    def test_side_consistency(self):
-        params = scattering.ScatteringParams(g=1.0, k=1.0)
-        with pytest.raises(ValueError):
-            scattering.wavefunctions(params, 1.0, "left")
-        with pytest.raises(ValueError):
-            scattering.wavefunctions(params, -1.0, "right")
-        with pytest.raises(ValueError):
-            scattering.wavefunctions(params, 0.5, "middle")
-
     def test_x_zero_is_right_limit(self):
-        params = scattering.ScatteringParams(g=2.0, k=1.0)
-        co = scattering.coefficients(params)
-        phi0, phi1 = scattering.wavefunctions(params, 0.0, "right")
-        assert np.isclose(phi0, co.t0)
-        assert np.isclose(phi1, np.sqrt(3) * co.t1)
-        with pytest.raises(ValueError):
-            scattering.wavefunctions(params, 0.0, "left")
-
-    def test_k_required(self):
-        with pytest.raises(ValueError):
-            scattering.wavefunctions(scattering.ScatteringParams(g=1.0), 1.0, "right")
+        # at the impurity (theta = 0) both sides give (t0, sqrt(3) t1): 1 + r = t
+        co = scattering.coefficients(2.0)
+        for side in ("transmitted", "reflected"):
+            phi0, phi1 = scattering.probe_amplitudes(co, side, 0.0)
+            assert np.isclose(phi0, co.t0)
+            assert np.isclose(phi1, np.sqrt(3) * co.t1)
 
 
 class TestProbeAmplitudes:
-    def test_matches_wavefunctions_at_phase(self):
-        params = scattering.ScatteringParams(g=2.0, k=1.0)
-        co = scattering.coefficients(params)
-        theta = np.pi / 2.0
-        left = scattering.wavefunctions(params, -theta / (2 * params.k), "left")
-        amp = scattering.probe_amplitudes(co, "reflected", theta)
-        assert np.allclose(amp, left, atol=1e-14)
-
     def test_transmitted_modulus_phase_independent(self):
         co = scattering.coefficients(1.7)
         a = scattering.probe_amplitudes(co, "transmitted", 0.3)
