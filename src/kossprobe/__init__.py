@@ -19,8 +19,6 @@ from .kossakowski import (
     NotCompletelyPositiveError,
     bloch_evolve,
     d_tilde,
-    dissipator_lifted,
-    dissipator_spin,
     kraus_noise,
 )
 from .probe import (
@@ -57,8 +55,6 @@ __all__ = [
     "build_matrix_programmatic",
     "coefficients",
     "d_tilde",
-    "dissipator_lifted",
-    "dissipator_spin",
     "estimate",
     "forward",
     "invert_exact",

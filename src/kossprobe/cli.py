@@ -209,6 +209,8 @@ def _cmd_invert(args) -> int:
         # written as "not <=" so that a nan phase is a mismatch too
         if args.phase is not None and not abs(args.phase - config.phase) <= 1e-12:
             raise ValueError(f"--phase {args.phase} does not match the run's phase {config.phase}")
+        if args.sigmas is not None:
+            raise ValueError("--sigmas does not apply to a run file: it carries its own binomial sigmas")
         m = build_matrix_programmatic(coefficients(ScatteringParams(g=args.g)), config.phase)
         result = estimate(payload, m, z=args.z, bootstrap=args.bootstrap, seed=seed)
     else:

@@ -1,4 +1,4 @@
-"""The Kossakowski matrix and the dissipator it generates on the impurity spin.
+"""The Kossakowski matrix and the closed forms of the dissipator it generates.
 
 The noisy part of the impurity's Markovian evolution is
 
@@ -9,10 +9,13 @@ C being positive semidefinite is equivalent to the generated semigroup being
 completely positive, which is what the estimation pipeline ultimately tests.
 
 This module carries the matrix type with its complete-positivity diagnostics,
-the dissipator on the impurity spin and its lift to electron + impurity, the
-2x2 compression ``d_tilde`` that the forward model is a quadratic form of,
+the 2x2 compression ``d_tilde`` that the forward model is a quadratic form of,
 the Kraus decomposition of the noise term, and the exact Bloch-vector
-evolution for diagonal C.
+evolution for diagonal C.  The dissipator itself, as a superoperator on the
+impurity or on electron + impurity, is built only by
+:func:`kossprobe.oracle.build_superop`, the referee of these closed forms.
+``d_tilde`` takes its coupling matrix already expressed in a probe frame; the
+frames are constants of :mod:`kossprobe.probe`.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin import IDENTITY_2, is_hermitian, pauli
+from .spin import IDENTITY_2, pauli
 
 # The six free entries of C are its upper triangle in row-major order,
 # np.triu_indices(3); _PARAM_OF_ENTRY[i, j] is the parameter holding C[i, j].
@@ -31,7 +34,6 @@ _PARAM_OF_ENTRY = np.empty((3, 3), dtype=int)
 _PARAM_OF_ENTRY[_ROWS, _COLS] = _PARAM_OF_ENTRY[_COLS, _ROWS] = np.arange(6)
 
 _SIGMA = tuple(pauli(i) for i in (1, 2, 3))
-_SIGMA_LIFTED = tuple(np.kron(IDENTITY_2, s) for s in _SIGMA)
 
 
 class NotCompletelyPositiveError(ValueError):
@@ -175,45 +177,6 @@ def as_coupling_matrix(c) -> np.ndarray:
     if a.shape != (3, 3):
         raise ValueError(f"expected a 3x3 coupling matrix, got shape {a.shape}")
     return a
-
-
-# ---------------------------------------------------------------------------
-# dissipator
-# ---------------------------------------------------------------------------
-
-
-def _dissipator(c: np.ndarray, rho: np.ndarray, sigmas) -> np.ndarray:
-    out = np.zeros_like(rho)
-    for i in range(3):
-        for j in range(3):
-            cij = c[i, j]
-            if cij == 0:
-                continue
-            sij = sigmas[i] @ sigmas[j]
-            out = out + cij * (
-                sigmas[j] @ rho @ sigmas[i] - 0.5 * (sij @ rho + rho @ sij)
-            )
-    return out
-
-
-def dissipator_spin(c, rho: np.ndarray) -> np.ndarray:
-    """Apply the dissipator to a 2x2 impurity state; the result is traceless."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 state, got shape {rho.shape}")
-    if not is_hermitian(rho, 1e-10):
-        raise ValueError("state must be Hermitian")
-    return _dissipator(as_coupling_matrix(c), rho, _SIGMA)
-
-
-def dissipator_lifted(c, rho4: np.ndarray) -> np.ndarray:
-    """Apply the dissipator on the impurity factor of an electron x impurity state."""
-    rho4 = np.asarray(rho4, dtype=complex)
-    if rho4.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 state, got shape {rho4.shape}")
-    if not is_hermitian(rho4, 1e-10):
-        raise ValueError("state must be Hermitian")
-    return _dissipator(as_coupling_matrix(c), rho4, _SIGMA_LIFTED)
 
 
 # ---------------------------------------------------------------------------

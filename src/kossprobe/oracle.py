@@ -19,7 +19,7 @@ from scipy.linalg import expm
 from .kossakowski import as_coupling_matrix
 from .probe import CANONICAL_PHASE, CHANNELS, build_matrix_appendix, build_matrix_programmatic, compare_matrices, forward
 from .scattering import ScatteringCoefficients, coefficients
-from .spin import BASIS_LABELS, IDENTITY_2, SpinBasis, basis, pauli, unvec, vec
+from .spin import BASIS_LABELS, IDENTITY_2, basis, pauli, unvec, vec
 
 _SQRT3 = np.sqrt(3.0)
 
@@ -56,14 +56,14 @@ def apply_superop(l: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return unvec(l @ vec(rho))
 
 
-def d_tilde_bruteforce(c, probe_basis: SpinBasis | str = "canonical") -> np.ndarray:
+def d_tilde_bruteforce(c, probe_basis: str = "canonical") -> np.ndarray:
     """The compressed 2x2 form from its definition.
 
     Entry (i, j) is <v3| L[|phi_j><phi_i|] |v3> with v3 the probe state and
     (phi_0, phi_1) the eigenstate spin states, all expressed in the requested
     frame, and L the lifted superoperator.
     """
-    b = probe_basis if isinstance(probe_basis, SpinBasis) else basis(probe_basis)
+    b = basis(probe_basis)
     l = build_superop(c, lifted=True)
     phi = b.state_pair()
     v3 = b.probe_state
@@ -89,7 +89,7 @@ def _amplitudes(coeffs: ScatteringCoefficients, side: str, phase: float) -> np.n
 def rates_bruteforce(
     c,
     coeffs: ScatteringCoefficients,
-    probe_basis: SpinBasis | str = "canonical",
+    probe_basis: str = "canonical",
     phase: float = CANONICAL_PHASE,
 ) -> tuple[float, float]:
     """(transmitted, reflected) rates for one probe frame, straight from the

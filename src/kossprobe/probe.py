@@ -15,6 +15,9 @@ free entries of the Kossakowski matrix:
 
     rates = M @ c_vector.
 
+The three probe frames are constants: their Pauli frames are computed once,
+at import, and every rate looks its frame up by basis label.
+
 ``build_matrix_programmatic`` assembles M column by column from unit coupling
 matrices pushed through the forward model, which keeps it free of any
 hand-transcribed coefficient.  ``build_matrix_appendix`` assembles the
@@ -32,11 +35,14 @@ import numpy as np
 
 from .kossakowski import PARAM_ORDER, as_coupling_matrix, d_tilde, symmetric_from_vector
 from .scattering import ScatteringCoefficients, probe_amplitudes
-from .spin import BASIS_LABELS, SpinBasis, basis, pauli_frame
+from .spin import BASIS_LABELS, basis, pauli_frame
 
 CHANNELS = ("P0T", "P1T", "P2T", "P0R", "P1R", "P2R")
 SIDES = ("transmitted", "reflected")
 CANONICAL_PHASE = np.pi / 2.0
+
+# The Pauli frame of each probe basis's impurity rotation, built once at import.
+_FRAMES = {label: pauli_frame(basis(label).impurity_rotation) for label in BASIS_LABELS}
 
 
 def _is_canonical(phase: float, tol: float = 1e-12) -> bool:
@@ -94,16 +100,10 @@ class ProbeMatrix:
         }
 
 
-def _resolve_basis(b: SpinBasis | str) -> SpinBasis:
-    if isinstance(b, SpinBasis):
-        return b
-    return basis(b)
-
-
 def probability_rate(
     c,
     coeffs: ScatteringCoefficients,
-    probe_basis: SpinBasis | str,
+    probe_basis: str,
     side: str,
     phase: float = CANONICAL_PHASE,
 ) -> float:
@@ -112,12 +112,16 @@ def probability_rate(
     Rotating the probe frame is equivalent to expressing the Kossakowski
     matrix in the rotated Pauli frame, so the rate is the canonical quadratic
     form evaluated at the frame-rotated coupling matrix.  Transmitted-side
-    rates are independent of the probe phase.
+    rates are independent of the probe phase.  ``probe_basis`` is one of
+    ``BASIS_LABELS``; the frames are constants.
     """
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
-    b = _resolve_basis(probe_basis)
-    frame = pauli_frame(b.impurity_rotation)
+    if probe_basis not in BASIS_LABELS:
+        raise ValueError(
+            f"unknown basis label {probe_basis!r}, expected one of {BASIS_LABELS}"
+        )
+    frame = _FRAMES[probe_basis]
     rotated = frame.T @ as_coupling_matrix(c) @ frame
     w = probe_amplitudes(coeffs, side, phase)
     return float(np.real(w.conj() @ d_tilde(rotated) @ w))
@@ -127,12 +131,11 @@ def forward(
     c, coeffs: ScatteringCoefficients, phase: float = CANONICAL_PHASE
 ) -> ProbeResult:
     """All six rates: three probe frames on the transmitted side, then reflected."""
-    bases = [basis(label) for label in BASIS_LABELS]
     rates = np.array(
         [
-            probability_rate(c, coeffs, b, side, phase)
+            probability_rate(c, coeffs, label, side, phase)
             for side in SIDES
-            for b in bases
+            for label in BASIS_LABELS
         ]
     )
     return ProbeResult(rates=rates, g=coeffs.g, phase=phase)

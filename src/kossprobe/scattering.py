@@ -101,10 +101,13 @@ def probe_amplitudes(
     normalization) the symmetric triplet combination.
     The detection rates are quadratic forms in this vector; the common
     plane-wave factor on the transmitted side is kept for symmetry and
-    cancels in every rate.
+    cancels in every rate.  A non-finite phase raises ``ValueError``; every
+    rate's phase passes through here.
     """
     if side not in ("transmitted", "reflected"):
         raise ValueError(f"side must be 'transmitted' or 'reflected', got {side!r}")
+    if not math.isfinite(phase):
+        raise ValueError(f"probe phase must be finite, got {phase}")
     half = np.exp(0.5j * phase)
     if side == "transmitted":
         return np.array([coeffs.t0 * half, _SQRT3 * coeffs.t1 * half])

@@ -1,7 +1,9 @@
 """Fixed-size spin algebra for the electron + impurity system.
 
 Pauli matrices, the Bell basis, the probe-frame rotations and the
-column-stacking vectorization helpers used by every other module.
+column-stacking vectorization helpers used by every other module.  The probe
+frames are constants: :mod:`kossprobe.probe` builds their Pauli frames with
+:func:`basis` and :func:`pauli_frame` once, at import.
 
 Conventions, used consistently across the package:
 
@@ -19,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-DEFAULT_TOL = 1e-12
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 
@@ -130,16 +130,6 @@ def pauli_frame(u: np.ndarray) -> np.ndarray:
                 raise ValueError("conjugation left the Pauli span; u is not unitary")
             o[i, j] = coeff.real
     return o
-
-
-# ---------------------------------------------------------------------------
-# structural predicates
-# ---------------------------------------------------------------------------
-
-
-def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    a = np.asarray(a)
-    return bool(np.max(np.abs(a - a.conj().T)) <= tol)
 
 
 # ---------------------------------------------------------------------------

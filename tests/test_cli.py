@@ -98,6 +98,17 @@ class TestForward:
         assert code == 2
         assert "missing" in err
 
+    @pytest.mark.parametrize("phase", ["nan", "inf"])
+    def test_non_finite_phase(self, capsys, tmp_path, phase):
+        c_file = write_c_file(tmp_path, IDENTITY_C)
+        code, out, err = run_cli(
+            capsys, "forward", "--c-file", c_file, "--g", "2", "--phase", phase,
+            "--output", "json",
+        )
+        assert code == 2
+        assert out == ""
+        assert "phase must be finite" in err
+
 
 class TestBuildMatrix:
     def test_both_sources_with_comparison(self, capsys):
@@ -123,6 +134,13 @@ class TestBuildMatrix:
             capsys, "build-matrix", "--g", "2", "--source", "both", "--output", "csv"
         )
         assert code == 2
+
+    @pytest.mark.parametrize("phase", ["nan", "inf"])
+    def test_non_finite_phase(self, capsys, phase):
+        code, out, err = run_cli(capsys, "build-matrix", "--g", "2", "--phase", phase)
+        assert code == 2
+        assert out == ""
+        assert "phase must be finite" in err
 
 
 class TestCpCheck:
@@ -330,6 +348,47 @@ class TestSimulateAndInvert:
         code, _, err = run_cli(capsys, "invert", "--rates", str(rates_file), "--g", "2")
         assert code == 2
         assert "sigmas must be finite" in err
+
+    @pytest.mark.parametrize("phase", ["nan", "inf"])
+    def test_invert_non_finite_phase(self, capsys, tmp_path, phase):
+        rates_file = tmp_path / "rates.json"
+        rates_file.write_text(json.dumps([1.0] * 6))
+        code, out, err = run_cli(
+            capsys, "invert", "--rates", str(rates_file), "--g", "2", "--phase", phase
+        )
+        assert code == 2
+        assert out == ""
+        assert "phase must be finite" in err
+
+    @pytest.mark.parametrize("phase", ["nan", "inf"])
+    def test_simulate_non_finite_phase(self, capsys, tmp_path, phase):
+        c_file = write_c_file(tmp_path, IDENTITY_C)
+        code, out, err = run_cli(
+            capsys, "simulate", "--c-file", c_file, "--g", "2",
+            "--shots", "1000", "--exposure", "0.01", "--calibration", "1.0",
+            "--seed", "3", "--phase", phase, "--out", str(tmp_path / "r"),
+        )
+        assert code == 2
+        assert out == ""
+        assert "phase must be finite" in err
+        assert not (tmp_path / "r").exists()
+
+    def test_invert_sigmas_with_run(self, capsys, tmp_path):
+        c_file = write_c_file(tmp_path, IDENTITY_C)
+        run_cli(
+            capsys, "simulate", "--c-file", c_file, "--g", "2",
+            "--shots", "1000", "--exposure", "0.01", "--calibration", "1.0",
+            "--seed", "3", "--out", str(tmp_path / "r"),
+        )
+        sigmas_file = tmp_path / "sigmas.json"
+        sigmas_file.write_text(json.dumps([100.0] * 6))
+        code, out, err = run_cli(
+            capsys, "invert", "--rates", str(tmp_path / "r/run.json"), "--g", "2",
+            "--sigmas", str(sigmas_file),
+        )
+        assert code == 2
+        assert out == ""
+        assert "--sigmas" in err and "binomial sigmas" in err
 
 
 class TestDemoNegative:

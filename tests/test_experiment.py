@@ -37,6 +37,11 @@ class TestConfig:
         with pytest.raises(experiment.ConfigError, match="P0R"):
             make_config(exposure=0.1).per_shot_probabilities()
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_phase_rejected(self, bad):
+        with pytest.raises(ValueError, match="phase must be finite"):
+            experiment.run(make_config(phase=bad))
+
     def test_round_trip_and_hash(self):
         config = make_config()
         assert experiment.ExperimentConfig.from_dict(config.to_dict()) == config

@@ -3,7 +3,7 @@ import pytest
 
 from kossprobe import kossakowski as km
 from kossprobe import oracle
-from kossprobe.spin import pauli, unvec, vec
+from kossprobe.spin import pauli
 
 SIGMA = [pauli(i) for i in (1, 2, 3)]
 
@@ -78,56 +78,6 @@ class TestCPCheck:
         assert set(d["conditions"]) == {
             "c11", "c22", "c33", "minor_12", "minor_13", "minor_23", "det",
         }
-
-
-class TestDissipator:
-    def test_zero_coupling(self):
-        rho = np.array([[0.7, 0.1j], [-0.1j, 0.3]])
-        assert np.allclose(km.dissipator_spin(km.KossakowskiMatrix.zero(), rho), 0.0)
-        assert np.allclose(
-            km.dissipator_lifted(km.KossakowskiMatrix.zero(), np.eye(4) / 4), 0.0
-        )
-
-    def test_counterexample_action(self):
-        c = km.KossakowskiMatrix.diagonal(1.0, 1.0, -1.0)
-        rho = 0.5 * (np.eye(2) + SIGMA[2])
-        assert np.allclose(km.dissipator_spin(c, rho), -2.0 * SIGMA[2], atol=1e-14)
-
-    def test_traceless(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            c = km.KossakowskiMatrix.from_matrix(random_symmetric(rng))
-            rho = random_hermitian(rng, 2)
-            assert abs(np.trace(km.dissipator_spin(c, rho))) <= 1e-14
-            rho4 = random_hermitian(rng, 4)
-            assert abs(np.trace(km.dissipator_lifted(c, rho4))) <= 1e-13
-
-    def test_rejects_non_hermitian(self):
-        c = km.KossakowskiMatrix.identity()
-        with pytest.raises(ValueError):
-            km.dissipator_spin(c, np.array([[0.0, 1.0], [0.0, 0.0]]))
-        with pytest.raises(ValueError):
-            km.dissipator_lifted(c, np.triu(np.ones((4, 4))))
-
-    def test_lifted_factorizes_on_product_states(self):
-        rng = np.random.default_rng(2)
-        c = km.KossakowskiMatrix.from_matrix(random_symmetric(rng))
-        rho_e = random_hermitian(rng, 2)
-        rho_s = random_hermitian(rng, 2)
-        got = km.dissipator_lifted(c, np.kron(rho_e, rho_s))
-        want = np.kron(rho_e, km.dissipator_spin(c, rho_s))
-        assert np.allclose(got, want, atol=1e-13)
-
-    def test_lifted_matches_vectorized_superoperator(self):
-        # entangled inputs, checked against the independent 16x16 assembly;
-        # 50 random Hermitian states span all 4x4 inputs
-        rng = np.random.default_rng(3)
-        for c in (km.KossakowskiMatrix.diagonal(1.0, 1.0, -1.0), random_symmetric(rng)):
-            l = oracle.build_superop(c, lifted=True)
-            for _ in range(50):
-                rho4 = random_hermitian(rng, 4)
-                got = km.dissipator_lifted(c, rho4)
-                assert np.allclose(unvec(l @ vec(rho4)), got, atol=1e-13)
 
 
 class TestDTilde:

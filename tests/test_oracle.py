@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kossprobe import oracle, probe
-from kossprobe.kossakowski import KossakowskiMatrix, d_tilde, dissipator_spin
+from kossprobe.kossakowski import KossakowskiMatrix, d_tilde
 from kossprobe.scattering import coefficients
 from kossprobe.spin import basis, pauli, unvec, vec
 
@@ -43,15 +43,16 @@ class TestBuildSuperop:
             out = unvec(l @ vec(random_hermitian(rng, 4)))
             assert np.max(np.abs(out - out.conj().T)) <= 1e-13
 
-    def test_matches_spin_dissipator(self):
-        rng = np.random.default_rng(23)
-        c = KossakowskiMatrix.from_matrix(random_symmetric(rng))
-        l = oracle.build_superop(c, lifted=False)
-        for _ in range(50):
-            rho = random_hermitian(rng, 2)
-            assert np.allclose(
-                unvec(l @ vec(rho)), dissipator_spin(c, rho), atol=1e-13
-            )
+    def test_counterexample_action(self):
+        # diag(1, 1, -1) takes (I + sigma3)/2 to -2 sigma3, on the impurity
+        # alone and on the impurity factor of I/2 x (I + sigma3)/2
+        rho = 0.5 * (np.eye(2) + pauli(3))
+        got = oracle.apply_superop(oracle.build_superop(COUNTEREXAMPLE, False), rho)
+        assert np.allclose(got, -2.0 * pauli(3), atol=1e-14)
+        got = oracle.apply_superop(
+            oracle.build_superop(COUNTEREXAMPLE, True), np.kron(np.eye(2) / 2, rho)
+        )
+        assert np.allclose(got, -np.kron(np.eye(2), pauli(3)), atol=1e-14)
 
     def test_lifted_factorization(self):
         rng = np.random.default_rng(24)

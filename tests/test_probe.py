@@ -55,6 +55,11 @@ class TestProbabilityRate:
         with pytest.raises(ValueError):
             probe.probability_rate(KossakowskiMatrix.zero(), G2, "canonical", "up")
 
+    def test_unknown_label(self):
+        with pytest.raises(ValueError, match="unknown basis label 'rot3'") as excinfo:
+            probe.probability_rate(KossakowskiMatrix.zero(), G2, "rot3", "transmitted")
+        assert str(probe.BASIS_LABELS) in str(excinfo.value)
+
 
 class TestForward:
     def test_zero(self):
@@ -105,6 +110,13 @@ class TestForward:
     def test_by_channel_order(self):
         out = probe.forward(KossakowskiMatrix.identity(), G2).by_channel()
         assert list(out) == list(probe.CHANNELS)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_phase_rejected(self, bad):
+        with pytest.raises(ValueError, match="phase must be finite"):
+            probe.forward(KossakowskiMatrix.identity(), G2, bad)
+        with pytest.raises(ValueError, match="phase must be finite"):
+            probe.build_matrix_programmatic(G2, bad)
 
 
 class TestProgrammaticMatrix:

@@ -124,3 +124,10 @@ class TestProbeAmplitudes:
         co = scattering.coefficients(1.0)
         with pytest.raises(ValueError):
             scattering.probe_amplitudes(co, "up", 0.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_phase_rejected(self, bad):
+        co = scattering.coefficients(1.0)
+        for side in ("transmitted", "reflected"):
+            with pytest.raises(ValueError, match="phase must be finite"):
+                scattering.probe_amplitudes(co, side, bad)

@@ -28,7 +28,7 @@ class TestPauli:
     def test_hermitian_unitary_traceless(self):
         for k in (1, 2, 3):
             s = spin.pauli(k)
-            assert spin.is_hermitian(s)
+            assert np.array_equal(s, s.conj().T)
             assert np.max(np.abs(s.conj().T @ s - I2)) <= 1e-15
             assert abs(np.trace(s)) <= 1e-15
 
@@ -152,9 +152,3 @@ class TestVectorization:
         m = np.array([[1, 2], [3, 4]])
         assert np.array_equal(spin.vec(m), [1, 3, 2, 4])
         assert np.array_equal(spin.unvec(np.array([1, 3, 2, 4])), m)
-
-
-class TestPredicates:
-    def test_is_hermitian(self):
-        assert spin.is_hermitian(np.array([[0, 1j], [-1j, 0]]))
-        assert not spin.is_hermitian(np.array([[0, 1j], [1j, 0]]))
