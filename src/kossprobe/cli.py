@@ -26,6 +26,7 @@ from .kossakowski import BlochState, KossakowskiMatrix, bloch_evolve
 from .probe import (
     CANONICAL_PHASE,
     CHANNELS,
+    _is_canonical,
     build_matrix_appendix,
     build_matrix_programmatic,
     compare_matrices,
@@ -126,6 +127,11 @@ def _cmd_forward(args) -> int:
 
 def _build_matrices(args):
     co = coefficients(ScatteringParams(g=args.g))
+    if args.source in ("appendix", "both") and not _is_canonical(args.phase):
+        raise ValueError(
+            f"--phase {args.phase}: the appendix table exists only at "
+            f"theta = pi/2 (the canonical phase)"
+        )
     out = {}
     if args.source in ("programmatic", "both"):
         out["programmatic"] = build_matrix_programmatic(co, args.phase)

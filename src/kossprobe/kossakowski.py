@@ -14,8 +14,9 @@ the Kraus decomposition of the noise term, and the exact Bloch-vector
 evolution for diagonal C.  The dissipator itself, as a superoperator on the
 impurity or on electron + impurity, is built only by
 :func:`kossprobe.oracle.build_superop`, the referee of these closed forms.
-``d_tilde`` takes its coupling matrix already expressed in a probe frame; the
-frames are constants of :mod:`kossprobe.probe`.
+``d_tilde`` takes its coupling matrix already expressed in a probe frame;
+:mod:`kossprobe.probe` evaluates it once per unit coupling and frame, at
+import, and contracts that constant kernel for every rate.
 """
 
 from __future__ import annotations

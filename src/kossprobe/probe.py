@@ -15,16 +15,23 @@ free entries of the Kossakowski matrix:
 
     rates = M @ c_vector.
 
-The three probe frames are constants: their Pauli frames are computed once,
-at import, and every rate looks its frame up by basis label.
+Only the two amplitude vectors depend on the coupling g and the phase, so
+the compressed dissipator of every unit coupling E_ij in each of the three
+constant probe frames O_f is one kernel built at import,
 
-``build_matrix_programmatic`` assembles M column by column from unit coupling
-matrices pushed through the forward model, which keeps it free of any
-hand-transcribed coefficient.  ``build_matrix_appendix`` assembles the
-hand-derived closed-form table for M at the quarter-wave phase; it is kept as
-a cross-check target and is known to deviate from the programmatic ground
-truth in a handful of entries (see :func:`compare_matrices` and the committed
-adjudication report).
+    K[f, i, j] = d_tilde(O_f^T E_ij O_f),
+
+and a (g, theta) pair reduces to the rate tensor A[r, i, j] = w_s^H K[f, i, j]
+w_s, one row per channel.  ``forward`` is Re sum_ij A[:, i, j] C_ij,
+``probability_rate`` reads one row, and ``build_matrix_programmatic``
+contracts A with the six symmetric unit couplings, which keeps M free of any
+hand-transcribed coefficient.  All nine entries of C enter, so complex and
+non-symmetric couplings give the rates of the quadratic form as written.
+
+``build_matrix_appendix`` assembles the hand-derived closed-form table for M
+at the quarter-wave phase; it is kept as a cross-check target and is known
+to deviate from the programmatic ground truth in a handful of entries (see
+:func:`compare_matrices` and the committed adjudication report).
 """
 
 from __future__ import annotations
@@ -43,6 +50,18 @@ CANONICAL_PHASE = np.pi / 2.0
 
 # The Pauli frame of each probe basis's impurity rotation, built once at import.
 _FRAMES = {label: pauli_frame(basis(label).impurity_rotation) for label in BASIS_LABELS}
+
+# _KERNEL[f, i, j] = d_tilde(O_f^T E_ij O_f), flattened to (frame, 9, 2x2 = 4):
+# the compressed dissipator of each unit coupling E_ij in probe frame f.
+_KERNEL = np.array(
+    [
+        [d_tilde(frame.T @ unit @ frame).ravel() for unit in np.eye(9).reshape(9, 3, 3)]
+        for frame in _FRAMES.values()
+    ]
+)
+
+# The six symmetric unit couplings of the parameter vector, flattened to (6, 9).
+_UNITS = symmetric_from_vector(np.eye(6)).reshape(6, 9)
 
 
 def _is_canonical(phase: float, tol: float = 1e-12) -> bool:
@@ -100,6 +119,18 @@ class ProbeMatrix:
         }
 
 
+def _rate_tensor(coeffs: ScatteringCoefficients, phase: float) -> np.ndarray:
+    """A[r, i, j] = w_s^H K[f, i, j] w_s, shape (6, 3, 3), rows in CHANNELS order.
+
+    Rate r of a coupling C is Re sum_ij A[r, i, j] C_ij.  The amplitude
+    vectors come from :func:`probe_amplitudes`, which checks side and phase.
+    """
+    w = np.array([probe_amplitudes(coeffs, side, phase) for side in SIDES])
+    # conj(w_a) w_b for each side, against the kernel's flattened 2x2 blocks
+    outer = (w.conj()[:, :, None] * w[:, None, :]).reshape(2, 4)
+    return (_KERNEL @ outer.T).transpose(2, 0, 1).reshape(6, 3, 3)
+
+
 def probability_rate(
     c,
     coeffs: ScatteringCoefficients,
@@ -110,10 +141,10 @@ def probability_rate(
     """Detection rate P/t for one probe frame and one side of the impurity.
 
     Rotating the probe frame is equivalent to expressing the Kossakowski
-    matrix in the rotated Pauli frame, so the rate is the canonical quadratic
-    form evaluated at the frame-rotated coupling matrix.  Transmitted-side
-    rates are independent of the probe phase.  ``probe_basis`` is one of
-    ``BASIS_LABELS``; the frames are constants.
+    matrix in the rotated Pauli frame; the rotation is folded into the
+    constant kernel, so the rate is one row of the rate tensor contracted
+    with C.  Transmitted-side rates are independent of the probe phase.
+    ``probe_basis`` is one of ``BASIS_LABELS``.
     """
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
@@ -121,35 +152,27 @@ def probability_rate(
         raise ValueError(
             f"unknown basis label {probe_basis!r}, expected one of {BASIS_LABELS}"
         )
-    frame = _FRAMES[probe_basis]
-    rotated = frame.T @ as_coupling_matrix(c) @ frame
-    w = probe_amplitudes(coeffs, side, phase)
-    return float(np.real(w.conj() @ d_tilde(rotated) @ w))
+    a = as_coupling_matrix(c)
+    row = SIDES.index(side) * len(BASIS_LABELS) + BASIS_LABELS.index(probe_basis)
+    return float(np.real(_rate_tensor(coeffs, phase)[row].ravel() @ a.ravel()))
 
 
 def forward(
     c, coeffs: ScatteringCoefficients, phase: float = CANONICAL_PHASE
 ) -> ProbeResult:
     """All six rates: three probe frames on the transmitted side, then reflected."""
-    rates = np.array(
-        [
-            probability_rate(c, coeffs, label, side, phase)
-            for side in SIDES
-            for label in BASIS_LABELS
-        ]
-    )
+    a = as_coupling_matrix(c)
+    rates = np.real(_rate_tensor(coeffs, phase).reshape(6, 9) @ a.ravel())
     return ProbeResult(rates=rates, g=coeffs.g, phase=phase)
 
 
 def build_matrix_programmatic(
     coeffs: ScatteringCoefficients, phase: float = CANONICAL_PHASE
 ) -> ProbeMatrix:
-    """Assemble M column by column: column beta is forward() of the beta-th
-    symmetric unit coupling matrix (off-diagonal units carry both mirror
-    entries, matching the six-parameter vector convention)."""
-    units = symmetric_from_vector(np.eye(6))
-    columns = [forward(e, coeffs, phase).rates for e in units]
-    m = np.column_stack(columns)
+    """Assemble M from the rate tensor: column beta holds the rates of the
+    beta-th symmetric unit coupling matrix (off-diagonal units carry both
+    mirror entries, matching the six-parameter vector convention)."""
+    m = np.real(_rate_tensor(coeffs, phase).reshape(6, 9)) @ _UNITS.T
     return ProbeMatrix(
         matrix=m,
         g=coeffs.g,

@@ -142,6 +142,24 @@ class TestBuildMatrix:
         assert out == ""
         assert "phase must be finite" in err
 
+    @pytest.mark.parametrize("source", ["appendix", "both"])
+    @pytest.mark.parametrize("phase", ["0.3", "nan"])
+    def test_appendix_needs_canonical_phase(self, capsys, source, phase):
+        code, out, err = run_cli(
+            capsys, "build-matrix", "--g", "2", "--source", source, "--phase", phase
+        )
+        assert code == 2
+        assert out == ""
+        assert "appendix table exists only at theta = pi/2" in err
+
+    @pytest.mark.parametrize("source", ["appendix", "both"])
+    def test_appendix_default_phase(self, capsys, source):
+        code, out, _ = run_cli(
+            capsys, "build-matrix", "--g", "2", "--source", source, "--output", "json"
+        )
+        assert code == 0
+        assert json.loads(out)["appendix"]["phase"] == probe.CANONICAL_PHASE
+
 
 class TestCpCheck:
     def test_counterexample(self, capsys, tmp_path):

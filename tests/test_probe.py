@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kossprobe import probe
+from kossprobe import oracle, probe
 from kossprobe.kossakowski import KossakowskiMatrix
 from kossprobe.scattering import coefficients
 
@@ -111,12 +113,55 @@ class TestForward:
         out = probe.forward(KossakowskiMatrix.identity(), G2).by_channel()
         assert list(out) == list(probe.CHANNELS)
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_phase_rejected(self, bad):
+        c = KossakowskiMatrix.identity()
         with pytest.raises(ValueError, match="phase must be finite"):
-            probe.forward(KossakowskiMatrix.identity(), G2, bad)
+            probe.forward(c, G2, bad)
+        with pytest.raises(ValueError, match="phase must be finite"):
+            probe.probability_rate(c, G2, "rot1", "reflected", bad)
         with pytest.raises(ValueError, match="phase must be finite"):
             probe.build_matrix_programmatic(G2, bad)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3,), (3, 4), (6,)])
+    def test_coupling_not_3x3_rejected(self, shape):
+        bad = np.ones(shape)
+        with pytest.raises(ValueError, match="3x3"):
+            probe.forward(bad, G2)
+        with pytest.raises(ValueError, match="3x3"):
+            probe.probability_rate(bad, G2, "canonical", "transmitted")
+
+
+class TestRateTensor:
+    """The one precomputed contraction behind forward, probability_rate and M."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        g=st.floats(0.1, 6.0),
+        phase=st.floats(-2 * np.pi, 2 * np.pi),
+        entries=st.lists(st.floats(-2.0, 2.0), min_size=18, max_size=18),
+    )
+    def test_three_entry_points_agree(self, g, phase, entries):
+        co = coefficients(g)
+        x = np.array(entries)
+        # complex and non-symmetric: every one of the nine entries counts
+        z = (x[:9] + 1j * x[9:]).reshape(3, 3)
+        got = probe.forward(z, co, phase).rates
+        want = oracle.forward_bruteforce(z, co, phase)
+        scale = max(1.0, float(np.max(np.abs(want))))
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+        channels = [(side, label) for side in probe.SIDES for label in probe.BASIS_LABELS]
+        for row, (side, label) in enumerate(channels):
+            rate = probe.probability_rate(z, co, label, side, phase)
+            assert abs(rate - got[row]) <= 1e-13 * scale
+
+        a = x[:9].reshape(3, 3)
+        c = KossakowskiMatrix.from_matrix(0.5 * (a + a.T))
+        rates = probe.forward(c, co, phase).rates
+        m = probe.build_matrix_programmatic(co, phase).matrix
+        scale = max(1.0, float(np.max(np.abs(rates))))
+        assert np.max(np.abs(m @ c.vector - rates)) <= 1e-13 * scale
 
 
 class TestProgrammaticMatrix:
