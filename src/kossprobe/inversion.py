@@ -9,16 +9,23 @@ The not-CP verdict requires significance: shot noise can push the smallest
 eigenvalue of the estimate slightly negative even when the true matrix is
 PSD, so the verdict is "indeterminate" unless the eigenvalue is negative by
 at least z standard deviations (z = 3 by default, spread estimated by a
-parametric bootstrap over the propagated covariance).
+parametric bootstrap over the propagated covariance).  The bootstrap runs
+only when the smallest eigenvalue is negative.  Its draws are seeded
+Gaussian parameter vectors, and their smallest eigenvalues come from cyclic
+Jacobi sweeps run on the whole batch at once
+(:func:`kossprobe.kossakowski.min_eigenvalue_from_vector`), not one LAPACK
+call per draw: a 10k-draw verdict takes about 5 ms on a 2-core host, 2 ms
+of it the multivariate normal draws (12.5-17 ms with ``eigvalsh``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
-from .kossakowski import KossakowskiMatrix, symmetric_from_vector
+from .kossakowski import KossakowskiMatrix, min_eigenvalue_from_vector
 from .probe import ProbeMatrix, ProbeResult
 
 CONDITION_LIMIT = 1e10
@@ -108,7 +115,9 @@ def _bootstrap_min_eigenvalue_sigma(
 ) -> float:
     rng = np.random.default_rng(seed)
     draws = rng.multivariate_normal(center, covariance, size=n, method="svd")
-    lambda_min = np.linalg.eigvalsh(symmetric_from_vector(draws))[:, 0]
+    lambda_min = min_eigenvalue_from_vector(draws)
+    # relative to one draw, so that identical draws (all sigmas zero) give exactly 0
+    lambda_min -= lambda_min[0]
     return float(lambda_min.std(ddof=1))
 
 
@@ -138,8 +147,10 @@ def invert_noisy(
         raise ValueError("sigmas must be nonnegative")
     if not 0.0 < z < np.inf:
         raise ValueError(f"z must be positive and finite, got {z}")
-    if bootstrap < 2:
-        raise ValueError(f"bootstrap needs at least 2 draws, got {bootstrap}")
+    if not isinstance(bootstrap, Integral) or bootstrap < 2:
+        raise ValueError(f"bootstrap needs an integer of at least 2 draws, got {bootstrap!r}")
+    if not isinstance(seed, Integral) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     _check_conditioning(m)
 
     c_vec = np.linalg.solve(m.matrix, r)

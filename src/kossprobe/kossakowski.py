@@ -170,6 +170,89 @@ def symmetric_from_vector(v) -> np.ndarray:
     return np.asarray(v, dtype=float)[..., _PARAM_OF_ENTRY]
 
 
+# One cyclic Jacobi sweep: for each rotation plane (p, q), with r the third
+# index, the parameters holding C_pp, C_qq, C_pq, C_rp and C_rq.
+_JACOBI_SWEEP = tuple(
+    tuple(int(_PARAM_OF_ENTRY[i, j]) for i, j in ((p, p), (q, q), (p, q), (r, p), (r, q)))
+    for p, q, r in ((0, 1, 2), (0, 2, 1), (1, 2, 0))
+)
+_DIAGONAL = tuple(int(k) for k in _PARAM_OF_ENTRY.diagonal())
+_OFF_DIAGONAL = tuple(pq for _, _, pq, _, _ in _JACOBI_SWEEP)
+# Random and clustered spectra alike converge in four sweeps.
+_JACOBI_MAX_SWEEPS = 10
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
+
+
+def min_eigenvalue_from_vector(v) -> np.ndarray:
+    """Smallest eigenvalue of the symmetric matrices of six-parameter vectors, (..., 6) -> (...).
+
+    Cyclic Jacobi rotations in the planes (1,2), (1,3), (2,3) run on the whole
+    batch at once, one contiguous row per parameter, updated in place.  Each
+    matrix is first scaled by a power of two (exact) so that its largest entry
+    lies in [0.5, 1); the sweeps stop when every off-diagonal entry is at or
+    below eps times that entry, or after a fixed number of sweeps.  Jacobi is
+    backward stable, so the result keeps ``eigvalsh``'s eps * |C| accuracy at
+    repeated and nearly repeated eigenvalues, where closed-form cubic roots do
+    not.
+    """
+    v = np.asarray(v, dtype=float)
+    if v.shape[-1:] != (6,):
+        raise ValueError(f"expected six parameters in the last axis, got shape {v.shape}")
+    a = np.array(v.reshape(-1, 6).T, order="C")  # one contiguous row per parameter
+    # After the exact power-of-two scaling, a matrix's largest entry is its
+    # frexp mantissa, in [0.5, 1) (0 for the zero matrix).
+    tol, exponent = np.frexp(np.abs(a).max(axis=0))
+    if not np.isfinite(tol).all():
+        raise ValueError("parameters must be finite")
+    np.ldexp(a, -exponent, out=a)
+    tol *= _EPS
+    d, t, c, h = np.empty((4, a.shape[1]))
+
+    for _ in range(_JACOBI_MAX_SWEEPS):
+        np.abs(a[_OFF_DIAGONAL[0]], out=h)
+        for pq in _OFF_DIAGONAL[1:]:
+            np.maximum(h, np.abs(a[pq], out=d), out=h)
+        if (h <= tol).all():
+            break
+        for pp, qq, pq, rp, rq in _JACOBI_SWEEP:
+            app, aqq, apq, arp, arq = a[pp], a[qq], a[pq], a[rp], a[rq]
+            # t = tan of the angle that zeroes C_pq, the root of modulus <= 1:
+            # 2 C_pq / (d + sign(d) sqrt(d^2 + 4 C_pq^2)) with d = C_qq - C_pp;
+            # _TINY keeps 0/0 out of a pair that is already diagonal.
+            np.subtract(aqq, app, out=d)
+            np.multiply(apq, 2.0, out=t)
+            np.multiply(d, d, out=h)
+            np.multiply(t, t, out=c)
+            np.add(h, c, out=h)
+            np.sqrt(h, out=h)
+            np.add(h, _TINY, out=h)
+            np.copysign(h, d, out=h)
+            np.add(h, d, out=h)
+            np.divide(t, h, out=t)
+            # c = cos of that angle, so sin = t c
+            np.multiply(t, t, out=c)
+            np.add(c, 1.0, out=c)
+            np.sqrt(c, out=c)
+            np.divide(1.0, c, out=c)
+            # C_rp, C_rq = c (C_rp - t C_rq), c (C_rq + t C_rp)
+            np.multiply(t, arq, out=d)
+            np.multiply(t, arp, out=h)
+            np.subtract(arp, d, out=arp)
+            np.multiply(arp, c, out=arp)
+            np.add(arq, h, out=arq)
+            np.multiply(arq, c, out=arq)
+            # C_pp -= t C_pq, C_qq += t C_pq, C_pq = 0
+            np.multiply(t, apq, out=t)
+            np.subtract(app, t, out=app)
+            np.add(aqq, t, out=aqq)
+            apq.fill(0.0)
+
+    c11, c22, c33 = (a[k] for k in _DIAGONAL)
+    np.minimum(np.minimum(c11, c22, out=h), c33, out=h)
+    return np.ldexp(h, exponent).reshape(v.shape[:-1])
+
+
 def as_coupling_matrix(c) -> np.ndarray:
     """Accept a KossakowskiMatrix or any 3x3 array-like and return the array."""
     if isinstance(c, KossakowskiMatrix):

@@ -337,6 +337,19 @@ class TestSimulateAndInvert:
         assert out == ""
         assert flag[0].lstrip("-") in err
 
+    @pytest.mark.parametrize("truth", [(1.0, 1.0, -0.01), (1.0, 1.0, 1.0)])
+    def test_invert_negative_seed(self, capsys, tmp_path, truth):
+        # refused whether the verdict needs the bootstrap (near the boundary) or not
+        rates = probe.forward(KossakowskiMatrix.diagonal(*truth), coefficients(2.0))
+        rates_file = tmp_path / "rates.json"
+        rates_file.write_text(json.dumps({"rates": list(rates.rates), "sigmas": [0.05] * 6}))
+        code, out, err = run_cli(
+            capsys, "invert", "--rates", str(rates_file), "--g", "2", "--seed", "-1"
+        )
+        assert code == 2
+        assert out == ""
+        assert "seed" in err
+
     def test_invert_nan_coupling_with_run(self, capsys, tmp_path):
         c_file = write_c_file(tmp_path, IDENTITY_C)
         run_cli(

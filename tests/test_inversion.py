@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kossprobe import inversion, probe
-from kossprobe.kossakowski import KossakowskiMatrix
+from kossprobe.kossakowski import KossakowskiMatrix, symmetric_from_vector
 from kossprobe.scattering import coefficients
 
 G2 = coefficients(2.0)
@@ -147,7 +147,10 @@ class TestInvertNoisy:
 
     @pytest.mark.parametrize(
         "settings",
-        [{"bootstrap": 0}, {"bootstrap": 1}, {"z": -1.0}, {"z": 0.0}, {"z": np.nan}, {"z": np.inf}],
+        [
+            {"bootstrap": 0}, {"bootstrap": 1}, {"z": -1.0}, {"z": 0.0}, {"z": np.nan}, {"z": np.inf},
+            {"seed": -1}, {"seed": 1.5}, {"bootstrap": 2.5},
+        ],
     )
     def test_rejects_bad_verdict_settings(self, settings):
         # indeterminate by default; a degenerate bootstrap or z must not
@@ -159,6 +162,46 @@ class TestInvertNoisy:
         for rates in (near, inside):
             with pytest.raises(ValueError, match=next(iter(settings))):
                 inversion.invert_noisy(rates, sigmas, M2, **settings)
+
+    @pytest.mark.parametrize("g", [0.7, 1.0, 2.0, 3.5])
+    @pytest.mark.parametrize(
+        "truth",
+        [
+            (1.0, -0.5, 0.25, 0.25, -0.125, 0.0625),  # rank 1: u u^T, u = (1, -1/2, 1/4)
+            (1.0, 0.0, 0.0, 0.5, 0.5, 0.5),  # rank 2: null vector (0, 1, -1)
+        ],
+    )
+    def test_margin_sigma_matches_eigvalsh_bootstrap(self, g, truth):
+        co = coefficients(g)
+        m = probe.build_matrix_programmatic(co)
+        truth = KossakowskiMatrix(*truth)
+        assert abs(truth.eigenvalues()[0]) <= 1e-15
+        rates = probe.forward(truth, co).rates
+        sigmas = 0.02 * np.abs(rates) + 1e-3
+        rng = np.random.default_rng(48)
+        bootstrapped = 0
+        for seed in range(6):
+            noisy = rates + rng.normal(0.0, sigmas)
+            result = inversion.invert_noisy(noisy, sigmas, m, seed=seed)
+            if result.margin_sigma is None:
+                continue
+            bootstrapped += 1
+            draws = np.random.default_rng(seed).multivariate_normal(
+                result.c_hat.vector, result.covariance, size=10_000, method="svd"
+            )
+            want = np.linalg.eigvalsh(symmetric_from_vector(draws))[:, 0].std(ddof=1)
+            c_max = np.max(np.abs(result.c_hat.vector))
+            tol = 1e-12 * want + 64 * np.finfo(float).eps * c_max
+            assert abs(result.margin_sigma - want) <= tol
+        assert bootstrapped >= 1
+
+    @pytest.mark.parametrize("truth", [(1.0, 1.0, -1.0), (0.3, 0.7, -0.1), (1e-3, 2.0, -7.3)])
+    def test_zero_sigmas_give_zero_margin_sigma(self, truth):
+        rates = probe.forward(KossakowskiMatrix.diagonal(*truth), G2).rates
+        result = inversion.invert_noisy(rates, np.zeros(6), M2)
+        assert result.margin < 0.0
+        assert result.margin_sigma == 0.0
+        assert result.cp_verdict == inversion.NOT_CP
 
     def test_result_serializes(self):
         rates = probe.forward(KossakowskiMatrix.identity(), G2).rates
