@@ -3,8 +3,11 @@
 Machine-readable payloads go to stdout, human-readable diagnostics to stderr.
 Exit codes: 0 success, 2 input error, 3 numerical refusal (singular probe
 matrix), 4 closed-form adjudication failure.  Every JSON payload carries a
-``schema_version`` field.  Every subcommand takes --output; only ``cp-check``
-and ``oracle`` take --tolerance.
+``schema_version`` field.  Each subcommand takes --output with only the
+formats it renders: ``coeffs``, ``forward`` and ``build-matrix`` text (the
+default), json or csv; ``cp-check`` and ``demo-negative`` text (the default)
+or json; ``invert``, ``simulate`` and ``oracle`` json only.  Only
+``cp-check`` and ``oracle`` take --tolerance.
 
 Only ``oracle`` and ``demo-negative`` need scipy; they import the oracle
 inside their handlers, so every other subcommand starts without it.
@@ -208,6 +211,7 @@ def _read_rates_file(path: str):
 def _cmd_invert(args) -> int:
     kind, payload, sigmas = _read_rates_file(args.rates)
     seed = args.seed if args.seed is not None else 0
+    phase = CANONICAL_PHASE if args.phase is None else args.phase
     if kind == "run":
         config = payload.config
         if abs(config.g - args.g) > 1e-12:
@@ -217,17 +221,15 @@ def _cmd_invert(args) -> int:
             raise ValueError(f"--phase {args.phase} does not match the run's phase {config.phase}")
         if args.sigmas is not None:
             raise ValueError("--sigmas does not apply to a run file: it carries its own binomial sigmas")
-        m = build_matrix_programmatic(coefficients(ScatteringParams(g=args.g)), config.phase)
+        phase = config.phase
+    elif args.sigmas is not None:
+        sigmas = np.asarray(json.loads(Path(args.sigmas).read_text()), dtype=float)
+    m = build_matrix_programmatic(coefficients(ScatteringParams(g=args.g)), phase)
+    if kind == "run":
         result = estimate(payload, m, z=args.z, bootstrap=args.bootstrap, seed=seed)
     else:
-        rates = payload
-        if args.sigmas is not None:
-            sigmas = np.asarray(json.loads(Path(args.sigmas).read_text()), dtype=float)
-        if sigmas is None:
-            sigmas = np.zeros(6)
-        phase = CANONICAL_PHASE if args.phase is None else args.phase
-        m = build_matrix_programmatic(coefficients(ScatteringParams(g=args.g)), phase)
-        result = invert_noisy(rates, sigmas, m, z=args.z, bootstrap=args.bootstrap, seed=seed)
+        sigmas = np.zeros(6) if sigmas is None else sigmas
+        result = invert_noisy(payload, sigmas, m, z=args.z, bootstrap=args.bootstrap, seed=seed)
 
     out = result.to_dict()
     out["cp_report"] = result.c_hat.cp_check().to_dict()
@@ -364,8 +366,13 @@ def _cmd_oracle(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--output", choices=("json", "csv", "text"), default="text")
+    def output(*formats: str) -> argparse.ArgumentParser:
+        # --output takes only the formats a subcommand renders; the first is the default
+        common = argparse.ArgumentParser(add_help=False)
+        common.add_argument("--output", choices=formats, default=formats[0])
+        return common
+
+    tables, report, json_only = output("text", "json", "csv"), output("text", "json"), output("json")
 
     parser = argparse.ArgumentParser(
         prog="kossprobe",
@@ -374,7 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("coeffs", parents=[common], help="transmission/reflection table")
+    p = sub.add_parser("coeffs", parents=[tables], help="transmission/reflection table")
     p.add_argument("--g", type=float, default=None, help="dimensionless coupling")
     p.add_argument("--J", type=float, default=None, help="magnetic coupling")
     p.add_argument("--E", type=float, default=None, help="electron energy")
@@ -382,13 +389,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hbar", type=float, default=1.0)
     p.set_defaults(handler=_cmd_coeffs)
 
-    p = sub.add_parser("forward", parents=[common], help="six detection rates for a given C")
+    p = sub.add_parser("forward", parents=[tables], help="six detection rates for a given C")
     p.add_argument("--c-file", required=True, help="JSON file with keys c11..c33")
     p.add_argument("--g", type=float, required=True)
     p.add_argument("--phase", type=float, default=CANONICAL_PHASE)
     p.set_defaults(handler=_cmd_forward)
 
-    p = sub.add_parser("build-matrix", parents=[common], help="assemble the 6x6 rate matrix")
+    p = sub.add_parser("build-matrix", parents=[tables], help="assemble the 6x6 rate matrix")
     p.add_argument("--g", type=float, required=True)
     p.add_argument("--phase", type=float, default=CANONICAL_PHASE)
     p.add_argument(
@@ -396,7 +403,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(handler=_cmd_build_matrix)
 
-    p = sub.add_parser("invert", parents=[common], help="recover C from rates")
+    p = sub.add_parser("invert", parents=[json_only], help="recover C from rates")
     p.add_argument("--rates", required=True, help="rates JSON/CSV or a simulate run file")
     p.add_argument("--g", type=float, required=True)
     p.add_argument(
@@ -410,12 +417,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="seed for the verdict bootstrap")
     p.set_defaults(handler=_cmd_invert)
 
-    p = sub.add_parser("cp-check", parents=[common], help="complete-positivity diagnostics")
+    p = sub.add_parser("cp-check", parents=[report], help="complete-positivity diagnostics")
     p.add_argument("--c-file", required=True)
     p.add_argument("--tolerance", type=float, default=1e-10, help="eigenvalue and minor tolerance")
     p.set_defaults(handler=_cmd_cp_check)
 
-    p = sub.add_parser("simulate", parents=[common], help="run the virtual experiment")
+    p = sub.add_parser("simulate", parents=[json_only], help="run the virtual experiment")
     p.add_argument("--c-file", required=True)
     p.add_argument("--g", type=float, required=True)
     p.add_argument("--shots", type=int, required=True)
@@ -428,13 +435,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "demo-negative",
-        parents=[common],
+        parents=[report],
         help="positive-but-not-completely-positive counterexample",
     )
     p.add_argument("--g", type=float, default=2.0)
     p.set_defaults(handler=_cmd_demo_negative)
 
-    p = sub.add_parser("oracle", parents=[common], help="closed-form adjudication report")
+    p = sub.add_parser("oracle", parents=[json_only], help="closed-form adjudication report")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--out", default=None, help="also write the report to this path")
     p.add_argument("--tolerance", type=float, default=1e-12, help="agreement tolerance")

@@ -1,9 +1,9 @@
 """Recovering the Kossakowski matrix from measured probability rates.
 
 The forward model is linear, rates = M @ c, with M the 6x6 probe matrix, so
-noiseless recovery is a direct dense solve.  For empirical rates the solve is
-wrapped with linear covariance propagation, a statistically guarded
-complete-positivity verdict, and an optional nearest-PSD repair.
+recovery is c = M^-1 @ rates with M inverted once.  For empirical rates that
+inverse also propagates the covariance, and the estimate gets a statistically
+guarded complete-positivity verdict and an optional nearest-PSD repair.
 
 The not-CP verdict requires significance: shot noise can push the smallest
 eigenvalue of the estimate slightly negative even when the true matrix is
@@ -29,6 +29,15 @@ from .kossakowski import KossakowskiMatrix, min_eigenvalue_from_vector
 from .probe import ProbeMatrix, ProbeResult
 
 CONDITION_LIMIT = 1e10
+# A negative smallest eigenvalue no larger in size than
+# MARGIN_ROUNDING * eps * cond(M) * max|c_hat| is rounding of the inversion,
+# not evidence against CP, and counts as zero.  On noise-free rank-1 and
+# rank-2 truths (g 0.3-6, four phases, eigenvalues 1e-3 to 1e3) it stays
+# below 1 * eps * cond(M) * max|c_hat|.
+MARGIN_ROUNDING = 8
+# The draws hold bootstrap * 6 doubles and the eigenvalue sweep copies them
+# once more: about 100 MB at this many.
+MAX_BOOTSTRAP = 1_000_000
 
 CP = "CP"
 NOT_CP = "not-CP"
@@ -58,8 +67,8 @@ def _as_rates(rates) -> np.ndarray:
     return r
 
 
-def _check_conditioning(m: ProbeMatrix, limit: float = CONDITION_LIMIT) -> None:
-    if not np.isfinite(m.condition_number) or m.condition_number > limit:
+def _check_conditioning(m: ProbeMatrix) -> None:
+    if not np.isfinite(m.condition_number) or m.condition_number > CONDITION_LIMIT:
         raise SingularProbeMatrixError(m.det, m.condition_number)
 
 
@@ -71,16 +80,17 @@ def invert_exact(rates, m: ProbeMatrix) -> KossakowskiMatrix:
     """
     r = _as_rates(rates)
     _check_conditioning(m)
-    c = np.linalg.solve(m.matrix, r)
-    return KossakowskiMatrix.from_vector(c)
+    return KossakowskiMatrix.from_vector(np.linalg.inv(m.matrix) @ r)
 
 
 @dataclass(frozen=True)
 class InversionResult:
     """Estimated Kossakowski matrix with propagated uncertainty and CP verdict.
 
-    ``margin`` is the smallest eigenvalue of the estimate; ``margin_sigma``
-    is its bootstrap spread (None when the verdict did not need one).
+    ``margin`` is the smallest eigenvalue of the estimate, reported as 0.0
+    when it is negative only within the inversion's rounding (see
+    ``MARGIN_ROUNDING``); ``margin_sigma`` is its bootstrap spread (None
+    when the verdict did not need one).
     """
 
     c_hat: KossakowskiMatrix
@@ -134,8 +144,9 @@ def invert_noisy(
     ``sigmas`` are per-channel one-sigma rate uncertainties (zero allowed; the
     degenerate limit reproduces :func:`invert_exact`).  The covariance of the
     estimate is M^-1 diag(sigma^2) M^-T.  Verdict: CP when the smallest
-    eigenvalue is nonnegative, not-CP when it is below -z bootstrap sigmas,
-    indeterminate in between.
+    eigenvalue is nonnegative (or negative only within the inversion's
+    rounding, ``MARGIN_ROUNDING``), not-CP when it is below -z bootstrap
+    sigmas, indeterminate in between.
     """
     r = _as_rates(rates)
     s = np.asarray(sigmas, dtype=float)
@@ -147,21 +158,24 @@ def invert_noisy(
         raise ValueError("sigmas must be nonnegative")
     if not 0.0 < z < np.inf:
         raise ValueError(f"z must be positive and finite, got {z}")
-    if not isinstance(bootstrap, Integral) or bootstrap < 2:
-        raise ValueError(f"bootstrap needs an integer of at least 2 draws, got {bootstrap!r}")
+    if not isinstance(bootstrap, Integral) or not 2 <= bootstrap <= MAX_BOOTSTRAP:
+        raise ValueError(
+            f"bootstrap needs an integer of 2 to {MAX_BOOTSTRAP} draws, got {bootstrap!r}"
+        )
     if not isinstance(seed, Integral) or seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     _check_conditioning(m)
 
-    c_vec = np.linalg.solve(m.matrix, r)
     m_inv = np.linalg.inv(m.matrix)
+    c_vec = m_inv @ r
     covariance = m_inv @ np.diag(s**2) @ m_inv.T
     c_hat = KossakowskiMatrix.from_vector(c_vec)
     margin = float(c_hat.eigenvalues()[0])
     residual = float(np.linalg.norm(m.matrix @ c_vec - r))
+    rounding = MARGIN_ROUNDING * np.finfo(float).eps * m.condition_number * np.max(np.abs(c_vec))
 
-    if margin >= 0.0:
-        verdict, margin_sigma = CP, None
+    if margin >= -rounding:
+        verdict, margin, margin_sigma = CP, max(margin, 0.0), None
     else:
         sigma_lambda = _bootstrap_min_eigenvalue_sigma(c_vec, covariance, bootstrap, seed)
         verdict = NOT_CP if margin <= -z * sigma_lambda else INDETERMINATE

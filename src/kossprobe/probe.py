@@ -119,6 +119,17 @@ class ProbeMatrix:
         }
 
 
+def _probe_matrix(m: np.ndarray, g: float, phase: float, source: str) -> ProbeMatrix:
+    return ProbeMatrix(
+        matrix=m,
+        g=g,
+        phase=phase,
+        source=source,
+        det=float(np.linalg.det(m)),
+        condition_number=float(np.linalg.cond(m)),
+    )
+
+
 def _rate_tensor(coeffs: ScatteringCoefficients, phase: float) -> np.ndarray:
     """A[r, i, j] = w_s^H K[f, i, j] w_s, shape (6, 3, 3), rows in CHANNELS order.
 
@@ -173,14 +184,7 @@ def build_matrix_programmatic(
     beta-th symmetric unit coupling matrix (off-diagonal units carry both
     mirror entries, matching the six-parameter vector convention)."""
     m = np.real(_rate_tensor(coeffs, phase).reshape(6, 9)) @ _UNITS.T
-    return ProbeMatrix(
-        matrix=m,
-        g=coeffs.g,
-        phase=phase,
-        source="programmatic",
-        det=float(np.linalg.det(m)),
-        condition_number=float(np.linalg.cond(m)),
-    )
+    return _probe_matrix(m, coeffs.g, phase, "programmatic")
 
 
 def appendix_coefficients(coeffs: ScatteringCoefficients) -> dict[str, float]:
@@ -218,14 +222,7 @@ def build_matrix_appendix(coeffs: ScatteringCoefficients) -> ProbeMatrix:
             [2.0 * d1, 0.0, -f, d1, e, d0],
         ]
     )
-    return ProbeMatrix(
-        matrix=m,
-        g=coeffs.g,
-        phase=CANONICAL_PHASE,
-        source="appendix",
-        det=float(np.linalg.det(m)),
-        condition_number=float(np.linalg.cond(m)),
-    )
+    return _probe_matrix(m, coeffs.g, CANONICAL_PHASE, "appendix")
 
 
 def compare_matrices(

@@ -322,7 +322,11 @@ class TestSimulateAndInvert:
         assert line in err
 
     @pytest.mark.parametrize(
-        "flag", [["--bootstrap", "0"], ["--bootstrap", "1"], ["--z", "-1"], ["--z", "nan"]]
+        "flag",
+        [
+            ["--bootstrap", "0"], ["--bootstrap", "1"], ["--z", "-1"], ["--z", "nan"],
+            ["--bootstrap", "1000001"],
+        ],
     )
     def test_invert_bad_verdict_settings(self, capsys, tmp_path, flag):
         # a near-boundary estimate that needs the bootstrap (indeterminate by default)
@@ -336,6 +340,24 @@ class TestSimulateAndInvert:
         assert code == 2
         assert out == ""
         assert flag[0].lstrip("-") in err
+
+    def test_forward_then_invert_boundary_truth_is_cp(self, capsys, tmp_path):
+        # rank 1, so the exact estimate's smallest eigenvalue is zero up to
+        # rounding; without --sigmas that must not read not-CP
+        c_file = write_c_file(tmp_path, {"c11": 1.0, "c12": -0.5, "c13": 0.25,
+                                         "c22": 0.25, "c23": -0.125, "c33": 0.0625})
+        code, out, _ = run_cli(capsys, "forward", "--c-file", c_file, "--g", "2", "--output", "json")
+        assert code == 0
+        rates = json.loads(out)["rates"]
+        rates_file = tmp_path / "rates.json"
+        rates_file.write_text(json.dumps([rates[label] for label in probe.CHANNELS]))
+        code, out, _ = run_cli(capsys, "invert", "--rates", str(rates_file), "--g", "2")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["cp_verdict"] == "CP"
+        assert payload["margin"] >= 0.0
+        assert payload["margin_sigma"] is None
+        assert payload["cp_report"]["psd"] is True
 
     @pytest.mark.parametrize("truth", [(1.0, 1.0, -0.01), (1.0, 1.0, 1.0)])
     def test_invert_negative_seed(self, capsys, tmp_path, truth):
@@ -512,6 +534,26 @@ class TestParsing:
         with pytest.raises(SystemExit) as excinfo:
             main(["transmogrify"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "command, output",
+        [
+            ("invert", "text"), ("invert", "csv"), ("simulate", "text"), ("simulate", "csv"),
+            ("oracle", "text"), ("oracle", "csv"), ("cp-check", "csv"), ("demo-negative", "csv"),
+        ],
+    )
+    def test_output_only_where_rendered(self, capsys, command, output):
+        # otherwise complete arguments, so the format is the only thing refused
+        args = {
+            "invert": ["--rates", "rates.json", "--g", "2"],
+            "simulate": ["--c-file", "c.json", "--g", "2", "--shots", "1000", "--exposure",
+                         "0.01", "--calibration", "1", "--seed", "3", "--out", "r"],
+            "cp-check": ["--c-file", "c.json"],
+        }.get(command, [])
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, *args, "--output", output])
+        assert excinfo.value.code == 2
+        assert "--output: invalid choice" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [["coeffs", "--g", "1"], ["build-matrix", "--g", "1"]])
     def test_tolerance_only_where_read(self, capsys, command):

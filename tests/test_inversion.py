@@ -7,6 +7,11 @@ from kossprobe.scattering import coefficients
 
 G2 = coefficients(2.0)
 M2 = probe.build_matrix_programmatic(G2)
+COUPLINGS = (0.7, 1.0, 2.0, 3.5)
+BOUNDARY_TRUTHS = [
+    (1.0, -0.5, 0.25, 0.25, -0.125, 0.0625),  # rank 1: u u^T, u = (1, -1/2, 1/4)
+    (1.0, 0.0, 0.0, 0.5, 0.5, 0.5),  # rank 2: null vector (0, 1, -1)
+]
 
 
 def random_symmetric(rng, scale=2.0):
@@ -149,7 +154,7 @@ class TestInvertNoisy:
         "settings",
         [
             {"bootstrap": 0}, {"bootstrap": 1}, {"z": -1.0}, {"z": 0.0}, {"z": np.nan}, {"z": np.inf},
-            {"seed": -1}, {"seed": 1.5}, {"bootstrap": 2.5},
+            {"seed": -1}, {"seed": 1.5}, {"bootstrap": 2.5}, {"bootstrap": 1_000_001},
         ],
     )
     def test_rejects_bad_verdict_settings(self, settings):
@@ -163,14 +168,8 @@ class TestInvertNoisy:
             with pytest.raises(ValueError, match=next(iter(settings))):
                 inversion.invert_noisy(rates, sigmas, M2, **settings)
 
-    @pytest.mark.parametrize("g", [0.7, 1.0, 2.0, 3.5])
-    @pytest.mark.parametrize(
-        "truth",
-        [
-            (1.0, -0.5, 0.25, 0.25, -0.125, 0.0625),  # rank 1: u u^T, u = (1, -1/2, 1/4)
-            (1.0, 0.0, 0.0, 0.5, 0.5, 0.5),  # rank 2: null vector (0, 1, -1)
-        ],
-    )
+    @pytest.mark.parametrize("g", COUPLINGS)
+    @pytest.mark.parametrize("truth", BOUNDARY_TRUTHS)
     def test_margin_sigma_matches_eigvalsh_bootstrap(self, g, truth):
         co = coefficients(g)
         m = probe.build_matrix_programmatic(co)
@@ -202,6 +201,25 @@ class TestInvertNoisy:
         assert result.margin < 0.0
         assert result.margin_sigma == 0.0
         assert result.cp_verdict == inversion.NOT_CP
+
+    def test_noise_free_boundary_reads_cp(self):
+        # exact rates of a PSD boundary truth: the estimate's smallest
+        # eigenvalue is zero up to the inversion's rounding, which is not
+        # evidence against CP
+        for truth in BOUNDARY_TRUTHS:
+            for g in COUPLINGS:
+                co = coefficients(g)
+                rates = probe.forward(KossakowskiMatrix(*truth), co).rates
+                m = probe.build_matrix_programmatic(co)
+                result = inversion.invert_noisy(rates, np.zeros(6), m)
+                assert result.cp_verdict == inversion.CP, (truth, g, result.margin)
+                assert 0.0 <= result.margin <= 1e-14
+                assert result.margin_sigma is None
+        # a negative eigenvalue beyond rounding still reads not-CP
+        rates = probe.forward(KossakowskiMatrix.diagonal(1.0, 1.0, -1e-9), G2).rates
+        result = inversion.invert_noisy(rates, np.zeros(6), M2)
+        assert result.cp_verdict == inversion.NOT_CP
+        assert result.margin == pytest.approx(-1e-9, rel=1e-4)
 
     def test_result_serializes(self):
         rates = probe.forward(KossakowskiMatrix.identity(), G2).rates
