@@ -13,12 +13,11 @@ __version__ = "0.1.0"
 
 from .inversion import InversionResult, SingularProbeMatrixError, invert_exact, invert_noisy, psd_project
 from .kossakowski import (
-    BlochState,
     CPReport,
     KossakowskiMatrix,
     NotCompletelyPositiveError,
-    bloch_evolve,
     d_tilde,
+    evolve,
     kraus_noise,
 )
 from .probe import (
@@ -36,7 +35,6 @@ from .experiment import ExperimentConfig, ExperimentRun, estimate, run, save_run
 
 __all__ = [
     "__version__",
-    "BlochState",
     "CPReport",
     "CANONICAL_PHASE",
     "CHANNELS",
@@ -50,12 +48,12 @@ __all__ = [
     "ScatteringCoefficients",
     "ScatteringParams",
     "SingularProbeMatrixError",
-    "bloch_evolve",
     "build_matrix_appendix",
     "build_matrix_programmatic",
     "coefficients",
     "d_tilde",
     "estimate",
+    "evolve",
     "forward",
     "invert_exact",
     "invert_noisy",

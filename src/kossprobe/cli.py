@@ -9,8 +9,9 @@ default), json or csv; ``cp-check`` and ``demo-negative`` text (the default)
 or json; ``invert``, ``simulate`` and ``oracle`` json only.  Only
 ``cp-check`` and ``oracle`` take --tolerance.
 
-Only ``oracle`` and ``demo-negative`` need scipy; they import the oracle
-inside their handlers, so every other subcommand starts without it.
+Only ``oracle`` needs scipy, for the matrix exponentials of its brute-force
+path; it imports the oracle inside its handler, so every other subcommand,
+``demo-negative`` included, starts without it.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from . import __version__
 from .experiment import ConfigError, ExperimentConfig, ExperimentRun, estimate, run, save_run
 from .inversion import SingularProbeMatrixError, invert_noisy, psd_project
-from .kossakowski import BlochState, KossakowskiMatrix, bloch_evolve
+from .kossakowski import KossakowskiMatrix, evolve
 from .probe import (
     CANONICAL_PHASE,
     CHANNELS,
@@ -36,7 +37,7 @@ from .probe import (
     forward,
 )
 from .scattering import ScatteringParams, coefficients
-from .spin import basis
+from .spin import IDENTITY_2, basis, pauli
 
 SCHEMA_VERSION = 1
 
@@ -53,7 +54,10 @@ def _emit_json(payload: dict) -> None:
 
 def _read_c_file(path: str) -> KossakowskiMatrix:
     data = json.loads(Path(path).read_text())
-    return KossakowskiMatrix.from_dict(data)
+    try:
+        return KossakowskiMatrix.from_dict(data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _coeffs_from_args(args) -> tuple[object, float | None]:
@@ -201,11 +205,23 @@ def _read_rates_file(path: str):
     if isinstance(data, dict) and "channels" in data:
         return "run", ExperimentRun.from_dict(data), None
     if isinstance(data, list):
-        return "rates", np.asarray(data, dtype=float), None
+        return "rates", _json_numbers(data, path), None
     if isinstance(data, dict) and "rates" in data:
-        sigmas = np.asarray(data["sigmas"], dtype=float) if "sigmas" in data else None
-        return "rates", np.asarray(data["rates"], dtype=float), sigmas
+        sigmas = _json_numbers(data["sigmas"], f"{path} sigmas") if "sigmas" in data else None
+        return "rates", _json_numbers(data["rates"], f"{path} rates"), sigmas
     raise ValueError(f"unrecognized rates file format: {path}")
+
+
+def _json_numbers(value, where: str) -> np.ndarray:
+    """A JSON array of numbers as floats; finiteness is checked where they are used."""
+    if isinstance(value, list) and all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) for x in value
+    ):
+        try:
+            return np.array(value, dtype=float)
+        except OverflowError:  # an integer beyond the range of a double
+            pass
+    raise ValueError(f"{where}: expected a JSON array of numbers, got {json.dumps(value)[:80]}")
 
 
 def _cmd_invert(args) -> int:
@@ -223,7 +239,7 @@ def _cmd_invert(args) -> int:
             raise ValueError("--sigmas does not apply to a run file: it carries its own binomial sigmas")
         phase = config.phase
     elif args.sigmas is not None:
-        sigmas = np.asarray(json.loads(Path(args.sigmas).read_text()), dtype=float)
+        sigmas = _json_numbers(json.loads(Path(args.sigmas).read_text()), args.sigmas)
     m = build_matrix_programmatic(coefficients(ScatteringParams(g=args.g)), phase)
     if kind == "run":
         result = estimate(payload, m, z=args.z, bootstrap=args.bootstrap, seed=seed)
@@ -277,8 +293,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_demo_negative(args) -> int:
-    from .oracle import exact_lifted_evolution  # deferred: loads scipy
-
     g = args.g
     c = KossakowskiMatrix.diagonal(1.0, 1.0, -1.0)
     co = coefficients(ScatteringParams(g=g))
@@ -286,6 +300,7 @@ def _cmd_demo_negative(args) -> int:
     report = c.cp_check()
 
     # single-qubit evolution stays positive: Bloch norms never grow
+    sigma = np.array([pauli(i) for i in (1, 2, 3)])
     times = np.linspace(0.0, 5.0, 11)
     rng = np.random.default_rng(0)
     worst_growth = 0.0
@@ -293,23 +308,21 @@ def _cmd_demo_negative(args) -> int:
     for _ in range(32):
         v = rng.normal(size=3)
         v *= rng.uniform(0.0, 1.0) ** (1 / 3) / np.linalg.norm(v)
-        state = BlochState(*v)
-        previous = state.norm
+        state = 0.5 * (IDENTITY_2 + np.tensordot(v, sigma, axes=1))
+        previous = np.linalg.norm(v)
         for t in times[1:]:
-            evolved = bloch_evolve(c, state, float(t))
-            worst_growth = max(worst_growth, evolved.norm - previous)
-            previous = evolved.norm
-            min_state_eig = min(
-                min_state_eig, float(np.linalg.eigvalsh(evolved.density_matrix)[0])
-            )
+            evolved = evolve(c, state, float(t))
+            # the Bloch components Re tr(rho sigma_i)
+            norm = np.linalg.norm(np.einsum("ij,kji->k", evolved, sigma).real)
+            worst_growth = max(worst_growth, float(norm - previous))
+            previous = norm
+            min_state_eig = min(min_state_eig, float(np.linalg.eigvalsh(evolved)[0]))
 
     # the lifted map on the entangled probe state develops a negative eigenvalue
     probe_state = basis("canonical").probe_state
     rho = np.outer(probe_state, probe_state.conj())
     small_t = 0.01
-    lifted_min_eig = float(
-        np.linalg.eigvalsh(exact_lifted_evolution(c, rho, small_t))[0]
-    )
+    lifted_min_eig = float(np.linalg.eigvalsh(evolve(c, rho, small_t))[0])
 
     payload = {
         "g": g,

@@ -10,9 +10,10 @@ completely positive, which is what the estimation pipeline ultimately tests.
 
 This module carries the matrix type with its complete-positivity diagnostics,
 the 2x2 compression ``d_tilde`` that the forward model is a quadratic form of,
-the Kraus decomposition of the noise term, and the exact Bloch-vector
-evolution for diagonal C.  The dissipator itself, as a superoperator on the
-impurity or on electron + impurity, is built only by
+the Kraus decomposition of the noise term, and ``evolve``, the exact
+semigroup in closed form (a signed Pauli channel in C's eigenframe) for any
+real symmetric C, on the impurity or on electron + impurity.  The dissipator
+itself, as a superoperator, is built only by
 :func:`kossprobe.oracle.build_superop`, the referee of these closed forms.
 ``d_tilde`` takes its coupling matrix already expressed in a probe frame;
 :mod:`kossprobe.probe` evaluates it once per unit coupling and frame, at
@@ -21,6 +22,7 @@ import, and contracts that constant kernel for every rate.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +36,13 @@ _ROWS, _COLS = np.triu_indices(3)
 _PARAM_OF_ENTRY = np.empty((3, 3), dtype=int)
 _PARAM_OF_ENTRY[_ROWS, _COLS] = _PARAM_OF_ENTRY[_COLS, _ROWS] = np.arange(6)
 
-_SIGMA = tuple(pauli(i) for i in (1, 2, 3))
+_SIGMA = np.array([pauli(i) for i in (1, 2, 3)])
+
+# A coupling matrix counts as symmetric when its entries differ from their
+# transposes by at most this much; an eigenvalue of C at or above
+# -KRAUS_TOL still admits a Kraus form.
+SYMMETRY_TOL = 1e-12
+KRAUS_TOL = 1e-10
 
 
 class NotCompletelyPositiveError(ValueError):
@@ -107,11 +115,11 @@ class KossakowskiMatrix:
         return cls(*(float(x) for x in v))
 
     @classmethod
-    def from_matrix(cls, a, tol: float = 1e-12) -> "KossakowskiMatrix":
+    def from_matrix(cls, a) -> "KossakowskiMatrix":
         a = np.asarray(a, dtype=float)
         if a.shape != (3, 3):
             raise ValueError(f"expected a 3x3 matrix, got shape {a.shape}")
-        if np.max(np.abs(a - a.T)) > tol:
+        if np.max(np.abs(a - a.T)) > SYMMETRY_TOL:
             raise ValueError("matrix is not symmetric within tolerance")
         s = 0.5 * (a + a.T)
         return cls(*s[_ROWS, _COLS])
@@ -159,10 +167,30 @@ class KossakowskiMatrix:
 
     @classmethod
     def from_dict(cls, data: dict) -> "KossakowskiMatrix":
+        if not isinstance(data, dict):
+            raise ValueError(
+                f"expected an object with the Kossakowski entries {list(PARAM_ORDER)}, "
+                f"got {type(data).__name__}"
+            )
         missing = [name for name in PARAM_ORDER if name not in data]
         if missing:
             raise ValueError(f"missing Kossakowski entries: {missing}")
+        bad = {name: data[name] for name in PARAM_ORDER if not _is_finite_number(data[name])}
+        if bad:
+            raise ValueError(f"Kossakowski entries must be finite numbers, got {bad}")
         return cls(**{name: float(data[name]) for name in PARAM_ORDER})
+
+
+# a Python float, which compares with an int of any size exactly
+_FLOAT_MAX = float(np.finfo(float).max)
+
+
+def _is_finite_number(x) -> bool:
+    # a bool is not a number here; the bounds refuse nan, inf and ints too
+    # large for a double
+    return (
+        isinstance(x, numbers.Real) and not isinstance(x, bool) and -_FLOAT_MAX <= x <= _FLOAT_MAX
+    )
 
 
 def symmetric_from_vector(v) -> np.ndarray:
@@ -253,6 +281,13 @@ def min_eigenvalue_from_vector(v) -> np.ndarray:
     return np.ldexp(h, exponent).reshape(v.shape[:-1])
 
 
+def _real_symmetric(c) -> np.ndarray:
+    """The real symmetric 3x3 array of a KossakowskiMatrix or of an array-like."""
+    if not isinstance(c, KossakowskiMatrix):
+        c = KossakowskiMatrix.from_matrix(c)
+    return c.matrix
+
+
 def as_coupling_matrix(c) -> np.ndarray:
     """Accept a KossakowskiMatrix or any 3x3 array-like and return the array."""
     if isinstance(c, KossakowskiMatrix):
@@ -304,7 +339,7 @@ def d_tilde(c) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def kraus_noise(c, tol: float = 1e-10) -> list[np.ndarray]:
+def kraus_noise(c) -> list[np.ndarray]:
     """Kraus operators W_l with sum_l W_l rho W_l^dag = sum_ij C_ij sigma_j rho sigma_i.
 
     W_l = sqrt(c_l) sum_j psi_l[j] sigma_j, built from the eigendecomposition
@@ -313,14 +348,8 @@ def kraus_noise(c, tol: float = 1e-10) -> list[np.ndarray]:
     raised.  Eigenvalues are ordered descending, with each eigenvector's first
     nonzero component made positive to fix the sign.
     """
-    if isinstance(c, KossakowskiMatrix):
-        a = c.matrix
-    else:
-        a = np.asarray(c, dtype=float)
-        if a.shape != (3, 3) or np.max(np.abs(a - a.T)) > 1e-12:
-            raise ValueError("Kraus decomposition requires a real symmetric 3x3 matrix")
-    eigvals, eigvecs = np.linalg.eigh(a)
-    if eigvals[0] < -tol:
+    eigvals, eigvecs = np.linalg.eigh(_real_symmetric(c))
+    if eigvals[0] < -KRAUS_TOL:
         raise NotCompletelyPositiveError(eigvals[0])
     order = np.argsort(-eigvals, kind="stable")
     ops = []
@@ -336,45 +365,37 @@ def kraus_noise(c, tol: float = 1e-10) -> list[np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# exact Bloch dynamics for diagonal C
+# the exact semigroup
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BlochState:
-    """A qubit state as its Bloch vector; physical iff the norm is at most 1."""
+def evolve(c, rho, t: float) -> np.ndarray:
+    """exp(t L_D)[rho] for any real symmetric C, PSD or not.
 
-    r1: float
-    r2: float
-    r3: float
+    ``rho`` is a 2x2 impurity state or a 4x4 electron x impurity state, the
+    impurity being the second factor.  With C = O diag(lambda) O^T, the
+    dissipator is sum_k lambda_k (tau_k rho tau_k - rho) in terms of the
+    rotated Pauli matrices tau_k = sum_j O[j, k] sigma_j (lifted as
+    I x tau_k), because sum_ij C_ij sigma_i sigma_j = tr C.  Each tau_m is an
+    eigenoperator with decay f_m = exp(-2 (tr C - lambda_m) t), so the
+    semigroup is the signed Pauli channel
 
-    @property
-    def norm(self) -> float:
-        return float(np.sqrt(self.r1**2 + self.r2**2 + self.r3**2))
+        rho -> p_0 rho + sum_k p_k tau_k rho tau_k,
+        p_0 = (1 + f_1 + f_2 + f_3) / 4,  p_k = (1 + f_k - f_m - f_n) / 4.
 
-    @property
-    def density_matrix(self) -> np.ndarray:
-        return 0.5 * (
-            IDENTITY_2 + self.r1 * _SIGMA[0] + self.r2 * _SIGMA[1] + self.r3 * _SIGMA[2]
-        )
-
-
-def bloch_evolve(c: KossakowskiMatrix, state: BlochState, t: float) -> BlochState:
-    """Exact semigroup action on the Bloch vector for diagonal C.
-
-    Component k decays as exp(-2 (c_total - c_k) t) with c_total the trace of
-    C.  Non-diagonal C is rejected; use the oracle's matrix exponential for
-    the general case.
+    Some p_k are negative exactly when C is not PSD.  The oracle's matrix
+    exponential of the superoperator is the referee of this closed form.
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if max(abs(c.c12), abs(c.c13), abs(c.c23)) > 1e-12:
-        raise ValueError(
-            "bloch_evolve supports diagonal Kossakowski matrices only; "
-            "use kossprobe.oracle.exact_qubit_evolution for the general case"
-        )
-    diag = np.array([c.c11, c.c22, c.c33])
-    total = diag.sum()
-    decay = np.exp(-2.0 * (total - diag) * t)
-    r = np.array([state.r1, state.r2, state.r3]) * decay
-    return BlochState(float(r[0]), float(r[1]), float(r[2]))
+    t = float(t)
+    if not (np.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be finite and nonnegative, got {t}")
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape not in ((2, 2), (4, 4)):
+        raise ValueError(f"expected a 2x2 or 4x4 state, got shape {rho.shape}")
+    lam, o = np.linalg.eigh(_real_symmetric(c))
+    f = np.exp(-2.0 * (lam.sum() - lam) * t)
+    p = 0.25 * (1.0 + 2.0 * f - f.sum())
+    tau = np.tensordot(o.T, _SIGMA, axes=1)
+    if rho.shape == (4, 4):
+        tau = np.kron(IDENTITY_2, tau)
+    return 0.25 * (1.0 + f.sum()) * rho + np.tensordot(p, tau @ rho @ tau, axes=1)

@@ -22,6 +22,8 @@ from .scattering import ScatteringCoefficients, coefficients
 from .spin import BASIS_LABELS, IDENTITY_2, basis, pauli, unvec, vec
 
 _SQRT3 = np.sqrt(3.0)
+# exp(tL) and exp(tL/2)^2 may differ by this much relative to max(1, max|exp(tL)|).
+_EXPM_RTOL = 1e-10
 
 
 def build_superop(c, lifted: bool) -> np.ndarray:
@@ -113,12 +115,12 @@ def forward_bruteforce(c, coeffs: ScatteringCoefficients, phase: float = CANONIC
 # ---------------------------------------------------------------------------
 
 
-def _expm_checked(l: np.ndarray, t: float, rtol: float = 1e-10) -> np.ndarray:
+def _expm_checked(l: np.ndarray, t: float) -> np.ndarray:
     """exp(t L) with a step-doubling self-check: exp(tL) must equal exp(tL/2)^2."""
     u = expm(t * l)
     half = expm(0.5 * t * l)
     scale = max(1.0, float(np.max(np.abs(u))))
-    if np.max(np.abs(half @ half - u)) > rtol * scale:
+    if np.max(np.abs(half @ half - u)) > _EXPM_RTOL * scale:
         raise ArithmeticError("matrix exponential failed the step-doubling check")
     return u
 

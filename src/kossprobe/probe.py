@@ -64,9 +64,13 @@ _KERNEL = np.array(
 _UNITS = symmetric_from_vector(np.eye(6)).reshape(6, 9)
 
 
-def _is_canonical(phase: float, tol: float = 1e-12) -> bool:
-    return bool(abs((phase - CANONICAL_PHASE) % (2.0 * np.pi)) <= tol
-                or abs((phase - CANONICAL_PHASE) % (2.0 * np.pi) - 2.0 * np.pi) <= tol)
+# A phase within this distance of pi/2, modulo 2 pi, is the canonical one.
+_CANONICAL_TOL = 1e-12
+
+
+def _is_canonical(phase: float) -> bool:
+    offset = (phase - CANONICAL_PHASE) % (2.0 * np.pi)
+    return bool(offset <= _CANONICAL_TOL or 2.0 * np.pi - offset <= _CANONICAL_TOL)
 
 
 @dataclass(frozen=True)

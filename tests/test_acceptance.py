@@ -77,10 +77,14 @@ def test_criterion_03_forward_model_adjudication():
     assert fresh["ok"] is True
     for key, comparison in fresh["tabulated_matrix"].items():
         recorded = committed["tabulated_matrix"][key]
-        got_cells = {(e["row"], e["col"]) for e in comparison["deviating_entries"]}
-        rec_cells = {(e["row"], e["col"]) for e in recorded["deviating_entries"]}
-        assert got_cells == rec_cells
-        assert abs(comparison["max_abs_deviation"] - recorded["max_abs_deviation"]) <= 1e-9
+        got_cells = {(e["row"], e["col"]): e for e in comparison["deviating_entries"]}
+        rec_cells = {(e["row"], e["col"]): e for e in recorded["deviating_entries"]}
+        assert got_cells.keys() == rec_cells.keys()
+        # the values too, not only which cells deviate (measured apart by <= 8.9e-16)
+        for cell, entry in got_cells.items():
+            for field in ("reference", "other", "abs_deviation"):
+                assert abs(entry[field] - rec_cells[cell][field]) <= 1e-12
+        assert abs(comparison["max_abs_deviation"] - recorded["max_abs_deviation"]) <= 1e-12
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     announce(

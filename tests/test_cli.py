@@ -444,6 +444,54 @@ class TestSimulateAndInvert:
         assert "--sigmas" in err and "binomial sigmas" in err
 
 
+SIMULATE_ARGS = ("--g", "2", "--shots", "1000", "--exposure", "0.01", "--calibration", "1.0",
+                 "--seed", "3", "--out", "r")
+C_FILE_WITH_C11 = '{{"c11": {}, "c12": 0, "c13": 0, "c22": 1, "c23": 0, "c33": 1}}'
+INVERT = ("invert", "--rates", "r.json", "--g", "2")
+
+
+@pytest.mark.parametrize(
+    "files, argv, named",
+    [
+        pytest.param({}, ["invert", "--rates", "f.json", "--g", "2"], "f.json rates",
+                     id="forward-output-as-rates"),
+        pytest.param({"r.json": '{"rates": [1, 1, 1, 1, 1, 1], "sigmas": {"P0T": 1}}'},
+                     INVERT, "r.json sigmas", id="sigmas-object-in-rates-file"),
+        pytest.param({"r.json": "[1, 1, 1, 1, 1, 1]", "sig.json": '{"P0T": 1}'},
+                     [*INVERT, "--sigmas", "sig.json"], "sig.json", id="sigmas-file-object"),
+        pytest.param({"r.json": '["1", "1", "1", "1", "1", "1"]'}, INVERT, "r.json",
+                     id="rates-strings"),
+        pytest.param({"r.json": "[1, 1, 1, 1, 1, null]"}, INVERT, "r.json", id="rates-null"),
+        pytest.param({"r.json": f"[1, 1, 1, 1, 1, 1{'0' * 400}]"}, INVERT, "r.json",
+                     id="rates-huge-int"),
+        pytest.param({"r.json": '{"rates": [1, 1, 1, 1, 1, true]}'}, INVERT, "r.json rates",
+                     id="rates-bool"),
+        *(
+            pytest.param({"c.json": C_FILE_WITH_C11.format(value)},
+                         [command, "--c-file", "c.json", *extra], "c11", id=f"{command}-c11-{value}")
+            for value in ("null", "NaN", "Infinity")
+            for command, extra in (("cp-check", ()), ("forward", ("--g", "2")),
+                                   ("simulate", SIMULATE_ARGS))
+        ),
+        pytest.param({"c.json": "5"}, ["cp-check", "--c-file", "c.json"], "c.json",
+                     id="c-file-number"),
+    ],
+)
+def test_malformed_json_input_exits_2(capsys, tmp_path, monkeypatch, files, argv, named):
+    monkeypatch.chdir(tmp_path)
+    if "f.json" in argv:  # the channel-keyed output of forward is not a rates file
+        write_c_file(tmp_path, IDENTITY_C)
+        _, out, _ = run_cli(capsys, "forward", "--c-file", "c.json", "--g", "2", "--output", "json")
+        Path("f.json").write_text(out)
+    for name, text in files.items():
+        Path(name).write_text(text)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and named in err
+    assert not Path("r").exists()
+
+
 class TestDemoNegative:
     def test_json_payload(self, capsys):
         code, out, _ = run_cli(capsys, "demo-negative", "--g", "2", "--output", "json")
@@ -475,7 +523,7 @@ class TestOracle:
 
 
 class TestScipyOnlyWhereNeeded:
-    def test_only_oracle_and_demo_negative_load_scipy(self, tmp_path):
+    def test_only_oracle_loads_scipy(self, tmp_path):
         c_file = write_c_file(tmp_path, IDENTITY_C)
         light = [
             ["coeffs", "--g", "2", "--output", "json"],
@@ -487,11 +535,9 @@ class TestScipyOnlyWhereNeeded:
              "--out", str(tmp_path / "r")],
             ["invert", "--rates", str(tmp_path / "r" / "run.json"), "--g", "2",
              "--output", "json"],
-        ]
-        heavy = [
-            ["oracle", "--trials", "3", "--output", "json"],
             ["demo-negative", "--g", "2", "--output", "json"],
         ]
+        heavy = [["oracle", "--trials", "3", "--output", "json"]]
         script = (
             "import contextlib, io, json, sys\n"
             "from kossprobe.cli import main\n"
@@ -501,7 +547,7 @@ class TestScipyOnlyWhereNeeded:
             "    with contextlib.redirect_stdout(buf):\n"
             "        code = main(argv)\n"
             "    return code, json.loads(buf.getvalue())\n"
-            f"light = [call(argv)[0] for argv in {light!r}]\n"
+            f"light = [call(argv) for argv in {light!r}]\n"
             "loaded['light'] = 'scipy' in sys.modules\n"
             f"heavy = [call(argv) for argv in {heavy!r}]\n"
             "loaded['heavy'] = 'scipy' in sys.modules\n"
@@ -516,11 +562,12 @@ class TestScipyOnlyWhereNeeded:
         )
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout)
-        assert result["light"] == [0] * len(light)
-        (oracle_code, oracle), (demo_code, demo) = result["heavy"]
-        assert oracle_code == 0 and oracle["ok"] is True
-        assert demo_code == 0
+        assert [code for code, _ in result["light"]] == [0] * len(light)
+        demo = result["light"][-1][1]
         assert demo["negative_transmitted_rate"] == pytest.approx(-0.4, abs=1e-12)
+        assert demo["lifted_evolution"]["positive"] is False
+        ((oracle_code, oracle),) = result["heavy"]
+        assert oracle_code == 0 and oracle["ok"] is True
         assert result["scipy_loaded"] == {"import": False, "light": False, "heavy": True}
 
 

@@ -41,6 +41,21 @@ class TestKossakowskiMatrix:
         with pytest.raises(ValueError):
             km.KossakowskiMatrix.from_dict({"c11": 1.0})
 
+    @pytest.mark.parametrize(
+        "bad",
+        [None, "1", True, [1.0], np.nan, np.inf, -np.inf, 10**400],
+        ids=["null", "string", "bool", "list", "nan", "inf", "-inf", "huge-int"],
+    )
+    def test_from_dict_rejects_non_numbers(self, bad):
+        entries = {**km.KossakowskiMatrix.identity().to_dict(), "c23": bad}
+        with pytest.raises(ValueError, match="c23"):
+            km.KossakowskiMatrix.from_dict(entries)
+
+    def test_from_dict_rejects_non_object(self):
+        for bad in (5, [1.0] * 6, None):
+            with pytest.raises(ValueError, match="object"):
+                km.KossakowskiMatrix.from_dict(bad)
+
 
 class TestCPCheck:
     def test_identity_is_cp(self):
@@ -221,16 +236,30 @@ class TestKraus:
             assert np.max(np.abs(got - want)) <= 1e-12
 
 
+def bloch_state(r):
+    return 0.5 * (np.eye(2) + sum(x * sig for x, sig in zip(r, SIGMA)))
+
+
+def bloch_vector(rho):
+    return np.array([np.real(np.trace(rho @ sig)) for sig in SIGMA])
+
+
 class TestBloch:
+    """The closed-form semigroup ``evolve`` on qubit states, read as Bloch vectors."""
+
     def test_time_zero_identity(self):
         c = km.KossakowskiMatrix.diagonal(0.3, 0.7, 1.1)
-        state = km.BlochState(0.2, -0.4, 0.5)
-        assert km.bloch_evolve(c, state, 0.0) == state
+        state = bloch_state((0.2, -0.4, 0.5))
+        assert np.array_equal(km.evolve(c, state, 0.0), state)
+        # also for a non-diagonal, non-PSD C and the lifted state
+        c = km.KossakowskiMatrix(1.0, 0.4, -0.3, 0.2, 0.5, -1.0)
+        rho = random_hermitian(np.random.default_rng(10), 4)
+        assert np.array_equal(km.evolve(c, rho, 0.0), rho)
 
     def test_counterexample_decay(self):
         c = km.KossakowskiMatrix.diagonal(1.0, 1.0, -1.0)
-        out = km.bloch_evolve(c, km.BlochState(0.0, 0.0, 1.0), 0.5)
-        assert np.allclose((out.r1, out.r2, out.r3), (0.0, 0.0, np.exp(-2.0)))
+        out = km.evolve(c, bloch_state((0.0, 0.0, 1.0)), 0.5)
+        assert np.allclose(bloch_vector(out), (0.0, 0.0, np.exp(-2.0)))
 
     def test_norm_never_grows(self):
         c = km.KossakowskiMatrix.diagonal(1.0, 1.0, -1.0)
@@ -238,22 +267,44 @@ class TestBloch:
         for _ in range(50):
             v = rng.normal(size=3)
             v /= max(np.linalg.norm(v), 1.0)
-            state = km.BlochState(*v)
+            state = bloch_state(v)
             for t in rng.uniform(0.0, 5.0, 5):
-                assert km.bloch_evolve(c, state, float(t)).norm <= state.norm + 1e-12
+                out = km.evolve(c, state, float(t))
+                assert np.linalg.norm(bloch_vector(out)) <= np.linalg.norm(v) + 1e-12
 
-    def test_rejects_nondiagonal_and_negative_time(self):
-        state = km.BlochState(0.0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            km.bloch_evolve(km.KossakowskiMatrix(1, 0.1, 0, 1, 0, 1), state, 1.0)
-        with pytest.raises(ValueError):
-            km.bloch_evolve(km.KossakowskiMatrix.identity(), state, -0.1)
+    def test_rejects_negative_time_and_bad_state(self):
+        state = bloch_state((0.0, 0.0, 1.0))
+        for t in (-0.1, np.nan, np.inf):
+            with pytest.raises(ValueError, match="t must be"):
+                km.evolve(km.KossakowskiMatrix.identity(), state, t)
+        for bad in (np.eye(3), np.eye(8), np.zeros(4), np.eye(4)[:, :2]):
+            with pytest.raises(ValueError, match="2x2 or 4x4"):
+                km.evolve(km.KossakowskiMatrix.identity(), bad, 1.0)
+        with pytest.raises(ValueError, match="symmetric"):
+            km.evolve(np.arange(9.0).reshape(3, 3), state, 1.0)
 
     def test_agrees_with_matrix_exponential(self):
         c = km.KossakowskiMatrix.diagonal(0.4, 0.9, 0.2)
-        state = km.BlochState(0.3, -0.2, 0.6)
+        state = bloch_state((0.3, -0.2, 0.6))
         t = 0.8
-        out = km.bloch_evolve(c, state, t)
-        rho_t = oracle.exact_qubit_evolution(c, state.density_matrix, t)
-        for value, s in zip((out.r1, out.r2, out.r3), SIGMA):
-            assert abs(np.real(np.trace(rho_t @ s)) - value) <= 1e-12
+        out = bloch_vector(km.evolve(c, state, t))
+        want = bloch_vector(oracle.exact_qubit_evolution(c, state, t))
+        assert np.all(np.abs(out - want) <= 1e-12)
+
+
+class TestEvolve:
+    def test_agrees_with_oracle_on_random_couplings(self):
+        # entries in [-2, 2], so most draws are not PSD and some weights are
+        # negative; the states are arbitrary complex matrices, the map being linear
+        rng = np.random.default_rng(11)
+        not_psd = 0
+        for _ in range(200):
+            c = random_symmetric(rng)
+            not_psd += np.linalg.eigvalsh(c)[0] < 0
+            t = rng.uniform(0.0, 1.0)
+            for dim, exact in ((2, oracle.exact_qubit_evolution), (4, oracle.exact_lifted_evolution)):
+                rho = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+                want = exact(c, rho, t)
+                scale = max(1.0, float(np.max(np.abs(want))))
+                assert np.max(np.abs(km.evolve(c, rho, t) - want)) <= 1e-12 * scale
+        assert not_psd >= 100
