@@ -6,8 +6,8 @@ matrix), 4 closed-form adjudication failure.  Every JSON payload carries a
 ``schema_version`` field.  Each subcommand takes --output with only the
 formats it renders: ``coeffs``, ``forward`` and ``build-matrix`` text (the
 default), json or csv; ``cp-check`` and ``demo-negative`` text (the default)
-or json; ``invert``, ``simulate`` and ``oracle`` json only.  Only
-``cp-check`` and ``oracle`` take --tolerance.
+or json; ``invert``, ``simulate`` and ``oracle`` json only.  None takes a
+tolerance: ``invert`` reports ``cp_check`` at cond(M), the verdict's rule.
 
 Only ``oracle`` needs scipy, for the matrix exponentials of its brute-force
 path; it imports the oracle inside its handler, so every other subcommand,
@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .experiment import ConfigError, ExperimentConfig, ExperimentRun, estimate, run, save_run
+from .experiment import ExperimentConfig, ExperimentRun, estimate, run, save_run
 from .inversion import SingularProbeMatrixError, invert_noisy, psd_project
 from .kossakowski import KossakowskiMatrix, evolve
 from .probe import (
@@ -203,7 +203,10 @@ def _read_rates_file(path: str):
         return "rates", r, s
     data = json.loads(text)
     if isinstance(data, dict) and "channels" in data:
-        return "run", ExperimentRun.from_dict(data), None
+        try:
+            return "run", ExperimentRun.from_dict(data), None
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if isinstance(data, list):
         return "rates", _json_numbers(data, path), None
     if isinstance(data, dict) and "rates" in data:
@@ -248,7 +251,7 @@ def _cmd_invert(args) -> int:
         result = invert_noisy(payload, sigmas, m, z=args.z, bootstrap=args.bootstrap, seed=seed)
 
     out = result.to_dict()
-    out["cp_report"] = result.c_hat.cp_check().to_dict()
+    out["cp_report"] = result.c_hat.cp_check(result.condition_number).to_dict()
     if args.project_psd:
         out["c_hat_projected"] = psd_project(result.c_hat).to_dict()
     _emit_json(out)
@@ -257,7 +260,7 @@ def _cmd_invert(args) -> int:
 
 def _cmd_cp_check(args) -> int:
     c = _read_c_file(args.c_file)
-    report = c.cp_check(args.tolerance)
+    report = c.cp_check()
     if args.output == "text":
         sys.stdout.write(f"eigenvalues: {report.eigenvalues}\n")
         sys.stdout.write(f"positive semidefinite: {report.psd}\n")
@@ -362,7 +365,7 @@ def _cmd_demo_negative(args) -> int:
 def _cmd_oracle(args) -> int:
     from .oracle import adjudicate  # deferred: loads scipy
 
-    report = adjudicate(trials=args.trials, tol=args.tolerance)
+    report = adjudicate(trials=args.trials)
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
@@ -432,7 +435,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cp-check", parents=[report], help="complete-positivity diagnostics")
     p.add_argument("--c-file", required=True)
-    p.add_argument("--tolerance", type=float, default=1e-10, help="eigenvalue and minor tolerance")
     p.set_defaults(handler=_cmd_cp_check)
 
     p = sub.add_parser("simulate", parents=[json_only], help="run the virtual experiment")
@@ -457,7 +459,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", parents=[json_only], help="closed-form adjudication report")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--out", default=None, help="also write the report to this path")
-    p.add_argument("--tolerance", type=float, default=1e-12, help="agreement tolerance")
     p.set_defaults(handler=_cmd_oracle)
 
     return parser
@@ -471,7 +472,7 @@ def main(argv=None) -> int:
     except SingularProbeMatrixError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_NUMERICAL
-    except (ValueError, ConfigError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
 

@@ -24,12 +24,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .inversion import InversionResult, invert_noisy
-from .kossakowski import KossakowskiMatrix
+from .kossakowski import KossakowskiMatrix, _is_finite_number
 from .probe import CHANNELS, ProbeMatrix, forward
 from .scattering import coefficients
 
@@ -65,8 +66,8 @@ class ExperimentConfig:
         problems = []
         if not 0.0 < self.calibration <= 1.0:
             problems.append(f"calibration must be in (0, 1], got {self.calibration}")
-        if self.exposure <= 0:
-            problems.append(f"exposure must be positive, got {self.exposure}")
+        if not 0.0 < self.exposure < np.inf:
+            problems.append(f"exposure must be positive and finite, got {self.exposure}")
         if self.shots_per_channel <= 0:
             problems.append(f"shots_per_channel must be positive, got {self.shots_per_channel}")
         if problems:
@@ -97,14 +98,16 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise ValueError(f"run config must be an object, got {type(data).__name__}")
         return cls(
-            true_c=KossakowskiMatrix.from_dict(data["true_c"]),
-            g=float(data["g"]),
-            phase=float(data["phase"]),
-            exposure=float(data["exposure"]),
-            calibration=float(data["calibration"]),
-            shots_per_channel=int(data["shots_per_channel"]),
-            seed=int(data["seed"]),
+            true_c=KossakowskiMatrix.from_dict(_field(data, "true_c", "run config")),
+            g=_number(data, "g", "run config"),
+            phase=_number(data, "phase", "run config"),
+            exposure=_number(data, "exposure", "run config"),
+            calibration=_number(data, "calibration", "run config"),
+            shots_per_channel=_count(data, "shots_per_channel", "run config", 1),
+            seed=_count(data, "seed", "run config", 0),
         )
 
     def hash(self) -> str:
@@ -158,14 +161,30 @@ class ExperimentRun:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentRun":
-        config = ExperimentConfig.from_dict(data["config"])
-        channels = {ch["label"]: ch for ch in data["channels"]}
-        detections = tuple(int(channels[label]["k"]) for label in CHANNELS)
-        return cls(
-            config=config,
-            detections=detections,
-            flagged_channels=tuple(data.get("flagged_channels", [])),
+        if not isinstance(data, dict):
+            raise ValueError(f"run must be an object, got {type(data).__name__}")
+        config = ExperimentConfig.from_dict(_field(data, "config", "run"))
+        channels = _field(data, "channels", "run")
+        if not isinstance(channels, list) or not all(
+            isinstance(ch, dict) and ch.get("label") in CHANNELS for ch in channels
+        ):
+            raise ValueError(f"run channels must be a list of objects labelled {list(CHANNELS)}")
+        by_label = {ch["label"]: ch for ch in channels}
+        missing = [label for label in CHANNELS if label not in by_label]
+        if missing:
+            raise ValueError(f"run channels missing: {missing}")
+        detections = tuple(
+            _count(by_label[label], "k", f"run channel {label}", 0) for label in CHANNELS
         )
+        if max(detections) > config.shots_per_channel:
+            raise ValueError(
+                f"run detections {list(detections)} exceed the shots per channel "
+                f"{config.shots_per_channel}"
+            )
+        flagged = data.get("flagged_channels", [])
+        if not isinstance(flagged, list) or not all(label in CHANNELS for label in flagged):
+            raise ValueError(f"run flagged_channels must list channel labels, got {flagged}")
+        return cls(config=config, detections=detections, flagged_channels=tuple(flagged))
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -175,6 +194,27 @@ class ExperimentRun:
         for label, k, p, s in zip(CHANNELS, self.detections, self.p_hat, self.sigma):
             lines.append(f"{label},{self.trials},{int(k)},{float(p)!r},{float(s)!r}")
         return "\n".join(lines) + "\n"
+
+
+def _field(data: dict, name: str, where: str):
+    if name not in data:
+        raise ValueError(f"{where} is missing {name!r}")
+    return data[name]
+
+
+def _number(data: dict, name: str, where: str) -> float:
+    x = _field(data, name, where)
+    if not _is_finite_number(x):
+        raise ValueError(f"{where} {name} must be a finite number, got {x!r}")
+    return float(x)
+
+
+def _count(data: dict, name: str, where: str, least: int) -> int:
+    """An integer field of a run file (a count or a seed), at least ``least``."""
+    x = _field(data, name, where)
+    if not (isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= least):
+        raise ValueError(f"{where} {name} must be an integer of at least {least}, got {x!r}")
+    return int(x)
 
 
 def run(config: ExperimentConfig) -> ExperimentRun:

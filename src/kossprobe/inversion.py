@@ -10,9 +10,11 @@ eigenvalue of the estimate slightly negative even when the true matrix is
 PSD, so the verdict is "indeterminate" unless the eigenvalue is negative by
 at least z standard deviations (z = 3 by default, spread estimated by a
 parametric bootstrap over the propagated covariance).  The bootstrap runs
-only when the smallest eigenvalue is negative.  Its draws are seeded
-Gaussian parameter vectors, and their smallest eigenvalues come from cyclic
-Jacobi sweeps run on the whole batch at once
+only when the smallest eigenvalue is negative beyond the inversion's
+rounding, :func:`kossprobe.kossakowski.rounding_tolerance` at cond(M), the
+rule by which ``cp_check(cond(M))`` reads the estimate too.  Its draws are
+seeded Gaussian parameter vectors, and their smallest eigenvalues come from
+cyclic Jacobi sweeps run on the whole batch at once
 (:func:`kossprobe.kossakowski.min_eigenvalue_from_vector`), not one LAPACK
 call per draw: a 10k-draw verdict takes about 5 ms on a 2-core host, 2 ms
 of it the multivariate normal draws (12.5-17 ms with ``eigvalsh``).
@@ -25,16 +27,10 @@ from numbers import Integral
 
 import numpy as np
 
-from .kossakowski import KossakowskiMatrix, min_eigenvalue_from_vector
+from .kossakowski import KossakowskiMatrix, min_eigenvalue_from_vector, rounding_tolerance
 from .probe import ProbeMatrix, ProbeResult
 
 CONDITION_LIMIT = 1e10
-# A negative smallest eigenvalue no larger in size than
-# MARGIN_ROUNDING * eps * cond(M) * max|c_hat| is rounding of the inversion,
-# not evidence against CP, and counts as zero.  On noise-free rank-1 and
-# rank-2 truths (g 0.3-6, four phases, eigenvalues 1e-3 to 1e3) it stays
-# below 1 * eps * cond(M) * max|c_hat|.
-MARGIN_ROUNDING = 8
 # The draws hold bootstrap * 6 doubles and the eigenvalue sweep copies them
 # once more: about 100 MB at this many.
 MAX_BOOTSTRAP = 1_000_000
@@ -88,9 +84,9 @@ class InversionResult:
     """Estimated Kossakowski matrix with propagated uncertainty and CP verdict.
 
     ``margin`` is the smallest eigenvalue of the estimate, reported as 0.0
-    when it is negative only within the inversion's rounding (see
-    ``MARGIN_ROUNDING``); ``margin_sigma`` is its bootstrap spread (None
-    when the verdict did not need one).
+    when it is negative only within the inversion's rounding
+    (``rounding_tolerance`` at cond(M)); ``margin_sigma`` is its bootstrap
+    spread (None when the verdict did not need one).
     """
 
     c_hat: KossakowskiMatrix
@@ -145,8 +141,8 @@ def invert_noisy(
     degenerate limit reproduces :func:`invert_exact`).  The covariance of the
     estimate is M^-1 diag(sigma^2) M^-T.  Verdict: CP when the smallest
     eigenvalue is nonnegative (or negative only within the inversion's
-    rounding, ``MARGIN_ROUNDING``), not-CP when it is below -z bootstrap
-    sigmas, indeterminate in between.
+    rounding, ``rounding_tolerance`` at cond(M)), not-CP when it is below -z
+    bootstrap sigmas, indeterminate in between.
     """
     r = _as_rates(rates)
     s = np.asarray(sigmas, dtype=float)
@@ -172,9 +168,8 @@ def invert_noisy(
     c_hat = KossakowskiMatrix.from_vector(c_vec)
     margin = float(c_hat.eigenvalues()[0])
     residual = float(np.linalg.norm(m.matrix @ c_vec - r))
-    rounding = MARGIN_ROUNDING * np.finfo(float).eps * m.condition_number * np.max(np.abs(c_vec))
 
-    if margin >= -rounding:
+    if margin >= -rounding_tolerance(c_vec, m.condition_number):
         verdict, margin, margin_sigma = CP, max(margin, 0.0), None
     else:
         sigma_lambda = _bootstrap_min_eigenvalue_sigma(c_vec, covariance, bootstrap, seed)

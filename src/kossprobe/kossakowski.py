@@ -9,11 +9,13 @@ C being positive semidefinite is equivalent to the generated semigroup being
 completely positive, which is what the estimation pipeline ultimately tests.
 
 This module carries the matrix type with its complete-positivity diagnostics,
-the 2x2 compression ``d_tilde`` that the forward model is a quadratic form of,
-the Kraus decomposition of the noise term, and ``evolve``, the exact
-semigroup in closed form (a signed Pauli channel in C's eigenframe) for any
-real symmetric C, on the impurity or on electron + impurity.  The dissipator
-itself, as a superoperator, is built only by
+the one rule by which every symmetry and PSD decision on C reads "zero within
+rounding" (``rounding_tolerance``: relative to max|C|, so no verdict depends
+on the units of C), the 2x2 compression ``d_tilde`` that the forward model
+is a quadratic form of, the Kraus decomposition of the noise term, and
+``evolve``, the exact semigroup in closed form (a signed Pauli channel in C's
+eigenframe) for any real symmetric C, on the impurity or on electron +
+impurity.  The dissipator itself, as a superoperator, is built only by
 :func:`kossprobe.oracle.build_superop`, the referee of these closed forms.
 ``d_tilde`` takes its coupling matrix already expressed in a probe frame;
 :mod:`kossprobe.probe` evaluates it once per unit coupling and frame, at
@@ -38,11 +40,15 @@ _PARAM_OF_ENTRY[_ROWS, _COLS] = _PARAM_OF_ENTRY[_COLS, _ROWS] = np.arange(6)
 
 _SIGMA = np.array([pauli(i) for i in (1, 2, 3)])
 
-# A coupling matrix counts as symmetric when its entries differ from their
-# transposes by at most this much; an eigenvalue of C at or above
-# -KRAUS_TOL still admits a Kraus form.
-SYMMETRY_TOL = 1e-12
-KRAUS_TOL = 1e-10
+ROUNDING = 8
+_EPS = np.finfo(float).eps
+
+
+def rounding_tolerance(c, condition_number: float = 1.0) -> float:
+    """ROUNDING * eps * condition_number * max|C|: within it, every symmetry and PSD decision
+    on C (or on its six parameters) reads zero.  ``condition_number`` is 1 for a given C and
+    cond(M) for an inversion; inverted noise-free boundary truths stay within 1/ROUNDING of it."""
+    return ROUNDING * _EPS * condition_number * np.max(np.abs(c))
 
 
 class NotCompletelyPositiveError(ValueError):
@@ -62,9 +68,9 @@ class CPReport:
 
     ``conditions`` maps each nonnegativity condition (three diagonal entries,
     three 2x2 minors, the determinant) to its margin; ``conditions_ok`` holds
-    the boolean verdicts at the report's tolerance.  Noisy estimates can
-    violate some minors but not others, which is why they are reported
-    individually alongside the basis-independent eigenvalue test.
+    the verdicts, each at ``tol`` times max|C|^(degree - 1), so that margin and
+    tolerance scale alike on 2^k C.  Noisy estimates can violate some minors but
+    not others, which is why they are reported alongside the eigenvalue test.
     """
 
     psd: bool
@@ -119,8 +125,8 @@ class KossakowskiMatrix:
         a = np.asarray(a, dtype=float)
         if a.shape != (3, 3):
             raise ValueError(f"expected a 3x3 matrix, got shape {a.shape}")
-        if np.max(np.abs(a - a.T)) > SYMMETRY_TOL:
-            raise ValueError("matrix is not symmetric within tolerance")
+        if np.max(np.abs(a - a.T)) > rounding_tolerance(a):
+            raise ValueError("matrix is not symmetric within rounding")
         s = 0.5 * (a + a.T)
         return cls(*s[_ROWS, _COLS])
 
@@ -140,25 +146,28 @@ class KossakowskiMatrix:
         """Eigenvalues in ascending order."""
         return np.linalg.eigvalsh(self.matrix)
 
-    def cp_check(self, tol: float = 1e-10) -> CPReport:
-        """Eigenvalue PSD verdict plus the seven individual minor conditions."""
+    def cp_check(self, condition_number: float = 1.0) -> CPReport:
+        """Eigenvalue PSD verdict plus the seven minors, within :func:`rounding_tolerance`."""
         c = self.matrix
         eigs = np.linalg.eigvalsh(c)
+        tol = float(rounding_tolerance(c, condition_number))
+        scale = float(np.max(np.abs(c)))
+        minor_tol, det_tol = tol * scale, tol * scale * scale
         conditions = {
-            "c11": self.c11,
-            "c22": self.c22,
-            "c33": self.c33,
-            "minor_12": self.c11 * self.c22 - self.c12**2,
-            "minor_13": self.c11 * self.c33 - self.c13**2,
-            "minor_23": self.c22 * self.c33 - self.c23**2,
-            "det": float(np.linalg.det(c)),
+            "c11": (self.c11, tol),
+            "c22": (self.c22, tol),
+            "c33": (self.c33, tol),
+            "minor_12": (self.c11 * self.c22 - self.c12 * self.c12, minor_tol),
+            "minor_13": (self.c11 * self.c33 - self.c13 * self.c13, minor_tol),
+            "minor_23": (self.c22 * self.c33 - self.c23 * self.c23, minor_tol),
+            "det": (np.linalg.det(c), det_tol),
         }
         return CPReport(
             psd=bool(eigs[0] >= -tol),
             min_eigenvalue=float(eigs[0]),
             eigenvalues=tuple(float(e) for e in eigs),
-            conditions={k: float(v) for k, v in conditions.items()},
-            conditions_ok={k: bool(v >= -tol) for k, v in conditions.items()},
+            conditions={k: float(v) for k, (v, _) in conditions.items()},
+            conditions_ok={k: bool(v >= -t) for k, (v, t) in conditions.items()},
             tol=tol,
         )
 
@@ -208,7 +217,6 @@ _DIAGONAL = tuple(int(k) for k in _PARAM_OF_ENTRY.diagonal())
 _OFF_DIAGONAL = tuple(pq for _, _, pq, _, _ in _JACOBI_SWEEP)
 # Random and clustered spectra alike converge in four sweeps.
 _JACOBI_MAX_SWEEPS = 10
-_EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 
 
@@ -348,8 +356,9 @@ def kraus_noise(c) -> list[np.ndarray]:
     raised.  Eigenvalues are ordered descending, with each eigenvector's first
     nonzero component made positive to fix the sign.
     """
-    eigvals, eigvecs = np.linalg.eigh(_real_symmetric(c))
-    if eigvals[0] < -KRAUS_TOL:
+    a = _real_symmetric(c)
+    eigvals, eigvecs = np.linalg.eigh(a)
+    if eigvals[0] < -rounding_tolerance(a):
         raise NotCompletelyPositiveError(eigvals[0])
     order = np.argsort(-eigvals, kind="stable")
     ops = []

@@ -17,11 +17,15 @@ import numpy as np
 from scipy.linalg import expm
 
 from .kossakowski import as_coupling_matrix
-from .probe import CANONICAL_PHASE, CHANNELS, build_matrix_appendix, build_matrix_programmatic, compare_matrices, forward
+from .probe import AGREEMENT_TOL, CANONICAL_PHASE, CHANNELS, build_matrix_appendix, build_matrix_programmatic, compare_matrices, forward
 from .scattering import ScatteringCoefficients, coefficients
 from .spin import BASIS_LABELS, IDENTITY_2, basis, pauli, unvec, vec
 
 _SQRT3 = np.sqrt(3.0)
+# The adjudication's couplings and the seed of its random C, fixed so that a
+# fresh report compares with the committed one in adjudication/.
+ADJUDICATION_G_VALUES = (0.5, 2.0, 5.0)
+ADJUDICATION_SEED = 20240901
 # exp(tL) and exp(tL/2)^2 may differ by this much relative to max(1, max|exp(tL)|).
 _EXPM_RTOL = 1e-10
 
@@ -157,23 +161,18 @@ def _random_symmetric(rng: np.random.Generator, scale: float = 2.0) -> np.ndarra
     return 0.5 * (a + a.T)
 
 
-def adjudicate(
-    trials: int = 100,
-    g_values: tuple[float, ...] = (0.5, 2.0, 5.0),
-    phase: float = CANONICAL_PHASE,
-    tol: float = 1e-12,
-    seed: int = 20240901,
-) -> dict:
+def adjudicate(trials: int = 100) -> dict:
     """Machine-readable report pitting every closed form against this module.
 
     The compressed 2x2 form and the six-rate forward model must agree with the
-    brute-force path to within ``tol`` (the report's ``ok`` flag).  The
-    hand-derived coefficient table for M is compared as well; its deviations
-    are expected, listed entry by entry, and do not affect ``ok``.
+    brute-force path, at the canonical phase, to within ``AGREEMENT_TOL``
+    (the report's ``ok`` flag).  The hand-derived coefficient table for M is
+    compared as well; its deviations are expected, listed entry by entry, and
+    do not affect ``ok``.
     """
     from .kossakowski import d_tilde
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(ADJUDICATION_SEED)
 
     d_dev = 0.0
     for _ in range(trials):
@@ -181,31 +180,31 @@ def adjudicate(
         d_dev = max(d_dev, float(np.max(np.abs(d_tilde(c) - d_tilde_bruteforce(c)))))
 
     forward_dev = 0.0
-    for g in g_values:
+    for g in ADJUDICATION_G_VALUES:
         coeffs = coefficients(g)
         for _ in range(trials):
             c = _random_symmetric(rng)
-            got = forward(c, coeffs, phase).rates
-            want = forward_bruteforce(c, coeffs, phase)
+            got = forward(c, coeffs, CANONICAL_PHASE).rates
+            want = forward_bruteforce(c, coeffs, CANONICAL_PHASE)
             forward_dev = max(forward_dev, float(np.max(np.abs(got - want))))
 
     tabulated = {}
-    for g in g_values:
+    for g in ADJUDICATION_G_VALUES:
         coeffs = coefficients(g)
         prog = build_matrix_programmatic(coeffs)
         app = build_matrix_appendix(coeffs)
-        tabulated[f"g={g:g}"] = compare_matrices(prog, app, tol)
+        tabulated[f"g={g:g}"] = compare_matrices(prog, app)
 
     return {
         "schema_version": 1,
         "trials": trials,
-        "g_values": list(g_values),
-        "phase": phase,
-        "tolerance": tol,
-        "seed": seed,
+        "g_values": list(ADJUDICATION_G_VALUES),
+        "phase": CANONICAL_PHASE,
+        "tolerance": AGREEMENT_TOL,
+        "seed": ADJUDICATION_SEED,
         "channels": list(CHANNELS),
         "d_tilde_max_deviation": d_dev,
         "forward_max_deviation": forward_dev,
         "tabulated_matrix": tabulated,
-        "ok": bool(d_dev <= tol and forward_dev <= tol),
+        "ok": bool(d_dev <= AGREEMENT_TOL and forward_dev <= AGREEMENT_TOL),
     }

@@ -47,6 +47,8 @@ from .spin import BASIS_LABELS, basis, pauli_frame
 CHANNELS = ("P0T", "P1T", "P2T", "P0R", "P1R", "P2R")
 SIDES = ("transmitted", "reflected")
 CANONICAL_PHASE = np.pi / 2.0
+# Two constructions of M agree where their entries differ by at most this.
+AGREEMENT_TOL = 1e-12
 
 # The Pauli frame of each probe basis's impurity rotation, built once at import.
 _FRAMES = {label: pauli_frame(basis(label).impurity_rotation) for label in BASIS_LABELS}
@@ -229,10 +231,9 @@ def build_matrix_appendix(coeffs: ScatteringCoefficients) -> ProbeMatrix:
     return _probe_matrix(m, coeffs.g, CANONICAL_PHASE, "appendix")
 
 
-def compare_matrices(
-    reference: ProbeMatrix, other: ProbeMatrix, tol: float = 1e-12
-) -> dict:
-    """Entrywise deviation report between two rate-matrix constructions."""
+def compare_matrices(reference: ProbeMatrix, other: ProbeMatrix) -> dict:
+    """Entrywise deviation report between two rate-matrix constructions;
+    entries further apart than ``AGREEMENT_TOL`` are listed as deviating."""
     diff = np.abs(other.matrix - reference.matrix)
     entries = [
         {
@@ -242,7 +243,7 @@ def compare_matrices(
             "other": float(other.matrix[i, j]),
             "abs_deviation": float(diff[i, j]),
         }
-        for i, j in zip(*np.nonzero(diff > tol))
+        for i, j in zip(*np.nonzero(diff > AGREEMENT_TOL))
     ]
     return {
         "reference_source": reference.source,

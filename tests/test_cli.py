@@ -174,18 +174,18 @@ class TestCpCheck:
         assert payload["conditions"]["c33"]["ok"] is False
 
     def test_tolerance_flag(self, capsys, tmp_path):
-        # a tiny negative eigenvalue flips the verdict with the tolerance
+        # a tiny negative eigenvalue is not rounding at the scale of C, and
+        # there is no tolerance to set
         c_file = write_c_file(
             tmp_path, {**IDENTITY_C, "c33": -1e-8}, name="c2.json"
         )
-        for tolerance, psd in ((None, False), ("1e-4", True), ("1e-12", False)):
-            flag = [] if tolerance is None else ["--tolerance", tolerance]
-            code, out, _ = run_cli(
-                capsys, "cp-check", "--c-file", c_file, *flag, "--output", "json"
-            )
-            assert code == 0
-            assert json.loads(out)["psd"] is psd
-            assert json.loads(out)["tolerance"] == float(tolerance or 1e-10)
+        code, out, _ = run_cli(capsys, "cp-check", "--c-file", c_file, "--output", "json")
+        assert code == 0
+        assert json.loads(out)["psd"] is False
+        assert json.loads(out)["tolerance"] == 8 * np.finfo(float).eps
+        with pytest.raises(SystemExit) as excinfo:
+            main(["cp-check", "--c-file", c_file, "--tolerance", "1e-4"])
+        assert excinfo.value.code == 2
 
 
 class TestSimulateAndInvert:
@@ -206,7 +206,7 @@ class TestSimulateAndInvert:
         assert code == 0
         payload = json.loads(out)
         assert payload["cp_verdict"] in ("CP", "indeterminate")
-        assert payload["cp_report"]["psd"] in (True, False)
+        assert payload["cp_report"]["psd"] is (payload["cp_verdict"] == "CP")
         for key, value in payload["c_hat"].items():
             target = IDENTITY_C[key]
             assert abs(value - target) < 0.1
@@ -359,6 +359,45 @@ class TestSimulateAndInvert:
         assert payload["margin_sigma"] is None
         assert payload["cp_report"]["psd"] is True
 
+    def test_invert_tiny_counterexample_report_agrees(self, capsys, tmp_path):
+        # the counterexample at 1e-11 is not rounding: the report, at the
+        # verdict's rule, reads not PSD next to not-CP
+        rates = probe.forward(KossakowskiMatrix.diagonal(1e-11, 1e-11, -1e-11), coefficients(2.0))
+        rates_file = tmp_path / "rates.json"
+        rates_file.write_text(json.dumps(list(rates.rates)))
+        code, out, _ = run_cli(capsys, "invert", "--rates", str(rates_file), "--g", "2")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["cp_verdict"] == "not-CP"
+        assert payload["cp_report"]["psd"] is False
+
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda run: run["config"].update(g=None), "g"),
+            (lambda run: run.update(channels=5), "channels"),
+            (lambda run: run.update(flagged_channels=7), "flagged_channels"),
+            (lambda run: run["config"].update(shots_per_channel=1.5), "shots_per_channel"),
+            (lambda run: run["channels"][0].update(k="3"), "k"),
+        ],
+        ids=["g-null", "channels-number", "flagged-number", "shots-fraction", "k-string"],
+    )
+    def test_invert_wrong_typed_run_file(self, capsys, tmp_path, edit, named):
+        c_file = write_c_file(tmp_path, IDENTITY_C)
+        run_cli(
+            capsys, "simulate", "--c-file", c_file, "--g", "2",
+            "--shots", "1000", "--exposure", "0.01", "--calibration", "1.0",
+            "--seed", "3", "--out", str(tmp_path / "r"),
+        )
+        run_file = tmp_path / "r" / "run.json"
+        run = json.loads(run_file.read_text())
+        edit(run)
+        run_file.write_text(json.dumps(run))
+        code, out, err = run_cli(capsys, "invert", "--rates", str(run_file), "--g", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and str(run_file) in err and f" {named} " in err
+
     @pytest.mark.parametrize("truth", [(1.0, 1.0, -0.01), (1.0, 1.0, 1.0)])
     def test_invert_negative_seed(self, capsys, tmp_path, truth):
         # refused whether the verdict needs the bootstrap (near the boundary) or not
@@ -424,6 +463,19 @@ class TestSimulateAndInvert:
         assert code == 2
         assert out == ""
         assert "phase must be finite" in err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("exposure", ["nan", "inf"])
+    def test_simulate_non_finite_exposure(self, capsys, tmp_path, exposure):
+        c_file = write_c_file(tmp_path, IDENTITY_C)
+        code, out, err = run_cli(
+            capsys, "simulate", "--c-file", c_file, "--g", "2",
+            "--shots", "1000", "--exposure", exposure, "--calibration", "1.0",
+            "--seed", "3", "--out", str(tmp_path / "r"),
+        )
+        assert code == 2
+        assert out == ""
+        assert "exposure must be positive and finite" in err
         assert not (tmp_path / "r").exists()
 
     def test_invert_sigmas_with_run(self, capsys, tmp_path):
@@ -602,8 +654,13 @@ class TestParsing:
         assert excinfo.value.code == 2
         assert "--output: invalid choice" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", [["coeffs", "--g", "1"], ["build-matrix", "--g", "1"]])
+    @pytest.mark.parametrize(
+        "command",
+        [["coeffs", "--g", "1"], ["build-matrix", "--g", "1"],
+         ["cp-check", "--c-file", "c.json"], ["oracle"]],
+    )
     def test_tolerance_only_where_read(self, capsys, command):
         with pytest.raises(SystemExit) as excinfo:
             main([*command, "--tolerance", "1e-3"])
         assert excinfo.value.code == 2
+        assert "unrecognized arguments: --tolerance" in capsys.readouterr().err

@@ -20,6 +20,13 @@ def random_psd(rng, scale=1.0):
     return a.T @ a
 
 
+def random_truth(rng, eigenvalues):
+    """A symmetric matrix with the given spectrum in a random frame."""
+    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+    q = q * np.sign(np.diag(r))
+    return q @ np.diag(eigenvalues) @ q.T
+
+
 def random_hermitian(rng, dim):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return 0.5 * (a + a.conj().T)
@@ -32,8 +39,17 @@ class TestKossakowskiMatrix:
         assert km.KossakowskiMatrix.from_vector(c.vector) == c
 
     def test_from_matrix_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            km.KossakowskiMatrix.from_matrix(np.arange(9.0).reshape(3, 3))
+        # refused at any scale: asymmetry is judged relative to max|C|
+        for scale in (1.0, 2.0**-50, 2.0**50):
+            with pytest.raises(ValueError, match="not symmetric"):
+                km.KossakowskiMatrix.from_matrix(scale * np.arange(9.0).reshape(3, 3))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e4, 1e5, 2.0**40])
+    def test_from_matrix_accepts_rounding_at_any_scale(self, scale):
+        # s (Q D Q^T) is symmetric up to the rounding of the products
+        rng = np.random.default_rng(12)
+        for _ in range(1000):
+            km.KossakowskiMatrix.from_matrix(scale * random_truth(rng, rng.uniform(-1, 1, 3)))
 
     def test_dict_round_trip(self):
         c = km.KossakowskiMatrix(1.0, 0.2, -0.3, 0.8, 0.1, 1.5)
@@ -88,6 +104,47 @@ class TestCPCheck:
             checked += 1
             assert report.psd == all(report.conditions_ok.values())
         assert checked > 900
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        spectrum=st.sampled_from(
+            [(1.0, 0.5, 0.2), (1.0, 0.0, 0.0), (1.0, 1.0, 0.0), (0.0, 0.0, 0.0),
+             (1.0, 1.0, -1.0), (1.0, 0.3, -1e-3), (1.0, 1.0, -1e-14)]
+        ),
+        k=st.integers(-60, 60),
+        condition_number=st.sampled_from([1.0, 16.9]),
+    )
+    def test_verdicts_invariant_under_power_of_two_scaling(
+        self, seed, spectrum, k, condition_number
+    ):
+        # PSD, boundary and non-PSD C: a sign test has no units, and scaling by
+        # 2^k is exact, so every verdict is the same and the tolerance follows
+        c = km.KossakowskiMatrix.from_matrix(random_truth(np.random.default_rng(seed), spectrum))
+        scaled = km.KossakowskiMatrix.from_vector(np.ldexp(c.vector, k))
+        a, b = c.cp_check(condition_number), scaled.cp_check(condition_number)
+        assert b.psd == a.psd
+        assert b.conditions_ok == a.conditions_ok
+        assert b.tol == np.ldexp(a.tol, k)
+
+    def test_boundary_truths_psd_at_any_scale(self):
+        # rank-1 and rank-2 truths read PSD with every minor ok, and have a
+        # Kraus form, from 2^-40 to 2^40; the counterexample reads not PSD
+        # and has none from 2^-60 to 2^60
+        rng = np.random.default_rng(13)
+        for i in range(2000):
+            eigenvalues = rng.uniform(0.5, 1.5, 3)
+            eigenvalues[: 2 - i % 2] = 0.0
+            truth = random_truth(rng, np.ldexp(eigenvalues, int(rng.integers(-40, 41))))
+            c = km.KossakowskiMatrix.from_matrix(truth)
+            report = c.cp_check()
+            assert report.psd and all(report.conditions_ok.values())
+            km.kraus_noise(c)
+        for k in range(-60, 61):
+            c = km.KossakowskiMatrix.diagonal(*np.ldexp([1.0, 1.0, -1.0], k))
+            assert not c.cp_check().psd
+            with pytest.raises(km.NotCompletelyPositiveError):
+                km.kraus_noise(c)
 
     def test_report_serializes(self):
         d = km.KossakowskiMatrix.identity().cp_check().to_dict()
