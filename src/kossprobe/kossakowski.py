@@ -24,6 +24,7 @@ import, and contracts that constant kernel for every rate.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -39,6 +40,7 @@ _PARAM_OF_ENTRY = np.empty((3, 3), dtype=int)
 _PARAM_OF_ENTRY[_ROWS, _COLS] = _PARAM_OF_ENTRY[_COLS, _ROWS] = np.arange(6)
 
 _SIGMA = np.array([pauli(i) for i in (1, 2, 3)])
+_ENTRY_NAMES = tuple(f"c{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3))
 
 ROUNDING = 8
 _EPS = np.finfo(float).eps
@@ -118,13 +120,16 @@ class KossakowskiMatrix:
         v = np.asarray(v, dtype=float)
         if v.shape != (6,):
             raise ValueError(f"expected 6 parameters, got shape {v.shape}")
-        return cls(*(float(x) for x in v))
+        values = v.tolist()
+        _require_finite(values, PARAM_ORDER)
+        return cls(*values)
 
     @classmethod
     def from_matrix(cls, a) -> "KossakowskiMatrix":
         a = np.asarray(a, dtype=float)
         if a.shape != (3, 3):
             raise ValueError(f"expected a 3x3 matrix, got shape {a.shape}")
+        _require_finite(a.ravel().tolist(), _ENTRY_NAMES)
         if np.max(np.abs(a - a.T)) > rounding_tolerance(a):
             raise ValueError("matrix is not symmetric within rounding")
         s = 0.5 * (a + a.T)
@@ -200,6 +205,14 @@ def _is_finite_number(x) -> bool:
     return (
         isinstance(x, numbers.Real) and not isinstance(x, bool) and -_FLOAT_MAX <= x <= _FLOAT_MAX
     )
+
+
+def _require_finite(values: list[float], names) -> None:
+    # checked before any comparison: NaN compares false, so it would pass the
+    # symmetry test and reach eigvalsh, which does not converge on it
+    if not all(map(math.isfinite, values)):
+        bad = {name: x for name, x in zip(names, values) if not math.isfinite(x)}
+        raise ValueError(f"Kossakowski entries must be finite, got {bad}")
 
 
 def symmetric_from_vector(v) -> np.ndarray:

@@ -372,6 +372,31 @@ class TestSimulateAndInvert:
         assert payload["cp_report"]["psd"] is False
 
     @pytest.mark.parametrize(
+        "truth, path, draws",
+        [
+            ((1.0, 1.0, 1.0), "closed", 0),
+            ((1.0, 1.0, -1.0), "delta", 0),
+            ((1.0, 0.0, -0.01), "bootstrap", 500),
+        ],
+    )
+    def test_invert_reports_verdict_path(self, capsys, tmp_path, truth, path, draws):
+        # the verdict's path and its draws are the only keys beyond the estimate's
+        rates = probe.forward(KossakowskiMatrix.diagonal(*truth), coefficients(2.0))
+        rates_file = tmp_path / "rates.json"
+        rates_file.write_text(json.dumps({"rates": list(rates.rates), "sigmas": [0.05] * 6}))
+        code, out, _ = run_cli(
+            capsys, "invert", "--rates", str(rates_file), "--g", "2", "--bootstrap", "500"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert set(payload) == {
+            "schema_version", "c_hat", "covariance", "residual_norm", "cp_verdict", "margin",
+            "margin_sigma", "condition_number", "cp_report", "verdict_path", "draws",
+        }
+        assert payload["verdict_path"] == path and payload["draws"] == draws
+        assert (payload["margin_sigma"] is None) == (path == "closed")
+
+    @pytest.mark.parametrize(
         "edit, named",
         [
             (lambda run: run["config"].update(g=None), "g"),

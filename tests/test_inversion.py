@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from kossprobe import inversion, probe
+from kossprobe.experiment import ExperimentConfig, estimate, run
 from kossprobe.kossakowski import KossakowskiMatrix, symmetric_from_vector
 from kossprobe.scattering import coefficients
 
@@ -12,6 +13,32 @@ BOUNDARY_TRUTHS = [
     (1.0, -0.5, 0.25, 0.25, -0.125, 0.0625),  # rank 1: u u^T, u = (1, -1/2, 1/4)
     (1.0, 0.0, 0.0, 0.5, 0.5, 0.5),  # rank 2: null vector (0, 1, -1)
 ]
+
+
+def estimates_with_spread(g, truth, noise, rng_seed, bootstrap=10_000):
+    """(seed, result) for those of six noisy estimates of a truth that need a spread.
+
+    ``noise`` is (relative, absolute): each rate's sigma is relative * |rate| + absolute.
+    """
+    co = coefficients(g)
+    m = probe.build_matrix_programmatic(co)
+    rates = probe.forward(KossakowskiMatrix(*truth), co).rates
+    sigmas = noise[0] * np.abs(rates) + noise[1]
+    rng = np.random.default_rng(rng_seed)
+    for seed in range(6):
+        noisy = rates + rng.normal(0.0, sigmas)
+        result = inversion.invert_noisy(noisy, sigmas, m, bootstrap=bootstrap, seed=seed)
+        if result.margin_sigma is not None:
+            yield seed, result
+
+
+def assert_matches_eigvalsh_bootstrap(sigma, center, covariance, seed):
+    draws = np.random.default_rng(seed).multivariate_normal(
+        center, covariance, size=10_000, method="svd"
+    )
+    want = np.linalg.eigvalsh(symmetric_from_vector(draws))[:, 0].std(ddof=1)
+    tol = 1e-12 * want + 64 * np.finfo(float).eps * np.max(np.abs(center))
+    assert abs(sigma - want) <= tol
 
 
 def random_symmetric(rng, scale=2.0):
@@ -171,28 +198,32 @@ class TestInvertNoisy:
     @pytest.mark.parametrize("g", COUPLINGS)
     @pytest.mark.parametrize("truth", BOUNDARY_TRUTHS)
     def test_margin_sigma_matches_eigvalsh_bootstrap(self, g, truth):
-        co = coefficients(g)
-        m = probe.build_matrix_programmatic(co)
-        truth = KossakowskiMatrix(*truth)
-        assert abs(truth.eigenvalues()[0]) <= 1e-15
-        rates = probe.forward(truth, co).rates
-        sigmas = 0.02 * np.abs(rates) + 1e-3
-        rng = np.random.default_rng(48)
+        # a bootstrap-path spread is the eigvalsh spread of the same seeded draws
+        assert abs(KossakowskiMatrix(*truth).eigenvalues()[0]) <= 1e-15
         bootstrapped = 0
-        for seed in range(6):
-            noisy = rates + rng.normal(0.0, sigmas)
-            result = inversion.invert_noisy(noisy, sigmas, m, seed=seed)
-            if result.margin_sigma is None:
+        for seed, result in estimates_with_spread(g, truth, (0.02, 1e-3), 48):
+            if result.verdict_path == inversion.DELTA:
+                assert result.draws == 0
                 continue
+            assert result.verdict_path == inversion.BOOTSTRAP and result.draws == 10_000
             bootstrapped += 1
-            draws = np.random.default_rng(seed).multivariate_normal(
-                result.c_hat.vector, result.covariance, size=10_000, method="svd"
+            assert_matches_eigvalsh_bootstrap(
+                result.margin_sigma, result.c_hat.vector, result.covariance, seed
             )
-            want = np.linalg.eigvalsh(symmetric_from_vector(draws))[:, 0].std(ddof=1)
-            c_max = np.max(np.abs(result.c_hat.vector))
-            tol = 1e-12 * want + 64 * np.finfo(float).eps * c_max
-            assert abs(result.margin_sigma - want) <= tol
-        assert bootstrapped >= 1
+        if truth == BOUNDARY_TRUTHS[0]:  # rank 1: lambda_min is never resolved
+            assert bootstrapped >= 1
+
+    @pytest.mark.parametrize("g", COUPLINGS)
+    @pytest.mark.parametrize("truth", BOUNDARY_TRUTHS)
+    def test_bootstrap_sigma_matches_eigvalsh(self, g, truth):
+        # the Jacobi spread of every estimate that needs one, whichever path
+        # invert_noisy takes for it
+        estimates = list(estimates_with_spread(g, truth, (0.02, 1e-3), 48))
+        assert estimates
+        for seed, result in estimates:
+            center, covariance = result.c_hat.vector, result.covariance
+            got = inversion._bootstrap_min_eigenvalue_sigma(center, covariance, 10_000, seed)
+            assert_matches_eigvalsh_bootstrap(got, center, covariance, seed)
 
     @pytest.mark.parametrize("truth", [(1.0, 1.0, -1.0), (0.3, 0.7, -0.1), (1e-3, 2.0, -7.3)])
     def test_zero_sigmas_give_zero_margin_sigma(self, truth):
@@ -201,6 +232,7 @@ class TestInvertNoisy:
         assert result.margin < 0.0
         assert result.margin_sigma == 0.0
         assert result.cp_verdict == inversion.NOT_CP
+        assert result.verdict_path == inversion.DELTA and result.draws == 0
 
     def test_noise_free_boundary_reads_cp(self):
         # exact rates of a PSD boundary truth: the estimate's smallest
@@ -226,6 +258,97 @@ class TestInvertNoisy:
         d = inversion.invert_noisy(rates, 0.01 * np.ones(6), M2).to_dict()
         assert d["cp_verdict"] == "CP"
         assert len(d["covariance"]) == 6
+        assert d["verdict_path"] == "closed" and d["draws"] == 0
+
+
+def random_truth(rng, eigenvalues):
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    return KossakowskiMatrix.from_matrix(q @ np.diag(eigenvalues) @ q.T)
+
+
+SMALL_NOISE = (0.005, 1e-4)
+
+
+class TestVerdictPath:
+    @pytest.mark.parametrize("g", COUPLINGS)
+    @pytest.mark.parametrize(
+        "truth", [BOUNDARY_TRUTHS[1], (1.0, 0.0, 0.0, 1.0, 0.0, -1.0)], ids=["rank2", "counterexample"]
+    )
+    def test_delta_path_for_gapped_spectra(self, g, truth):
+        # lambda_min is far from the other eigenvalues: the delta spread, which
+        # agrees with a 10k-draw bootstrap within its Monte-Carlo error
+        delta = 0
+        for seed, result in estimates_with_spread(g, truth, SMALL_NOISE, 49):
+            assert result.verdict_path == inversion.DELTA and result.draws == 0
+            boot = inversion._bootstrap_min_eigenvalue_sigma(
+                result.c_hat.vector, result.covariance, 10_000, seed
+            )
+            assert abs(result.margin_sigma / boot - 1.0) <= 0.04
+            delta += 1
+        assert delta >= 4
+
+    @pytest.mark.parametrize("g", COUPLINGS)
+    @pytest.mark.parametrize(
+        "truth", [BOUNDARY_TRUTHS[0], (0.0,) * 6], ids=["rank1", "zero"]
+    )
+    def test_bootstrap_for_degenerate_spectra(self, g, truth):
+        # the two smallest eigenvalues are equal in truth, so the estimate's gap
+        # is of the order of the noise
+        estimates = list(estimates_with_spread(g, truth, SMALL_NOISE, 49, bootstrap=2000))
+        assert estimates
+        for _, result in estimates:
+            assert result.verdict_path == inversion.BOOTSTRAP and result.draws == 2000
+
+    def test_coupling_spread_refuses_anisotropic_case(self):
+        # a nearly rank-1 estimate, diag(-0.01, 0.01, 1): lambda_min's own
+        # spread (c11's, 1e-4) is far below the gap of 0.02, but that of its
+        # coupling to the next eigenvector (c12's, 1e-2) is not
+        center = np.array([-0.01, 0.0, 0.0, 0.01, 0.0, 1.0])
+        covariance = np.diag([1e-8, 1e-4, 0.0, 0.0, 0.0, 0.0])
+        assert inversion._delta_min_eigenvalue_sigma(center, covariance) is None
+        # the coupling mixes the two small eigenvalues, so the first-order
+        # spread of 1e-4 would be far too small
+        boot = inversion._bootstrap_min_eigenvalue_sigma(center, covariance, 10_000, 0)
+        assert boot > 10 * 1e-4
+        # with that coupling quiet, the same spectrum is resolved
+        isotropic = 1e-8 * np.eye(6)
+        sigma = inversion._delta_min_eigenvalue_sigma(center, isotropic)
+        assert sigma == pytest.approx(1e-4, rel=1e-12)
+
+    def test_verdicts_match_forced_bootstrap(self):
+        # 240 simulated rank-1 and rank-2 truths, 10^9 shots per channel at
+        # exposure 0.01: each verdict is the one a 10k-draw bootstrap gives,
+        # except where the margin lies within the two spreads' 4% agreement of
+        # the threshold, where the bootstrap's own verdict depends on its seed
+        matrices = {g: probe.build_matrix_programmatic(coefficients(g)) for g in COUPLINGS}
+        rng = np.random.default_rng(12)
+        paths, at_threshold = [], 0
+        for j in range(240):
+            g, rank = COUPLINGS[j % 4], 1 + (j // 4) % 2
+            eigenvalues = rng.uniform(0.5, 1.5, 3)
+            eigenvalues[: 3 - rank] = 0.0
+            config = ExperimentConfig(
+                true_c=random_truth(rng, eigenvalues), g=g, phase=probe.CANONICAL_PHASE,
+                exposure=0.01, calibration=1.0, shots_per_channel=10**9,
+                seed=int(rng.integers(2**31)),
+            )
+            result = estimate(run(config), matrices[g], seed=j)
+            paths.append((rank, result.verdict_path))
+            if result.margin_sigma is None:
+                continue
+            boot = inversion._bootstrap_min_eigenvalue_sigma(
+                result.c_hat.vector, result.covariance, 10_000, j
+            )
+            if abs(result.margin / (3.0 * boot) + 1.0) <= 0.04:
+                at_threshold += 1
+                continue
+            forced = inversion.NOT_CP if result.margin <= -3.0 * boot else inversion.INDETERMINATE
+            assert result.cp_verdict == forced, (j, result.margin, result.margin_sigma, boot)
+        assert paths.count((2, inversion.DELTA)) >= 40
+        assert paths.count((1, inversion.BOOTSTRAP)) >= 80
+        assert {path for _, path in paths} == {inversion.CLOSED, inversion.DELTA, inversion.BOOTSTRAP}
+        assert (2, inversion.BOOTSTRAP) not in paths and (1, inversion.DELTA) not in paths
+        assert at_threshold <= 2
 
 
 class TestPsdProject:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,12 @@ def random_truth(rng, eigenvalues):
 def random_hermitian(rng, dim):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return 0.5 * (a + a.conj().T)
+
+
+def identity_with_c32(x):
+    a = np.eye(3)
+    a[2, 1] = x
+    return a
 
 
 class TestKossakowskiMatrix:
@@ -66,6 +74,23 @@ class TestKossakowskiMatrix:
         entries = {**km.KossakowskiMatrix.identity().to_dict(), "c23": bad}
         with pytest.raises(ValueError, match="c23"):
             km.KossakowskiMatrix.from_dict(entries)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "entry_point, named",
+        [
+            (lambda x: km.KossakowskiMatrix.from_vector([1.0, 0.0, 0.0, 1.0, x, 1.0]), "c23"),
+            (lambda x: km.KossakowskiMatrix.from_matrix(identity_with_c32(x)), "c32"),
+            (lambda x: km.kraus_noise(identity_with_c32(x)), "c32"),
+            (lambda x: km.evolve(identity_with_c32(x), np.eye(2) / 2, 0.1), "c32"),
+        ],
+        ids=["from_vector", "from_matrix", "kraus_noise", "evolve"],
+    )
+    def test_rejects_non_finite_entries(self, entry_point, named, bad):
+        # unchecked, nan passes the symmetry test (inf - inf is nan too) and
+        # eigvalsh does not converge on it
+        with pytest.raises(ValueError, match=re.escape(f"finite, got {{'{named}': {bad}}}")):
+            entry_point(bad)
 
     def test_from_dict_rejects_non_object(self):
         for bad in (5, [1.0] * 6, None):
