@@ -1,6 +1,7 @@
 """Linear inversion: reading the noise matrix off the measured rates.
 
-Noiseless rates invert exactly.  Noisy rates invert with a propagated
+Noiseless rates invert exactly: zero sigmas give the plain solve of
+M c = rates.  Noisy rates invert with a propagated
 covariance, a statistically guarded complete-positivity verdict, and an
 optional nearest-PSD repair.
 """
@@ -12,7 +13,6 @@ from kossprobe import (
     build_matrix_programmatic,
     coefficients,
     forward,
-    invert_exact,
     invert_noisy,
     psd_project,
 )
@@ -26,7 +26,7 @@ print("hidden noise matrix:\n", hidden.matrix)
 
 print("\n=== exact recovery from noiseless rates ===")
 rates = forward(hidden, co)
-recovered = invert_exact(rates, m)
+recovered = invert_noisy(rates, np.zeros(6), m).c_hat
 print("recovered:\n", np.round(recovered.matrix, 12))
 print("max error:", np.max(np.abs(recovered.matrix - hidden.matrix)))
 

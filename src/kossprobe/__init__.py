@@ -11,7 +11,7 @@ and an independent brute-force oracle adjudicating every closed form.
 
 __version__ = "0.1.0"
 
-from .inversion import InversionResult, SingularProbeMatrixError, invert_exact, invert_noisy, psd_project
+from .inversion import InversionResult, SingularProbeMatrixError, invert_noisy, psd_project
 from .kossakowski import (
     CPReport,
     KossakowskiMatrix,
@@ -55,7 +55,6 @@ __all__ = [
     "estimate",
     "evolve",
     "forward",
-    "invert_exact",
     "invert_noisy",
     "kraus_noise",
     "load_run",

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -65,12 +66,13 @@ def _coeffs_from_args(args) -> tuple[object, float | None]:
     if args.g is not None:
         if any(v is not None for v in physical):
             raise ValueError("give either --g or the physical set --J --E --mass")
-        params = ScatteringParams(g=args.g)
-    elif all(v is not None for v in physical):
-        params = ScatteringParams.from_physical(args.J, args.E, args.mass, args.hbar)
-    else:
-        raise ValueError("coupling required: --g, or all of --J --E --mass")
-    return coefficients(params), params.k
+        return coefficients(args.g), None
+    if all(v is not None for v in physical):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # coefficients flags g < 0 once, below
+            params = ScatteringParams.from_physical(args.J, args.E, args.mass, args.hbar)
+        return coefficients(params.g), params.k
+    raise ValueError("coupling required: --g, or all of --J --E --mass")
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +114,7 @@ def _cmd_coeffs(args) -> int:
 
 def _cmd_forward(args) -> int:
     c = _read_c_file(args.c_file)
-    result = forward(c, coefficients(ScatteringParams(g=args.g)), args.phase)
+    result = forward(c, coefficients(args.g), args.phase)
     if args.output == "json":
         _emit_json(
             {
@@ -133,7 +135,7 @@ def _cmd_forward(args) -> int:
 
 
 def _build_matrices(args):
-    co = coefficients(ScatteringParams(g=args.g))
+    co = coefficients(args.g)
     if args.source in ("appendix", "both") and not _is_canonical(args.phase):
         raise ValueError(
             f"--phase {args.phase}: the appendix table exists only at "
@@ -243,7 +245,7 @@ def _cmd_invert(args) -> int:
         phase = config.phase
     elif args.sigmas is not None:
         sigmas = _json_numbers(json.loads(Path(args.sigmas).read_text()), args.sigmas)
-    m = build_matrix_programmatic(coefficients(ScatteringParams(g=args.g)), phase)
+    m = build_matrix_programmatic(coefficients(args.g), phase)
     if kind == "run":
         result = estimate(payload, m, z=args.z, bootstrap=args.bootstrap, seed=seed)
     else:
@@ -298,7 +300,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_demo_negative(args) -> int:
     g = args.g
     c = KossakowskiMatrix.diagonal(1.0, 1.0, -1.0)
-    co = coefficients(ScatteringParams(g=g))
+    co = coefficients(g)
     rates = forward(c, co)
     report = c.cp_check()
 

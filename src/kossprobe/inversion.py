@@ -99,17 +99,6 @@ def _check_conditioning(m: ProbeMatrix) -> None:
         raise SingularProbeMatrixError(m.det, m.condition_number)
 
 
-def invert_exact(rates, m: ProbeMatrix) -> KossakowskiMatrix:
-    """Unique solution of M c = rates, mapped back to a symmetric matrix.
-
-    Refuses ill-conditioned matrices (condition number beyond
-    ``CONDITION_LIMIT``) instead of returning garbage.
-    """
-    r = _as_rates(rates)
-    _check_conditioning(m)
-    return KossakowskiMatrix.from_vector(np.linalg.inv(m.matrix) @ r)
-
-
 @dataclass(frozen=True)
 class InversionResult:
     """Estimated Kossakowski matrix with propagated uncertainty and CP verdict.
@@ -192,9 +181,11 @@ def invert_noisy(
 ) -> InversionResult:
     """Solve for the mean rates and propagate the rate covariance linearly.
 
-    ``sigmas`` are per-channel one-sigma rate uncertainties (zero allowed; the
-    degenerate limit reproduces :func:`invert_exact`).  The covariance of the
-    estimate is M^-1 diag(sigma^2) M^-T.  Verdict: CP when the smallest
+    ``sigmas`` are per-channel one-sigma rate uncertainties (zero allowed; all
+    zero gives the plain solve of M c = rates, refusals included).  The
+    covariance of the estimate is M^-1 diag(sigma^2) M^-T.  Refuses an
+    ill-conditioned M (condition number beyond ``CONDITION_LIMIT``) instead
+    of returning garbage.  Verdict: CP when the smallest
     eigenvalue is nonnegative (or negative only within the inversion's
     rounding, ``rounding_tolerance`` at cond(M)), not-CP when it is below -z
     sigmas, indeterminate in between.  The sigma is the delta-method spread

@@ -11,15 +11,17 @@ completely positive, which is what the estimation pipeline ultimately tests.
 This module carries the matrix type with its complete-positivity diagnostics,
 the one rule by which every symmetry and PSD decision on C reads "zero within
 rounding" (``rounding_tolerance``: relative to max|C|, so no verdict depends
-on the units of C), the 2x2 compression ``d_tilde`` that the forward model
-is a quadratic form of, the Kraus decomposition of the noise term, and
-``evolve``, the exact semigroup in closed form (a signed Pauli channel in C's
-eigenframe) for any real symmetric C, on the impurity or on electron +
-impurity.  The dissipator itself, as a superoperator, is built only by
-:func:`kossprobe.oracle.build_superop`, the referee of these closed forms.
-``d_tilde`` takes its coupling matrix already expressed in a probe frame;
-:mod:`kossprobe.probe` evaluates it once per unit coupling and frame, at
-import, and contracts that constant kernel for every rate.
+on the units of C), ``as_kossakowski``, the one coercion by which C enters
+every closed form (a KossakowskiMatrix, or a 3x3 array that is finite, real
+and symmetric within rounding), the 2x2 compression ``d_tilde`` that the
+forward model is a quadratic form of, the Kraus decomposition of the noise
+term, and ``evolve``, the exact semigroup in closed form (a signed Pauli
+channel in C's eigenframe) for any real symmetric C, on the impurity or on
+electron + impurity.  The dissipator itself, as a superoperator, is built
+only by :func:`kossprobe.oracle.build_superop`, the referee of these closed
+forms.  ``d_tilde`` takes its coupling matrix already expressed in a probe
+frame; :mod:`kossprobe.probe` evaluates it once per symmetric unit coupling
+and frame, at import, and builds every rate from that constant kernel.
 """
 
 from __future__ import annotations
@@ -126,9 +128,15 @@ class KossakowskiMatrix:
 
     @classmethod
     def from_matrix(cls, a) -> "KossakowskiMatrix":
-        a = np.asarray(a, dtype=float)
+        a = np.asarray(a)
         if a.shape != (3, 3):
             raise ValueError(f"expected a 3x3 matrix, got shape {a.shape}")
+        if np.iscomplexobj(a):
+            imag = {n: x for n, x in zip(_ENTRY_NAMES, a.imag.ravel().tolist()) if x != 0}
+            if imag:
+                raise ValueError(f"Kossakowski entries must be real, got imaginary parts {imag}")
+            a = a.real
+        a = a.astype(float)
         _require_finite(a.ravel().tolist(), _ENTRY_NAMES)
         if np.max(np.abs(a - a.T)) > rounding_tolerance(a):
             raise ValueError("matrix is not symmetric within rounding")
@@ -302,21 +310,13 @@ def min_eigenvalue_from_vector(v) -> np.ndarray:
     return np.ldexp(h, exponent).reshape(v.shape[:-1])
 
 
-def _real_symmetric(c) -> np.ndarray:
-    """The real symmetric 3x3 array of a KossakowskiMatrix or of an array-like."""
-    if not isinstance(c, KossakowskiMatrix):
-        c = KossakowskiMatrix.from_matrix(c)
-    return c.matrix
+def as_kossakowski(c) -> KossakowskiMatrix:
+    """The checked real symmetric C of a KossakowskiMatrix or of a 3x3 array-like.
 
-
-def as_coupling_matrix(c) -> np.ndarray:
-    """Accept a KossakowskiMatrix or any 3x3 array-like and return the array."""
-    if isinstance(c, KossakowskiMatrix):
-        return c.matrix.astype(complex)
-    a = np.asarray(c, dtype=complex)
-    if a.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 coupling matrix, got shape {a.shape}")
-    return a
+    Arrays go through :meth:`KossakowskiMatrix.from_matrix`, which refuses
+    non-finite, complex and asymmetric entries.
+    """
+    return c if isinstance(c, KossakowskiMatrix) else KossakowskiMatrix.from_matrix(c)
 
 
 # ---------------------------------------------------------------------------
@@ -328,31 +328,20 @@ def d_tilde(c) -> np.ndarray:
     """Closed form of the dissipator compressed between the eigenstate's spin
     states and the detection state.
 
-    For coupling matrix C the entries are
+    For real symmetric C the entries are
 
         D[0, 0] = C11
-        D[0, 1] = (-i C12 + sqrt(2) C13) / sqrt(3)
-        D[1, 0] = (+i C21 + sqrt(2) C31) / sqrt(3)
-        D[1, 1] = (C22 + 2 C33 + i sqrt(2) (C23 - C32)) / 3
+        D[0, 1] = conj(D[1, 0]) = (-i C12 + sqrt(2) C13) / sqrt(3)
+        D[1, 1] = (C22 + 2 C33) / 3
 
     obtained by evaluating the defining sandwich directly (the brute-force
     superoperator route in :mod:`kossprobe.oracle` reproduces it to machine
-    precision, which the test suite asserts).  For real symmetric C the matrix
-    is real-symmetric-Hermitian and PSD whenever C is PSD.
+    precision, which the test suite asserts).  D is Hermitian, and PSD
+    whenever C is PSD.
     """
-    a = as_coupling_matrix(c)
-    s2, s3 = np.sqrt(2.0), np.sqrt(3.0)
-    d = np.array(
-        [
-            [a[0, 0], (-1.0j * a[0, 1] + s2 * a[0, 2]) / s3],
-            [
-                (1.0j * a[1, 0] + s2 * a[2, 0]) / s3,
-                (a[1, 1] + 2.0 * a[2, 2] + 1.0j * s2 * (a[1, 2] - a[2, 1])) / 3.0,
-            ],
-        ],
-        dtype=complex,
-    )
-    return d
+    c = as_kossakowski(c)
+    off = (-1.0j * c.c12 + np.sqrt(2.0) * c.c13) / np.sqrt(3.0)
+    return np.array([[c.c11, off], [np.conj(off), (c.c22 + 2.0 * c.c33) / 3.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +358,7 @@ def kraus_noise(c) -> list[np.ndarray]:
     raised.  Eigenvalues are ordered descending, with each eigenvector's first
     nonzero component made positive to fix the sign.
     """
-    a = _real_symmetric(c)
+    a = as_kossakowski(c).matrix
     eigvals, eigvecs = np.linalg.eigh(a)
     if eigvals[0] < -rounding_tolerance(a):
         raise NotCompletelyPositiveError(eigvals[0])
@@ -414,7 +403,7 @@ def evolve(c, rho, t: float) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape not in ((2, 2), (4, 4)):
         raise ValueError(f"expected a 2x2 or 4x4 state, got shape {rho.shape}")
-    lam, o = np.linalg.eigh(_real_symmetric(c))
+    lam, o = np.linalg.eigh(as_kossakowski(c).matrix)
     f = np.exp(-2.0 * (lam.sum() - lam) * t)
     p = 0.25 * (1.0 + 2.0 * f - f.sum())
     tau = np.tensordot(o.T, _SIGMA, axes=1)

@@ -7,8 +7,10 @@ and exact dynamics come from the matrix exponential of the superoperator.
 None of the closed-form expressions in :mod:`kossprobe.kossakowski` or
 :mod:`kossprobe.probe` are used anywhere in this path, which is what makes
 the adjudication meaningful.  Shared surface is limited to the spin-algebra
-primitives (Pauli matrices, bases, vectorization conventions) and the
-scattering coefficients, which are inputs.
+primitives (Pauli matrices, bases, vectorization conventions), the
+scattering coefficients, which are inputs, and the type check
+:func:`kossprobe.kossakowski.as_kossakowski`, by which C enters here as it
+enters the closed forms.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import expm
 
-from .kossakowski import as_coupling_matrix
+from .kossakowski import as_kossakowski
 from .probe import AGREEMENT_TOL, CANONICAL_PHASE, CHANNELS, build_matrix_appendix, build_matrix_programmatic, compare_matrices, forward
 from .scattering import ScatteringCoefficients, coefficients
 from .spin import BASIS_LABELS, IDENTITY_2, basis, pauli, unvec, vec
@@ -36,7 +38,7 @@ def build_superop(c, lifted: bool) -> np.ndarray:
     Assembled term by term from vec(A rho B) = (B^T kron A) vec(rho); the
     lifted form tensors the identity on the electron-spin factor.
     """
-    a = as_coupling_matrix(c)
+    a = as_kossakowski(c).matrix
     if lifted:
         sigmas = [np.kron(IDENTITY_2, pauli(i)) for i in (1, 2, 3)]
         eye = np.eye(4, dtype=complex)
@@ -129,25 +131,15 @@ def _expm_checked(l: np.ndarray, t: float) -> np.ndarray:
     return u
 
 
-def exact_qubit_evolution(c, rho0: np.ndarray, t: float) -> np.ndarray:
-    """Evolve a 2x2 impurity state for time t under the full dissipator."""
+def exact_evolution(c, rho0: np.ndarray, t: float) -> np.ndarray:
+    """Evolve a 2x2 impurity state, or a 4x4 electron x impurity state under
+    the lifted dissipator, for time t."""
     if t < 0:
         raise ValueError("t must be nonnegative")
     rho0 = np.asarray(rho0, dtype=complex)
-    if rho0.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 state, got shape {rho0.shape}")
-    u = _expm_checked(build_superop(c, lifted=False), t)
-    return unvec(u @ vec(rho0))
-
-
-def exact_lifted_evolution(c, rho0: np.ndarray, t: float) -> np.ndarray:
-    """Evolve a 4x4 electron x impurity state for time t under the lifted dissipator."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    rho0 = np.asarray(rho0, dtype=complex)
-    if rho0.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 state, got shape {rho0.shape}")
-    u = _expm_checked(build_superop(c, lifted=True), t)
+    if rho0.shape not in ((2, 2), (4, 4)):
+        raise ValueError(f"expected a 2x2 or 4x4 state, got shape {rho0.shape}")
+    u = _expm_checked(build_superop(c, lifted=rho0.shape == (4, 4)), t)
     return unvec(u @ vec(rho0))
 
 

@@ -16,17 +16,19 @@ free entries of the Kossakowski matrix:
     rates = M @ c_vector.
 
 Only the two amplitude vectors depend on the coupling g and the phase, so
-the compressed dissipator of every unit coupling E_ij in each of the three
-constant probe frames O_f is one kernel built at import,
+the compressed dissipator of every symmetric unit coupling U_b (the matrix
+of the b-th parameter, off-diagonal units carrying both mirror entries) in
+each of the three constant probe frames O_f is one kernel built at import,
 
-    K[f, i, j] = d_tilde(O_f^T E_ij O_f),
+    K[f, b] = d_tilde(O_f^T U_b O_f),
 
-and a (g, theta) pair reduces to the rate tensor A[r, i, j] = w_s^H K[f, i, j]
-w_s, one row per channel.  ``forward`` is Re sum_ij A[:, i, j] C_ij,
-``probability_rate`` reads one row, and ``build_matrix_programmatic``
-contracts A with the six symmetric unit couplings, which keeps M free of any
-hand-transcribed coefficient.  All nine entries of C enter, so complex and
-non-symmetric couplings give the rates of the quadratic form as written.
+and a (g, theta) pair reduces to the real 6x6 rate matrix
+M[r, b] = Re w_s^H K[f, b] w_s, one row per channel.
+``build_matrix_programmatic`` wraps M, which keeps it free of any
+hand-transcribed coefficient; ``forward`` is M times the parameter vector
+and ``probability_rate`` one row of it.  C enters through
+:func:`kossprobe.kossakowski.as_kossakowski`, which refuses anything but a
+finite, real, symmetric C.
 
 ``build_matrix_appendix`` assembles the hand-derived closed-form table for M
 at the quarter-wave phase; it is kept as a cross-check target and is known
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kossakowski import PARAM_ORDER, as_coupling_matrix, d_tilde, symmetric_from_vector
+from .kossakowski import PARAM_ORDER, as_kossakowski, d_tilde, symmetric_from_vector
 from .scattering import ScatteringCoefficients, probe_amplitudes
 from .spin import BASIS_LABELS, basis, pauli_frame
 
@@ -53,17 +55,14 @@ AGREEMENT_TOL = 1e-12
 # The Pauli frame of each probe basis's impurity rotation, built once at import.
 _FRAMES = {label: pauli_frame(basis(label).impurity_rotation) for label in BASIS_LABELS}
 
-# _KERNEL[f, i, j] = d_tilde(O_f^T E_ij O_f), flattened to (frame, 9, 2x2 = 4):
-# the compressed dissipator of each unit coupling E_ij in probe frame f.
+# _KERNEL[f, b] = d_tilde(O_f^T U_b O_f), flattened to (frame, 6, 2x2 = 4): the
+# compressed dissipator of the b-th symmetric unit coupling U_b in probe frame f.
 _KERNEL = np.array(
     [
-        [d_tilde(frame.T @ unit @ frame).ravel() for unit in np.eye(9).reshape(9, 3, 3)]
+        [d_tilde(frame.T @ unit @ frame).ravel() for unit in symmetric_from_vector(np.eye(6))]
         for frame in _FRAMES.values()
     ]
 )
-
-# The six symmetric unit couplings of the parameter vector, flattened to (6, 9).
-_UNITS = symmetric_from_vector(np.eye(6)).reshape(6, 9)
 
 
 # A phase within this distance of pi/2, modulo 2 pi, is the canonical one.
@@ -136,16 +135,14 @@ def _probe_matrix(m: np.ndarray, g: float, phase: float, source: str) -> ProbeMa
     )
 
 
-def _rate_tensor(coeffs: ScatteringCoefficients, phase: float) -> np.ndarray:
-    """A[r, i, j] = w_s^H K[f, i, j] w_s, shape (6, 3, 3), rows in CHANNELS order.
-
-    Rate r of a coupling C is Re sum_ij A[r, i, j] C_ij.  The amplitude
-    vectors come from :func:`probe_amplitudes`, which checks side and phase.
-    """
+def _rate_matrix(coeffs: ScatteringCoefficients, phase: float) -> np.ndarray:
+    """M[r, b] = Re w_s^H K[f, b] w_s, shape (6, 6), rows in CHANNELS order and
+    columns in PARAM_ORDER.  The amplitude vectors come from
+    :func:`probe_amplitudes`, which checks side and phase."""
     w = np.array([probe_amplitudes(coeffs, side, phase) for side in SIDES])
     # conj(w_a) w_b for each side, against the kernel's flattened 2x2 blocks
     outer = (w.conj()[:, :, None] * w[:, None, :]).reshape(2, 4)
-    return (_KERNEL @ outer.T).transpose(2, 0, 1).reshape(6, 3, 3)
+    return np.real(_KERNEL @ outer.T).transpose(2, 0, 1).reshape(6, 6)
 
 
 def probability_rate(
@@ -159,8 +156,8 @@ def probability_rate(
 
     Rotating the probe frame is equivalent to expressing the Kossakowski
     matrix in the rotated Pauli frame; the rotation is folded into the
-    constant kernel, so the rate is one row of the rate tensor contracted
-    with C.  Transmitted-side rates are independent of the probe phase.
+    constant kernel, so the rate is one row of M times the parameter vector.
+    Transmitted-side rates are independent of the probe phase.
     ``probe_basis`` is one of ``BASIS_LABELS``.
     """
     if side not in SIDES:
@@ -169,28 +166,26 @@ def probability_rate(
         raise ValueError(
             f"unknown basis label {probe_basis!r}, expected one of {BASIS_LABELS}"
         )
-    a = as_coupling_matrix(c)
+    v = as_kossakowski(c).vector
     row = SIDES.index(side) * len(BASIS_LABELS) + BASIS_LABELS.index(probe_basis)
-    return float(np.real(_rate_tensor(coeffs, phase)[row].ravel() @ a.ravel()))
+    return float(_rate_matrix(coeffs, phase)[row] @ v)
 
 
 def forward(
     c, coeffs: ScatteringCoefficients, phase: float = CANONICAL_PHASE
 ) -> ProbeResult:
     """All six rates: three probe frames on the transmitted side, then reflected."""
-    a = as_coupling_matrix(c)
-    rates = np.real(_rate_tensor(coeffs, phase).reshape(6, 9) @ a.ravel())
-    return ProbeResult(rates=rates, g=coeffs.g, phase=phase)
+    v = as_kossakowski(c).vector
+    return ProbeResult(rates=_rate_matrix(coeffs, phase) @ v, g=coeffs.g, phase=phase)
 
 
 def build_matrix_programmatic(
     coeffs: ScatteringCoefficients, phase: float = CANONICAL_PHASE
 ) -> ProbeMatrix:
-    """Assemble M from the rate tensor: column beta holds the rates of the
-    beta-th symmetric unit coupling matrix (off-diagonal units carry both
-    mirror entries, matching the six-parameter vector convention)."""
-    m = np.real(_rate_tensor(coeffs, phase).reshape(6, 9)) @ _UNITS.T
-    return _probe_matrix(m, coeffs.g, phase, "programmatic")
+    """M from the kernel: column b holds the rates of the b-th symmetric unit
+    coupling matrix (off-diagonal units carry both mirror entries, matching
+    the six-parameter vector convention)."""
+    return _probe_matrix(_rate_matrix(coeffs, phase), coeffs.g, phase, "programmatic")
 
 
 def appendix_coefficients(coeffs: ScatteringCoefficients) -> dict[str, float]:

@@ -33,6 +33,21 @@ import numpy as np
 _SQRT3 = np.sqrt(3.0)
 
 
+def _checked_coupling(g: float, stacklevel: int) -> float:
+    """g as a float: refused unless finite, and flagged by a warning that names
+    the line ``stacklevel`` frames up when negative."""
+    g = float(g)
+    if not math.isfinite(g):
+        raise ValueError(f"coupling g must be finite, got {g}")
+    if g < 0:
+        warnings.warn(
+            "attractive coupling (g < 0): formulas remain valid but unitarity "
+            "sweeps in this package only cover g >= 0",
+            stacklevel=stacklevel,
+        )
+    return g
+
+
 @dataclass(frozen=True)
 class ScatteringParams:
     """Dimensionless coupling g, with the wavenumber k that maps a detector
@@ -46,14 +61,8 @@ class ScatteringParams:
     k: float | None = None
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.g):
-            raise ValueError(f"coupling g must be finite, got {self.g}")
-        if self.g < 0:
-            warnings.warn(
-                "attractive coupling (g < 0): formulas remain valid but unitarity "
-                "sweeps in this package only cover g >= 0",
-                stacklevel=3,
-            )
+        # frames: _checked_coupling, __post_init__, the dataclass __init__, the caller
+        _checked_coupling(self.g, stacklevel=4)
         if self.k is not None and not 0 < self.k < math.inf:
             raise ValueError(f"wavenumber k must be positive and finite, got {self.k}")
 
@@ -82,9 +91,9 @@ class ScatteringCoefficients:
     g: float
 
 
-def coefficients(params: ScatteringParams | float) -> ScatteringCoefficients:
-    """Channel amplitudes t_i = 1/(1 + i alpha_i), r_i = t_i - 1."""
-    g = float(params.g if isinstance(params, ScatteringParams) else ScatteringParams(float(params)).g)
+def coefficients(g: float) -> ScatteringCoefficients:
+    """Channel amplitudes t_i = 1/(1 + i alpha_i), r_i = t_i - 1, at coupling g."""
+    g = _checked_coupling(g, stacklevel=3)
     alpha0 = -1.5 * g
     alpha1 = 0.5 * g
     t0 = 1.0 / (1.0 + 1.0j * alpha0)

@@ -1,7 +1,8 @@
 """Fixed-size spin algebra for the electron + impurity system.
 
-Pauli matrices, the Bell basis, the probe-frame rotations and the
-column-stacking vectorization helpers used by every other module.  The probe
+Pauli matrices, the Bell basis and the probe-frame rotations, used across
+the package, and the column-stacking vectorization helpers ``vec``/``unvec``,
+used by the oracle's superoperators.  The probe
 frames are constants: :mod:`kossprobe.probe` builds their Pauli frames with
 :func:`basis` and :func:`pauli_frame` once, at import.
 

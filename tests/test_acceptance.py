@@ -103,7 +103,7 @@ def test_criterion_04_invertibility_over_coupling_grid():
     m0 = probe.build_matrix_programmatic(coefficients(0.0))
     assert abs(m0.det) <= 1e-12
     try:
-        inversion.invert_exact(np.ones(6), m0)
+        inversion.invert_noisy(np.ones(6), np.zeros(6), m0)
     except inversion.SingularProbeMatrixError:
         pass
     else:
@@ -119,7 +119,7 @@ def test_criterion_05_round_trip_recovery():
         co = coefficients(g)
         m = probe.build_matrix_programmatic(co)
         truth = KossakowskiMatrix.from_matrix(random_symmetric(rng))
-        recovered = inversion.invert_exact(probe.forward(truth, co), m)
+        recovered = inversion.invert_noisy(probe.forward(truth, co), np.zeros(6), m).c_hat
         err = np.linalg.norm(recovered.vector - truth.vector)
         worst = max(worst, err / max(np.linalg.norm(truth.vector), 1e-30))
     assert worst <= 1e-9
@@ -147,7 +147,7 @@ def test_criterion_06_counterexample_exact_numbers():
         rho0 = 0.5 * (np.eye(2) + sum(v[i] * SIGMA[i] for i in range(3)))
         norms = []
         for t in times:
-            rho_t = oracle.exact_qubit_evolution(COUNTEREXAMPLE, rho0, float(t))
+            rho_t = oracle.exact_evolution(COUNTEREXAMPLE, rho0, float(t))
             eigs = np.linalg.eigvalsh(rho_t)
             assert eigs[0] >= -1e-10 and eigs[-1] <= 1.0 + 1e-10
             bloch = np.array([np.real(np.trace(rho_t @ s)) for s in SIGMA])
@@ -157,7 +157,7 @@ def test_criterion_06_counterexample_exact_numbers():
     # but the lifted map pushes the entangled probe state out of the state space
     v3 = basis("canonical").probe_state
     rho = np.outer(v3, v3.conj())
-    min_eig = np.linalg.eigvalsh(oracle.exact_lifted_evolution(COUNTEREXAMPLE, rho, 0.01))[0]
+    min_eig = np.linalg.eigvalsh(oracle.exact_evolution(COUNTEREXAMPLE, rho, 0.01))[0]
     assert min_eig < -1e-6
 
     announce(
@@ -206,7 +206,7 @@ def test_criterion_08_first_order_validity():
     ts = np.array([1e-3, 1e-4, 1e-5])
     errs = []
     for t in ts:
-        full = oracle.exact_lifted_evolution(c, rho, float(t))
+        full = oracle.exact_evolution(c, rho, float(t))
         linear = rho + t * unvec(l @ vec(rho))
         errs.append(float(np.linalg.norm(full - linear)))
     slope = np.polyfit(np.log10(ts), np.log10(errs), 1)[0]

@@ -53,6 +53,15 @@ class TestCoeffs:
         assert np.allclose(a["t0"], b["t0"], atol=1e-12)
         assert json.loads(out_p)["k"] == pytest.approx(np.sqrt(2.0 * m * e))
 
+    @pytest.mark.parametrize(
+        "coupling", [["--g", "-1"], ["--J", "-1", "--E", "1", "--mass", "1"]], ids=["g", "physical"]
+    )
+    def test_attractive_coupling_warns_once(self, capsys, coupling):
+        with pytest.warns(UserWarning, match="attractive") as record:
+            code, _, _ = run_cli(capsys, "coeffs", *coupling)
+        assert code == 0
+        assert [Path(w.filename).name for w in record] == ["cli.py"]
+
     def test_missing_coupling_is_input_error(self, capsys):
         code, _, err = run_cli(capsys, "coeffs")
         assert code == 2

@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kossprobe import kossakowski as km
-from kossprobe import oracle
+from kossprobe import oracle, probe
+from kossprobe.scattering import coefficients
 from kossprobe.spin import pauli
 
 SIGMA = [pauli(i) for i in (1, 2, 3)]
+G2 = coefficients(2.0)
 
 
 def random_symmetric(rng, scale=2.0):
@@ -38,6 +40,21 @@ def identity_with_c32(x):
     a = np.eye(3)
     a[2, 1] = x
     return a
+
+
+# Every entry point that takes C as a 3x3 array: the closed forms and the
+# oracle's superoperator take it through the one real-symmetric coercion.
+COUPLING_ENTRY_POINTS = {
+    "forward": lambda c: probe.forward(c, G2),
+    "probability_rate": lambda c: probe.probability_rate(c, G2, "rot1", "reflected"),
+    "d_tilde": km.d_tilde,
+    "build_superop": lambda c: oracle.build_superop(c, lifted=True),
+    "from_matrix": km.KossakowskiMatrix.from_matrix,
+    "evolve": lambda c: km.evolve(c, np.eye(2) / 2, 0.1),
+    "kraus_noise": km.kraus_noise,
+}
+# I + 0.5i (E12 - E21): Hermitian, but not real
+COMPLEX_HERMITIAN = np.eye(3) + 0.5j * np.array([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
 
 
 class TestKossakowskiMatrix:
@@ -78,19 +95,35 @@ class TestKossakowskiMatrix:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize(
         "entry_point, named",
-        [
-            (lambda x: km.KossakowskiMatrix.from_vector([1.0, 0.0, 0.0, 1.0, x, 1.0]), "c23"),
-            (lambda x: km.KossakowskiMatrix.from_matrix(identity_with_c32(x)), "c32"),
-            (lambda x: km.kraus_noise(identity_with_c32(x)), "c32"),
-            (lambda x: km.evolve(identity_with_c32(x), np.eye(2) / 2, 0.1), "c32"),
-        ],
-        ids=["from_vector", "from_matrix", "kraus_noise", "evolve"],
+        [(lambda x: km.KossakowskiMatrix.from_vector([1.0, 0.0, 0.0, 1.0, x, 1.0]), "c23")]
+        + [(lambda x, f=f: f(identity_with_c32(x)), "c32") for f in COUPLING_ENTRY_POINTS.values()],
+        ids=["from_vector", *COUPLING_ENTRY_POINTS],
     )
     def test_rejects_non_finite_entries(self, entry_point, named, bad):
         # unchecked, nan passes the symmetry test (inf - inf is nan too) and
-        # eigvalsh does not converge on it
+        # eigvalsh does not converge on it; forward returned six nan rates
         with pytest.raises(ValueError, match=re.escape(f"finite, got {{'{named}': {bad}}}")):
             entry_point(bad)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(np.arange(9.0).reshape(3, 3), "not symmetric"), (COMPLEX_HERMITIAN, "must be real")],
+        ids=["asymmetric", "complex"],
+    )
+    @pytest.mark.parametrize("entry_point", COUPLING_ENTRY_POINTS.values(), ids=COUPLING_ENTRY_POINTS)
+    def test_rejects_asymmetric_and_complex_couplings(self, entry_point, bad, message):
+        # from_matrix used to cast the imaginary part away, and forward to
+        # give the rates of the non-symmetric or complex quadratic form
+        with pytest.raises(ValueError, match=message):
+            entry_point(bad)
+
+    def test_complex_refusal_names_the_entries(self):
+        with pytest.raises(ValueError, match=re.escape("{'c12': 0.5, 'c21': -0.5}")):
+            km.KossakowskiMatrix.from_matrix(COMPLEX_HERMITIAN)
+
+    def test_complex_dtype_with_zero_imaginary_part_accepted(self):
+        a = random_symmetric(np.random.default_rng(3))
+        assert km.KossakowskiMatrix.from_matrix(a.astype(complex)) == km.KossakowskiMatrix.from_matrix(a)
 
     def test_from_dict_rejects_non_object(self):
         for bad in (5, [1.0] * 6, None):
@@ -370,7 +403,7 @@ class TestBloch:
         state = bloch_state((0.3, -0.2, 0.6))
         t = 0.8
         out = bloch_vector(km.evolve(c, state, t))
-        want = bloch_vector(oracle.exact_qubit_evolution(c, state, t))
+        want = bloch_vector(oracle.exact_evolution(c, state, t))
         assert np.all(np.abs(out - want) <= 1e-12)
 
 
@@ -384,9 +417,9 @@ class TestEvolve:
             c = random_symmetric(rng)
             not_psd += np.linalg.eigvalsh(c)[0] < 0
             t = rng.uniform(0.0, 1.0)
-            for dim, exact in ((2, oracle.exact_qubit_evolution), (4, oracle.exact_lifted_evolution)):
+            for dim in (2, 4):
                 rho = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-                want = exact(c, rho, t)
+                want = oracle.exact_evolution(c, rho, t)
                 scale = max(1.0, float(np.max(np.abs(want))))
                 assert np.max(np.abs(km.evolve(c, rho, t) - want)) <= 1e-12 * scale
         assert not_psd >= 100

@@ -86,13 +86,14 @@ class TestDTildeBruteforce:
         assert worst <= 1e-12
 
     def test_complex_hermitian_coupling(self):
-        # the closed form covers complex Hermitian couplings too (the imaginary
-        # part of c23 enters the lower-right entry)
+        # C is real symmetric: a complex Hermitian coupling is refused by the
+        # closed form and by the brute-force path alike, never cast to its real part
         rng = np.random.default_rng(26)
         for _ in range(20):
             c = random_hermitian(rng, 3)
-            dev = np.max(np.abs(oracle.d_tilde_bruteforce(c) - d_tilde(c)))
-            assert dev <= 1e-12
+            for entry_point in (d_tilde, oracle.d_tilde_bruteforce):
+                with pytest.raises(ValueError, match="must be real"):
+                    entry_point(c)
 
 
 class TestRatesBruteforce:
@@ -136,11 +137,11 @@ class TestExactEvolution:
     def test_time_zero(self):
         rng = np.random.default_rng(29)
         rho = random_state(rng, 2)
-        assert np.allclose(oracle.exact_qubit_evolution(COUNTEREXAMPLE, rho, 0.0), rho)
+        assert np.allclose(oracle.exact_evolution(COUNTEREXAMPLE, rho, 0.0), rho)
 
     def test_counterexample_closed_form(self):
         rho0 = 0.5 * (np.eye(2) + pauli(3))
-        rho_t = oracle.exact_qubit_evolution(COUNTEREXAMPLE, rho0, 0.5)
+        rho_t = oracle.exact_evolution(COUNTEREXAMPLE, rho0, 0.5)
         expected = 0.5 * (np.eye(2) + np.exp(-2.0) * pauli(3))
         assert np.allclose(rho_t, expected, atol=1e-12)
 
@@ -150,7 +151,7 @@ class TestExactEvolution:
             rho = random_state(rng, 2)
             for t in np.linspace(0.0, 5.0, 11):
                 eigs = np.linalg.eigvalsh(
-                    oracle.exact_qubit_evolution(COUNTEREXAMPLE, rho, float(t))
+                    oracle.exact_evolution(COUNTEREXAMPLE, rho, float(t))
                 )
                 assert eigs[0] >= -1e-10 and eigs[-1] <= 1.0 + 1e-10
 
@@ -160,7 +161,7 @@ class TestExactEvolution:
         v3 = basis("canonical").probe_state
         rho = np.outer(v3, v3.conj())
         for t in (0.005, 0.01, 0.05):
-            evolved = oracle.exact_lifted_evolution(COUNTEREXAMPLE, rho, t)
+            evolved = oracle.exact_evolution(COUNTEREXAMPLE, rho, t)
             assert np.linalg.eigvalsh(evolved)[0] < -t / 2.0
 
     def test_psd_coupling_preserves_lifted_positivity(self):
@@ -170,12 +171,12 @@ class TestExactEvolution:
         for _ in range(5):
             rho = random_state(rng, 4)
             for t in (0.1, 0.5, 2.0):
-                eigs = np.linalg.eigvalsh(oracle.exact_lifted_evolution(c, rho, t))
+                eigs = np.linalg.eigvalsh(oracle.exact_evolution(c, rho, t))
                 assert eigs[0] >= -1e-10
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            oracle.exact_qubit_evolution(COUNTEREXAMPLE, np.eye(2) / 2, -1.0)
+            oracle.exact_evolution(COUNTEREXAMPLE, np.eye(2) / 2, -1.0)
 
     def test_first_order_consistency(self):
         rng = np.random.default_rng(32)
@@ -185,7 +186,7 @@ class TestExactEvolution:
         ts = np.array([1e-3, 1e-4, 1e-5])
         errs = []
         for t in ts:
-            full = oracle.exact_lifted_evolution(c, rho, float(t))
+            full = oracle.exact_evolution(c, rho, float(t))
             linear = rho + t * unvec(l @ vec(rho))
             errs.append(np.linalg.norm(full - linear))
         ks = np.array(errs) / ts**2

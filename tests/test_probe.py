@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kossprobe import oracle, probe
-from kossprobe.kossakowski import KossakowskiMatrix
+from kossprobe.kossakowski import KossakowskiMatrix, symmetric_from_vector
 from kossprobe.scattering import coefficients
 
 G2 = coefficients(2.0)
@@ -133,35 +133,30 @@ class TestForward:
 
 
 class TestRateTensor:
-    """The one precomputed contraction behind forward, probability_rate and M."""
+    """The one rate matrix M behind forward, probability_rate and build_matrix_programmatic."""
 
     @settings(max_examples=60, deadline=None)
     @given(
         g=st.floats(0.1, 6.0),
         phase=st.floats(-2 * np.pi, 2 * np.pi),
-        entries=st.lists(st.floats(-2.0, 2.0), min_size=18, max_size=18),
+        entries=st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6),
     )
     def test_three_entry_points_agree(self, g, phase, entries):
         co = coefficients(g)
-        x = np.array(entries)
-        # complex and non-symmetric: every one of the nine entries counts
-        z = (x[:9] + 1j * x[9:]).reshape(3, 3)
-        got = probe.forward(z, co, phase).rates
-        want = oracle.forward_bruteforce(z, co, phase)
+        c = symmetric_from_vector(entries)
+        got = probe.forward(c, co, phase).rates
+        want = oracle.forward_bruteforce(c, co, phase)
         scale = max(1.0, float(np.max(np.abs(want))))
         assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
         channels = [(side, label) for side in probe.SIDES for label in probe.BASIS_LABELS]
         for row, (side, label) in enumerate(channels):
-            rate = probe.probability_rate(z, co, label, side, phase)
+            rate = probe.probability_rate(c, co, label, side, phase)
             assert abs(rate - got[row]) <= 1e-13 * scale
 
-        a = x[:9].reshape(3, 3)
-        c = KossakowskiMatrix.from_matrix(0.5 * (a + a.T))
-        rates = probe.forward(c, co, phase).rates
         m = probe.build_matrix_programmatic(co, phase).matrix
-        scale = max(1.0, float(np.max(np.abs(rates))))
-        assert np.max(np.abs(m @ c.vector - rates)) <= 1e-13 * scale
+        scale = max(1.0, float(np.max(np.abs(got))))
+        assert np.max(np.abs(m @ np.asarray(entries) - got)) <= 1e-13 * scale
 
 
 class TestProgrammaticMatrix:

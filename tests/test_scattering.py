@@ -62,6 +62,17 @@ class TestParams:
         with pytest.warns(UserWarning):
             scattering.ScatteringParams(g=-0.5)
 
+    def test_negative_g_warning_names_the_callers_line(self):
+        for make in (lambda: scattering.coefficients(-1.0),
+                     lambda: scattering.ScatteringParams(g=-0.5)):
+            with pytest.warns(UserWarning, match="attractive") as record:
+                make()
+            assert [w.filename for w in record] == [__file__]
+
+    def test_coefficients_take_a_float(self):
+        with pytest.raises(TypeError):
+            scattering.coefficients(scattering.ScatteringParams(g=2.0))
+
     def test_bad_k_rejected(self):
         with pytest.raises(ValueError):
             scattering.ScatteringParams(g=1.0, k=-1.0)
