@@ -24,15 +24,18 @@ says which (``verdict_path``):
   truths it matches the bootstrap spread to within 2.5%.
 - "bootstrap": otherwise (nearly degenerate spectra, such as those of rank-1
   and zero truths, where lambda_min is not smooth in the data), a parametric
-  bootstrap over the propagated covariance.  Its draws are seeded Gaussian
-  parameter vectors, and their smallest eigenvalues come from cyclic Jacobi
-  sweeps run on the whole batch at once
-  (:func:`kossprobe.kossakowski.min_eigenvalue_from_vector`): a 10k-draw
-  spread takes about 5 ms, 2 ms of it the multivariate normal draws.
+  bootstrap over the propagated covariance.  Its draws are the seeded
+  Gaussian parameter vectors of ``multivariate_normal(method="svd")``, built
+  parameter-major in the estimate's eigenframe inside one work block, and
+  their smallest eigenvalues come from cyclic Jacobi sweeps run in place on
+  the whole batch at once (:func:`kossprobe.kossakowski.min_eigenvalue_in_place`),
+  two sweeps for draws near a boundary estimate: a 10k-draw spread takes
+  about 3 ms on a 2-core host, 1.2 ms of it the draws.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -40,15 +43,15 @@ import numpy as np
 
 from .kossakowski import (
     KossakowskiMatrix,
-    min_eigenvalue_from_vector,
+    min_eigenvalue_in_place,
     rounding_tolerance,
     symmetric_from_vector,
 )
 from .probe import ProbeMatrix, ProbeResult
 
 CONDITION_LIMIT = 1e10
-# The draws hold bootstrap * 6 doubles and the eigenvalue sweep copies them
-# once more: about 100 MB at this many.
+# The bootstrap's work block holds 12 doubles per draw (the draws, then the
+# sweeps' scratch rows): 96 MB at this many.
 MAX_BOOTSTRAP = 1_000_000
 
 # lambda_min counts as resolved, and its delta-method spread stands in for the
@@ -69,6 +72,9 @@ BOOTSTRAP = "bootstrap"
 # parameters' entries (c11, c12, c13, c22, c23, c33), its diagonal halved.
 _ROWS, _COLS = np.triu_indices(3)
 _HALF_ON_DIAGONAL = np.array([0.5, 1.0, 1.0, 0.5, 1.0, 0.5])
+# The six symmetric unit couplings: column b of the map from the parameters of
+# C to those of O^T C O is the parameters of O^T _UNITS[b] O.
+_UNITS = symmetric_from_vector(np.eye(6))
 
 
 class SingularProbeMatrixError(ArithmeticError):
@@ -142,17 +148,19 @@ class InversionResult:
         }
 
 
-def _delta_min_eigenvalue_sigma(center: np.ndarray, covariance: np.ndarray) -> float | None:
+def _delta_min_eigenvalue_sigma(
+    eigenvalues: np.ndarray, frame: np.ndarray, covariance: np.ndarray
+) -> float | None:
     """First-order spread of lambda_min, or None when lambda_min is not resolved.
 
-    With v1..v3 the eigenvectors of the estimate, the spread is that of
-    v1^T E v1 for a perturbation E ~ N(0, covariance).  It holds when the gap
-    lambda_2 - lambda_1 is at least RESOLVED_GAP times the largest spread of
-    v1^T E vk, k = 1, 2, 3: the couplings to v2 and v3 rotate v1, and the
-    second-order shift they cause grows as their spread squared over the gap.
+    ``eigenvalues`` and ``frame`` are the estimate's ``eigh``.  With v1..v3 its
+    eigenvectors, the spread is that of v1^T E v1 for a perturbation
+    E ~ N(0, covariance).  It holds when the gap lambda_2 - lambda_1 is at
+    least RESOLVED_GAP times the largest spread of v1^T E vk, k = 1, 2, 3: the
+    couplings to v2 and v3 rotate v1, and the second-order shift they cause
+    grows as their spread squared over the gap.
     """
-    eigenvalues, v = np.linalg.eigh(symmetric_from_vector(center))
-    pair = v[:, 0, None] * v.T[:, None, :]  # pair[k, i, j] = v1_i vk_j
+    pair = frame[:, 0, None] * frame.T[:, None, :]  # pair[k, i, j] = v1_i vk_j
     gradients = (pair + pair.transpose(0, 2, 1))[:, _ROWS, _COLS] * _HALF_ON_DIAGONAL
     spreads = np.sqrt(np.maximum(((gradients @ covariance) * gradients).sum(axis=1), 0.0))
     if eigenvalues[1] - eigenvalues[0] < RESOLVED_GAP * spreads.max():
@@ -161,11 +169,30 @@ def _delta_min_eigenvalue_sigma(center: np.ndarray, covariance: np.ndarray) -> f
 
 
 def _bootstrap_min_eigenvalue_sigma(
-    center: np.ndarray, covariance: np.ndarray, n: int, seed: int
+    center: np.ndarray, covariance: np.ndarray, n: int, seed: int, frame: np.ndarray
 ) -> float:
-    rng = np.random.default_rng(seed)
-    draws = rng.multivariate_normal(center, covariance, size=n, method="svd")
-    lambda_min = min_eigenvalue_from_vector(draws)
+    """Spread of lambda_min over ``n`` seeded draws from N(center, covariance).
+
+    The draws are those of ``multivariate_normal(center, covariance,
+    method="svd")`` with the same seed, taken in the orthogonal ``frame``
+    (the estimate's eigenvectors): congruence keeps every eigenvalue, and
+    draws near the estimate are then nearly diagonal, so the Jacobi sweeps
+    finish sooner.  They are built parameter-major in one work block whose
+    second half holds the standard normals and then the sweeps' scratch rows.
+    """
+    work = np.empty((12, n))
+    draws, scratch = work[:6], work[6:]
+    normals = scratch.reshape(n, 6)
+    np.random.default_rng(seed).standard_normal(out=normals)
+    # multivariate_normal's factor, cov = factor factor^T, checked as it checks
+    # it; at a singular covariance u and vh^T may differ in the null space
+    u, s, vh = np.linalg.svd(covariance)
+    if not np.allclose((vh.T * s) @ vh, covariance, rtol=1e-8, atol=1e-8):
+        warnings.warn("covariance is not symmetric positive-semidefinite.", RuntimeWarning)
+    to_frame = (frame.T @ _UNITS @ frame)[:, _ROWS, _COLS].T
+    np.matmul(to_frame @ (u * np.sqrt(s)), normals.T, out=draws)
+    draws += (to_frame @ center)[:, None]
+    lambda_min = min_eigenvalue_in_place(draws, scratch)
     # relative to one draw, so that identical draws (all sigmas zero) give exactly 0
     lambda_min -= lambda_min[0]
     return float(lambda_min.std(ddof=1))
@@ -202,11 +229,12 @@ def invert_noisy(
         raise ValueError("sigmas must be nonnegative")
     if not 0.0 < z < np.inf:
         raise ValueError(f"z must be positive and finite, got {z}")
+    # a bool bootstrap (0 or 1 draws) is out of range too
     if not isinstance(bootstrap, Integral) or not 2 <= bootstrap <= MAX_BOOTSTRAP:
         raise ValueError(
             f"bootstrap needs an integer of 2 to {MAX_BOOTSTRAP} draws, got {bootstrap!r}"
         )
-    if not isinstance(seed, Integral) or seed < 0:
+    if not isinstance(seed, Integral) or isinstance(seed, bool) or seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     _check_conditioning(m)
 
@@ -221,9 +249,12 @@ def invert_noisy(
     if margin >= -rounding_tolerance(c_vec, m.condition_number):
         verdict, path, margin, margin_sigma = CP, CLOSED, max(margin, 0.0), None
     else:
-        margin_sigma, path = _delta_min_eigenvalue_sigma(c_vec, covariance), DELTA
+        eigenvalues, frame = np.linalg.eigh(c_hat.matrix)
+        margin_sigma, path = _delta_min_eigenvalue_sigma(eigenvalues, frame, covariance), DELTA
         if margin_sigma is None:
-            margin_sigma = _bootstrap_min_eigenvalue_sigma(c_vec, covariance, bootstrap, seed)
+            margin_sigma = _bootstrap_min_eigenvalue_sigma(
+                c_vec, covariance, bootstrap, seed, frame
+            )
             path, draws = BOOTSTRAP, bootstrap
         verdict = NOT_CP if margin <= -z * margin_sigma else INDETERMINATE
 

@@ -244,33 +244,55 @@ _TINY = np.finfo(float).tiny
 def min_eigenvalue_from_vector(v) -> np.ndarray:
     """Smallest eigenvalue of the symmetric matrices of six-parameter vectors, (..., 6) -> (...).
 
-    Cyclic Jacobi rotations in the planes (1,2), (1,3), (2,3) run on the whole
-    batch at once, one contiguous row per parameter, updated in place.  Each
-    matrix is first scaled by a power of two (exact) so that its largest entry
-    lies in [0.5, 1); the sweeps stop when every off-diagonal entry is at or
-    below eps times that entry, or after a fixed number of sweeps.  Jacobi is
-    backward stable, so the result keeps ``eigvalsh``'s eps * |C| accuracy at
-    repeated and nearly repeated eigenvalues, where closed-form cubic roots do
-    not.
+    The vectors are copied to one contiguous row per parameter and handed to
+    :func:`min_eigenvalue_in_place`.
     """
     v = np.asarray(v, dtype=float)
     if v.shape[-1:] != (6,):
         raise ValueError(f"expected six parameters in the last axis, got shape {v.shape}")
-    a = np.array(v.reshape(-1, 6).T, order="C")  # one contiguous row per parameter
+    a = np.array(v.reshape(-1, 6).T, order="C")
+    return min_eigenvalue_in_place(a, np.empty_like(a)).reshape(v.shape[:-1])
+
+
+def min_eigenvalue_in_place(a: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalues of the matrices held in ``a``, one C-contiguous row per parameter.
+
+    ``a`` (6, n) is overwritten by the rotated matrices and ``scratch``, six
+    more float rows of length n, by intermediates; the result is one row of
+    ``scratch``.  No n-sized array is allocated.
+
+    Cyclic Jacobi rotations in the planes (1,2), (1,3), (2,3) run on the whole
+    batch at once.  Each matrix is first scaled by a power of two (exact) so
+    that its largest entry lies in [0.5, 1); the sweeps stop when every
+    off-diagonal entry is at or below eps times that entry, or after a fixed
+    number of sweeps.  Jacobi is backward stable, so the result keeps
+    ``eigvalsh``'s eps * |C| accuracy at repeated and nearly repeated
+    eigenvalues, where closed-form cubic roots do not.  Nearly diagonal
+    matrices, such as draws around an estimate taken in its eigenframe, need
+    fewer sweeps.
+    """
+    d, t, c, h, tol, exponent_row = scratch
+    # frexp's C-int exponents, in the first half of the last scratch row
+    exponent = exponent_row.view(np.intc)[: a.shape[1]]
+    np.abs(a[0], out=h)
+    for row in a[1:]:
+        np.maximum(h, np.abs(row, out=d), out=h)
+    if not np.isfinite(np.max(h, initial=0.0)):
+        raise ValueError("parameters must be finite")
     # After the exact power-of-two scaling, a matrix's largest entry is its
     # frexp mantissa, in [0.5, 1) (0 for the zero matrix).
-    tol, exponent = np.frexp(np.abs(a).max(axis=0))
-    if not np.isfinite(tol).all():
-        raise ValueError("parameters must be finite")
-    np.ldexp(a, -exponent, out=a)
+    np.frexp(h, out=(tol, exponent))
+    np.negative(exponent, out=exponent)
+    np.ldexp(a, exponent, out=a)
     tol *= _EPS
-    d, t, c, h = np.empty((4, a.shape[1]))
 
     for _ in range(_JACOBI_MAX_SWEEPS):
         np.abs(a[_OFF_DIAGONAL[0]], out=h)
         for pq in _OFF_DIAGONAL[1:]:
             np.maximum(h, np.abs(a[pq], out=d), out=h)
-        if (h <= tol).all():
+        # converged where h <= tol, that is h - tol <= 0: the difference of
+        # two distinct doubles is never 0
+        if np.max(np.subtract(h, tol, out=h), initial=0.0) <= 0.0:
             break
         for pp, qq, pq, rp, rq in _JACOBI_SWEEP:
             app, aqq, apq, arp, arq = a[pp], a[qq], a[pq], a[rp], a[rq]
@@ -307,7 +329,8 @@ def min_eigenvalue_from_vector(v) -> np.ndarray:
 
     c11, c22, c33 = (a[k] for k in _DIAGONAL)
     np.minimum(np.minimum(c11, c22, out=h), c33, out=h)
-    return np.ldexp(h, exponent).reshape(v.shape[:-1])
+    np.negative(exponent, out=exponent)
+    return np.ldexp(h, exponent, out=h)
 
 
 def as_kossakowski(c) -> KossakowskiMatrix:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -32,13 +34,24 @@ def estimates_with_spread(g, truth, noise, rng_seed, bootstrap=10_000):
             yield seed, result
 
 
-def assert_matches_eigvalsh_bootstrap(sigma, center, covariance, seed):
+def assert_matches_eigvalsh_bootstrap(sigma, center, covariance, seed, n=10_000):
     draws = np.random.default_rng(seed).multivariate_normal(
-        center, covariance, size=10_000, method="svd"
+        center, covariance, size=n, method="svd"
     )
     want = np.linalg.eigvalsh(symmetric_from_vector(draws))[:, 0].std(ddof=1)
     tol = 1e-12 * want + 64 * np.finfo(float).eps * np.max(np.abs(center))
     assert abs(sigma - want) <= tol
+
+
+def bootstrap_sigma(center, covariance, seed, n=10_000):
+    """The bootstrap spread with the draws in the estimate's eigenframe, as invert_noisy takes it."""
+    _, frame = np.linalg.eigh(symmetric_from_vector(center))
+    return inversion._bootstrap_min_eigenvalue_sigma(center, covariance, n, seed, frame)
+
+
+def delta_sigma(center, covariance):
+    eigenvalues, frame = np.linalg.eigh(symmetric_from_vector(center))
+    return inversion._delta_min_eigenvalue_sigma(eigenvalues, frame, covariance)
 
 
 def random_symmetric(rng, scale=2.0):
@@ -189,6 +202,7 @@ class TestInvertNoisy:
         [
             {"bootstrap": 0}, {"bootstrap": 1}, {"z": -1.0}, {"z": 0.0}, {"z": np.nan}, {"z": np.inf},
             {"seed": -1}, {"seed": 1.5}, {"bootstrap": 2.5}, {"bootstrap": 1_000_001},
+            {"seed": True}, {"seed": False}, {"bootstrap": True},
         ],
     )
     def test_rejects_bad_verdict_settings(self, settings):
@@ -229,7 +243,7 @@ class TestInvertNoisy:
         assert estimates
         for seed, result in estimates:
             center, covariance = result.c_hat.vector, result.covariance
-            got = inversion._bootstrap_min_eigenvalue_sigma(center, covariance, 10_000, seed)
+            got = bootstrap_sigma(center, covariance, seed)
             assert_matches_eigvalsh_bootstrap(got, center, covariance, seed)
 
     @pytest.mark.parametrize("truth", [(1.0, 1.0, -1.0), (0.3, 0.7, -0.1), (1e-3, 2.0, -7.3)])
@@ -268,6 +282,80 @@ class TestInvertNoisy:
         assert d["verdict_path"] == "closed" and d["draws"] == 0
 
 
+def rate_covariance(sigmas, m=M2):
+    m_inv = np.linalg.inv(m.matrix)
+    return m_inv @ np.diag(np.square(sigmas)) @ m_inv.T
+
+
+RANK1 = np.array(BOUNDARY_TRUTHS[0])
+COVARIANCE = rate_covariance(0.05 * np.ones(6))
+
+
+class TestBootstrapDraws:
+    """The bootstrap's draws, taken in the estimate's eigenframe, against eigvalsh of
+    multivariate_normal's draws, on spectra and inputs the boundary truths miss."""
+
+    @pytest.mark.parametrize(
+        "center, covariance",
+        [
+            # the zero matrix: its eigenframe does not diagonalise the draws
+            (np.zeros(6), COVARIANCE),
+            ((1.0, 0.0, 0.0, 1.0, 0.0, -1.0), COVARIANCE),  # not PSD
+            (RANK1, rate_covariance([0.05, 0.05, 0.0, 0.05, 0.05, 0.05])),  # singular
+            (np.zeros(6), rate_covariance([0.05, 0.0, 0.05, 0.05, 0.05, 0.05])),
+        ],
+        ids=["zero", "counterexample", "rank1-singular", "zero-singular"],
+    )
+    def test_spectra(self, center, covariance):
+        center = np.asarray(center, dtype=float)
+        for seed in range(3):
+            got = bootstrap_sigma(center, covariance, seed)
+            assert_matches_eigvalsh_bootstrap(got, center, covariance, seed)
+
+    @pytest.mark.parametrize("n", [2, 3, 10_001])
+    def test_draw_counts(self, n):
+        for center in (RANK1, np.zeros(6)):
+            got = bootstrap_sigma(center, COVARIANCE, 5, n)
+            assert_matches_eigvalsh_bootstrap(got, center, COVARIANCE, 5, n)
+
+    @pytest.mark.parametrize("scale", [2.0**-40, 2.0**40, 4.0**-40, 4.0**40])
+    def test_scaled(self, scale):
+        for center in (RANK1, np.zeros(6), np.array([1.0, 0.0, 0.0, 1.0, 0.0, -1.0])):
+            center, covariance = scale * center, scale**2 * COVARIANCE
+            got = bootstrap_sigma(center, covariance, 6)
+            assert_matches_eigvalsh_bootstrap(got, center, covariance, 6)
+
+    def test_any_frame(self):
+        # congruence keeps the eigenvalues, so any orthogonal frame gives the spread
+        rng = np.random.default_rng(50)
+        for _ in range(3):
+            frame, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+            got = inversion._bootstrap_min_eigenvalue_sigma(RANK1, COVARIANCE, 10_000, 7, frame)
+            assert_matches_eigvalsh_bootstrap(got, RANK1, COVARIANCE, 7)
+
+    def test_non_psd_covariance_warns(self):
+        # as multivariate_normal does, and the draws are still its draws
+        covariance = np.diag([1e-4, -1e-4, 1e-4, 1e-4, 1e-4, 1e-4])
+        with pytest.warns(RuntimeWarning, match="positive-semidefinite"):
+            got = bootstrap_sigma(RANK1, covariance, 8)
+        with pytest.warns(RuntimeWarning, match="positive-semidefinite"):
+            assert_matches_eigvalsh_bootstrap(got, RANK1, covariance, 8)
+
+    def test_allocation_peak(self):
+        # one work block of 12 x 10k doubles (0.96 MB); a second 10k x 6 array
+        # of draws would add 0.48 MB
+        _, frame = np.linalg.eigh(symmetric_from_vector(RANK1))
+        args = (RANK1, COVARIANCE, 10_000, 0, frame)
+        inversion._bootstrap_min_eigenvalue_sigma(*args)
+        tracemalloc.start()
+        try:
+            inversion._bootstrap_min_eigenvalue_sigma(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.4e6
+
+
 def random_truth(rng, eigenvalues):
     q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
     return KossakowskiMatrix.from_matrix(q @ np.diag(eigenvalues) @ q.T)
@@ -287,9 +375,7 @@ class TestVerdictPath:
         delta = 0
         for seed, result in estimates_with_spread(g, truth, SMALL_NOISE, 49):
             assert result.verdict_path == inversion.DELTA and result.draws == 0
-            boot = inversion._bootstrap_min_eigenvalue_sigma(
-                result.c_hat.vector, result.covariance, 10_000, seed
-            )
+            boot = bootstrap_sigma(result.c_hat.vector, result.covariance, seed)
             assert abs(result.margin_sigma / boot - 1.0) <= 0.04
             delta += 1
         assert delta >= 4
@@ -312,14 +398,14 @@ class TestVerdictPath:
         # coupling to the next eigenvector (c12's, 1e-2) is not
         center = np.array([-0.01, 0.0, 0.0, 0.01, 0.0, 1.0])
         covariance = np.diag([1e-8, 1e-4, 0.0, 0.0, 0.0, 0.0])
-        assert inversion._delta_min_eigenvalue_sigma(center, covariance) is None
+        assert delta_sigma(center, covariance) is None
         # the coupling mixes the two small eigenvalues, so the first-order
         # spread of 1e-4 would be far too small
-        boot = inversion._bootstrap_min_eigenvalue_sigma(center, covariance, 10_000, 0)
+        boot = bootstrap_sigma(center, covariance, 0)
         assert boot > 10 * 1e-4
         # with that coupling quiet, the same spectrum is resolved
         isotropic = 1e-8 * np.eye(6)
-        sigma = inversion._delta_min_eigenvalue_sigma(center, isotropic)
+        sigma = delta_sigma(center, isotropic)
         assert sigma == pytest.approx(1e-4, rel=1e-12)
 
     def test_verdicts_match_forced_bootstrap(self):
@@ -343,9 +429,7 @@ class TestVerdictPath:
             paths.append((rank, result.verdict_path))
             if result.margin_sigma is None:
                 continue
-            boot = inversion._bootstrap_min_eigenvalue_sigma(
-                result.c_hat.vector, result.covariance, 10_000, j
-            )
+            boot = bootstrap_sigma(result.c_hat.vector, result.covariance, j)
             if abs(result.margin / (3.0 * boot) + 1.0) <= 0.04:
                 at_threshold += 1
                 continue
