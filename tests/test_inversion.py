@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -333,6 +334,26 @@ class TestBootstrapDraws:
             got = inversion._bootstrap_min_eigenvalue_sigma(RANK1, COVARIANCE, 10_000, 7, frame)
             assert_matches_eigvalsh_bootstrap(got, RANK1, COVARIANCE, 7)
 
+    @pytest.mark.parametrize("covariance_scale", [1.0, 1e-4], ids=["wide", "narrow"])
+    @pytest.mark.parametrize(
+        "center, covariance",
+        [
+            (np.zeros(6), COVARIANCE),
+            ((1.0, 0.0, 0.0, 1.0, 0.0, -1.0), COVARIANCE),
+            (RANK1, COVARIANCE),
+            (RANK1, rate_covariance([0.05, 0.05, 0.0, 0.05, 0.05, 0.05])),
+        ],
+        ids=["zero", "counterexample", "rank1", "rank1-singular"],
+    )
+    def test_no_floating_point_warning(self, center, covariance, covariance_scale):
+        # the wide draws fall back to the Jacobi sweeps before the secular
+        # exit divides by anything; the narrow ones, zero aside, take the exit
+        center = np.asarray(center, dtype=float)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = bootstrap_sigma(center, covariance_scale * covariance, 9)
+        assert_matches_eigvalsh_bootstrap(got, center, covariance_scale * covariance, 9)
+
     def test_non_psd_covariance_warns(self):
         # as multivariate_normal does, and the draws are still its draws
         covariance = np.diag([1e-4, -1e-4, 1e-4, 1e-4, 1e-4, 1e-4])
@@ -342,7 +363,7 @@ class TestBootstrapDraws:
             assert_matches_eigvalsh_bootstrap(got, RANK1, covariance, 8)
 
     def test_allocation_peak(self):
-        # one work block of 12 x 10k doubles (0.96 MB); a second 10k x 6 array
+        # one work block of 13 x 10k doubles (1.04 MB); a second 10k x 6 array
         # of draws would add 0.48 MB
         _, frame = np.linalg.eigh(symmetric_from_vector(RANK1))
         args = (RANK1, COVARIANCE, 10_000, 0, frame)
