@@ -9,9 +9,10 @@ default), json or csv; ``cp-check`` and ``demo-negative`` text (the default)
 or json; ``invert``, ``simulate`` and ``oracle`` json only.  None takes a
 tolerance: ``invert`` reports ``cp_check`` at cond(M), the verdict's rule.
 
-Only ``oracle`` needs scipy, for the matrix exponentials of its brute-force
-path; it imports the oracle inside its handler, so every other subcommand,
-``demo-negative`` included, starts without it.
+Each handler imports the kossprobe modules it runs, so a call compiles and
+loads only those: ``coeffs`` loads ``scattering`` alone, ``cp-check`` no
+forward model, ``build-matrix`` and ``forward`` no inversion.  Only
+``oracle`` needs scipy, for the matrix exponentials of its brute-force path.
 """
 
 from __future__ import annotations
@@ -25,20 +26,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .experiment import ExperimentConfig, ExperimentRun, estimate, run, save_run
-from .inversion import SingularProbeMatrixError, invert_noisy, psd_project
-from .kossakowski import KossakowskiMatrix, evolve
-from .probe import (
-    CANONICAL_PHASE,
-    CHANNELS,
-    _is_canonical,
-    build_matrix_appendix,
-    build_matrix_programmatic,
-    compare_matrices,
-    forward,
-)
-from .scattering import ScatteringParams, coefficients
-from .spin import IDENTITY_2, basis, pauli
 
 SCHEMA_VERSION = 1
 
@@ -53,7 +40,9 @@ def _emit_json(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _read_c_file(path: str) -> KossakowskiMatrix:
+def _read_c_file(path: str):
+    from .kossakowski import KossakowskiMatrix
+
     data = json.loads(Path(path).read_text())
     try:
         return KossakowskiMatrix.from_dict(data)
@@ -62,6 +51,8 @@ def _read_c_file(path: str) -> KossakowskiMatrix:
 
 
 def _coeffs_from_args(args) -> tuple[object, float | None]:
+    from .scattering import ScatteringParams, coefficients
+
     physical = [args.J, args.E, args.mass]
     if args.g is not None:
         if any(v is not None for v in physical):
@@ -113,6 +104,9 @@ def _cmd_coeffs(args) -> int:
 
 
 def _cmd_forward(args) -> int:
+    from .probe import forward
+    from .scattering import coefficients
+
     c = _read_c_file(args.c_file)
     result = forward(c, coefficients(args.g), args.phase)
     if args.output == "json":
@@ -135,6 +129,9 @@ def _cmd_forward(args) -> int:
 
 
 def _build_matrices(args):
+    from .probe import _is_canonical, build_matrix_appendix, build_matrix_programmatic
+    from .scattering import coefficients
+
     co = coefficients(args.g)
     if args.source in ("appendix", "both") and not _is_canonical(args.phase):
         raise ValueError(
@@ -150,6 +147,8 @@ def _build_matrices(args):
 
 
 def _cmd_build_matrix(args) -> int:
+    from .probe import compare_matrices
+
     matrices = _build_matrices(args)
     if args.output == "json":
         payload = {name: m.to_dict() for name, m in matrices.items()}
@@ -177,6 +176,9 @@ def _cmd_build_matrix(args) -> int:
 
 def _read_rates_file(path: str):
     """Returns ('run', ExperimentRun) or ('rates', rates, sigmas-or-None)."""
+    from .experiment import ExperimentRun
+    from .probe import CHANNELS
+
     text = Path(path).read_text()
     if path.endswith(".csv"):
         rates: dict[str, float] = {}
@@ -230,6 +232,11 @@ def _json_numbers(value, where: str) -> np.ndarray:
 
 
 def _cmd_invert(args) -> int:
+    from .experiment import estimate
+    from .inversion import invert_noisy, psd_project
+    from .probe import build_matrix_programmatic
+    from .scattering import CANONICAL_PHASE, coefficients
+
     kind, payload, sigmas = _read_rates_file(args.rates)
     seed = args.seed if args.seed is not None else 0
     phase = CANONICAL_PHASE if args.phase is None else args.phase
@@ -275,6 +282,9 @@ def _cmd_cp_check(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .experiment import ExperimentConfig, run, save_run
+    from .probe import CHANNELS
+
     config = ExperimentConfig(
         true_c=_read_c_file(args.c_file),
         g=args.g,
@@ -298,6 +308,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_demo_negative(args) -> int:
+    from .kossakowski import KossakowskiMatrix, evolve
+    from .probe import forward
+    from .scattering import coefficients
+    from .spin import IDENTITY_2, basis, pauli
+
     g = args.g
     c = KossakowskiMatrix.diagonal(1.0, 1.0, -1.0)
     co = coefficients(g)
@@ -384,6 +399,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from .scattering import CANONICAL_PHASE
+
     def output(*formats: str) -> argparse.ArgumentParser:
         # --output takes only the formats a subcommand renders; the first is the default
         common = argparse.ArgumentParser(add_help=False)
@@ -471,7 +488,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except SingularProbeMatrixError as exc:
+    except ArithmeticError as exc:
+        # only inversion raises SingularProbeMatrixError, so it is loaded if one was raised
+        inversion = sys.modules.get(f"{__package__}.inversion")
+        if inversion is None or not isinstance(exc, inversion.SingularProbeMatrixError):
+            raise
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_NUMERICAL
     except (ValueError, OSError, KeyError) as exc:

@@ -22,7 +22,6 @@ wall-clock data for the same reason.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import numbers
 from dataclasses import dataclass
@@ -111,6 +110,8 @@ class ExperimentConfig:
         )
 
     def hash(self) -> str:
+        import hashlib  # deferred: loads OpenSSL, which only a config hash needs
+
         payload = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode()).hexdigest()
 

@@ -43,12 +43,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kossakowski import PARAM_ORDER, as_kossakowski, d_tilde, symmetric_from_vector
-from .scattering import ScatteringCoefficients, probe_amplitudes
+from .scattering import CANONICAL_PHASE, ScatteringCoefficients, probe_amplitudes
 from .spin import BASIS_LABELS, basis, pauli_frame
 
 CHANNELS = ("P0T", "P1T", "P2T", "P0R", "P1R", "P2R")
 SIDES = ("transmitted", "reflected")
-CANONICAL_PHASE = np.pi / 2.0
 # Two constructions of M agree where their entries differ by at most this.
 AGREEMENT_TOL = 1e-12
 

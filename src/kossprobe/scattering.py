@@ -31,6 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 _SQRT3 = np.sqrt(3.0)
+# The quarter-wave probe phase theta = pi/2 of the paper's six rates.
+CANONICAL_PHASE = np.pi / 2.0
 
 
 def _checked_coupling(g: float, stacklevel: int) -> float:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import kossprobe
-from kossprobe import probe
+from kossprobe import cli, probe
 from kossprobe.cli import main
 from kossprobe.kossakowski import KossakowskiMatrix
 from kossprobe.scattering import coefficients
@@ -285,6 +285,14 @@ class TestSimulateAndInvert:
         )
         assert code == 3
         assert "condition" in err
+
+    def test_other_arithmetic_errors_propagate(self, monkeypatch):
+        def overflow(args):
+            raise FloatingPointError("overflow")
+
+        monkeypatch.setattr(cli, "_cmd_coeffs", overflow)
+        with pytest.raises(FloatingPointError, match="overflow"):
+            main(["coeffs", "--g", "1"])
 
     def test_invert_g_mismatch_with_run(self, capsys, tmp_path):
         c_file = write_c_file(tmp_path, IDENTITY_C)
@@ -608,6 +616,74 @@ class TestOracle:
         assert json.loads(out_path.read_text())["ok"] is True
 
 
+def run_fresh(script: str):
+    """Run ``script`` in a fresh interpreter on this checkout; its stdout, parsed as JSON."""
+    src = str(Path(kossprobe.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": pythonpath},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+# Runs CLI calls in order, recording the exit code and the kossprobe
+# submodules loaded so far after each; ``steps`` is a list of argv lists.
+FOOTPRINT_SCRIPT = """\
+import contextlib, io, json, sys
+def loaded():
+    return sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("kossprobe."))
+import kossprobe
+record = {{"import": loaded(), "numpy": "numpy" in sys.modules, "calls": []}}
+from kossprobe.cli import main
+for argv in {steps!r}:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    record["calls"].append((code, loaded()))
+record["_hashlib"] = "_hashlib" in sys.modules
+print(json.dumps(record))
+"""
+
+
+class TestImportFootprint:
+    """Each subcommand imports only the kossprobe modules it runs."""
+
+    def test_each_call_loads_only_its_modules(self, tmp_path):
+        c_file = write_c_file(tmp_path, IDENTITY_C)
+        rates = tmp_path / "rates.json"
+        rates.write_text(json.dumps([0.1, 0.2, 0.3, 0.4, 0.5, 0.6]))
+        steps = [
+            ["coeffs", "--g", "2", "--output", "json"],
+            ["cp-check", "--c-file", c_file, "--output", "json"],
+            ["build-matrix", "--g", "2", "--output", "json"],
+            ["forward", "--c-file", c_file, "--g", "2", "--output", "json"],
+            # M is singular at theta = 0: the refusal, with inversion first loaded here
+            ["invert", "--rates", str(rates), "--g", "2", "--phase", "0"],
+        ]
+        record = run_fresh(FOOTPRINT_SCRIPT.format(steps=steps))
+        assert record["import"] == [] and record["numpy"] is False
+        coeffs, cp_check, build_matrix, forward, invert = record["calls"]
+        assert coeffs == [0, ["cli", "scattering"]]
+        assert cp_check[0] == 0 and not {"probe", "inversion", "experiment"} & set(cp_check[1])
+        for code, modules in (build_matrix, forward):
+            assert code == 0 and not {"inversion", "experiment"} & set(modules)
+        assert invert[0] == 3 and "inversion" in invert[1]
+
+    def test_invert_on_a_closed_form_run_loads_no_openssl(self, tmp_path, capsys):
+        c_file = write_c_file(tmp_path, IDENTITY_C)
+        code, _, _ = run_cli(
+            capsys, "simulate", "--c-file", c_file, "--g", "2", "--shots", "100000",
+            "--exposure", "0.01", "--calibration", "1", "--seed", "3", "--out", str(tmp_path),
+        )
+        assert code == 0
+        invert = ["invert", "--rates", str(tmp_path / "run.json"), "--g", "2"]
+        code, out, _ = run_cli(capsys, *invert)
+        assert code == 0 and json.loads(out)["verdict_path"] == "closed"
+        record = run_fresh(FOOTPRINT_SCRIPT.format(steps=[invert]))
+        assert record["calls"][0][0] == 0 and record["_hashlib"] is False
+
+
 class TestScipyOnlyWhereNeeded:
     def test_only_oracle_loads_scipy(self, tmp_path):
         c_file = write_c_file(tmp_path, IDENTITY_C)
@@ -640,14 +716,7 @@ class TestScipyOnlyWhereNeeded:
             "print(json.dumps({'light': light, 'heavy': heavy, 'scipy_loaded': loaded}))"
         )
         # a fresh interpreter: this one has loaded scipy through other tests
-        src = str(Path(kossprobe.__file__).resolve().parents[1])
-        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": pythonpath},
-            capture_output=True, text=True, timeout=60,
-        )
-        assert proc.returncode == 0, proc.stderr
-        result = json.loads(proc.stdout)
+        result = run_fresh(script)
         assert [code for code, _ in result["light"]] == [0] * len(light)
         demo = result["light"][-1][1]
         assert demo["negative_transmitted_rate"] == pytest.approx(-0.4, abs=1e-12)
