@@ -238,7 +238,6 @@ def _cmd_invert(args) -> int:
     from .scattering import CANONICAL_PHASE, coefficients
 
     kind, payload, sigmas = _read_rates_file(args.rates)
-    seed = args.seed if args.seed is not None else 0
     phase = CANONICAL_PHASE if args.phase is None else args.phase
     if kind == "run":
         config = payload.config
@@ -254,10 +253,10 @@ def _cmd_invert(args) -> int:
         sigmas = _json_numbers(json.loads(Path(args.sigmas).read_text()), args.sigmas)
     m = build_matrix_programmatic(coefficients(args.g), phase)
     if kind == "run":
-        result = estimate(payload, m, z=args.z, bootstrap=args.bootstrap, seed=seed)
+        result = estimate(payload, m, z=args.z)
     else:
         sigmas = np.zeros(6) if sigmas is None else sigmas
-        result = invert_noisy(payload, sigmas, m, z=args.z, bootstrap=args.bootstrap, seed=seed)
+        result = invert_noisy(payload, sigmas, m, z=args.z)
 
     out = result.to_dict()
     out["cp_report"] = result.c_hat.cp_check(result.condition_number).to_dict()
@@ -292,7 +291,7 @@ def _cmd_simulate(args) -> int:
         exposure=args.exposure,
         calibration=args.calibration,
         shots_per_channel=args.shots,
-        seed=args.seed_required,
+        seed=args.seed,
     )
     experiment_run = run(config)
     json_path, csv_path = save_run(experiment_run, args.out)
@@ -319,15 +318,19 @@ def _cmd_demo_negative(args) -> int:
     rates = forward(c, co)
     report = c.cp_check()
 
-    # single-qubit evolution stays positive: Bloch norms never grow
+    # single-qubit evolution stays positive: Bloch norms never grow.  The test
+    # states are a Fibonacci sphere of 32 directions, the k-th at radius
+    # ((k + 1/2) / 32)^(1/3), so that they spread evenly through the Bloch ball.
     sigma = np.array([pauli(i) for i in (1, 2, 3)])
     times = np.linspace(0.0, 5.0, 11)
-    rng = np.random.default_rng(0)
+    k = np.arange(32) + 0.5
+    height = 1.0 - 2.0 * k / 32
+    azimuth = np.pi * (3.0 - np.sqrt(5.0)) * k
+    ring = np.sqrt(1.0 - height**2)
+    directions = np.stack([ring * np.cos(azimuth), ring * np.sin(azimuth), height], axis=1)
     worst_growth = 0.0
     min_state_eig = np.inf
-    for _ in range(32):
-        v = rng.normal(size=3)
-        v *= rng.uniform(0.0, 1.0) ** (1 / 3) / np.linalg.norm(v)
+    for v in directions * (k / 32)[:, None] ** (1 / 3):
         state = 0.5 * (IDENTITY_2 + np.tensordot(v, sigma, axes=1))
         previous = np.linalg.norm(v)
         for t in times[1:]:
@@ -448,8 +451,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigmas", default=None, help="JSON array of six rate uncertainties")
     p.add_argument("--project-psd", action="store_true")
     p.add_argument("--z", type=float, default=3.0, help="significance for the not-CP verdict")
-    p.add_argument("--bootstrap", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=None, help="seed for the verdict bootstrap")
     p.set_defaults(handler=_cmd_invert)
 
     p = sub.add_parser("cp-check", parents=[report], help="complete-positivity diagnostics")
@@ -462,7 +463,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shots", type=int, required=True)
     p.add_argument("--exposure", type=float, required=True)
     p.add_argument("--calibration", type=float, required=True)
-    p.add_argument("--seed", dest="seed_required", type=int, required=True)
+    p.add_argument("--seed", type=int, required=True)
     p.add_argument("--phase", type=float, default=CANONICAL_PHASE)
     p.add_argument("--out", required=True, help="output directory for run.json/run.csv")
     p.set_defaults(handler=_cmd_simulate)

@@ -244,6 +244,8 @@ def estimate(
     All runs must share the physics configuration (coupling, phase, exposure,
     calibration and true matrix); seeds and shot counts may differ.  Empirical
     per-shot probabilities are rescaled to rates by 1/(eta * exposure).
+    ``bootstrap`` and ``seed`` are passed on to :func:`invert_noisy`, which no
+    longer uses them: no verdict path draws.
     """
     if isinstance(runs, ExperimentRun):
         runs = [runs]

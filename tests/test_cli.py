@@ -20,6 +20,16 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_cli_or_parser_exit(capsys, *argv):
+    """run_cli, with the parser's refusal (SystemExit) read as its exit code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 def write_c_file(tmp_path, entries, name="c.json"):
     path = tmp_path / name
     path.write_text(json.dumps(entries))
@@ -28,6 +38,7 @@ def write_c_file(tmp_path, entries, name="c.json"):
 
 IDENTITY_C = {"c11": 1, "c12": 0, "c13": 0, "c22": 1, "c23": 0, "c33": 1}
 COUNTER_C = {"c11": 1, "c12": 0, "c13": 0, "c22": 1, "c23": 0, "c33": -1}
+RANK1_C = {"c11": 1, "c12": -0.5, "c13": 0.25, "c22": 0.25, "c23": -0.125, "c33": 0.0625}
 
 
 class TestCoeffs:
@@ -346,14 +357,17 @@ class TestSimulateAndInvert:
         ],
     )
     def test_invert_bad_verdict_settings(self, capsys, tmp_path, flag):
-        # a near-boundary estimate that needs the bootstrap (indeterminate by default)
+        # a near-boundary estimate (indeterminate by default): a bad --z is
+        # refused, and so is --bootstrap, which invert no longer takes
         rates = probe.forward(KossakowskiMatrix.diagonal(1.0, 1.0, -0.01), coefficients(2.0))
         rates_file = tmp_path / "rates.json"
         rates_file.write_text(json.dumps({"rates": list(rates.rates), "sigmas": [0.05] * 6}))
         code, out, _ = run_cli(capsys, "invert", "--rates", str(rates_file), "--g", "2")
         assert code == 0
         assert json.loads(out)["cp_verdict"] == "indeterminate"
-        code, out, err = run_cli(capsys, "invert", "--rates", str(rates_file), "--g", "2", *flag)
+        code, out, err = run_cli_or_parser_exit(
+            capsys, "invert", "--rates", str(rates_file), "--g", "2", *flag
+        )
         assert code == 2
         assert out == ""
         assert flag[0].lstrip("-") in err
@@ -393,25 +407,27 @@ class TestSimulateAndInvert:
         [
             ((1.0, 1.0, 1.0), "closed", 0),
             ((1.0, 1.0, -1.0), "delta", 0),
-            ((1.0, 0.0, -0.01), "bootstrap", 500),
+            ((1.0, 0.0, -0.01), "cone", 0),
         ],
     )
     def test_invert_reports_verdict_path(self, capsys, tmp_path, truth, path, draws):
-        # the verdict's path and its draws are the only keys beyond the estimate's
+        # the verdict's path, its draws (none on any path), its p-value and the
+        # cone's statistic are the only keys beyond the estimate's
         rates = probe.forward(KossakowskiMatrix.diagonal(*truth), coefficients(2.0))
         rates_file = tmp_path / "rates.json"
         rates_file.write_text(json.dumps({"rates": list(rates.rates), "sigmas": [0.05] * 6}))
-        code, out, _ = run_cli(
-            capsys, "invert", "--rates", str(rates_file), "--g", "2", "--bootstrap", "500"
-        )
+        code, out, _ = run_cli(capsys, "invert", "--rates", str(rates_file), "--g", "2")
         assert code == 0
         payload = json.loads(out)
         assert set(payload) == {
             "schema_version", "c_hat", "covariance", "residual_norm", "cp_verdict", "margin",
             "margin_sigma", "condition_number", "cp_report", "verdict_path", "draws",
+            "p_value", "cone_statistic",
         }
         assert payload["verdict_path"] == path and payload["draws"] == draws
         assert (payload["margin_sigma"] is None) == (path == "closed")
+        assert (payload["p_value"] is None) == (path == "closed")
+        assert (payload["cone_statistic"] is None) == (path != "cone")
 
     @pytest.mark.parametrize(
         "edit, named",
@@ -442,11 +458,11 @@ class TestSimulateAndInvert:
 
     @pytest.mark.parametrize("truth", [(1.0, 1.0, -0.01), (1.0, 1.0, 1.0)])
     def test_invert_negative_seed(self, capsys, tmp_path, truth):
-        # refused whether the verdict needs the bootstrap (near the boundary) or not
+        # invert takes no --seed (no verdict draws), near the boundary or not
         rates = probe.forward(KossakowskiMatrix.diagonal(*truth), coefficients(2.0))
         rates_file = tmp_path / "rates.json"
         rates_file.write_text(json.dumps({"rates": list(rates.rates), "sigmas": [0.05] * 6}))
-        code, out, err = run_cli(
+        code, out, err = run_cli_or_parser_exit(
             capsys, "invert", "--rates", str(rates_file), "--g", "2", "--seed", "-1"
         )
         assert code == 2
@@ -685,8 +701,23 @@ class TestImportFootprint:
 
 
 class TestScipyOnlyWhereNeeded:
-    def test_only_oracle_loads_scipy(self, tmp_path):
+    def test_only_oracle_loads_scipy(self, tmp_path, capsys):
         c_file = write_c_file(tmp_path, IDENTITY_C)
+        # a rank-1 truth at 10^9 shots: the verdict takes the cone path
+        rank1_file = write_c_file(tmp_path, RANK1_C, "rank1.json")
+        code, _, _ = run_cli(
+            capsys, "simulate", "--c-file", rank1_file, "--g", "2", "--shots", "1000000000",
+            "--exposure", "0.01", "--calibration", "1", "--seed", "1", "--out",
+            str(tmp_path / "rank1"),
+        )
+        assert code == 0
+        # neither needs numpy.random: the cone path draws nothing, and
+        # demo-negative's test states are a fixed set
+        drawless = [
+            ["invert", "--rates", str(tmp_path / "rank1" / "run.json"), "--g", "2",
+             "--output", "json"],
+            ["demo-negative", "--g", "2", "--output", "json"],
+        ]
         light = [
             ["coeffs", "--g", "2", "--output", "json"],
             ["forward", "--c-file", c_file, "--g", "2", "--output", "json"],
@@ -697,33 +728,41 @@ class TestScipyOnlyWhereNeeded:
              "--out", str(tmp_path / "r")],
             ["invert", "--rates", str(tmp_path / "r" / "run.json"), "--g", "2",
              "--output", "json"],
-            ["demo-negative", "--g", "2", "--output", "json"],
         ]
         heavy = [["oracle", "--trials", "3", "--output", "json"]]
         script = (
             "import contextlib, io, json, sys\n"
             "from kossprobe.cli import main\n"
-            "loaded = {'import': 'scipy' in sys.modules}\n"
+            "def loaded():\n"
+            "    return {m: m in sys.modules for m in ('scipy', 'numpy.random')}\n"
             "def call(argv):\n"
             "    buf = io.StringIO()\n"
             "    with contextlib.redirect_stdout(buf):\n"
             "        code = main(argv)\n"
             "    return code, json.loads(buf.getvalue())\n"
+            "after = {'import': loaded()}\n"
+            f"drawless = [call(argv) for argv in {drawless!r}]\n"
+            "after['drawless'] = loaded()\n"
             f"light = [call(argv) for argv in {light!r}]\n"
-            "loaded['light'] = 'scipy' in sys.modules\n"
+            "after['light'] = loaded()\n"
             f"heavy = [call(argv) for argv in {heavy!r}]\n"
-            "loaded['heavy'] = 'scipy' in sys.modules\n"
-            "print(json.dumps({'light': light, 'heavy': heavy, 'scipy_loaded': loaded}))"
+            "after['heavy'] = loaded()\n"
+            "print(json.dumps({'drawless': drawless, 'light': light, 'heavy': heavy,\n"
+            "                  'loaded': after}))"
         )
         # a fresh interpreter: this one has loaded scipy through other tests
         result = run_fresh(script)
-        assert [code for code, _ in result["light"]] == [0] * len(light)
-        demo = result["light"][-1][1]
+        assert [code for code, _ in result["drawless"] + result["light"]] == [0] * 8
+        (_, invert), (_, demo) = result["drawless"]
+        assert (invert["verdict_path"], invert["draws"]) == ("cone", 0)
         assert demo["negative_transmitted_rate"] == pytest.approx(-0.4, abs=1e-12)
+        assert demo["single_qubit_evolution"]["positive"] is True
         assert demo["lifted_evolution"]["positive"] is False
         ((oracle_code, oracle),) = result["heavy"]
         assert oracle_code == 0 and oracle["ok"] is True
-        assert result["scipy_loaded"] == {"import": False, "light": False, "heavy": True}
+        scipy = {phase: modules["scipy"] for phase, modules in result["loaded"].items()}
+        assert scipy == {"import": False, "drawless": False, "light": False, "heavy": True}
+        assert result["loaded"]["drawless"]["numpy.random"] is False
 
 
 class TestParsing:

@@ -1,8 +1,8 @@
-import tracemalloc
-import warnings
+import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from kossprobe import inversion, probe
 from kossprobe.experiment import ExperimentConfig, estimate, run
@@ -18,8 +18,8 @@ BOUNDARY_TRUTHS = [
 ]
 
 
-def estimates_with_spread(g, truth, noise, rng_seed, bootstrap=10_000):
-    """(seed, result) for those of six noisy estimates of a truth that need a spread.
+def estimates_with_spread(g, truth, noise, rng_seed):
+    """(index, result) for those of six noisy estimates of a truth that need a spread.
 
     ``noise`` is (relative, absolute): each rate's sigma is relative * |rate| + absolute.
     """
@@ -28,26 +28,20 @@ def estimates_with_spread(g, truth, noise, rng_seed, bootstrap=10_000):
     rates = probe.forward(KossakowskiMatrix(*truth), co).rates
     sigmas = noise[0] * np.abs(rates) + noise[1]
     rng = np.random.default_rng(rng_seed)
-    for seed in range(6):
+    for index in range(6):
         noisy = rates + rng.normal(0.0, sigmas)
-        result = inversion.invert_noisy(noisy, sigmas, m, bootstrap=bootstrap, seed=seed)
+        result = inversion.invert_noisy(noisy, sigmas, m)
         if result.margin_sigma is not None:
-            yield seed, result
-
-
-def assert_matches_eigvalsh_bootstrap(sigma, center, covariance, seed, n=10_000):
-    draws = np.random.default_rng(seed).multivariate_normal(
-        center, covariance, size=n, method="svd"
-    )
-    want = np.linalg.eigvalsh(symmetric_from_vector(draws))[:, 0].std(ddof=1)
-    tol = 1e-12 * want + 64 * np.finfo(float).eps * np.max(np.abs(center))
-    assert abs(sigma - want) <= tol
+            yield index, result
 
 
 def bootstrap_sigma(center, covariance, seed, n=10_000):
-    """The bootstrap spread with the draws in the estimate's eigenframe, as invert_noisy takes it."""
-    _, frame = np.linalg.eigh(symmetric_from_vector(center))
-    return inversion._bootstrap_min_eigenvalue_sigma(center, covariance, n, seed, frame)
+    """The spread of lambda_min over seeded draws from N(center, covariance): a
+    parametric bootstrap, the referee of the delta spread."""
+    draws = np.random.default_rng(seed).multivariate_normal(
+        center, covariance, size=n, method="svd"
+    )
+    return np.linalg.eigvalsh(symmetric_from_vector(draws))[:, 0].std(ddof=1)
 
 
 def delta_sigma(center, covariance):
@@ -151,7 +145,7 @@ class TestInvertNoisy:
         truth = KossakowskiMatrix.diagonal(1.0, 1.0, -1.0)
         rng = np.random.default_rng(44)
         rates = probe.forward(truth, G2).rates + rng.normal(0.0, 1e-3, 6)
-        result = inversion.invert_noisy(rates, 1e-3 * np.ones(6), M2, seed=1)
+        result = inversion.invert_noisy(rates, 1e-3 * np.ones(6), M2)
         assert result.cp_verdict == inversion.NOT_CP
         assert abs(result.margin - (-1.0)) < 0.05
         assert result.margin_sigma is not None and result.margin_sigma < 0.01
@@ -160,7 +154,7 @@ class TestInvertNoisy:
         # true minimum eigenvalue slightly negative but within the noise band
         truth = KossakowskiMatrix.diagonal(1.0, 1.0, -0.004)
         rates = probe.forward(truth, G2).rates
-        result = inversion.invert_noisy(rates, 0.05 * np.ones(6), M2, seed=2)
+        result = inversion.invert_noisy(rates, 0.05 * np.ones(6), M2)
         assert result.cp_verdict == inversion.INDETERMINATE
 
     def test_psd_truth_rarely_flagged(self):
@@ -172,9 +166,7 @@ class TestInvertNoisy:
         flagged = 0
         for trial in range(300):
             noisy = truth_rates + rng.normal(0.0, sigmas)
-            result = inversion.invert_noisy(
-                noisy, sigmas, M2, bootstrap=2000, seed=trial
-            )
+            result = inversion.invert_noisy(noisy, sigmas, M2)
             flagged += result.cp_verdict == inversion.NOT_CP
         assert flagged <= 3
 
@@ -191,24 +183,17 @@ class TestInvertNoisy:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_sigma(self, bad):
-        # a non-PSD estimate, so an unchecked sigma would reach the bootstrap
+        # a non-PSD estimate, so an unchecked sigma would reach the verdict
         rates = probe.forward(KossakowskiMatrix.diagonal(1.0, 1.0, -1.0), G2).rates
         sigmas = 0.01 * np.ones(6)
         sigmas[2] = bad
         with pytest.raises(ValueError, match="sigmas must be finite"):
             inversion.invert_noisy(rates, sigmas, M2)
 
-    @pytest.mark.parametrize(
-        "settings",
-        [
-            {"bootstrap": 0}, {"bootstrap": 1}, {"z": -1.0}, {"z": 0.0}, {"z": np.nan}, {"z": np.inf},
-            {"seed": -1}, {"seed": 1.5}, {"bootstrap": 2.5}, {"bootstrap": 1_000_001},
-            {"seed": True}, {"seed": False}, {"bootstrap": True},
-        ],
-    )
+    @pytest.mark.parametrize("settings", [{"z": -1.0}, {"z": 0.0}, {"z": np.nan}, {"z": np.inf}])
     def test_rejects_bad_verdict_settings(self, settings):
-        # indeterminate by default; a degenerate bootstrap or z must not
-        # turn it into not-CP, and is refused even where no bootstrap runs
+        # indeterminate by default; a degenerate z must not turn it into
+        # not-CP, and is refused even where the verdict is closed
         near = probe.forward(KossakowskiMatrix.diagonal(1.0, 1.0, -0.01), G2).rates
         sigmas = 0.05 * np.ones(6)
         assert inversion.invert_noisy(near, sigmas, M2).cp_verdict == inversion.INDETERMINATE
@@ -217,35 +202,17 @@ class TestInvertNoisy:
             with pytest.raises(ValueError, match=next(iter(settings))):
                 inversion.invert_noisy(rates, sigmas, M2, **settings)
 
-    @pytest.mark.parametrize("g", COUPLINGS)
-    @pytest.mark.parametrize("truth", BOUNDARY_TRUTHS)
-    def test_margin_sigma_matches_eigvalsh_bootstrap(self, g, truth):
-        # a bootstrap-path spread is the eigvalsh spread of the same seeded draws
-        assert abs(KossakowskiMatrix(*truth).eigenvalues()[0]) <= 1e-15
-        bootstrapped = 0
-        for seed, result in estimates_with_spread(g, truth, (0.02, 1e-3), 48):
-            if result.verdict_path == inversion.DELTA:
-                assert result.draws == 0
-                continue
-            assert result.verdict_path == inversion.BOOTSTRAP and result.draws == 10_000
-            bootstrapped += 1
-            assert_matches_eigvalsh_bootstrap(
-                result.margin_sigma, result.c_hat.vector, result.covariance, seed
-            )
-        if truth == BOUNDARY_TRUTHS[0]:  # rank 1: lambda_min is never resolved
-            assert bootstrapped >= 1
-
-    @pytest.mark.parametrize("g", COUPLINGS)
-    @pytest.mark.parametrize("truth", BOUNDARY_TRUTHS)
-    def test_bootstrap_sigma_matches_eigvalsh(self, g, truth):
-        # the Jacobi spread of every estimate that needs one, whichever path
-        # invert_noisy takes for it
-        estimates = list(estimates_with_spread(g, truth, (0.02, 1e-3), 48))
-        assert estimates
-        for seed, result in estimates:
-            center, covariance = result.c_hat.vector, result.covariance
-            got = bootstrap_sigma(center, covariance, seed)
-            assert_matches_eigvalsh_bootstrap(got, center, covariance, seed)
+    @pytest.mark.parametrize(
+        "truth, path", [((1.0, 1.0, -1.0), "delta"), ((1.0, 0.0, -0.01), "cone")]
+    )
+    def test_bootstrap_and_seed_are_inert(self, truth, path):
+        # kept in the signature, but no path draws: any value gives the same result
+        rates = probe.forward(KossakowskiMatrix.diagonal(*truth), G2).rates
+        sigmas = 0.05 * np.ones(6)
+        want = inversion.invert_noisy(rates, sigmas, M2).to_dict()
+        assert want["verdict_path"] == path and want["draws"] == 0
+        for settings in ({"bootstrap": 0}, {"bootstrap": 2.5}, {"seed": -1}, {"seed": True}):
+            assert inversion.invert_noisy(rates, sigmas, M2, **settings).to_dict() == want
 
     @pytest.mark.parametrize("truth", [(1.0, 1.0, -1.0), (0.3, 0.7, -0.1), (1e-3, 2.0, -7.3)])
     def test_zero_sigmas_give_zero_margin_sigma(self, truth):
@@ -255,6 +222,7 @@ class TestInvertNoisy:
         assert result.margin_sigma == 0.0
         assert result.cp_verdict == inversion.NOT_CP
         assert result.verdict_path == inversion.DELTA and result.draws == 0
+        assert result.p_value == 0.0 and result.cone_statistic is None
 
     def test_noise_free_boundary_reads_cp(self):
         # exact rates of a PSD boundary truth: the estimate's smallest
@@ -281,100 +249,7 @@ class TestInvertNoisy:
         assert d["cp_verdict"] == "CP"
         assert len(d["covariance"]) == 6
         assert d["verdict_path"] == "closed" and d["draws"] == 0
-
-
-def rate_covariance(sigmas, m=M2):
-    m_inv = np.linalg.inv(m.matrix)
-    return m_inv @ np.diag(np.square(sigmas)) @ m_inv.T
-
-
-RANK1 = np.array(BOUNDARY_TRUTHS[0])
-COVARIANCE = rate_covariance(0.05 * np.ones(6))
-
-
-class TestBootstrapDraws:
-    """The bootstrap's draws, taken in the estimate's eigenframe, against eigvalsh of
-    multivariate_normal's draws, on spectra and inputs the boundary truths miss."""
-
-    @pytest.mark.parametrize(
-        "center, covariance",
-        [
-            # the zero matrix: its eigenframe does not diagonalise the draws
-            (np.zeros(6), COVARIANCE),
-            ((1.0, 0.0, 0.0, 1.0, 0.0, -1.0), COVARIANCE),  # not PSD
-            (RANK1, rate_covariance([0.05, 0.05, 0.0, 0.05, 0.05, 0.05])),  # singular
-            (np.zeros(6), rate_covariance([0.05, 0.0, 0.05, 0.05, 0.05, 0.05])),
-        ],
-        ids=["zero", "counterexample", "rank1-singular", "zero-singular"],
-    )
-    def test_spectra(self, center, covariance):
-        center = np.asarray(center, dtype=float)
-        for seed in range(3):
-            got = bootstrap_sigma(center, covariance, seed)
-            assert_matches_eigvalsh_bootstrap(got, center, covariance, seed)
-
-    @pytest.mark.parametrize("n", [2, 3, 10_001])
-    def test_draw_counts(self, n):
-        for center in (RANK1, np.zeros(6)):
-            got = bootstrap_sigma(center, COVARIANCE, 5, n)
-            assert_matches_eigvalsh_bootstrap(got, center, COVARIANCE, 5, n)
-
-    @pytest.mark.parametrize("scale", [2.0**-40, 2.0**40, 4.0**-40, 4.0**40])
-    def test_scaled(self, scale):
-        for center in (RANK1, np.zeros(6), np.array([1.0, 0.0, 0.0, 1.0, 0.0, -1.0])):
-            center, covariance = scale * center, scale**2 * COVARIANCE
-            got = bootstrap_sigma(center, covariance, 6)
-            assert_matches_eigvalsh_bootstrap(got, center, covariance, 6)
-
-    def test_any_frame(self):
-        # congruence keeps the eigenvalues, so any orthogonal frame gives the spread
-        rng = np.random.default_rng(50)
-        for _ in range(3):
-            frame, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-            got = inversion._bootstrap_min_eigenvalue_sigma(RANK1, COVARIANCE, 10_000, 7, frame)
-            assert_matches_eigvalsh_bootstrap(got, RANK1, COVARIANCE, 7)
-
-    @pytest.mark.parametrize("covariance_scale", [1.0, 1e-4], ids=["wide", "narrow"])
-    @pytest.mark.parametrize(
-        "center, covariance",
-        [
-            (np.zeros(6), COVARIANCE),
-            ((1.0, 0.0, 0.0, 1.0, 0.0, -1.0), COVARIANCE),
-            (RANK1, COVARIANCE),
-            (RANK1, rate_covariance([0.05, 0.05, 0.0, 0.05, 0.05, 0.05])),
-        ],
-        ids=["zero", "counterexample", "rank1", "rank1-singular"],
-    )
-    def test_no_floating_point_warning(self, center, covariance, covariance_scale):
-        # the wide draws fall back to the Jacobi sweeps before the secular
-        # exit divides by anything; the narrow ones, zero aside, take the exit
-        center = np.asarray(center, dtype=float)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = bootstrap_sigma(center, covariance_scale * covariance, 9)
-        assert_matches_eigvalsh_bootstrap(got, center, covariance_scale * covariance, 9)
-
-    def test_non_psd_covariance_warns(self):
-        # as multivariate_normal does, and the draws are still its draws
-        covariance = np.diag([1e-4, -1e-4, 1e-4, 1e-4, 1e-4, 1e-4])
-        with pytest.warns(RuntimeWarning, match="positive-semidefinite"):
-            got = bootstrap_sigma(RANK1, covariance, 8)
-        with pytest.warns(RuntimeWarning, match="positive-semidefinite"):
-            assert_matches_eigvalsh_bootstrap(got, RANK1, covariance, 8)
-
-    def test_allocation_peak(self):
-        # one work block of 13 x 10k doubles (1.04 MB); a second 10k x 6 array
-        # of draws would add 0.48 MB
-        _, frame = np.linalg.eigh(symmetric_from_vector(RANK1))
-        args = (RANK1, COVARIANCE, 10_000, 0, frame)
-        inversion._bootstrap_min_eigenvalue_sigma(*args)
-        tracemalloc.start()
-        try:
-            inversion._bootstrap_min_eigenvalue_sigma(*args)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.4e6
+        assert d["p_value"] is None and d["cone_statistic"] is None
 
 
 def random_truth(rng, eigenvalues):
@@ -405,13 +280,25 @@ class TestVerdictPath:
     @pytest.mark.parametrize(
         "truth", [BOUNDARY_TRUTHS[0], (0.0,) * 6], ids=["rank1", "zero"]
     )
-    def test_bootstrap_for_degenerate_spectra(self, g, truth):
+    def test_cone_for_degenerate_spectra(self, g, truth):
         # the two smallest eigenvalues are equal in truth, so the estimate's gap
-        # is of the order of the noise
-        estimates = list(estimates_with_spread(g, truth, SMALL_NOISE, 49, bootstrap=2000))
+        # is of the order of the noise; at a rank-1 truth the block of the two
+        # is resolved from the top eigenvalue, at the zero truth it is not
+        estimates = list(estimates_with_spread(g, truth, SMALL_NOISE, 49))
         assert estimates
         for _, result in estimates:
-            assert result.verdict_path == inversion.BOOTSTRAP and result.draws == 2000
+            assert result.verdict_path == inversion.CONE and result.draws == 0
+            assert 0.0 < result.p_value <= 1.0 and result.cone_statistic > 0.0
+            assert_normal_equivalent(result)
+            # the half-space statistic is a lower bound on the block's, and is
+            # the statistic when the block is unresolved
+            t = (result.margin / delta_spread(result)) ** 2
+            assert result.cone_statistic >= t * (1.0 - 1e-9)
+            if result.cone_statistic <= t * (1.0 + 1e-9):
+                perlman = 0.5 * (stats.chi2.sf(t, 5) + stats.chi2.sf(t, 6))
+                half_space = 0.5 * stats.chi2.sf(t, 1)
+                errors = [abs(result.p_value / want - 1.0) for want in (perlman, half_space)]
+                assert min(errors) <= 1e-9
 
     def test_coupling_spread_refuses_anisotropic_case(self):
         # a nearly rank-1 estimate, diag(-0.01, 0.01, 1): lambda_min's own
@@ -431,9 +318,11 @@ class TestVerdictPath:
 
     def test_verdicts_match_forced_bootstrap(self):
         # 240 simulated rank-1 and rank-2 truths, 10^9 shots per channel at
-        # exposure 0.01: each verdict is the one a 10k-draw bootstrap gives,
-        # except where the margin lies within the two spreads' 4% agreement of
-        # the threshold, where the bootstrap's own verdict depends on its seed
+        # exposure 0.01.  Rank 2 takes the delta path, and each verdict is the
+        # one a 10k-draw bootstrap gives, except where the margin lies within
+        # the two spreads' 4% agreement of the threshold, where the bootstrap's
+        # own verdict depends on its seed.  Rank 1 takes the cone path, whose
+        # verdict follows its p-value.
         matrices = {g: probe.build_matrix_programmatic(coefficients(g)) for g in COUPLINGS}
         rng = np.random.default_rng(12)
         paths, at_threshold = [], 0
@@ -446,9 +335,13 @@ class TestVerdictPath:
                 exposure=0.01, calibration=1.0, shots_per_channel=10**9,
                 seed=int(rng.integers(2**31)),
             )
-            result = estimate(run(config), matrices[g], seed=j)
+            result = estimate(run(config), matrices[g])
             paths.append((rank, result.verdict_path))
-            if result.margin_sigma is None:
+            if result.verdict_path == inversion.CONE:
+                assert_normal_equivalent(result)
+                not_cp = result.p_value <= stats.norm.sf(3.0) * (1.0 + 1e-9)
+                assert (result.cp_verdict == inversion.NOT_CP) == not_cp
+            if result.verdict_path != inversion.DELTA:
                 continue
             boot = bootstrap_sigma(result.c_hat.vector, result.covariance, j)
             if abs(result.margin / (3.0 * boot) + 1.0) <= 0.04:
@@ -457,10 +350,207 @@ class TestVerdictPath:
             forced = inversion.NOT_CP if result.margin <= -3.0 * boot else inversion.INDETERMINATE
             assert result.cp_verdict == forced, (j, result.margin, result.margin_sigma, boot)
         assert paths.count((2, inversion.DELTA)) >= 40
-        assert paths.count((1, inversion.BOOTSTRAP)) >= 80
-        assert {path for _, path in paths} == {inversion.CLOSED, inversion.DELTA, inversion.BOOTSTRAP}
-        assert (2, inversion.BOOTSTRAP) not in paths and (1, inversion.DELTA) not in paths
+        assert paths.count((1, inversion.CONE)) >= 80
+        assert {path for _, path in paths} == {inversion.CLOSED, inversion.DELTA, inversion.CONE}
+        assert (2, inversion.CONE) not in paths and (1, inversion.DELTA) not in paths
         assert at_threshold <= 2
+
+
+def assert_normal_equivalent(result):
+    """margin_sigma is the spread whose normal tail at the margin is the p-value, or
+    -2 margin / z (z = 3) where no spread gives it."""
+    if result.p_value < stats.norm.sf(1.5):
+        assert stats.norm.cdf(result.margin / result.margin_sigma) == pytest.approx(
+            result.p_value, rel=1e-9
+        )
+    else:
+        assert result.margin_sigma == pytest.approx(-result.margin / 1.5, rel=1e-12)
+
+
+def delta_spread(result):
+    """sqrt(g^T Sigma g) for lambda_min of the estimate, g its gradient over the parameters."""
+    _, frame = np.linalg.eigh(result.c_hat.matrix)
+    v = frame[:, 0]
+    gradient = (2.0 * np.outer(v, v) - np.diag(v * v))[np.triu_indices(3)]
+    return math.sqrt(gradient @ result.covariance @ gradient)
+
+
+def random_block_covariance(rng):
+    a = rng.normal(size=(3, 3))
+    return a @ a.T + 0.1 * np.eye(3)
+
+
+def in_psd_cone(y):
+    """y = (Y11, Y12, Y22), (..., 3): whether Y is PSD."""
+    y11, y12, y22 = np.moveaxis(y, -1, 0)
+    return (y11 + y22 >= 0.0) & (y11 * y22 >= y12 * y12)
+
+
+def cone_weights(covariance):
+    d, q = np.linalg.eigh(covariance)
+    root = q * np.sqrt(d)
+    mu = np.linalg.eigvalsh(root.T @ inversion._DETERMINANT @ root)
+    return inversion._solid_fractions(mu[2], -mu[0], -mu[1])
+
+
+def chi_bar_tail(t, w3, w0):
+    tails = [stats.chi2.sf(t, k) for k in (1, 2, 3)]
+    return w0 * tails[2] + (0.5 - w3) * tails[1] + (0.5 - w0) * tails[0]
+
+
+def brute_distances(y, covariance, rays=2048):
+    """The covariance^-1 distance squared from each row of y to the 2x2 PSD cone, over a
+    grid of its boundary rays u u^T."""
+    d, q = np.linalg.eigh(covariance)
+    whiten = q.T / np.sqrt(d)[:, None]
+    a = np.linspace(0.0, np.pi, rays, endpoint=False)
+    u = np.stack([np.cos(a) ** 2, np.cos(a) * np.sin(a), np.sin(a) ** 2], axis=1) @ whiten.T
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    x = y @ whiten.T
+    fit = np.concatenate(
+        [(np.maximum(chunk @ u.T, 0.0) ** 2).max(axis=1) for chunk in np.array_split(x, 20)]
+    )
+    return np.where(in_psd_cone(y), 0.0, (x * x).sum(axis=1) - fit)
+
+
+class TestConeTest:
+    """The cone path's law against a seeded Monte Carlo referee, and its size."""
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_chi2_tails(self, k):
+        for t in (0.0, 1e-3, 1.0, 4.0, 9.0, 30.0, 200.0):
+            assert inversion._chi2_tail(k, t) == pytest.approx(stats.chi2.sf(t, k), rel=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_weights_match_sampled(self, seed):
+        # w3 = P(Z in K) and w0 = P(Z in the polar), Z ~ N(0, S); Z is in the
+        # polar exactly when u = -S^-1 Z, read as [[u11, u12 / 2], [u12 / 2, u22]], is PSD
+        rng = np.random.default_rng(seed)
+        covariance = random_block_covariance(rng)
+        w3, w0 = cone_weights(covariance)
+        n = 400_000
+        z = rng.multivariate_normal(np.zeros(3), covariance, size=n)
+        u = -np.linalg.solve(covariance, z.T).T * np.array([1.0, 0.5, 1.0])
+        for w, sampled in ((w3, in_psd_cone(z).mean()), (w0, in_psd_cone(u).mean())):
+            assert abs(sampled - w) <= 4.5 * math.sqrt(w * (1.0 - w) / n)
+
+    def test_tail_matches_empirical(self):
+        # at the cone's vertex, P(T >= t) is the chi-bar-squared mixture
+        rng = np.random.default_rng(7)
+        covariance = random_block_covariance(rng)
+        n = 40_000
+        y = rng.multivariate_normal(np.zeros(3), covariance, size=n)
+        brute = brute_distances(y, covariance)
+        for row, t_brute in zip(y[:100], brute):
+            t, p = inversion._block_cone_test(row, covariance)
+            # the grid's rays miss the closest one by up to half a grid step
+            assert -1e-9 <= t_brute - t <= 1e-4 * (1.0 + t)
+        w3, w0 = cone_weights(covariance)
+        assert np.mean(brute == 0.0) == pytest.approx(w3, abs=4.5 * math.sqrt(w3 / n))
+        for t in (1.0, 4.0, 9.0):
+            want = chi_bar_tail(t, w3, w0)
+            assert abs(np.mean(brute >= t) - want) <= 4.5 * math.sqrt(want * (1.0 - want) / n)
+
+    def test_p_value_is_the_mixture(self):
+        rng = np.random.default_rng(8)
+        covariance = random_block_covariance(rng)
+        w3, w0 = cone_weights(covariance)
+        for y in ([-1.0, 0.0, 2.0], [-0.1, 0.3, 0.2], [-3.0, 0.5, -1.0]):
+            t, p = inversion._block_cone_test(np.array(y), covariance)
+            assert t > 0.0 and p == pytest.approx(chi_bar_tail(t, w3, w0), rel=1e-12)
+        t, p = inversion._block_cone_test(np.array([1.0, 0.2, 2.0]), covariance)
+        assert t == 0.0 and p == pytest.approx(1.0 - w3, rel=1e-12)
+
+    @pytest.mark.parametrize("truth", [BOUNDARY_TRUTHS[0], (0.0,) * 6], ids=["rank1", "zero"])
+    def test_size(self, truth):
+        # z = 2 (nominal size Phi(-2) = 2.28%) at a PSD truth on the boundary,
+        # Gaussian noise of 0.05 on every rate: not-CP at most at the nominal
+        # rate, within a binomial bound 3 standard deviations above it
+        z, n = 2.0, 3000
+        rates = probe.forward(KossakowskiMatrix(*truth), G2).rates
+        sigmas = 0.05 * np.ones(6)
+        rng = np.random.default_rng(2024)
+        flagged, cone = 0, 0
+        for _ in range(n):
+            result = inversion.invert_noisy(rates + rng.normal(0.0, sigmas), sigmas, M2, z=z)
+            flagged += result.cp_verdict == inversion.NOT_CP
+            cone += result.verdict_path == inversion.CONE
+        nominal = stats.norm.sf(z)
+        assert cone >= n // 3
+        assert flagged <= n * nominal + 3.0 * math.sqrt(n * nominal * (1.0 - nominal))
+
+    def test_perlman_bound_at_zero_truth(self):
+        # noise on the rates of C = 0: no eigenvalue is resolved, so the
+        # p-value is Perlman's bound at the half-space statistic
+        rng = np.random.default_rng(10)
+        sigmas = 0.05 * np.ones(6)
+        bounded = 0
+        for _ in range(20):
+            result = inversion.invert_noisy(rng.normal(0.0, sigmas), sigmas, M2)
+            if result.verdict_path != inversion.CONE:
+                continue
+            t = (result.margin / delta_spread(result)) ** 2
+            if result.cone_statistic == pytest.approx(t, rel=1e-9):
+                want = 0.5 * (stats.chi2.sf(t, 5) + stats.chi2.sf(t, 6))
+                assert result.p_value == pytest.approx(want, rel=1e-9)
+                bounded += 1
+        assert bounded >= 5
+
+    def test_block_needs_top_eigenvalue_resolved_from_zero(self):
+        # diag(-0.01, 0, 0.02) with quiet couplings to the top eigenvector: the
+        # block is resolved from the top eigenvalue, but that eigenvalue is
+        # within the noise of zero, as at a zero truth, where the block's
+        # cone is too small a null; the p-value is Perlman's bound
+        eigenvalues = np.array([-0.01, 0.0, 0.02])
+        covariance = np.diag([1e-4, 1e-12, 1e-12, 1e-4, 1e-12, 1e-4])
+        t, p = inversion._cone_test(-0.01, eigenvalues, np.eye(3), covariance)
+        assert t == pytest.approx(1.0, rel=1e-12)
+        assert p == pytest.approx(0.5 * (stats.chi2.sf(1.0, 5) + stats.chi2.sf(1.0, 6)), rel=1e-12)
+        # with the top eigenvalue clear of zero, the block's cone is the null
+        t, p = inversion._cone_test(-0.01, np.array([-0.01, 0.0, 1.0]), np.eye(3), covariance)
+        assert p == pytest.approx(inversion._block_cone_test(np.array([-0.01, 0.0, 0.0]),
+                                                             np.diag([1e-4, 1e-12, 1e-4]))[1])
+
+    def test_half_space_at_evident_rank_2(self):
+        # diag(1, 1, -0.3) under rate noise of 0.05: lambda_min is not resolved
+        # from the degenerate pair above it, but that pair is far from zero, so
+        # the truth's tangent cone is a half-space and p = P(chi2_1 >= T) / 2
+        rates = probe.forward(KossakowskiMatrix.diagonal(1.0, 1.0, -0.3), G2).rates
+        sigmas = 0.05 * np.ones(6)
+        rng = np.random.default_rng(11)
+        half_space = 0
+        for _ in range(20):
+            result = inversion.invert_noisy(rates + rng.normal(0.0, sigmas), sigmas, M2)
+            if result.verdict_path == inversion.CONE:
+                t = (result.margin / delta_spread(result)) ** 2
+                assert result.cone_statistic == pytest.approx(t, rel=1e-9)
+                assert result.p_value == pytest.approx(0.5 * stats.chi2.sf(t, 1), rel=1e-9)
+                half_space += 1
+        assert half_space >= 5
+
+    @pytest.mark.parametrize(
+        "sigmas",
+        [[0.05, 0.05, 0.0, 0.05, 0.05, 0.05], [0.0, 0.05, 0.0, 0.0, 0.05, 0.0]],
+        ids=["one-zero", "four-zero"],
+    )
+    def test_singular_covariance(self, sigmas):
+        # zero sigmas make the block's covariance singular: a defined verdict,
+        # not a LinAlgError
+        sigmas = np.array(sigmas)
+        rates = probe.forward(KossakowskiMatrix(*BOUNDARY_TRUTHS[0]), G2).rates
+        rng = np.random.default_rng(9)
+        paths = set()
+        for _ in range(40):
+            result = inversion.invert_noisy(rates + rng.normal(0.0, sigmas), sigmas, M2)
+            paths.add(result.verdict_path)
+            assert result.cp_verdict in (inversion.CP, inversion.NOT_CP, inversion.INDETERMINATE)
+            if result.verdict_path == inversion.CONE:
+                assert 0.0 <= result.p_value <= 1.0 and math.isfinite(result.margin_sigma)
+                assert result.margin_sigma >= 0.0
+        assert inversion.CONE in paths
+        # no spread at all along the block: any violation is certain
+        t, p = inversion._block_cone_test(np.array([-1e-3, 0.0, 1e-3]), np.zeros((3, 3)))
+        assert t > 1e12 and p == 0.0
 
 
 class TestPsdProject:
