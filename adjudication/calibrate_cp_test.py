@@ -3,15 +3,16 @@
 Each trial adds Gaussian noise of SIGMA to every exact rate of a truth (g = 2,
 canonical phase) and inverts the noisy rates with ``invert_noisy`` at z = 3.
 Where the verdict takes the cone path (nearly degenerate spectra), the trial
-is also judged as the parametric bootstrap judged it before the cone test:
-not-CP when margin <= -z sigma_boot, with sigma_boot the spread of the
-smallest eigenvalue over 10k seeded draws from N(c_hat, covariance).  The
-closed and delta paths are common to both tests.  The table reports each
-test's not-CP rate with its 95% Wilson interval; at a PSD truth the rate
-should be at most Phi(-3) = 0.135%.
+is also judged as the parametric bootstrap judged it before the cone test
+(``bootstrap_referee.py``, beside this script): not-CP when margin <= -z
+sigma_boot, with sigma_boot the spread of the smallest eigenvalue over 10k
+seeded draws from N(c_hat, covariance).  The closed and delta paths are
+common to both tests.  The table reports each test's not-CP rate with its
+95% Wilson interval; at a PSD truth the rate should be at most
+Phi(-3) = 0.135%.
 
 numpy only and seeded (the same seed gives the same table).  Not run by the
-test suite: the default sizes take about 15 minutes on a 2-core host.
+test suite: the default sizes take about 4 minutes on a 2-core host.
 
     PYTHONPATH=src python adjudication/calibrate_cp_test.py [--scale 0.1]
 """
@@ -25,6 +26,7 @@ import time
 
 import numpy as np
 
+from bootstrap_referee import bootstrap_min_eigenvalue_sigma
 from kossprobe.inversion import CONE, NOT_CP, invert_noisy
 from kossprobe.kossakowski import KossakowskiMatrix, symmetric_from_vector
 from kossprobe.probe import build_matrix_programmatic, forward
@@ -48,10 +50,8 @@ TRUTHS = (
 
 def bootstrap_sigma(center: np.ndarray, covariance: np.ndarray, seed: int) -> float:
     """The spread of lambda_min over DRAWS seeded draws from N(center, covariance)."""
-    draws = np.random.default_rng(seed).multivariate_normal(
-        center, covariance, size=DRAWS, method="svd"
-    )
-    return float(np.linalg.eigvalsh(symmetric_from_vector(draws))[:, 0].std(ddof=1))
+    _, frame = np.linalg.eigh(symmetric_from_vector(center))
+    return bootstrap_min_eigenvalue_sigma(center, covariance, DRAWS, seed, frame)
 
 
 def wilson(k: int, n: int, z: float = 1.959964) -> tuple[float, float]:

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -52,6 +53,9 @@ from .kossakowski import KossakowskiMatrix, rounding_tolerance, symmetric_from_v
 from .probe import ProbeMatrix, ProbeResult
 
 CONDITION_LIMIT = 1e10
+# The largest ``bootstrap`` that invert_noisy accepts; the keyword no longer
+# draws, but the values it refused are refused still.
+MAX_BOOTSTRAP = 1_000_000
 
 # lambda_min counts as resolved, and its delta-method spread weighs the
 # evidence, when its gap to the next eigenvalue is at least this many spreads
@@ -389,8 +393,9 @@ def invert_noisy(
     ``rounding_tolerance`` at cond(M)); otherwise not-CP when the evidence
     against a PSD truth has a p-value of at most Phi(-z) (the delta path's
     z-test or the cone path's likelihood ratio), indeterminate when it does
-    not.  ``bootstrap`` and ``seed`` are accepted as before but no longer
-    affect the result: no path draws.
+    not.  ``bootstrap`` and ``seed`` are checked as before (2 to
+    MAX_BOOTSTRAP draws, a nonnegative integer seed) but no longer affect the
+    result: no path draws.
     """
     r = _as_rates(rates)
     s = np.asarray(sigmas, dtype=float)
@@ -402,6 +407,13 @@ def invert_noisy(
         raise ValueError("sigmas must be nonnegative")
     if not 0.0 < z < np.inf:
         raise ValueError(f"z must be positive and finite, got {z}")
+    # a bool bootstrap (0 or 1 draws) is out of range too
+    if not isinstance(bootstrap, Integral) or not 2 <= bootstrap <= MAX_BOOTSTRAP:
+        raise ValueError(
+            f"bootstrap needs an integer of 2 to {MAX_BOOTSTRAP} draws, got {bootstrap!r}"
+        )
+    if not isinstance(seed, Integral) or isinstance(seed, bool) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     _check_conditioning(m)
 
     m_inv = np.linalg.inv(m.matrix)

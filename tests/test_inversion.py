@@ -1,9 +1,12 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from adjudication import bootstrap_referee as referee
 from kossprobe import inversion, probe
 from kossprobe.experiment import ExperimentConfig, estimate, run
 from kossprobe.kossakowski import KossakowskiMatrix, symmetric_from_vector
@@ -18,10 +21,11 @@ BOUNDARY_TRUTHS = [
 ]
 
 
-def estimates_with_spread(g, truth, noise, rng_seed):
+def estimates_with_spread(g, truth, noise, rng_seed, **settings):
     """(index, result) for those of six noisy estimates of a truth that need a spread.
 
-    ``noise`` is (relative, absolute): each rate's sigma is relative * |rate| + absolute.
+    ``noise`` is (relative, absolute): each rate's sigma is relative * |rate| + absolute;
+    ``settings`` go to ``invert_noisy``.
     """
     co = coefficients(g)
     m = probe.build_matrix_programmatic(co)
@@ -30,18 +34,25 @@ def estimates_with_spread(g, truth, noise, rng_seed):
     rng = np.random.default_rng(rng_seed)
     for index in range(6):
         noisy = rates + rng.normal(0.0, sigmas)
-        result = inversion.invert_noisy(noisy, sigmas, m)
+        result = inversion.invert_noisy(noisy, sigmas, m, **settings)
         if result.margin_sigma is not None:
             yield index, result
 
 
-def bootstrap_sigma(center, covariance, seed, n=10_000):
-    """The spread of lambda_min over seeded draws from N(center, covariance): a
-    parametric bootstrap, the referee of the delta spread."""
+def assert_matches_eigvalsh_bootstrap(sigma, center, covariance, seed, n=10_000):
     draws = np.random.default_rng(seed).multivariate_normal(
         center, covariance, size=n, method="svd"
     )
-    return np.linalg.eigvalsh(symmetric_from_vector(draws))[:, 0].std(ddof=1)
+    want = np.linalg.eigvalsh(symmetric_from_vector(draws))[:, 0].std(ddof=1)
+    tol = 1e-12 * want + 64 * np.finfo(float).eps * np.max(np.abs(center))
+    assert abs(sigma - want) <= tol
+
+
+def bootstrap_sigma(center, covariance, seed, n=10_000):
+    """The spread of lambda_min over seeded draws from N(center, covariance), taken in the
+    estimate's eigenframe: the parametric bootstrap, the referee of the delta spread."""
+    _, frame = np.linalg.eigh(symmetric_from_vector(center))
+    return referee.bootstrap_min_eigenvalue_sigma(center, covariance, n, seed, frame)
 
 
 def delta_sigma(center, covariance):
@@ -190,10 +201,18 @@ class TestInvertNoisy:
         with pytest.raises(ValueError, match="sigmas must be finite"):
             inversion.invert_noisy(rates, sigmas, M2)
 
-    @pytest.mark.parametrize("settings", [{"z": -1.0}, {"z": 0.0}, {"z": np.nan}, {"z": np.inf}])
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            {"bootstrap": 0}, {"bootstrap": 1}, {"z": -1.0}, {"z": 0.0}, {"z": np.nan}, {"z": np.inf},
+            {"seed": -1}, {"seed": 1.5}, {"bootstrap": 2.5}, {"bootstrap": 1_000_001},
+            {"seed": True}, {"seed": False}, {"bootstrap": True},
+        ],
+    )
     def test_rejects_bad_verdict_settings(self, settings):
         # indeterminate by default; a degenerate z must not turn it into
-        # not-CP, and is refused even where the verdict is closed
+        # not-CP, and it is refused even where the verdict is closed, as are
+        # the bootstrap and seed values refused when they still drew
         near = probe.forward(KossakowskiMatrix.diagonal(1.0, 1.0, -0.01), G2).rates
         sigmas = 0.05 * np.ones(6)
         assert inversion.invert_noisy(near, sigmas, M2).cp_verdict == inversion.INDETERMINATE
@@ -206,13 +225,28 @@ class TestInvertNoisy:
         "truth, path", [((1.0, 1.0, -1.0), "delta"), ((1.0, 0.0, -0.01), "cone")]
     )
     def test_bootstrap_and_seed_are_inert(self, truth, path):
-        # kept in the signature, but no path draws: any value gives the same result
+        # kept in the signature, but no path draws: any accepted value gives the
+        # same result
         rates = probe.forward(KossakowskiMatrix.diagonal(*truth), G2).rates
         sigmas = 0.05 * np.ones(6)
         want = inversion.invert_noisy(rates, sigmas, M2).to_dict()
         assert want["verdict_path"] == path and want["draws"] == 0
-        for settings in ({"bootstrap": 0}, {"bootstrap": 2.5}, {"seed": -1}, {"seed": True}):
+        for settings in (
+            {"bootstrap": 2}, {"bootstrap": inversion.MAX_BOOTSTRAP}, {"seed": 7}, {"seed": 2**70},
+        ):
             assert inversion.invert_noisy(rates, sigmas, M2, **settings).to_dict() == want
+
+    @pytest.mark.parametrize("g", COUPLINGS)
+    @pytest.mark.parametrize("truth", BOUNDARY_TRUTHS)
+    def test_bootstrap_sigma_matches_eigvalsh(self, g, truth):
+        # the referee's Jacobi spread of every estimate that needs one, whichever
+        # path invert_noisy takes for it
+        estimates = list(estimates_with_spread(g, truth, (0.02, 1e-3), 48))
+        assert estimates
+        for seed, result in estimates:
+            center, covariance = result.c_hat.vector, result.covariance
+            got = bootstrap_sigma(center, covariance, seed)
+            assert_matches_eigvalsh_bootstrap(got, center, covariance, seed)
 
     @pytest.mark.parametrize("truth", [(1.0, 1.0, -1.0), (0.3, 0.7, -0.1), (1e-3, 2.0, -7.3)])
     def test_zero_sigmas_give_zero_margin_sigma(self, truth):
@@ -250,6 +284,100 @@ class TestInvertNoisy:
         assert len(d["covariance"]) == 6
         assert d["verdict_path"] == "closed" and d["draws"] == 0
         assert d["p_value"] is None and d["cone_statistic"] is None
+
+
+def rate_covariance(sigmas, m=M2):
+    m_inv = np.linalg.inv(m.matrix)
+    return m_inv @ np.diag(np.square(sigmas)) @ m_inv.T
+
+
+RANK1 = np.array(BOUNDARY_TRUTHS[0])
+COVARIANCE = rate_covariance(0.05 * np.ones(6))
+
+
+class TestBootstrapDraws:
+    """The bootstrap referee's draws, taken in the estimate's eigenframe, against eigvalsh
+    of multivariate_normal's draws, on spectra and inputs the boundary truths miss."""
+
+    @pytest.mark.parametrize(
+        "center, covariance",
+        [
+            # the zero matrix: its eigenframe does not diagonalise the draws
+            (np.zeros(6), COVARIANCE),
+            ((1.0, 0.0, 0.0, 1.0, 0.0, -1.0), COVARIANCE),  # not PSD
+            (RANK1, rate_covariance([0.05, 0.05, 0.0, 0.05, 0.05, 0.05])),  # singular
+            (np.zeros(6), rate_covariance([0.05, 0.0, 0.05, 0.05, 0.05, 0.05])),
+        ],
+        ids=["zero", "counterexample", "rank1-singular", "zero-singular"],
+    )
+    def test_spectra(self, center, covariance):
+        center = np.asarray(center, dtype=float)
+        for seed in range(3):
+            got = bootstrap_sigma(center, covariance, seed)
+            assert_matches_eigvalsh_bootstrap(got, center, covariance, seed)
+
+    @pytest.mark.parametrize("n", [2, 3, 10_001])
+    def test_draw_counts(self, n):
+        for center in (RANK1, np.zeros(6)):
+            got = bootstrap_sigma(center, COVARIANCE, 5, n)
+            assert_matches_eigvalsh_bootstrap(got, center, COVARIANCE, 5, n)
+
+    @pytest.mark.parametrize("scale", [2.0**-40, 2.0**40, 4.0**-40, 4.0**40])
+    def test_scaled(self, scale):
+        for center in (RANK1, np.zeros(6), np.array([1.0, 0.0, 0.0, 1.0, 0.0, -1.0])):
+            center, covariance = scale * center, scale**2 * COVARIANCE
+            got = bootstrap_sigma(center, covariance, 6)
+            assert_matches_eigvalsh_bootstrap(got, center, covariance, 6)
+
+    def test_any_frame(self):
+        # congruence keeps the eigenvalues, so any orthogonal frame gives the spread
+        rng = np.random.default_rng(50)
+        for _ in range(3):
+            frame, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+            got = referee.bootstrap_min_eigenvalue_sigma(RANK1, COVARIANCE, 10_000, 7, frame)
+            assert_matches_eigvalsh_bootstrap(got, RANK1, COVARIANCE, 7)
+
+    @pytest.mark.parametrize("covariance_scale", [1.0, 1e-4], ids=["wide", "narrow"])
+    @pytest.mark.parametrize(
+        "center, covariance",
+        [
+            (np.zeros(6), COVARIANCE),
+            ((1.0, 0.0, 0.0, 1.0, 0.0, -1.0), COVARIANCE),
+            (RANK1, COVARIANCE),
+            (RANK1, rate_covariance([0.05, 0.05, 0.0, 0.05, 0.05, 0.05])),
+        ],
+        ids=["zero", "counterexample", "rank1", "rank1-singular"],
+    )
+    def test_no_floating_point_warning(self, center, covariance, covariance_scale):
+        # the wide draws fall back to the Jacobi sweeps before the secular
+        # exit divides by anything; the narrow ones, zero aside, take the exit
+        center = np.asarray(center, dtype=float)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = bootstrap_sigma(center, covariance_scale * covariance, 9)
+        assert_matches_eigvalsh_bootstrap(got, center, covariance_scale * covariance, 9)
+
+    def test_non_psd_covariance_warns(self):
+        # as multivariate_normal does, and the draws are still its draws
+        covariance = np.diag([1e-4, -1e-4, 1e-4, 1e-4, 1e-4, 1e-4])
+        with pytest.warns(RuntimeWarning, match="positive-semidefinite"):
+            got = bootstrap_sigma(RANK1, covariance, 8)
+        with pytest.warns(RuntimeWarning, match="positive-semidefinite"):
+            assert_matches_eigvalsh_bootstrap(got, RANK1, covariance, 8)
+
+    def test_allocation_peak(self):
+        # one work block of 13 x 10k doubles (1.04 MB); a second 10k x 6 array
+        # of draws would add 0.48 MB
+        _, frame = np.linalg.eigh(symmetric_from_vector(RANK1))
+        args = (RANK1, COVARIANCE, 10_000, 0, frame)
+        referee.bootstrap_min_eigenvalue_sigma(*args)
+        tracemalloc.start()
+        try:
+            referee.bootstrap_min_eigenvalue_sigma(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.4e6
 
 
 def random_truth(rng, eigenvalues):
@@ -299,6 +427,20 @@ class TestVerdictPath:
                 half_space = 0.5 * stats.chi2.sf(t, 1)
                 errors = [abs(result.p_value / want - 1.0) for want in (perlman, half_space)]
                 assert min(errors) <= 1e-9
+
+    @pytest.mark.parametrize("g", COUPLINGS)
+    @pytest.mark.parametrize(
+        "truth", [BOUNDARY_TRUTHS[0], (0.0,) * 6], ids=["rank1", "zero"]
+    )
+    def test_bootstrap_for_degenerate_spectra(self, g, truth):
+        # where the bootstrap ran, a call that still asks for 2000 seeded draws
+        # takes the cone path with none, and gets the default call's result
+        asked = list(estimates_with_spread(g, truth, SMALL_NOISE, 49, bootstrap=2000, seed=5))
+        default = list(estimates_with_spread(g, truth, SMALL_NOISE, 49))
+        assert asked and len(asked) == len(default)
+        for (_, result), (_, want) in zip(asked, default):
+            assert result.verdict_path == inversion.CONE and result.draws == 0
+            assert result.to_dict() == want.to_dict()
 
     def test_coupling_spread_refuses_anisotropic_case(self):
         # a nearly rank-1 estimate, diag(-0.01, 0.01, 1): lambda_min's own
