@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kossprobe import experiment, inversion, probe
 from kossprobe.kossakowski import KossakowskiMatrix
@@ -102,6 +104,35 @@ class TestRun:
         for i in same:
             assert run_a.detections[i] == run_b.detections[i]
         assert run_a.detections[2] != run_b.detections[2]
+
+
+def referee_generators(seed):
+    """numpy's own channel streams: child i of SeedSequence(seed).spawn(6), PCG64."""
+    return [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(6)]
+
+
+class TestChannelStreams:
+    """Channel i draws from child i of numpy's SeedSequence(seed).spawn(6)."""
+
+    # the seed's word count sets where its spawn word is hashed: one word up
+    # to 2**32, the four-word pool up to 2**128, and more words beyond it
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**200),
+        shots=st.sampled_from([1, 1000, 100_000, 10**9, 2**40]),
+    )
+    @example(seed=0, shots=1000)
+    @example(seed=2**32, shots=1000)
+    @example(seed=2**128 - 1, shots=1000)
+    @example(seed=2**128, shots=1000)
+    @example(seed=2**200, shots=10**9)
+    def test_detections_match_numpys_spawned_streams(self, seed, shots):
+        config = make_config(seed=seed, shots_per_channel=shots)
+        p, _ = config.per_shot_probabilities()
+        expected = tuple(
+            int(rng.binomial(shots, q)) for rng, q in zip(referee_generators(seed), p)
+        )
+        assert experiment.run(config).detections == expected
 
 
 class TestPersistence:
