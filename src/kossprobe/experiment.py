@@ -14,10 +14,13 @@ not PSD) are clamped to p = 0 and flagged rather than rejected, so the
 non-complete-positivity inconsistency can be driven through the pipeline and
 observed.
 
-Reproducibility contract: the master seed is split into independent
-per-channel substreams, so identical configurations produce bit-identical
-runs and channel draws are order-insensitive.  Persisted artifacts contain no
-wall-clock data for the same reason.
+Reproducibility contract: channel i draws from child i of numpy's
+``SeedSequence(seed).spawn(6)`` through a PCG64 generator, so identical
+configurations produce bit-identical runs and channel draws are
+order-insensitive.  The children's seed words are computed in one vectorised
+pass rather than through six ``SeedSequence`` objects; a property test pins
+the generators and the draws against numpy's own ``spawn``.  Persisted
+artifacts contain no wall-clock data for the same reason.
 """
 
 from __future__ import annotations
@@ -34,6 +37,8 @@ from .probe import CHANNELS, ProbeMatrix, forward
 from .scattering import coefficients
 
 MAX_PER_SHOT_PROBABILITY = 0.2
+# Generator.binomial takes its trial count as a C long
+MAX_SHOTS_PER_CHANNEL = 2**63 - 1
 
 RUN_SCHEMA_VERSION = 1
 CSV_HEADER = "label,N,k,p_hat,sigma"
@@ -67,8 +72,16 @@ class ExperimentConfig:
             problems.append(f"calibration must be in (0, 1], got {self.calibration}")
         if not 0.0 < self.exposure < np.inf:
             problems.append(f"exposure must be positive and finite, got {self.exposure}")
-        if self.shots_per_channel <= 0:
-            problems.append(f"shots_per_channel must be positive, got {self.shots_per_channel}")
+        if not (
+            _is_integer(self.shots_per_channel)
+            and 0 < self.shots_per_channel <= MAX_SHOTS_PER_CHANNEL
+        ):
+            problems.append(
+                "shots_per_channel must be a positive integer of at most 2**63 - 1, "
+                f"got {self.shots_per_channel!r}"
+            )
+        if not (_is_integer(self.seed) and self.seed >= 0):
+            problems.append(f"seed must be a non-negative integer, got {self.seed!r}")
         if problems:
             raise ConfigError("; ".join(problems))
         unclamped = self.calibration * self.exposure * self.rates()
@@ -210,12 +223,96 @@ def _number(data: dict, name: str, where: str) -> float:
     return float(x)
 
 
+def _is_integer(x) -> bool:
+    # a bool is not a count or a seed here; numpy integers are
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 def _count(data: dict, name: str, where: str, least: int) -> int:
     """An integer field of a run file (a count or a seed), at least ``least``."""
     x = _field(data, name, where)
-    if not (isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= least):
+    if not (_is_integer(x) and x >= least):
         raise ValueError(f"{where} {name} must be an integer of at least {least}, got {x!r}")
     return int(x)
+
+
+# numpy's SeedSequence constants (O'Neill's seed_seq_fe): hashmix XORs its
+# input with a running constant, steps the constant by MULT and multiplies by
+# it; mix(x, y) is MIX_L x - MIX_R y; both end in a 16-bit xorshift.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # entropy mixing
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # generate_state
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_SHIFT = np.uint32(16)
+
+
+def _xorshift(x: np.ndarray) -> np.ndarray:
+    return x ^ (x >> _SHIFT)
+
+
+def _hash_constants(init: int, mult: int, first: int, count: int):
+    """The XOR and multiply constants of the hash steps first .. first + count - 1."""
+    running = [init * pow(mult, k, 2**32) % 2**32 for k in range(first, first + count + 1)]
+    return np.array(running[:-1], np.uint32), np.array(running[1:], np.uint32)
+
+
+def _spawn_table(position: int) -> np.ndarray:
+    """MIX_R · hashmix(i) for spawn words i = 0..5, hashed at ``position`` on.
+
+    Row i is what child i's spawn word subtracts from each pool word, with
+    the four columns repeated to the eight that ``generate_state`` reads.
+    """
+    xor, mul = _hash_constants(_INIT_A, _MULT_A, position, _POOL_SIZE)
+    word = np.arange(len(CHANNELS), dtype=np.uint32)[:, None]
+    return np.tile(np.uint32(_MIX_R) * _xorshift((word ^ xor) * mul), 2)
+
+
+# A seed of at most four 32-bit words (below 2**128) fills the pool in the
+# first 16 hash steps, so its children's spawn words are hashed at steps
+# 16..19; each further seed word takes four more steps.
+_SPAWN_TABLE = _spawn_table(16)
+_STATE_XOR, _STATE_MUL = _hash_constants(_INIT_B, _MULT_B, 0, 2 * _POOL_SIZE)
+_POOL_CYCLE = np.arange(2 * _POOL_SIZE) % _POOL_SIZE
+
+
+class _SeedWords:
+    """Four precomputed uint64 seed words, offered to PCG64 as a seed sequence.
+
+    PCG64 asks its seed sequence for ``generate_state(4, uint64)`` once, and
+    seeds its 128-bit state and increment from the answer.  The class is a
+    registered (virtual) subclass of numpy's ``ISeedSequence``, registered
+    where a run first draws, so importing this module loads no numpy.random.
+    """
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _channel_generators(seed: int) -> list:
+    """The generators of child i of ``SeedSequence(seed).spawn(6)``, i = 0..5.
+
+    A child's entropy is the seed's words, zero-padded to the pool size, then
+    its spawn word i.  Up to the spawn word it mixes exactly as the parent
+    did, so its pool is the parent's pool mixed with hashmix(i), and its seed
+    words are ``generate_state``'s hash of that pool: one (6, 8) uint32 pass.
+    """
+    # numpy.random loads only when a run draws: invert reads run files without it
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(_SeedWords)
+    seed = int(seed)
+    words = max(1, -(-seed.bit_length() // 32))
+    table = _SPAWN_TABLE if words <= _POOL_SIZE else _spawn_table(16 + 4 * (words - _POOL_SIZE))
+    pools = np.uint32(_MIX_L) * np.random.SeedSequence(seed).pool[_POOL_CYCLE] - table
+    state = _xorshift((_xorshift(pools) ^ _STATE_XOR) * _STATE_MUL)
+    seed_words = state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+    return [Generator(PCG64(_SeedWords(row))) for row in seed_words]
 
 
 def run(config: ExperimentConfig) -> ExperimentRun:
@@ -224,10 +321,9 @@ def run(config: ExperimentConfig) -> ExperimentRun:
     flagged = tuple(
         label for label, raw in zip(CHANNELS, unclamped) if raw < 0.0
     )
-    streams = np.random.SeedSequence(config.seed).spawn(len(CHANNELS))
     detections = tuple(
-        int(np.random.default_rng(stream).binomial(config.shots_per_channel, p))
-        for stream, p in zip(streams, probabilities)
+        int(generator.binomial(config.shots_per_channel, p))
+        for generator, p in zip(_channel_generators(config.seed), probabilities)
     )
     return ExperimentRun(config=config, detections=detections, flagged_channels=flagged)
 

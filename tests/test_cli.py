@@ -536,6 +536,26 @@ class TestSimulateAndInvert:
         assert "exposure must be positive and finite" in err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [("--shots", str(10**30), "shots_per_channel"), ("--shots", str(2**63), "shots_per_channel"),
+         ("--seed", "-1", "seed")],
+    )
+    def test_simulate_out_of_range_count_or_seed(self, capsys, tmp_path, flag, value, field):
+        # Generator.binomial takes a C long: a larger shot count is refused
+        # with the field's name, not an OverflowError traceback
+        c_file = write_c_file(tmp_path, IDENTITY_C)
+        argv = {"--shots": "1000", "--seed": "3", flag: value}
+        code, out, err = run_cli(
+            capsys, "simulate", "--c-file", c_file, "--g", "2", "--exposure", "0.01",
+            "--calibration", "1.0", "--shots", argv["--shots"], "--seed", argv["--seed"],
+            "--out", str(tmp_path / "r"),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and field in err
+        assert not (tmp_path / "r").exists()
+
     def test_invert_sigmas_with_run(self, capsys, tmp_path):
         c_file = write_c_file(tmp_path, IDENTITY_C)
         run_cli(

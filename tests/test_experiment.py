@@ -44,6 +44,24 @@ class TestConfig:
         with pytest.raises(ValueError, match="phase must be finite"):
             experiment.run(make_config(phase=bad))
 
+    @pytest.mark.parametrize(
+        "field, bad",
+        [("shots_per_channel", 2.5), ("shots_per_channel", True), ("shots_per_channel", -3),
+         ("shots_per_channel", 2**63), ("shots_per_channel", "1000"),
+         ("seed", 2.5), ("seed", True), ("seed", -1), ("seed", None)],
+    )
+    def test_count_and_seed_guards_name_the_field(self, field, bad):
+        with pytest.raises(experiment.ConfigError, match=field):
+            experiment.run(make_config(**{field: bad}))
+
+    def test_largest_shot_count_and_numpy_integers_accepted(self):
+        out = experiment.run(make_config(shots_per_channel=2**63 - 1))
+        assert all(0 < k < 2**63 for k in out.detections)
+        as_numpy = make_config(shots_per_channel=np.int64(1000), seed=np.uint64(7))
+        assert experiment.run(as_numpy).detections == experiment.run(
+            make_config(shots_per_channel=1000, seed=7)
+        ).detections
+
     def test_round_trip_and_hash(self):
         config = make_config()
         assert experiment.ExperimentConfig.from_dict(config.to_dict()) == config
@@ -133,6 +151,19 @@ class TestChannelStreams:
             int(rng.binomial(shots, q)) for rng, q in zip(referee_generators(seed), p)
         )
         assert experiment.run(config).detections == expected
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**200))
+    @example(seed=2**32 - 1)
+    @example(seed=2**96)
+    @example(seed=2**128 - 1)
+    @example(seed=2**128)
+    @example(seed=2**160)
+    def test_generators_are_numpys_spawned_pcg64_streams(self, seed):
+        states = [rng.bit_generator.state for rng in experiment._channel_generators(seed)]
+        assert states == [rng.bit_generator.state for rng in referee_generators(seed)]
+        assert {state["bit_generator"] for state in states} == {"PCG64"}
 
 
 class TestPersistence:
