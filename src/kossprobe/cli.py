@@ -191,14 +191,20 @@ def _read_rates_file(path: str):
             raise ValueError("rates csv must have header 'label,rate[,sigma]'")
         for n, line in lines[1:]:
             parts = [p.strip() for p in line.split(",")]
+            label = parts[0]
+            where = f"rates csv line {n}"
+            if label not in CHANNELS:
+                raise ValueError(f"{where}: unknown channel {label!r}, not in {list(CHANNELS)}")
+            if label in rates:
+                raise ValueError(f"{where}: {label} repeats an earlier row")
+            if len(header) > 2 and len(parts) == 2:
+                raise ValueError(f"{where}: {label} has no sigma, but the header names one")
             try:
-                rates[parts[0]] = float(parts[1])
-                if len(parts) > 2 and len(header) > 2:
-                    sigmas[parts[0]] = float(parts[2])
+                rates[label] = float(parts[1])
+                if len(header) > 2:
+                    sigmas[label] = float(parts[2])
             except (IndexError, ValueError):
-                raise ValueError(
-                    f"rates csv line {n}: expected 'label,rate[,sigma]', got {line!r}"
-                ) from None
+                raise ValueError(f"{where}: expected 'label,rate[,sigma]', got {line!r}") from None
         missing = [label for label in CHANNELS if label not in rates]
         if missing:
             raise ValueError(f"rates csv missing channels: {missing}")

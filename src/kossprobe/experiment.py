@@ -104,8 +104,9 @@ class ExperimentConfig:
             "phase": self.phase,
             "exposure": self.exposure,
             "calibration": self.calibration,
-            "shots_per_channel": self.shots_per_channel,
-            "seed": self.seed,
+            # numpy integers, which run accepts, as the ints JSON can hold
+            "shots_per_channel": _as_int(self.shots_per_channel),
+            "seed": _as_int(self.seed),
         }
 
     @classmethod
@@ -144,7 +145,7 @@ class ExperimentRun:
 
     @property
     def trials(self) -> int:
-        return self.config.shots_per_channel
+        return int(self.config.shots_per_channel)
 
     @property
     def p_hat(self) -> np.ndarray:
@@ -183,7 +184,11 @@ class ExperimentRun:
             isinstance(ch, dict) and ch.get("label") in CHANNELS for ch in channels
         ):
             raise ValueError(f"run channels must be a list of objects labelled {list(CHANNELS)}")
-        by_label = {ch["label"]: ch for ch in channels}
+        by_label = {}
+        for entry, ch in enumerate(channels, 1):
+            if ch["label"] in by_label:
+                raise ValueError(f"run channel entry {entry} repeats the label {ch['label']}")
+            by_label[ch["label"]] = ch
         missing = [label for label in CHANNELS if label not in by_label]
         if missing:
             raise ValueError(f"run channels missing: {missing}")
@@ -226,6 +231,11 @@ def _number(data: dict, name: str, where: str) -> float:
 def _is_integer(x) -> bool:
     # a bool is not a count or a seed here; numpy integers are
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _as_int(x):
+    """x as a Python int where it is an integer; anything else as it is."""
+    return int(x) if _is_integer(x) else x
 
 
 def _count(data: dict, name: str, where: str, least: int) -> int:

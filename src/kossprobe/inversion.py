@@ -13,28 +13,20 @@ reads not-CP at most at the rate Phi(-3) = 0.135%).  Evidence is weighed
 only when the smallest eigenvalue is negative beyond the inversion's
 rounding, :func:`kossprobe.kossakowski.rounding_tolerance` at cond(M), the
 rule by which ``cp_check(cond(M))`` reads the estimate too; otherwise the
-verdict is CP in closed form ("closed").  The evidence takes one of two
-paths, and the result says which (``verdict_path``):
+verdict is CP in closed form ("closed").  Otherwise the evidence is one
+test, the likelihood ratio of "C is PSD" on the tangent cone of the PSD cone
+at the PSD truths the estimate's spectrum allows (Shapiro, Biometrika 72,
+1985; Silvapulle & Sen, Constrained Statistical Inference, 2005), read from
+one covariance of the parameters in the estimate's eigenframe
+(:func:`_evidence`).  ``verdict_path`` says which case ran: "delta" when
+lambda_min is resolved, where the cone is a half-space and the test is the
+z-test of the margin on its delta-method spread; "cone" otherwise (nearly
+degenerate spectra, such as those of rank-1 and zero truths, where lambda_min
+is not smooth in the data), whose null law is a chi-bar-squared mixture.  No
+case draws: a cone-path inversion takes 0.4-0.5 ms on a 2-core host,
+against 2.3-2.5 ms with the 10k-draw bootstrap it replaced.
 
-- "delta": the z-test of the margin on its first-order spread
-  sqrt(g^T Sigma g), from one ``eigh`` of the estimate, with
-  g = (2 - delta_ij) v1_i v1_j over the six parameters.  It is used when
-  lambda_min is resolved: its gap to the next eigenvalue is at least
-  RESOLVED_GAP times the largest of its own spread and the spreads of its
-  couplings v1^T E vk to the other two eigenvectors.  Near such an estimate
-  the PSD cone looks like the half-space v1^T C v1 >= 0, and this is that
-  half-space's likelihood-ratio test.  It adds about 45 us to an inversion
-  on a 2-core host.
-- "cone": otherwise (nearly degenerate spectra, such as those of rank-1 and
-  zero truths, where lambda_min is not smooth in the data), the
-  likelihood-ratio test of "C is PSD" on the tangent cone of the PSD cone
-  (Shapiro, Biometrika 72, 1985; Silvapulle & Sen, Constrained Statistical
-  Inference, 2005), whose null law is a chi-bar-squared mixture
-  (:func:`_cone_test`).  No draws and no seed: an inversion on this path
-  takes 0.40-0.44 ms on a 2-core host, against 2.3-2.5 ms with the 10k-draw
-  bootstrap it replaced.
-
-Either path reports ``p_value``, the probability of evidence at least this
+Either case reports ``p_value``, the probability of evidence at least this
 strong at a PSD truth, and ``margin_sigma``, the spread a normal margin
 would need to give it, -margin / Phi^-1(1 - p): on the delta path the delta
 spread itself.  The verdict is not-CP when margin <= -z margin_sigma, that
@@ -59,8 +51,8 @@ MAX_BOOTSTRAP = 1_000_000
 
 # lambda_min counts as resolved, and its delta-method spread weighs the
 # evidence, when its gap to the next eigenvalue is at least this many spreads
-# (its own and those of its couplings to the other two eigenvectors).  On the
-# cone path an eigenvalue counts as resolved from zero, and the 2x2 block
+# (its own and those of its couplings to the other two eigenvectors).
+# Otherwise an eigenvalue counts as resolved from zero, and the 2x2 block
 # from the top eigenvalue, by the same factor.
 RESOLVED_GAP = 10.0
 
@@ -72,11 +64,8 @@ CLOSED = "closed"
 DELTA = "delta"
 CONE = "cone"
 
-# The gradient of v1^T E vk over the six parameters is v1_i vk_j + v1_j vk_i
-# off the diagonal and v1_i vk_i on it: the symmetrised outer product at the
-# parameters' entries (c11, c12, c13, c22, c23, c33), its diagonal halved.
+# The parameters (c11, c12, c13, c22, c23, c33) are the upper triangle.
 _ROWS, _COLS = np.triu_indices(3)
-_HALF_ON_DIAGONAL = np.array([0.5, 1.0, 1.0, 0.5, 1.0, 0.5])
 # The six symmetric unit couplings: column b of the map from the parameters of
 # C to those of O^T C O is the parameters of O^T _UNITS[b] O.
 _UNITS = symmetric_from_vector(np.eye(6))
@@ -189,26 +178,6 @@ class InversionResult:
             "p_value": self.p_value,
             "cone_statistic": self.cone_statistic,
         }
-
-
-def _delta_min_eigenvalue_sigma(
-    eigenvalues: np.ndarray, frame: np.ndarray, covariance: np.ndarray
-) -> float | None:
-    """First-order spread of lambda_min, or None when lambda_min is not resolved.
-
-    ``eigenvalues`` and ``frame`` are the estimate's ``eigh``.  With v1..v3 its
-    eigenvectors, the spread is that of v1^T E v1 for a perturbation
-    E ~ N(0, covariance).  It holds when the gap lambda_2 - lambda_1 is at
-    least RESOLVED_GAP times the largest spread of v1^T E vk, k = 1, 2, 3: the
-    couplings to v2 and v3 rotate v1, and the second-order shift they cause
-    grows as their spread squared over the gap.
-    """
-    pair = frame[:, 0, None] * frame.T[:, None, :]  # pair[k, i, j] = v1_i vk_j
-    gradients = (pair + pair.transpose(0, 2, 1))[:, _ROWS, _COLS] * _HALF_ON_DIAGONAL
-    spreads = np.sqrt(np.maximum(((gradients @ covariance) * gradients).sum(axis=1), 0.0))
-    if eigenvalues[1] - eigenvalues[0] < RESOLVED_GAP * spreads.max():
-        return None
-    return float(spreads[0])
 
 
 def _chi2_tail(k: int, t: float) -> float:
@@ -338,40 +307,53 @@ def _block_cone_test(y: np.ndarray, block_covariance: np.ndarray) -> tuple[float
     return statistic, min(max(p, 0.0), 1.0)
 
 
-def _cone_test(
-    margin: float, eigenvalues: np.ndarray, frame: np.ndarray, covariance: np.ndarray
-) -> tuple[float, float]:
-    """(statistic, p-value) of the cone path, at an estimate whose lambda_min is unresolved.
+def _evidence(
+    margin: float, eigenvalues: np.ndarray, frame: np.ndarray, covariance: np.ndarray, z: float
+) -> tuple[str, float, float, float | None]:
+    """(path, p-value, margin_sigma, statistic) of the evidence against a PSD truth.
 
-    The map from the parameters of C to those of O^T C O in the estimate's
-    eigenframe O gives the covariance of the frame's parameters, and so
-    their spreads.  The cone is the tangent cone at the PSD truths the
-    spectrum allows, by how many eigenvalues are resolved from zero
-    (RESOLVED_GAP of their own spreads):
+    ``eigenvalues`` and ``frame`` are the estimate's ``eigh``.  The map from
+    the parameters of C to those of O^T C O in its eigenframe O gives their
+    covariance, whose diagonal holds the spreads of v_j^T E v_k.  The test is
+    the likelihood ratio on the tangent cone at the PSD truths the spectrum
+    allows, by which eigenvalues are resolved (RESOLVED_GAP spreads):
 
-    - lambda_3 is, and lambda_1, lambda_2 are resolved from it (RESOLVED_GAP
-      of the spreads of v1^T E v3 and v2^T E v3), as near a rank-1 truth:
-      with U their eigenvectors, the block U^T C U must be PSD and the other
-      three parameters are free (:func:`_block_cone_test`);
-    - otherwise T is the half-space statistic (margin / sigma)^2, sigma the
-      delta spread, at most the distance squared to the whole PSD cone.
-      When lambda_2 is resolved from zero, the truth has rank 2 or more and
-      its tangent cone is a half-space: p = P(chi2_1 >= T) / 2.  When it is
-      not (zero truths), p is Perlman's bound on any chi-bar-squared of six
-      degrees of freedom, (P(chi2_5 >= T) + P(chi2_6 >= T)) / 2.
+    - lambda_min from lambda_2, by the spreads of v1^T E vk, k = 1, 2, 3 (the
+      couplings rotate v1 and shift lambda_min by their spread squared over
+      the gap): the cone is the half-space v1^T C v1 >= 0, and the test the
+      z-test of the margin on sigma, the spread of v1^T E v1 ("delta");
+    - lambda_3 from zero, and lambda_1, lambda_2 from lambda_3 (the spreads
+      of v1^T E v3, v2^T E v3), as near a rank-1 truth: with U their
+      eigenvectors, the block U^T C U must be PSD and the other three
+      parameters are free (:func:`_block_cone_test`);
+    - otherwise T is the half-space statistic (margin / sigma)^2, at most the
+      distance squared to the whole PSD cone: p = P(chi2_1 >= T) / 2 when
+      lambda_2 is resolved from zero (a truth of rank 2 or more, whose cone
+      is a half-space), else Perlman's bound on any chi-bar-squared of six
+      degrees of freedom, (P(chi2_5 >= T) + P(chi2_6 >= T)) / 2 (zero truths).
+
+    The last two are the "cone" path, whose margin_sigma is the normal
+    equivalent of p.
     """
     to_frame = (frame.T @ _UNITS @ frame)[:, _ROWS, _COLS].T
     frame_covariance = to_frame @ covariance @ to_frame.T
     spreads = np.sqrt(np.maximum(np.diag(frame_covariance), 0.0))
     resolved = RESOLVED_GAP * spreads
+    sigma = float(spreads[0])
+    if eigenvalues[1] - eigenvalues[0] >= resolved[:3].max():
+        p = 0.5 * math.erfc(-margin / (_SQRT2 * sigma)) if sigma else 0.0
+        return DELTA, p, sigma, None
     top_clear = eigenvalues[2] - eigenvalues[1] >= resolved[_COUPLINGS_TO_TOP].max()
     if eigenvalues[2] >= resolved[5] and top_clear:
         y = np.array([eigenvalues[0], 0.0, eigenvalues[1]])
-        return _block_cone_test(y, frame_covariance[np.ix_(_BLOCK, _BLOCK)])
-    statistic = (margin / spreads[0]) ** 2 if spreads[0] > 0.0 else math.inf
-    if eigenvalues[1] >= resolved[3]:
-        return statistic, 0.5 * _chi2_tail(1, statistic)
-    return statistic, 0.5 * (_chi2_tail(5, statistic) + _chi2_tail(6, statistic))
+        statistic, p = _block_cone_test(y, frame_covariance[np.ix_(_BLOCK, _BLOCK)])
+    else:
+        statistic = (margin / sigma) ** 2 if sigma > 0.0 else math.inf
+        if eigenvalues[1] >= resolved[3]:
+            p = 0.5 * _chi2_tail(1, statistic)
+        else:
+            p = 0.5 * (_chi2_tail(5, statistic) + _chi2_tail(6, statistic))
+    return CONE, p, _normal_equivalent_sigma(margin, p, z), statistic
 
 
 def invert_noisy(
@@ -391,9 +373,9 @@ def invert_noisy(
     of returning garbage.  Verdict: CP when the smallest eigenvalue is
     nonnegative (or negative only within the inversion's rounding,
     ``rounding_tolerance`` at cond(M)); otherwise not-CP when the evidence
-    against a PSD truth has a p-value of at most Phi(-z) (the delta path's
-    z-test or the cone path's likelihood ratio), indeterminate when it does
-    not.  ``bootstrap`` and ``seed`` are checked as before (2 to
+    against a PSD truth has a p-value of at most Phi(-z) (the likelihood
+    ratio on the tangent cone, a z-test on the delta path), indeterminate
+    when it does not.  ``bootstrap`` and ``seed`` are checked as before (2 to
     MAX_BOOTSTRAP draws, a nonnegative integer seed) but no longer affect the
     result: no path draws.
     """
@@ -428,12 +410,9 @@ def invert_noisy(
         verdict, path, margin, margin_sigma = CP, CLOSED, max(margin, 0.0), None
     else:
         eigenvalues, frame = np.linalg.eigh(c_hat.matrix)
-        margin_sigma, path = _delta_min_eigenvalue_sigma(eigenvalues, frame, covariance), DELTA
-        if margin_sigma is not None:
-            p_value = 0.5 * math.erfc(-margin / (_SQRT2 * margin_sigma)) if margin_sigma else 0.0
-        else:
-            statistic, p_value = _cone_test(margin, eigenvalues, frame, covariance)
-            margin_sigma, path = _normal_equivalent_sigma(margin, p_value, z), CONE
+        path, p_value, margin_sigma, statistic = _evidence(
+            margin, eigenvalues, frame, covariance, z
+        )
         verdict = NOT_CP if margin <= -z * margin_sigma else INDETERMINATE
 
     return InversionResult(

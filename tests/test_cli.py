@@ -350,6 +350,57 @@ class TestSimulateAndInvert:
         assert line in err
 
     @pytest.mark.parametrize(
+        "rows, named",
+        [(["P0T,0.0"], "line 8: P0T repeats"), (["bogus,1"], "line 8: unknown channel 'bogus'")],
+        ids=["repeated", "unknown"],
+    )
+    def test_invert_csv_refuses_extra_rows(self, capsys, tmp_path, rows, named):
+        # each channel once: a repeated row is not read as overriding the
+        # first, nor an unknown label dropped
+        lines = ["label,rate"] + [f"{label},0.0" for label in probe.CHANNELS] + rows
+        rates_file = tmp_path / "rates.csv"
+        rates_file.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(capsys, "invert", "--rates", str(rates_file), "--g", "2")
+        assert code == 2
+        assert out == ""
+        assert named in err
+
+    def test_invert_csv_names_missing_sigma(self, capsys, tmp_path):
+        lines = ["label,rate,sigma"] + [f"{label},0.0,0.01" for label in probe.CHANNELS]
+        lines[2] = "P1T,0.0"
+        rates_file = tmp_path / "rates.csv"
+        rates_file.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(capsys, "invert", "--rates", str(rates_file), "--g", "2")
+        assert code == 2
+        assert out == ""
+        assert "line 3: P1T has no sigma" in err
+        # with every sigma given, the same file inverts
+        lines[2] = "P1T,0.0,0.01"
+        rates_file.write_text("\n".join(lines) + "\n")
+        code, out, _ = run_cli(capsys, "invert", "--rates", str(rates_file), "--g", "2")
+        assert code == 0
+        assert json.loads(out)["covariance"][0][0] > 0.0
+
+    def test_invert_refuses_repeated_run_channel(self, capsys, tmp_path):
+        # a seventh P0T entry with three times the count is refused: read as
+        # the channel's count, it would put c11 far from the truth's 1
+        c_file = write_c_file(tmp_path, IDENTITY_C)
+        run_cli(
+            capsys, "simulate", "--c-file", c_file, "--g", "2",
+            "--shots", "1000", "--exposure", "0.01", "--calibration", "1.0",
+            "--seed", "3", "--out", str(tmp_path / "r"),
+        )
+        run_file = tmp_path / "r" / "run.json"
+        run = json.loads(run_file.read_text())
+        extra = dict(run["channels"][0], k=3 * run["channels"][0]["k"])
+        run["channels"].append(extra)
+        run_file.write_text(json.dumps(run))
+        code, out, err = run_cli(capsys, "invert", "--rates", str(run_file), "--g", "2")
+        assert code == 2
+        assert out == ""
+        assert str(run_file) in err and "entry 7 repeats the label P0T" in err
+
+    @pytest.mark.parametrize(
         "flag",
         [
             ["--bootstrap", "0"], ["--bootstrap", "1"], ["--z", "-1"], ["--z", "nan"],

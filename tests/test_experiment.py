@@ -62,6 +62,18 @@ class TestConfig:
             make_config(shots_per_channel=1000, seed=7)
         ).detections
 
+    @pytest.mark.parametrize(
+        "shots, seed", [(np.int64(1000), 7), (1000, np.uint64(7)), (np.int32(1000), np.int64(7))]
+    )
+    def test_numpy_integers_save_as_python_ints(self, shots, seed):
+        # a config of numpy integers hashes, and saves, as the same config of ints
+        as_numpy = make_config(shots_per_channel=shots, seed=seed)
+        plain = make_config(shots_per_channel=1000, seed=7)
+        assert as_numpy.hash() == plain.hash()
+        out = experiment.run(as_numpy)
+        assert out.to_json() == experiment.run(plain).to_json()
+        assert out.to_csv() == experiment.run(plain).to_csv()
+
     def test_round_trip_and_hash(self):
         config = make_config()
         assert experiment.ExperimentConfig.from_dict(config.to_dict()) == config

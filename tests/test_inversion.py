@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from adjudication import bootstrap_referee as referee
@@ -56,8 +58,10 @@ def bootstrap_sigma(center, covariance, seed, n=10_000):
 
 
 def delta_sigma(center, covariance):
+    """The delta spread of lambda_min of the estimate, or None where it is not resolved."""
     eigenvalues, frame = np.linalg.eigh(symmetric_from_vector(center))
-    return inversion._delta_min_eigenvalue_sigma(eigenvalues, frame, covariance)
+    path, _, sigma, _ = inversion._evidence(eigenvalues[0], eigenvalues, frame, covariance, 3.0)
+    return sigma if path == inversion.DELTA else None
 
 
 def random_symmetric(rng, scale=2.0):
@@ -509,11 +513,15 @@ def assert_normal_equivalent(result):
         assert result.margin_sigma == pytest.approx(-result.margin / 1.5, rel=1e-12)
 
 
+def coupling_gradient(v, w):
+    """The gradient of v^T E w over the six parameters (c11, c12, c13, c22, c23, c33) of E."""
+    return (np.outer(v, w) + np.outer(w, v) - np.diag(v * w))[np.triu_indices(3)]
+
+
 def delta_spread(result):
     """sqrt(g^T Sigma g) for lambda_min of the estimate, g its gradient over the parameters."""
     _, frame = np.linalg.eigh(result.c_hat.matrix)
-    v = frame[:, 0]
-    gradient = (2.0 * np.outer(v, v) - np.diag(v * v))[np.triu_indices(3)]
+    gradient = coupling_gradient(frame[:, 0], frame[:, 0])
     return math.sqrt(gradient @ result.covariance @ gradient)
 
 
@@ -645,13 +653,51 @@ class TestConeTest:
         # cone is too small a null; the p-value is Perlman's bound
         eigenvalues = np.array([-0.01, 0.0, 0.02])
         covariance = np.diag([1e-4, 1e-12, 1e-12, 1e-4, 1e-12, 1e-4])
-        t, p = inversion._cone_test(-0.01, eigenvalues, np.eye(3), covariance)
-        assert t == pytest.approx(1.0, rel=1e-12)
+        path, p, _, t = inversion._evidence(-0.01, eigenvalues, np.eye(3), covariance, 3.0)
+        assert path == inversion.CONE and t == pytest.approx(1.0, rel=1e-12)
         assert p == pytest.approx(0.5 * (stats.chi2.sf(1.0, 5) + stats.chi2.sf(1.0, 6)), rel=1e-12)
         # with the top eigenvalue clear of zero, the block's cone is the null
-        t, p = inversion._cone_test(-0.01, np.array([-0.01, 0.0, 1.0]), np.eye(3), covariance)
+        eigenvalues = np.array([-0.01, 0.0, 1.0])
+        path, p, _, t = inversion._evidence(-0.01, eigenvalues, np.eye(3), covariance, 3.0)
+        assert path == inversion.CONE
         assert p == pytest.approx(inversion._block_cone_test(np.array([-0.01, 0.0, 0.0]),
                                                              np.diag([1e-4, 1e-12, 1e-4]))[1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        frame=st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9),
+        factor=st.lists(st.floats(-1.0, 1.0), min_size=36, max_size=36),
+        scale=st.integers(-12, 4),
+        ratio=st.floats(0.25, 4.0),
+        depth=st.floats(0.01, 20.0),
+        top=st.floats(0.0, 100.0),
+    )
+    def test_delta_exactly_where_lambda_min_is_resolved(
+        self, frame, factor, scale, ratio, depth, top
+    ):
+        # any eigenframe and covariance: the delta path runs exactly where the
+        # gap lambda_2 - lambda_1 is at least RESOLVED_GAP times the largest
+        # spread of v1^T E vk, by the gradient formula of delta_spread, and
+        # reports the spread of v1^T E v1 as margin_sigma
+        q, r = np.linalg.qr(np.reshape(frame, (3, 3)))
+        assume(np.abs(np.diag(r)).min() > 1e-3)
+        a = np.reshape(factor, (6, 6))
+        covariance = (a @ a.T + 0.1 * np.eye(6)) * 10.0**scale
+        spreads = [math.sqrt(g @ covariance @ g) for g in
+                   (coupling_gradient(q[:, 0], q[:, k]) for k in range(3))]
+        threshold = inversion.RESOLVED_GAP * max(spreads)
+        margin = -depth * spreads[0]
+        eigenvalues = np.array([margin, margin + ratio * threshold, 0.0])
+        eigenvalues[2] = eigenvalues[1] + top * threshold
+        gap = eigenvalues[1] - eigenvalues[0]
+        assume(abs(gap - threshold) > 1e-9 * threshold)
+        path, p, sigma, statistic = inversion._evidence(margin, eigenvalues, q, covariance, 3.0)
+        assert (path == inversion.DELTA) == (gap >= threshold)
+        if path == inversion.DELTA:
+            assert sigma == pytest.approx(spreads[0], rel=1e-12)
+            assert statistic is None and p == pytest.approx(stats.norm.sf(depth), rel=1e-9)
+        else:
+            assert path == inversion.CONE and 0.0 <= p <= 1.0 and statistic > 0.0
 
     def test_half_space_at_evident_rank_2(self):
         # diag(1, 1, -0.3) under rate noise of 0.05: lambda_min is not resolved
