@@ -220,8 +220,12 @@ def _read_rates_file(path: str):
     if isinstance(data, list):
         return "rates", _json_numbers(data, path), None
     if isinstance(data, dict) and "rates" in data:
+        rates = _json_numbers(data["rates"], f"{path} rates")
         sigmas = _json_numbers(data["sigmas"], f"{path} sigmas") if "sigmas" in data else None
-        return "rates", _json_numbers(data["rates"], f"{path} rates"), sigmas
+        unknown = [key for key in data if key not in ("rates", "sigmas")]
+        if unknown:
+            raise ValueError(f"{path}: unknown key {unknown[0]!r}; expected 'rates' and 'sigmas'")
+        return "rates", rates, sigmas
     raise ValueError(f"unrecognized rates file format: {path}")
 
 

@@ -362,7 +362,8 @@ def estimate(
         raise ValueError("runs have mixed configurations and cannot be pooled")
 
     total_n = sum(r.trials for r in runs)
-    total_k = np.sum([r.detections for r in runs], axis=0)
+    # Python ints: counts near 2^63 would wrap in int64
+    total_k = np.array([sum(map(int, ks)) for ks in zip(*(r.detections for r in runs))], float)
     p_hat = total_k / total_n
     sigma_p = np.sqrt(p_hat * (1.0 - p_hat) / total_n)
 

@@ -23,8 +23,8 @@ lambda_min is resolved, where the cone is a half-space and the test is the
 z-test of the margin on its delta-method spread; "cone" otherwise (nearly
 degenerate spectra, such as those of rank-1 and zero truths, where lambda_min
 is not smooth in the data), whose null law is a chi-bar-squared mixture.  No
-case draws: a cone-path inversion takes 0.4-0.5 ms on a 2-core host,
-against 2.3-2.5 ms with the 10k-draw bootstrap it replaced.
+case draws or searches: a cone-path inversion takes 0.16-0.31 ms on a
+2-core host, against 2.3-2.5 ms with the 10k-draw bootstrap it replaced.
 
 Either case reports ``p_value``, the probability of evidence at least this
 strong at a PSD truth, and ``margin_sigma``, the spread a normal margin
@@ -71,32 +71,17 @@ _ROWS, _COLS = np.triu_indices(3)
 _UNITS = symmetric_from_vector(np.eye(6))
 
 # The parameters of O^T C O that form the block of the two lowest
-# eigenvectors, y = (Y11, Y12, Y22), and those of its couplings to the third.
-_BLOCK = [0, 1, 3]
+# eigenvectors, y = (Y11, Y12, Y22) (their covariance is frame_covariance[_BLOCK]),
+# and those of its couplings to the third.
+_BLOCK = np.ix_([0, 1, 3], [0, 1, 3])
 _COUPLINGS_TO_TOP = [2, 4]
-# y^T _DETERMINANT y = det Y, positive inside the 2x2 PSD cone.  Its
-# boundary rays are Y = u u^T with u = (cos a, sin a): with f = (1, cos 2a,
-# sin 2a), y = f @ _RAY_HARMONICS.
+# y^T _DETERMINANT y = det Y, positive inside the 2x2 PSD cone.
 _DETERMINANT = np.array([[0.0, 0.0, 0.5], [0.0, -1.0, 0.0], [0.5, 0.0, 0.0]])
-_RAY_HARMONICS = np.array([[0.5, 0.0, 0.5], [0.5, 0.0, -0.5], [0.0, 0.5, 0.0]])
-
-# The distance to the cone is searched over 2a on this grid (its rows are f),
-# then by golden section between the best node's neighbours, to
-# 2 (2 pi / 256) 0.618^26, about 2e-7 rad, where the fit is off by about
-# 1e-14 of itself.
-_RAY_STEP = 2.0 * np.pi / 256
-_RAY_GRID = np.stack(
-    [np.ones(256), np.cos(np.arange(256) * _RAY_STEP), np.sin(np.arange(256) * _RAY_STEP)], axis=1
-)
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_GOLDEN_STEPS = 26
-# The solid angles are periodic trapezoid sums in the azimuth on this many
-# nodes, four times as many while half as many differ by more than
-# _WEIGHT_TOL (up to _MAX_NODES).
-_MIN_NODES = 64
-_MAX_NODES = 2**16
-_NODES_COS2 = np.cos(np.arange(_MIN_NODES) * (np.pi / _MIN_NODES)) ** 2
-_WEIGHT_TOL = 1e-12
+# Bulirsch's cel stops when its arithmetic-geometric mean agrees to this
+# tolerance, where its value agrees to about the tolerance squared.  It and the
+# distance's Newton iteration converge quadratically; both loops are bounded.
+_CEL_TOL = 2.0**-26
+_MAX_STEPS = 64
 _EPS = np.finfo(float).eps
 _SQRT2 = math.sqrt(2.0)
 
@@ -212,70 +197,69 @@ def _normal_equivalent_sigma(margin: float, p: float, z: float) -> float:
     return -margin / max(quantile, 0.5 * z)
 
 
-def _cone_distance(x: np.ndarray, rays: np.ndarray) -> float:
-    """Squared distance from x to the convex cone whose boundary rays are f @ rays.
+def _cone_distance(x0: float, x1: float, x2: float, r0: float, r1: float) -> float:
+    """Squared distance from x to the elliptic cone x2 >= sqrt(r0 x0^2 + r1 x1^2).
 
-    x lies outside the cone, so its projection lies on a boundary ray (or at
-    the vertex): the distance is |x|^2 less the best fit (rho . x)_+^2 / |rho|^2
-    over the rays rho.  The fit is a smooth periodic function of the angle 2a,
-    maximised on a grid and then by golden-section search between the best
-    node's neighbours.
+    x is first scaled by a power of two, so that no square underflows.  The
+    distance is 0 inside the cone and |x|^2 in the polar (x2 <= 0, x2^2 >=
+    x0^2 / r0 + x1^2 / r1).  Otherwise x projects to the boundary point t (x0 / l0, x1 / l1, 1),
+    l_i = t + r_i u with u = t - x2, where t > max(x2, 0) is the one root of
+    sum r_i x_i^2 / l_i^2 = 1.  h = (sum r_i x_i^2 / l_i^2)^(-1/2) is increasing
+    and concave in t, so Newton's method on h = 1 climbs to t from below without
+    overshoot.  It starts at the root for x2 = 0, where h is linear, moved by
+    |x2| to stay below the root.  It steps in s, with t = s + max(x2, 0) and
+    u = s + max(-x2, 0), so that t and u are both sums of nonnegative terms.
     """
-    beta, gram = rays @ x, rays @ rays.T
-    reach = np.maximum(_RAY_GRID @ beta, 0.0)
-    fit = reach * reach / ((_RAY_GRID @ gram) * _RAY_GRID).sum(axis=1)
-    k = int(np.argmax(fit))
-    (b0, b1, b2), ((g00, g01, g02), (_, g11, g12), (_, _, g22)) = beta.tolist(), gram.tolist()
-
-    def fit_at(phi: float) -> float:
-        c, s = math.cos(phi), math.sin(phi)
-        reach = max(b0 + b1 * c + b2 * s, 0.0)
-        norm = g00 + c * (2 * g01 + g11 * c) + s * (2 * g02 + 2 * g12 * c + g22 * s)
-        return reach * reach / norm
-
-    lo, hi = (k - 1) * _RAY_STEP, (k + 1) * _RAY_STEP
-    left, right = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
-    fit_left, fit_right = fit_at(left), fit_at(right)
-    for _ in range(_GOLDEN_STEPS):
-        if fit_left >= fit_right:
-            hi, right, fit_right = right, left, fit_left
-            left = hi - _GOLDEN * (hi - lo)
-            fit_left = fit_at(left)
-        else:
-            lo, left, fit_left = left, right, fit_right
-            right = lo + _GOLDEN * (hi - lo)
-            fit_right = fit_at(right)
-    return max(float(x @ x) - max(float(fit[k]), fit_left, fit_right), 0.0)
+    scale = math.ldexp(1.0, math.frexp(max(abs(x0), abs(x1), abs(x2)))[1])
+    x0, x1, x2 = x0 / scale, x1 / scale, x2 / scale
+    a0, a1 = r0 * x0 * x0, r1 * x1 * x1
+    if x2 >= 0.0 and x2 * x2 >= a0 + a1:
+        return 0.0
+    if x2 <= 0.0 and x2 * x2 >= x0 * x0 / r0 + x1 * x1 / r1:
+        return (x0 * x0 + x1 * x1 + x2 * x2) * scale * scale
+    flat = math.sqrt(a0 / (1.0 + r0) ** 2 + a1 / (1.0 + r1) ** 2)
+    s, t_shift, u_shift = max(flat - abs(x2), 0.0), max(x2, 0.0), max(-x2, 0.0)
+    for _ in range(_MAX_STEPS):
+        t, u = s + t_shift, s + u_shift
+        l0, l1 = t + r0 * u, t + r1 * u
+        q0, q1 = a0 / (l0 * l0), a1 / (l1 * l1)
+        h = 1.0 / math.sqrt(q0 + q1)
+        step = (1.0 - h) / (h**3 * (q0 * (1.0 + r0) / l0 + q1 * (1.0 + r1) / l1))
+        s += step
+        if step <= _EPS * s:
+            break
+    t, u = s + t_shift, s + u_shift
+    stretch = 1.0 + (r0 * x0 / (t + r0 * u)) ** 2 + (r1 * x1 / (t + r1 * u)) ** 2
+    return u * u * stretch * scale * scale
 
 
-def _solid_fractions(apex: float, a: float, b: float) -> tuple[float, float]:
-    """Gaussian measures of the cone apex u0^2 >= a u1^2 + b u2^2, u0 >= 0, and its polar.
+def _cel(kc: float, p: float) -> float:
+    """Bulirsch's complete elliptic integral cel(kc, p, 1, 1), kc, p > 0: the integral
+    over [0, pi/2] of dphi / ((cos^2 + p sin^2) sqrt(cos^2 + kc^2 sin^2)) (Bulirsch,
+    Numer. Math. 13, 1969), by his arithmetic-geometric-mean iteration."""
+    e, em = kc, 1.0
+    p = math.sqrt(p)
+    a, b = 1.0, 1.0 / p
+    for _ in range(_MAX_STEPS):
+        g = e / p
+        a, b, p = a + b / p, 2.0 * (b + a * g), p + g
+        converged = abs(em - kc) <= em * _CEL_TOL
+        em += kc
+        if converged:
+            break
+        kc = 2.0 * math.sqrt(e)
+        e = kc * em
+    return 0.5 * math.pi * (b + a * em) / (em * (em + p))
 
-    Along the azimuth psi about the u0 axis, the cone's boundary lies at tan^2 theta
-    = apex / (b + (a - b) cos^2 psi) and the polar's (u0^2 / apex >= u1^2 / a +
-    u2^2 / b, u0 <= 0) at tan^2 theta = (a b / apex) / (a + (b - a) cos^2 psi).
-    Each measure is the mean over psi of (1 - cos theta) / 2, a periodic integrand
-    whose trapezoid sums converge geometrically: n nodes are taken when the sums
-    on every other node agree with them to _WEIGHT_TOL.  1 - cos theta is taken
-    as tan^2 / (r (1 + r)), r = sqrt(1 + tan^2), free of cancellation.
+
+def _cone_fraction(r0: float, r1: float) -> float:
+    """P(x2 >= sqrt(r0 x0^2 + r1 x1^2)) for a standard normal x in three dimensions.
+
+    It is the mean over the azimuth of (1 - cos theta) / 2, the cone's
+    half-angle theta at that azimuth, which is one complete elliptic integral.
     """
-    scale = np.array([[apex], [a * b / apex]])
-    base = np.array([[b], [a]])
-    slope = np.array([[a - b], [b - a]])
-    n = _MIN_NODES
-    while True:
-        cos2 = _NODES_COS2 if n == _MIN_NODES else np.cos(np.arange(n) * (np.pi / n)) ** 2
-        tan2 = scale / (base + slope * cos2)
-        r = np.sqrt(1.0 + tan2)
-        one_minus_cos = tan2 / (r * (1.0 + r))
-        (cone, polar), (cone_coarse, polar_coarse) = (
-            one_minus_cos.sum(axis=1).tolist(), one_minus_cos[:, ::2].sum(axis=1).tolist()
-        )
-        cone, polar = 0.5 * cone / n, 0.5 * polar / n
-        coarse_error = max(abs(cone - cone_coarse / n), abs(polar - polar_coarse / n))
-        if coarse_error <= _WEIGHT_TOL or n >= _MAX_NODES:
-            return cone, polar
-        n *= 4
+    kc = math.sqrt((1.0 + r1) * r0 / ((1.0 + r0) * r1))
+    return 0.5 - r0 / (math.pi * math.sqrt(r1 * (1.0 + r0))) * _cel(kc, r0 / r1)
 
 
 def _block_cone_test(y: np.ndarray, block_covariance: np.ndarray) -> tuple[float, float]:
@@ -288,17 +272,24 @@ def _block_cone_test(y: np.ndarray, block_covariance: np.ndarray) -> tuple[float
     zero) gives a huge distance along its null directions, not an error.
     """
     d, q = np.linalg.eigh(block_covariance)
-    d = np.maximum(d, _EPS * (d[-1] + np.max(np.abs(y)) ** 2))
-    # x = whiten @ y has identity covariance, and the cone's boundary rays,
-    # whitened, are f @ rays
-    whiten = q.T / np.sqrt(d)[:, None]
-    inside = y[0] + y[2] >= 0.0 and y @ _DETERMINANT @ y >= 0.0
-    statistic = 0.0 if inside else _cone_distance(whiten @ y, _RAY_HARMONICS @ whiten.T)
-    # In whitened coordinates the cone is x^T B x >= 0, B = root^T _DETERMINANT
-    # root with root = q sqrt(d), one positive and two negative eigenvalues.
+    d = np.maximum(d, _EPS * (d[2] + max(map(abs, y.tolist())) ** 2))
+    # In whitened coordinates x, y = root x, the cone is x^T B x >= 0 with
+    # B = root^T _DETERMINANT root, of one positive and two negative
+    # eigenvalues.  In B's eigenframe it is the elliptic cone
+    # x2 >= sqrt(r0 x0^2 + r1 x1^2), its nappe the one of nonnegative trace.
+    # Since root^T root = diag(d), each |mu| is at least d[0] / 2 (Ostrowski),
+    # a bound that rounding can cross when d[0] is near the floor.
     root = q * np.sqrt(d)
-    mu = np.linalg.eigvalsh(root.T @ _DETERMINANT @ root)
-    w3, w0 = _solid_fractions(mu[2], -mu[0], -mu[1])
+    mu, v = np.linalg.eigh(root.T @ _DETERMINANT @ root)
+    floor = 0.5 * float(d[0])
+    mu0, mu1, mu2 = (max(abs(m), floor) for m in mu.tolist())
+    r0, r1 = mu0 / mu2, mu1 / mu2
+    x0, x1, x2 = (v.T @ (root.T @ y / d)).tolist()
+    if (root[0] + root[2]) @ v[:, 2] < 0.0:
+        x2 = -x2
+    statistic = _cone_distance(x0, x1, x2, r0, r1)
+    # w3 = P(x in the cone), w0 = P(x in its polar x2 <= -sqrt(x0^2 / r0 + x1^2 / r1))
+    w3, w0 = _cone_fraction(r0, r1), _cone_fraction(1.0 / r0, 1.0 / r1)
     p = (
         w0 * _chi2_tail(3, statistic)
         + (0.5 - w3) * _chi2_tail(2, statistic)
@@ -346,7 +337,7 @@ def _evidence(
     top_clear = eigenvalues[2] - eigenvalues[1] >= resolved[_COUPLINGS_TO_TOP].max()
     if eigenvalues[2] >= resolved[5] and top_clear:
         y = np.array([eigenvalues[0], 0.0, eigenvalues[1]])
-        statistic, p = _block_cone_test(y, frame_covariance[np.ix_(_BLOCK, _BLOCK)])
+        statistic, p = _block_cone_test(y, frame_covariance[_BLOCK])
     else:
         statistic = (margin / sigma) ** 2 if sigma > 0.0 else math.inf
         if eigenvalues[1] >= resolved[3]:

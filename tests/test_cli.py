@@ -423,6 +423,17 @@ class TestSimulateAndInvert:
         assert out == ""
         assert flag[0].lstrip("-") in err
 
+    def test_invert_refuses_unknown_json_key(self, capsys, tmp_path):
+        # "sigma" for "sigmas": read as no sigmas, diag(1, 1, -0.01) would read
+        # not-CP on the rates alone, where its sigmas make it indeterminate
+        rates = probe.forward(KossakowskiMatrix.diagonal(1.0, 1.0, -0.01), coefficients(2.0))
+        rates_file = tmp_path / "rates.json"
+        rates_file.write_text(json.dumps({"rates": list(rates.rates), "sigma": [0.05] * 6}))
+        code, out, err = run_cli(capsys, "invert", "--rates", str(rates_file), "--g", "2")
+        assert code == 2
+        assert out == ""
+        assert "unknown key 'sigma'" in err and str(rates_file) in err
+
     def test_forward_then_invert_boundary_truth_is_cp(self, capsys, tmp_path):
         # rank 1, so the exact estimate's smallest eigenvalue is zero up to
         # rounding; without --sigmas that must not read not-CP

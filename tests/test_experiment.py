@@ -222,6 +222,17 @@ class TestEstimate:
         run_c = experiment.run(make_config(seed=9))
         experiment.estimate([run_a, run_c], m)
 
+    def test_pooled_counts_beyond_int64(self):
+        # six runs of 2^63 - 1 shots at per-shot p = 0.19 on the reflected
+        # channels: their pooled counts pass 2^63 - 1, where int64 wraps
+        config = make_config(shots_per_channel=2**63 - 1, exposure=0.0475)
+        runs = [experiment.run(replace(config, seed=s)) for s in range(6)]
+        assert sum(r.detections[3] for r in runs) > 2**63
+        result = experiment.estimate(runs, probe.build_matrix_programmatic(coefficients(2.0)))
+        err = np.abs(result.c_hat.vector - config.true_c.vector)
+        assert np.all(err <= 6.0 * result.standard_errors())
+        assert result.cp_verdict in (inversion.CP, inversion.INDETERMINATE)
+
     def test_empty_rejected(self):
         m = probe.build_matrix_programmatic(coefficients(2.0))
         with pytest.raises(ValueError):

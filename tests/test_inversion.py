@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import integrate, stats
 
 from adjudication import bootstrap_referee as referee
 from kossprobe import inversion, probe
@@ -536,11 +536,21 @@ def in_psd_cone(y):
     return (y11 + y22 >= 0.0) & (y11 * y22 >= y12 * y12)
 
 
-def cone_weights(covariance):
+def elliptic_ratios(covariance):
+    """(r0, r1): in whitened coordinates of N(0, covariance), the 2x2 PSD cone is the
+    elliptic cone x2 >= sqrt(r0 x0^2 + r1 x1^2) in the eigenframe of
+    B = root^T _DETERMINANT root, and its polar that of 1 / r0, 1 / r1."""
     d, q = np.linalg.eigh(covariance)
     root = q * np.sqrt(d)
     mu = np.linalg.eigvalsh(root.T @ inversion._DETERMINANT @ root)
-    return inversion._solid_fractions(mu[2], -mu[0], -mu[1])
+    return -mu[0] / mu[2], -mu[1] / mu[2]
+
+
+def cone_weights(covariance):
+    """(w3, w0) as the cone test takes them: the N(0, covariance) measures of the 2x2 PSD
+    cone and of its polar."""
+    r0, r1 = elliptic_ratios(covariance)
+    return inversion._cone_fraction(r0, r1), inversion._cone_fraction(1.0 / r0, 1.0 / r1)
 
 
 def chi_bar_tail(t, w3, w0):
@@ -548,9 +558,54 @@ def chi_bar_tail(t, w3, w0):
     return w0 * tails[2] + (0.5 - w3) * tails[1] + (0.5 - w0) * tails[0]
 
 
+def in_polar(y, covariance):
+    """Whether y is in the polar of the 2x2 PSD cone in the covariance^-1 metric: exactly
+    when u = -covariance^-1 y, read as [[u11, u12 / 2], [u12 / 2, u22]], is PSD."""
+    return in_psd_cone(-np.linalg.solve(covariance, y) * np.array([1.0, 0.5, 1.0]))
+
+
+def cone_fraction_by_quadrature(r0, r1):
+    """P(x2 >= sqrt(r0 x0^2 + r1 x1^2)), x standard normal: the mean over the azimuth psi
+    of (1 - cos theta) / 2, with tan^2 theta = 1 / (r0 cos^2 psi + r1 sin^2 psi)."""
+
+    def one_minus_cos(psi):
+        tan2 = 1.0 / (r0 * math.cos(psi) ** 2 + r1 * math.sin(psi) ** 2)
+        r = math.sqrt(1.0 + tan2)
+        return tan2 / (r * (1.0 + r))
+
+    total, _ = integrate.quad(one_minus_cos, 0.0, 0.5 * math.pi, epsabs=0.0, epsrel=1e-13,
+                              limit=200)
+    return total / math.pi
+
+
+def referee_distance(y, covariance, rays=2**20, zoom_rays=2**12, zooms=3):
+    """The covariance^-1 distance squared from y to the 2x2 PSD cone, by brute force over
+    its boundary rays u u^T, u = (cos a, sin a): ``rays`` angles a over [0, pi), then
+    ``zooms`` times ``zoom_rays`` angles across the best angle's neighbours.  The
+    distance is that of the residual from the best ray, free of the cancellation in
+    |x|^2 - fit."""
+    d, q = np.linalg.eigh(covariance)
+    whiten = q.T / np.sqrt(d)[:, None]
+    x = whiten @ y
+    if in_psd_cone(y):
+        return 0.0
+    lo, hi, n = 0.0, np.pi, rays
+    for _ in range(zooms + 1):
+        a = np.linspace(lo, hi, n)
+        u = whiten @ np.stack([np.cos(a) ** 2, np.cos(a) * np.sin(a), np.sin(a) ** 2])
+        u /= np.linalg.norm(u, axis=0)
+        reach = x @ u
+        k = int(np.argmax(reach))
+        step = (hi - lo) / (n - 1)
+        lo, hi, n = a[k] - 2.0 * step, a[k] + 2.0 * step, zoom_rays
+    residual = x - max(reach[k], 0.0) * u[:, k]
+    return float(residual @ residual)
+
+
 def brute_distances(y, covariance, rays=2048):
     """The covariance^-1 distance squared from each row of y to the 2x2 PSD cone, over a
-    grid of its boundary rays u u^T."""
+    grid of its boundary rays u u^T: an upper bound, since the grid can miss the
+    closest ray (``referee_distance`` zooms in on it)."""
     d, q = np.linalg.eigh(covariance)
     whiten = q.T / np.sqrt(d)[:, None]
     a = np.linspace(0.0, np.pi, rays, endpoint=False)
@@ -583,6 +638,88 @@ class TestConeTest:
         u = -np.linalg.solve(covariance, z.T).T * np.array([1.0, 0.5, 1.0])
         for w, sampled in ((w3, in_psd_cone(z).mean()), (w0, in_psd_cone(u).mean())):
             assert abs(sampled - w) <= 4.5 * math.sqrt(w * (1.0 - w) / n)
+
+    @pytest.mark.parametrize("r", [1e-6, 0.01, 1.0, 7.0, 1e6])
+    def test_circular_cone_fraction(self, r):
+        # r0 = r1 = r: a circular cone of half-angle theta, tan theta = 1 / sqrt(r)
+        theta = math.atan(1.0 / math.sqrt(r))
+        want = (1.0 - math.cos(theta)) / 2.0
+        assert inversion._cone_fraction(r, r) == pytest.approx(want, rel=1e-12, abs=1e-16)
+
+    def test_cone_fraction_matches_quadrature(self):
+        rng = np.random.default_rng(12)
+        for r0, r1 in np.exp(rng.uniform(-9.0, 9.0, size=(40, 2))):
+            assert inversion._cone_fraction(r0, r1) == pytest.approx(
+                cone_fraction_by_quadrature(r0, r1), rel=1e-10, abs=1e-15
+            )
+
+    @pytest.mark.parametrize("log_cond, seed", [(4, 440), (6, 640), (8, 844)])
+    def test_distance_at_ill_conditioned_blocks(self, log_cond, seed):
+        # block covariances of condition number 10^4 to 10^8 in random frames
+        # and points outside the cone and outside its polar, whose projection
+        # is on a boundary ray: the fit over the rays can have a narrow peak
+        # (seeds 640 and 844 draw peaks narrower than a 256-ray grid's step),
+        # and T is the distance that the zooming ray referee finds
+        rng = np.random.default_rng(seed)
+        checked = 0
+        while checked < 4:
+            q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+            scales = np.logspace(0.0, -0.5 * log_cond, 3)
+            covariance = (q * scales**2) @ q.T
+            y = q @ (scales * rng.normal(size=3))
+            if in_psd_cone(y) or in_polar(y, covariance):
+                continue
+            t, _ = inversion._block_cone_test(y, covariance)
+            assert t == pytest.approx(referee_distance(y, covariance), rel=1e-8)
+            checked += 1
+
+    def test_rank_deficient_block_covariance(self):
+        # seeded block covariances of rank 1 and 2, as zero rate sigmas give:
+        # the eigenvalues of B that rounding leaves near zero keep their
+        # bound, so T is finite and p a probability
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            for rank in (1, 2):
+                a = rng.normal(size=(3, rank))
+                for y in rng.normal(size=(4, 3)):
+                    t, p = inversion._block_cone_test(y, a @ a.T)
+                    assert math.isfinite(t) and t >= 0.0 and 0.0 <= p <= 1.0
+
+    @pytest.mark.parametrize("scale", [2.0**-530, 2.0**-600])
+    def test_distance_of_tiny_points(self, scale):
+        # T is of degree 2 in x, also where the squares of x underflow: no
+        # division by zero, and T rounds to the scaled distance
+        for x in ((1.0, 0.0, 0.1), (-0.3, 0.8, 0.2), (0.5, -0.4, -0.05)):
+            want = inversion._cone_distance(*x, 2.0, 0.3) * scale**2
+            got = inversion._cone_distance(*(scale * v for v in x), 2.0, 0.3)
+            assert got == pytest.approx(want, rel=1e-12)
+
+    def test_ill_conditioned_inversion_matches_referee(self):
+        # a seeded rank-1 truth at g = 0.5 and phase 7 pi / 4, rate sigmas
+        # spread over a factor of about 4e3: the block of the two lowest
+        # eigenvectors has a covariance of condition number about 1.6e7, and
+        # T and p are those of the referee's distance and weights
+        rng = np.random.default_rng(25475)
+        co = coefficients(0.5)
+        m = probe.build_matrix_programmatic(co, 7.0 * math.pi / 4.0)
+        u = rng.normal(size=3)
+        rates = probe.forward(KossakowskiMatrix.from_matrix(np.outer(u, u)), co,
+                              7.0 * math.pi / 4.0).rates
+        sigmas = 10.0 ** rng.uniform(-3.0, 0.0) * np.exp(rng.uniform(math.log(1.0 / 8e3), 0.0, 6))
+        result = inversion.invert_noisy(rates + rng.normal(0.0, sigmas), sigmas, m)
+        assert result.verdict_path == inversion.CONE
+        eigenvalues, frame = np.linalg.eigh(result.c_hat.matrix)
+        gradients = np.array(
+            [coupling_gradient(frame[:, j], frame[:, k]) for j, k in ((0, 0), (0, 1), (1, 1))]
+        )
+        covariance = gradients @ result.covariance @ gradients.T
+        assert np.linalg.cond(covariance) > 1e7
+        t = referee_distance(np.array([eigenvalues[0], 0.0, eigenvalues[1]]), covariance)
+        r0, r1 = elliptic_ratios(covariance)
+        w3, w0 = cone_fraction_by_quadrature(r0, r1), cone_fraction_by_quadrature(1 / r0, 1 / r1)
+        assert result.cone_statistic == pytest.approx(t, rel=1e-8)
+        assert result.p_value == pytest.approx(chi_bar_tail(t, w3, w0), rel=1e-9)
+        assert t == pytest.approx(0.0264049815248, rel=1e-6)
 
     def test_tail_matches_empirical(self):
         # at the cone's vertex, P(T >= t) is the chi-bar-squared mixture
