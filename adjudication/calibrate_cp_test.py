@@ -12,7 +12,9 @@ common to both tests.  The table reports each test's not-CP rate with its
 Phi(-3) = 0.135%.
 
 numpy only and seeded (the same seed gives the same table).  Not run by the
-test suite: the default sizes take about 4 minutes on a 2-core host.
+test suite: the default sizes take about 15 minutes on a 2-core host, nearly
+all of it in the bootstrap's ``eigvalsh`` on 10k 3x3 matrices per cone-path
+trial (``--scale 0.01`` about 10 s, ``--scale 0.05`` about 47 s).
 
     PYTHONPATH=src python adjudication/calibrate_cp_test.py [--scale 0.1]
 """
@@ -28,7 +30,7 @@ import numpy as np
 
 from bootstrap_referee import bootstrap_min_eigenvalue_sigma
 from kossprobe.inversion import CONE, NOT_CP, invert_noisy
-from kossprobe.kossakowski import KossakowskiMatrix, symmetric_from_vector
+from kossprobe.kossakowski import KossakowskiMatrix
 from kossprobe.probe import build_matrix_programmatic, forward
 from kossprobe.scattering import coefficients
 
@@ -46,12 +48,6 @@ TRUTHS = (
     ("diag(1, 0, -0.3)", (1.0, 0.0, -0.3), False, 2_000),
     ("diag(1, 1, -0.3)", (1.0, 1.0, -0.3), False, 2_000),
 )
-
-
-def bootstrap_sigma(center: np.ndarray, covariance: np.ndarray, seed: int) -> float:
-    """The spread of lambda_min over DRAWS seeded draws from N(center, covariance)."""
-    _, frame = np.linalg.eigh(symmetric_from_vector(center))
-    return bootstrap_min_eigenvalue_sigma(center, covariance, DRAWS, seed, frame)
 
 
 def wilson(k: int, n: int, z: float = 1.959964) -> tuple[float, float]:
@@ -75,7 +71,9 @@ def calibrate(diagonal, trials: int, seed: int) -> dict:
         cone_not_cp += not_cp
         if result.verdict_path == CONE:
             cone += 1
-            sigma = bootstrap_sigma(result.c_hat.vector, result.covariance, trial)
+            sigma = bootstrap_min_eigenvalue_sigma(
+                result.c_hat.vector, result.covariance, DRAWS, trial
+            )
             not_cp = result.margin <= -Z * sigma
         bootstrap_not_cp += not_cp
     return {"trials": trials, "cone": cone, "bootstrap": bootstrap_not_cp, "cone_test": cone_not_cp}

@@ -199,11 +199,16 @@ def _read_rates_file(path: str):
                 raise ValueError(f"{where}: {label} repeats an earlier row")
             if len(header) > 2 and len(parts) == 2:
                 raise ValueError(f"{where}: {label} has no sigma, but the header names one")
+            if len(parts) != len(header):
+                raise ValueError(
+                    f"{where}: expected {len(header)} fields, as in the header "
+                    f"{','.join(header)!r}, got {len(parts)}"
+                )
             try:
                 rates[label] = float(parts[1])
                 if len(header) > 2:
                     sigmas[label] = float(parts[2])
-            except (IndexError, ValueError):
+            except ValueError:
                 raise ValueError(f"{where}: expected 'label,rate[,sigma]', got {line!r}") from None
         missing = [label for label in CHANNELS if label not in rates]
         if missing:
@@ -260,6 +265,8 @@ def _cmd_invert(args) -> int:
             raise ValueError("--sigmas does not apply to a run file: it carries its own binomial sigmas")
         phase = config.phase
     elif args.sigmas is not None:
+        if sigmas is not None:
+            raise ValueError(f"--sigmas does not apply to {args.rates}: it carries its own sigmas")
         sigmas = _json_numbers(json.loads(Path(args.sigmas).read_text()), args.sigmas)
     m = build_matrix_programmatic(coefficients(args.g), phase)
     if kind == "run":

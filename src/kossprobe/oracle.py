@@ -160,9 +160,13 @@ def adjudicate(trials: int = 100) -> dict:
     brute-force path, at the canonical phase, to within ``AGREEMENT_TOL``
     (the report's ``ok`` flag).  The hand-derived coefficient table for M is
     compared as well; its deviations are expected, listed entry by entry, and
-    do not affect ``ok``.
+    do not affect ``ok``.  ``trials`` must be at least 1, so that the
+    report compares something.
     """
     from .kossakowski import d_tilde
+
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
 
     rng = np.random.default_rng(ADJUDICATION_SEED)
 

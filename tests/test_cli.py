@@ -339,7 +339,13 @@ class TestSimulateAndInvert:
             assert code == 0
 
     @pytest.mark.parametrize(
-        "text, line", [("label,rate\nP0T\n", "line 2"), ("", "empty"), ("\n\n", "empty")]
+        "text, line",
+        [
+            ("label,rate\nP0T\n", "line 2"), ("", "empty"), ("\n\n", "empty"),
+            # a sigma under a 'label,rate' header is refused, not dropped
+            pytest.param("label,rate\n" + "".join(f"{label},0.0,0.05\n" for label in probe.CHANNELS),
+                         "line 2: expected 2 fields", id="extra-field"),
+        ],
     )
     def test_invert_malformed_csv(self, capsys, tmp_path, text, line):
         rates_file = tmp_path / "rates.csv"
@@ -433,6 +439,30 @@ class TestSimulateAndInvert:
         assert code == 2
         assert out == ""
         assert "unknown key 'sigma'" in err and str(rates_file) in err
+
+    @pytest.mark.parametrize("kind", ["json", "csv"])
+    def test_invert_refuses_sigmas_twice(self, capsys, tmp_path, kind):
+        # sigmas in the rates file and --sigmas: zeros from --sigmas used to
+        # replace the file's 0.05, and diag(1, 1, -0.01) read not-CP where its
+        # sigmas make it indeterminate
+        rates = probe.forward(KossakowskiMatrix.diagonal(1.0, 1.0, -0.01), coefficients(2.0))
+        rates_file = tmp_path / f"rates.{kind}"
+        if kind == "json":
+            rates_file.write_text(json.dumps({"rates": list(rates.rates), "sigmas": [0.05] * 6}))
+        else:
+            rows = [f"{label},{rate!r},0.05" for label, rate in rates.by_channel().items()]
+            rates_file.write_text("\n".join(["label,rate,sigma", *rows]) + "\n")
+        code, out, _ = run_cli(capsys, "invert", "--rates", str(rates_file), "--g", "2")
+        assert code == 0
+        assert json.loads(out)["cp_verdict"] == "indeterminate"
+        sigmas_file = tmp_path / "zeros.json"
+        sigmas_file.write_text(json.dumps([0.0] * 6))
+        code, out, err = run_cli(
+            capsys, "invert", "--rates", str(rates_file), "--g", "2", "--sigmas", str(sigmas_file)
+        )
+        assert code == 2
+        assert out == ""
+        assert "--sigmas" in err and str(rates_file) in err
 
     def test_forward_then_invert_boundary_truth_is_cp(self, capsys, tmp_path):
         # rank 1, so the exact estimate's smallest eigenvalue is zero up to
@@ -712,6 +742,13 @@ class TestOracle:
         payload = json.loads(out)
         assert payload["ok"] is True
         assert json.loads(out_path.read_text())["ok"] is True
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_refuses_trials_below_one(self, capsys, trials):
+        code, out, err = run_cli(capsys, "oracle", "--trials", trials)
+        assert code == 2
+        assert out == ""
+        assert "trials must be at least 1" in err
 
 
 def run_fresh(script: str):

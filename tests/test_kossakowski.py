@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adjudication import bootstrap_referee as referee
 from kossprobe import kossakowski as km
 from kossprobe import oracle, probe
 from kossprobe.scattering import coefficients
@@ -211,176 +210,6 @@ class TestCPCheck:
         assert set(d["conditions"]) == {
             "c11", "c22", "c33", "minor_12", "minor_13", "minor_23", "det",
         }
-
-
-EPS = np.finfo(float).eps
-ROWS, COLS = np.triu_indices(3)
-
-
-def min_eigenvalue_of(v):
-    """The in-place kernel on a parameter-major copy of six-parameter vectors (n, 6),
-    which must neither divide by zero nor overflow on any batch."""
-    a = np.array(np.asarray(v, dtype=float).T, order="C")
-    with np.errstate(divide="raise", over="raise", invalid="raise"):
-        return referee.min_eigenvalue_in_place(a, np.empty((7, a.shape[1])))
-
-
-def secular(a):
-    """The secular exit on parameter-major matrices ``a`` (6, n), at the kernel's
-    eps * max|entry| tolerance: their smallest eigenvalues, or None."""
-    tol = EPS * np.abs(a).max(axis=0)
-    with np.errstate(divide="raise", over="raise", invalid="raise"):
-        return referee._secular_min_eigenvalue(a, tol, np.empty((5, a.shape[1])))
-
-
-def assert_matches_eigvalsh(got, v):
-    want = np.linalg.eigvalsh(km.symmetric_from_vector(v))[..., 0]
-    assert got.shape == want.shape
-    # both sides err: against a long-double Jacobi reference, eigvalsh was
-    # measured up to 11.7 eps max|entry| off, the Jacobi kernel up to 5.1
-    tol = 16 * EPS * np.abs(v).max(axis=-1)
-    assert np.all(np.abs(got - want) <= tol)
-
-
-class TestMinEigenvalueFromVector:
-    """The bootstrap referee's batched smallest eigenvalue of six-parameter vectors, with
-    LAPACK's eigvalsh as the reference."""
-
-    @settings(max_examples=150, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        spectrum=st.lists(st.sampled_from([0.0, 1.0, -0.5, 1e-3]), min_size=3, max_size=3),
-        scale=st.sampled_from([1.0, 1e-6, 1e3, 1e-150, 1e150]),
-        cluster=st.sampled_from(["none", "double", "triple", "scalar"]),
-        noise=st.sampled_from([0.0, 1e-14, 1e-9, 1e-4, 1.0]),
-    )
-    def test_matches_eigvalsh(self, seed, spectrum, scale, cluster, noise):
-        rng = np.random.default_rng(seed)
-        lam = np.array(spectrum)
-        if cluster == "double":
-            lam[1] = lam[0]
-        elif cluster != "none":
-            lam[:] = lam[0]
-        if cluster == "scalar":
-            c = np.broadcast_to(lam[0] * np.eye(3), (32, 3, 3))
-        else:
-            q, _ = np.linalg.qr(rng.normal(size=(32, 3, 3)))
-            c = (q * lam) @ np.swapaxes(q, -1, -2)
-        e = rng.normal(size=(32, 3, 3))
-        v = (scale * (c + noise * (e + np.swapaxes(e, -1, -2))))[:, ROWS, COLS]
-        assert_matches_eigvalsh(min_eigenvalue_of(v), v)
-
-    def test_zero_batch(self):
-        got = min_eigenvalue_of(np.zeros((7, 6)))
-        assert got.shape == (7,)
-        assert np.all(got == 0.0)
-
-    @pytest.mark.parametrize(
-        "row",
-        [[1, 0, 0, 0, 0, 0], [-0.5, 0, 0, -0.5, 0, -0.5], [1, 0, 0, 1, 0, 0], [0.3, -1.2, 0.7, 2.0, 0.1, -0.4]],
-    )
-    def test_identical_rows(self, row):
-        v = np.tile(np.array(row, dtype=float), (100, 1))
-        got = min_eigenvalue_of(v)
-        assert np.all(got == got[0])
-        assert_matches_eigvalsh(got, v)
-
-    def test_exact_on_diagonal_matrices(self):
-        v = np.array([[1, 0, 0, 0, 0, 0], [-0.5, 0, 0, -0.5, 0, -0.5], [2, 0, 0, 1e-300, 0, 3]])
-        assert min_eigenvalue_of(v).tolist() == [0.0, -0.5, 1e-300]
-        # the same diagonal entries, but every matrix's last one the largest
-        v = np.array([[0, 0, 0, 0, 0, 1], [-0.5, 0, 0, -0.5, 0, 0.5], [2, 0, 0, 1e-300, 0, 3]])
-        assert secular(np.array(v.T, order="C")) is not None
-        assert min_eigenvalue_of(v).tolist() == [0.0, -0.5, 1e-300]
-
-    def test_rejects_bad_input(self):
-        for bad in (np.nan, np.inf):
-            v = np.zeros((3, 6))
-            v[1, 2] = bad
-            with pytest.raises(ValueError, match="finite"):
-                min_eigenvalue_of(v)
-
-
-def eigenframe_draws(center, rate_sigmas, seed, n=10_000):
-    """multivariate_normal's bootstrap draws around ``center`` for rate noise ``rate_sigmas``
-    at g = 2, taken in the eigenframe of ``center`` as the bootstrap takes them, (6, n)."""
-    m_inv = np.linalg.inv(probe.build_matrix_programmatic(G2).matrix)
-    covariance = m_inv @ np.diag(np.square(rate_sigmas)) @ m_inv.T
-    rng = np.random.default_rng(seed)
-    draws = rng.multivariate_normal(center, covariance, size=n, method="svd")
-    _, frame = np.linalg.eigh(km.symmetric_from_vector(center))
-    c = frame.T @ km.symmetric_from_vector(draws) @ frame
-    return np.array(c[:, ROWS, COLS].T, order="C")
-
-
-RANK1 = np.array([1.0, -0.5, 0.25, 0.25, -0.125, 0.0625])  # u u^T, u = (1, -1/2, 1/4)
-
-
-class TestSecularExit:
-    """The referee kernel's early exit: certified roots of the secular equation of a33, or
-    None."""
-
-    def test_certifies_on_rank1_draws(self):
-        # shot noise of 10^9 detections per channel at exposure 0.01, as in the
-        # benchmark's boundary items
-        p = 0.01 * probe.forward(km.KossakowskiMatrix(*RANK1), G2).rates
-        sigmas = np.sqrt(p * (1 - p) / 1e9) / 0.01
-        for seed in range(3):
-            a = eigenframe_draws(RANK1, sigmas, seed)
-            got = secular(a)
-            assert got is not None
-            assert_matches_eigvalsh(got, a.T)
-            assert_matches_eigvalsh(min_eigenvalue_of(a.T), a.T)
-
-    @pytest.mark.parametrize(
-        "rate_sigmas",
-        [0.05 * np.ones(6), [0.05, 0.0, 0.05, 0.05, 0.05, 0.05]],
-        ids=["full", "singular"],
-    )
-    def test_declines_zero_truth_draws(self, rate_sigmas):
-        # the eigenframe of C = 0 leaves the draws' spectra unordered
-        for seed in range(3):
-            assert secular(eigenframe_draws(np.zeros(6), rate_sigmas, seed)) is None
-
-    def test_declines_smallest_eigenvalue_at_index_2(self):
-        # draws around diag(1, 1, 0): a33 is the smallest diagonal entry
-        a = eigenframe_draws(np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0]), 1e-4 * np.ones(6), 0)
-        a = np.array(a[[5, 4, 2, 3, 1, 0]], order="C")  # the frame's axes reversed
-        assert secular(a) is None
-        assert_matches_eigvalsh(min_eigenvalue_of(a.T), a.T)
-
-    @staticmethod
-    def separated(seed, block, fraction, n=64):
-        """Matrices with a33 in [0.5, 1), the leading block's entries in [-block, block],
-        and |a13| + |a23| at ``fraction`` of the attempt bound."""
-        rng = np.random.default_rng(seed)
-        a = np.empty((6, n))
-        a11, a12, a13, a22, a23, a33 = a
-        a[[0, 1, 3]] = rng.uniform(-block, block, (3, n))
-        a33[:] = rng.uniform(0.5, 1.0, n)
-        size = fraction * referee._SECULAR_BOUND * np.min(a33 - np.minimum(a11, a22))
-        share = rng.uniform(0.0, 1.0, n)
-        a13[:] = rng.choice([-1.0, 1.0], n) * share * size
-        a23[:] = rng.choice([-1.0, 1.0], n) * (1.0 - share) * size
-        return a
-
-    @settings(max_examples=150, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        block=st.sampled_from([1e-4, 0.1, 0.45]),
-        fraction=st.sampled_from([0.5, 0.9, 0.999]),
-        exponent=st.sampled_from([-40, 0, 40]),
-    )
-    def test_certifies_within_the_attempt_bound(self, seed, block, fraction, exponent):
-        # below the bound the step cap suffices in exact arithmetic
-        a = np.ldexp(self.separated(seed, block, fraction), exponent)
-        got = secular(a)
-        assert got is not None
-        assert_matches_eigvalsh(got, a.T)
-
-    def test_declines_beyond_the_attempt_bound(self):
-        assert secular(self.separated(0, 0.1, 1.001)) is None
-        assert secular(self.separated(0, 0.1, 0.999)) is not None
 
 
 class TestDTilde:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from kossprobe import oracle, probe
+from adjudication.bootstrap_referee import bootstrap_min_eigenvalue_sigma
+from kossprobe import inversion, kossakowski, oracle, probe
 from kossprobe.kossakowski import KossakowskiMatrix, d_tilde
 from kossprobe.scattering import coefficients
 from kossprobe.spin import basis, pauli, unvec, vec
@@ -202,3 +203,50 @@ class TestAdjudication:
         comparison = report["tabulated_matrix"]["g=2"]
         assert not comparison["agrees"]
         assert len(comparison["deviating_entries"]) == 10
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_refuses_trials_below_one(self, trials):
+        # a report over no trials would read ok having compared nothing
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            oracle.adjudicate(trials=trials)
+
+
+# The closed forms under judgment, and the inversion's tangent-cone test.
+CLOSED_FORMS = (
+    (kossakowski, "d_tilde"), (kossakowski, "evolve"), (probe, "_rate_matrix"),
+    (inversion, "_evidence"),
+)
+
+
+def referee_calls():
+    """Each referee, on fixed inputs prepared with the closed forms still in place."""
+    rng = np.random.default_rng(33)
+    c, rho = random_symmetric(rng), random_state(rng, 4)
+    rank1 = np.array([1.0, -0.5, 0.25, 0.25, -0.125, 0.0625])
+    return {
+        "d_tilde_bruteforce": lambda: oracle.d_tilde_bruteforce(c),
+        "forward_bruteforce": lambda: oracle.forward_bruteforce(c, coefficients(2.0), 0.7),
+        "exact_evolution": lambda: oracle.exact_evolution(c, rho, 0.3),
+        "bootstrap_min_eigenvalue_sigma": lambda: bootstrap_min_eigenvalue_sigma(
+            rank1, 1e-3 * np.eye(6), 10_000, 3
+        ),
+    }
+
+
+@pytest.mark.parametrize("referee", list(referee_calls()))
+def test_referee_stands_without_the_closed_forms(monkeypatch, referee):
+    # the independent side of an adjudication calls none of what it judges:
+    # with each closed form replaced by a function that fails the test, every
+    # referee returns the value it returns unpatched
+    call = referee_calls()[referee]
+    want = call()
+
+    def closed_form(*args, **kwargs):
+        pytest.fail("a referee called a closed form it judges")
+
+    for module, name in CLOSED_FORMS:
+        monkeypatch.setattr(module, name, closed_form)
+    # the patch reaches the closed forms' callers
+    with pytest.raises(pytest.fail.Exception):
+        probe.forward(COUNTEREXAMPLE, coefficients(2.0))
+    np.testing.assert_array_equal(call(), want)
