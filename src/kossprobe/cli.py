@@ -187,8 +187,8 @@ def _read_rates_file(path: str):
         if not lines:
             raise ValueError("rates csv is empty; expected header 'label,rate[,sigma]'")
         header = [h.strip() for h in lines[0][1].split(",")]
-        if header[:2] != ["label", "rate"]:
-            raise ValueError("rates csv must have header 'label,rate[,sigma]'")
+        if header not in (["label", "rate"], ["label", "rate", "sigma"]):
+            raise ValueError(f"rates csv header {lines[0][1]!r} is not 'label,rate[,sigma]'")
         for n, line in lines[1:]:
             parts = [p.strip() for p in line.split(",")]
             label = parts[0]

@@ -32,13 +32,31 @@ from dataclasses import dataclass
 import numpy as np
 
 from .inversion import InversionResult, invert_noisy
-from .kossakowski import KossakowskiMatrix, _is_finite_number
+from .kossakowski import KossakowskiMatrix, _is_finite_number, as_kossakowski
 from .probe import CHANNELS, ProbeMatrix, forward
 from .scattering import coefficients
 
 MAX_PER_SHOT_PROBABILITY = 0.2
 # Generator.binomial takes its trial count as a C long
 MAX_SHOTS_PER_CHANNEL = 2**63 - 1
+
+
+def _is_integer(x) -> bool:
+    # a bool is not a count or a seed here; numpy integers are
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+# the scalar fields of a config: name, the rule it must hold, the rule in
+# words, and the type it is stored as
+_FIELDS = (
+    ("g", _is_finite_number, "finite and real", float),
+    ("phase", _is_finite_number, "finite and real", float),
+    ("exposure", lambda x: _is_finite_number(x) and x > 0.0, "positive and finite", float),
+    ("calibration", lambda x: _is_finite_number(x) and 0.0 < x <= 1.0, "in (0, 1]", float),
+    ("shots_per_channel", lambda x: _is_integer(x) and 0 < x <= MAX_SHOTS_PER_CHANNEL,
+     "a positive integer of at most 2**63 - 1", int),
+    ("seed", lambda x: _is_integer(x) and x >= 0, "a non-negative integer", int),
+)
 
 RUN_SCHEMA_VERSION = 1
 CSV_HEADER = "label,N,k,p_hat,sigma"
@@ -50,6 +68,15 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """The physics and the seed of one run.
+
+    Invariant: ``true_c`` is a KossakowskiMatrix (an array goes through
+    :func:`as_kossakowski`); ``g`` and ``phase`` are finite, ``exposure`` positive
+    and finite and ``calibration`` in (0, 1], as Python floats; ``shots_per_channel``
+    is in [1, 2**63 - 1] and ``seed`` at least 0, as Python ints (a bool is
+    neither).  A violation is one :class:`ConfigError` naming every such field.
+    """
+
     true_c: KossakowskiMatrix
     g: float
     phase: float
@@ -57,6 +84,18 @@ class ExperimentConfig:
     calibration: float
     shots_per_channel: int
     seed: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "true_c", as_kossakowski(self.true_c))
+        problems = [
+            f"{name} must be {rule}, got {getattr(self, name)!r}"
+            for name, holds, rule, _ in _FIELDS
+            if not holds(getattr(self, name))
+        ]
+        if problems:
+            raise ConfigError("; ".join(problems))
+        for name, _, _, stored_as in _FIELDS:
+            object.__setattr__(self, name, stored_as(getattr(self, name)))
 
     def physics_key(self) -> tuple:
         """The fields that must match for runs to be poolable."""
@@ -66,24 +105,8 @@ class ExperimentConfig:
         return forward(self.true_c, coefficients(self.g), self.phase).rates
 
     def per_shot_probabilities(self) -> tuple[np.ndarray, np.ndarray]:
-        """(clamped probabilities, unclamped values); validates the config."""
-        problems = []
-        if not 0.0 < self.calibration <= 1.0:
-            problems.append(f"calibration must be in (0, 1], got {self.calibration}")
-        if not 0.0 < self.exposure < np.inf:
-            problems.append(f"exposure must be positive and finite, got {self.exposure}")
-        if not (
-            _is_integer(self.shots_per_channel)
-            and 0 < self.shots_per_channel <= MAX_SHOTS_PER_CHANNEL
-        ):
-            problems.append(
-                "shots_per_channel must be a positive integer of at most 2**63 - 1, "
-                f"got {self.shots_per_channel!r}"
-            )
-        if not (_is_integer(self.seed) and self.seed >= 0):
-            problems.append(f"seed must be a non-negative integer, got {self.seed!r}")
-        if problems:
-            raise ConfigError("; ".join(problems))
+        """(clamped probabilities, unclamped values); refuses, as a ConfigError, a
+        config whose unclamped probability exceeds the first-order guard."""
         unclamped = self.calibration * self.exposure * self.rates()
         too_large = [
             f"{label} (p = {p:.4g})"
@@ -98,16 +121,8 @@ class ExperimentConfig:
         return np.clip(unclamped, 0.0, 1.0), unclamped
 
     def to_dict(self) -> dict:
-        return {
-            "true_c": self.true_c.to_dict(),
-            "g": self.g,
-            "phase": self.phase,
-            "exposure": self.exposure,
-            "calibration": self.calibration,
-            # numpy integers, which run accepts, as the ints JSON can hold
-            "shots_per_channel": _as_int(self.shots_per_channel),
-            "seed": _as_int(self.seed),
-        }
+        fields = {name: getattr(self, name) for name, *_ in _FIELDS}
+        return {"true_c": self.true_c.to_dict(), **fields}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -115,12 +130,7 @@ class ExperimentConfig:
             raise ValueError(f"run config must be an object, got {type(data).__name__}")
         return cls(
             true_c=KossakowskiMatrix.from_dict(_field(data, "true_c", "run config")),
-            g=_number(data, "g", "run config"),
-            phase=_number(data, "phase", "run config"),
-            exposure=_number(data, "exposure", "run config"),
-            calibration=_number(data, "calibration", "run config"),
-            shots_per_channel=_count(data, "shots_per_channel", "run config", 1),
-            seed=_count(data, "seed", "run config", 0),
+            **{name: _field(data, name, "run config") for name, *_ in _FIELDS},
         )
 
     def hash(self) -> str:
@@ -145,7 +155,7 @@ class ExperimentRun:
 
     @property
     def trials(self) -> int:
-        return int(self.config.shots_per_channel)
+        return self.config.shots_per_channel
 
     @property
     def p_hat(self) -> np.ndarray:
@@ -192,6 +202,13 @@ class ExperimentRun:
         missing = [label for label in CHANNELS if label not in by_label]
         if missing:
             raise ValueError(f"run channels missing: {missing}")
+        for label in CHANNELS:
+            n = by_label[label].get("N")
+            if n != config.shots_per_channel:
+                raise ValueError(
+                    f"run channel {label} N {n!r} differs from the config's "
+                    f"shots_per_channel {config.shots_per_channel}"
+                )
         detections = tuple(
             _count(by_label[label], "k", f"run channel {label}", 0) for label in CHANNELS
         )
@@ -219,23 +236,6 @@ def _field(data: dict, name: str, where: str):
     if name not in data:
         raise ValueError(f"{where} is missing {name!r}")
     return data[name]
-
-
-def _number(data: dict, name: str, where: str) -> float:
-    x = _field(data, name, where)
-    if not _is_finite_number(x):
-        raise ValueError(f"{where} {name} must be a finite number, got {x!r}")
-    return float(x)
-
-
-def _is_integer(x) -> bool:
-    # a bool is not a count or a seed here; numpy integers are
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
-
-
-def _as_int(x):
-    """x as a Python int where it is an integer; anything else as it is."""
-    return int(x) if _is_integer(x) else x
 
 
 def _count(data: dict, name: str, where: str, least: int) -> int:

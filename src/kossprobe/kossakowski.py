@@ -99,7 +99,11 @@ class CPReport:
 
 @dataclass(frozen=True)
 class KossakowskiMatrix:
-    """Real symmetric 3x3 noise-parameter matrix, stored by its six free entries."""
+    """Real symmetric 3x3 noise-parameter matrix, stored by its six free entries.
+
+    Invariant: each entry is a finite real number (a bool is not one), stored
+    as a Python float, so every instance is a valid C.
+    """
 
     c11: float
     c12: float
@@ -107,6 +111,15 @@ class KossakowskiMatrix:
     c22: float
     c23: float
     c33: float
+
+    def __post_init__(self) -> None:
+        values = (self.c11, self.c12, self.c13, self.c22, self.c23, self.c33)
+        if not all(map(_is_finite_number, values)):
+            bad = {name: x for name, x in zip(PARAM_ORDER, values) if not _is_finite_number(x)}
+            raise ValueError(f"Kossakowski entries must be real and finite, got {bad}")
+        for name, x in zip(PARAM_ORDER, values):
+            if type(x) is not float:
+                object.__setattr__(self, name, float(x))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -122,9 +135,7 @@ class KossakowskiMatrix:
         v = np.asarray(v, dtype=float)
         if v.shape != (6,):
             raise ValueError(f"expected 6 parameters, got shape {v.shape}")
-        values = v.tolist()
-        _require_finite(values, PARAM_ORDER)
-        return cls(*values)
+        return cls(*v.tolist())
 
     @classmethod
     def from_matrix(cls, a) -> "KossakowskiMatrix":
@@ -137,7 +148,10 @@ class KossakowskiMatrix:
                 raise ValueError(f"Kossakowski entries must be real, got imaginary parts {imag}")
             a = a.real
         a = a.astype(float)
-        _require_finite(a.ravel().tolist(), _ENTRY_NAMES)
+        # checked before the symmetry test: NaN compares false, so it would pass
+        if not np.isfinite(a).all():
+            bad = {n: x for n, x in zip(_ENTRY_NAMES, a.ravel().tolist()) if not math.isfinite(x)}
+            raise ValueError(f"Kossakowski entries must be finite, got {bad}")
         if np.max(np.abs(a - a.T)) > rounding_tolerance(a):
             raise ValueError("matrix is not symmetric within rounding")
         s = 0.5 * (a + a.T)
@@ -185,7 +199,7 @@ class KossakowskiMatrix:
         )
 
     def to_dict(self) -> dict:
-        return {name: float(getattr(self, name)) for name in PARAM_ORDER}
+        return {name: getattr(self, name) for name in PARAM_ORDER}
 
     @classmethod
     def from_dict(cls, data: dict) -> "KossakowskiMatrix":
@@ -197,30 +211,18 @@ class KossakowskiMatrix:
         missing = [name for name in PARAM_ORDER if name not in data]
         if missing:
             raise ValueError(f"missing Kossakowski entries: {missing}")
-        bad = {name: data[name] for name in PARAM_ORDER if not _is_finite_number(data[name])}
-        if bad:
-            raise ValueError(f"Kossakowski entries must be finite numbers, got {bad}")
-        return cls(**{name: float(data[name]) for name in PARAM_ORDER})
-
-
-# a Python float, which compares with an int of any size exactly
-_FLOAT_MAX = float(np.finfo(float).max)
+        return cls(**{name: data[name] for name in PARAM_ORDER})
 
 
 def _is_finite_number(x) -> bool:
-    # a bool is not a number here; the bounds refuse nan, inf and ints too
-    # large for a double
-    return (
-        isinstance(x, numbers.Real) and not isinstance(x, bool) and -_FLOAT_MAX <= x <= _FLOAT_MAX
-    )
-
-
-def _require_finite(values: list[float], names) -> None:
-    # checked before any comparison: NaN compares false, so it would pass the
-    # symmetry test and reach eigvalsh, which does not converge on it
-    if not all(map(math.isfinite, values)):
-        bad = {name: x for name, x in zip(names, values) if not math.isfinite(x)}
-        raise ValueError(f"Kossakowski entries must be finite, got {bad}")
+    # a bool is not a number here, nor are nan, inf and ints too large for a
+    # double; a float skips the (slow) abstract-class checks
+    if type(x) is not float and (not isinstance(x, numbers.Real) or isinstance(x, bool)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def symmetric_from_vector(v) -> np.ndarray:
@@ -229,7 +231,8 @@ def symmetric_from_vector(v) -> np.ndarray:
 
 
 def as_kossakowski(c) -> KossakowskiMatrix:
-    """The checked real symmetric C of a KossakowskiMatrix or of a 3x3 array-like.
+    """The real symmetric C of a KossakowskiMatrix, which is valid by construction,
+    or of a 3x3 array-like.
 
     Arrays go through :meth:`KossakowskiMatrix.from_matrix`, which refuses
     non-finite, complex and asymmetric entries.

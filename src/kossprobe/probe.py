@@ -38,7 +38,7 @@ to deviate from the programmatic ground truth in a handful of entries (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -97,18 +97,22 @@ class ProbeMatrix:
     """The 6x6 rate matrix with its determinant and condition number.
 
     Columns follow the coupling-vector order (c11, c12, c13, c22, c23, c33),
-    rows the channel order of :class:`ProbeResult`.
+    rows the channel order of :class:`ProbeResult`.  Invariant: ``matrix`` is
+    read-only, and ``det`` and ``condition_number`` are derived from it here,
+    never passed in, so the inversion's singularity guard reads M itself.
     """
 
     matrix: np.ndarray
     g: float
     phase: float
     source: str
-    det: float
-    condition_number: float
+    det: float = field(init=False)
+    condition_number: float = field(init=False)
 
     def __post_init__(self) -> None:
         self.matrix.setflags(write=False)
+        object.__setattr__(self, "det", float(np.linalg.det(self.matrix)))
+        object.__setattr__(self, "condition_number", float(np.linalg.cond(self.matrix)))
 
     def to_dict(self) -> dict:
         return {
@@ -121,17 +125,6 @@ class ProbeMatrix:
             "rows": list(CHANNELS),
             "columns": list(PARAM_ORDER),
         }
-
-
-def _probe_matrix(m: np.ndarray, g: float, phase: float, source: str) -> ProbeMatrix:
-    return ProbeMatrix(
-        matrix=m,
-        g=g,
-        phase=phase,
-        source=source,
-        det=float(np.linalg.det(m)),
-        condition_number=float(np.linalg.cond(m)),
-    )
 
 
 def _rate_matrix(coeffs: ScatteringCoefficients, phase: float) -> np.ndarray:
@@ -184,7 +177,7 @@ def build_matrix_programmatic(
     """M from the kernel: column b holds the rates of the b-th symmetric unit
     coupling matrix (off-diagonal units carry both mirror entries, matching
     the six-parameter vector convention)."""
-    return _probe_matrix(_rate_matrix(coeffs, phase), coeffs.g, phase, "programmatic")
+    return ProbeMatrix(_rate_matrix(coeffs, phase), coeffs.g, phase, "programmatic")
 
 
 def appendix_coefficients(coeffs: ScatteringCoefficients) -> dict[str, float]:
@@ -222,7 +215,7 @@ def build_matrix_appendix(coeffs: ScatteringCoefficients) -> ProbeMatrix:
             [2.0 * d1, 0.0, -f, d1, e, d0],
         ]
     )
-    return _probe_matrix(m, coeffs.g, CANONICAL_PHASE, "appendix")
+    return ProbeMatrix(m, coeffs.g, CANONICAL_PHASE, "appendix")
 
 
 def compare_matrices(reference: ProbeMatrix, other: ProbeMatrix) -> dict:

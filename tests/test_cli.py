@@ -345,6 +345,12 @@ class TestSimulateAndInvert:
             # a sigma under a 'label,rate' header is refused, not dropped
             pytest.param("label,rate\n" + "".join(f"{label},0.0,0.05\n" for label in probe.CHANNELS),
                          "line 2: expected 2 fields", id="extra-field"),
+            # a third column read as the sigmas whatever its name, a fourth dropped
+            pytest.param("label,rate,weight\n" + "".join(f"{label},0.0,0.05\n" for label in probe.CHANNELS),
+                         "header 'label,rate,weight'", id="weight-header"),
+            pytest.param("label,rate,sigma,note\n"
+                         + "".join(f"{label},0.0,0.05,x\n" for label in probe.CHANNELS),
+                         "header 'label,rate,sigma,note'", id="note-header"),
         ],
     )
     def test_invert_malformed_csv(self, capsys, tmp_path, text, line):
@@ -529,8 +535,15 @@ class TestSimulateAndInvert:
             (lambda run: run.update(flagged_channels=7), "flagged_channels"),
             (lambda run: run["config"].update(shots_per_channel=1.5), "shots_per_channel"),
             (lambda run: run["channels"][0].update(k="3"), "k"),
+            # in range as well as of the right type: each was misread or misreported
+            (lambda run: run["config"].update(calibration=2.0), "calibration"),
+            (lambda run: run["config"].update(exposure=-0.01), "exposure"),
+            (lambda run: run["config"].update(exposure=0), "exposure"),
+            (lambda run: run["config"].update(shots_per_channel=2**70), "shots_per_channel"),
+            (lambda run: [ch.update(N=10) for ch in run["channels"]], "N"),
         ],
-        ids=["g-null", "channels-number", "flagged-number", "shots-fraction", "k-string"],
+        ids=["g-null", "channels-number", "flagged-number", "shots-fraction", "k-string",
+             "calibration-2", "exposure-negative", "exposure-0", "shots-2**70", "N-mismatch"],
     )
     def test_invert_wrong_typed_run_file(self, capsys, tmp_path, edit, named):
         c_file = write_c_file(tmp_path, IDENTITY_C)

@@ -33,6 +33,26 @@ class TestConfig:
         with pytest.raises(experiment.ConfigError, match="shots"):
             make_config(shots_per_channel=0).per_shot_probabilities()
 
+    @pytest.mark.parametrize(
+        "field, bad",
+        [("g", None), ("g", float("nan")), ("phase", True), ("exposure", 0.0),
+         ("exposure", -0.01), ("calibration", 2.0), ("shots_per_channel", 2**70), ("seed", -1)],
+    )
+    def test_fields_checked_at_construction(self, field, bad):
+        # a config is refused when it is built, not when it first runs
+        with pytest.raises(experiment.ConfigError, match=f"{field} must be"):
+            make_config(**{field: bad})
+
+    def test_every_offending_field_is_named(self):
+        with pytest.raises(experiment.ConfigError, match="exposure .*; calibration .*; seed "):
+            make_config(exposure=0.0, calibration=0.0, seed=-1)
+
+    def test_fields_stored_as_python_numbers(self):
+        config = make_config(true_c=np.eye(3), g=2, shots_per_channel=np.int64(1000))
+        assert config.true_c == KossakowskiMatrix.identity()
+        assert type(config.g) is float and type(config.shots_per_channel) is int
+        assert config == make_config(shots_per_channel=1000)
+
     def test_first_order_validity_guard(self):
         # identity C at g=2 has a largest rate of 4.0, so exposure 0.1 pushes
         # the reflected channels past the 0.2 per-shot cap

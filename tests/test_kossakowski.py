@@ -95,15 +95,27 @@ class TestKossakowskiMatrix:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize(
         "entry_point, named",
-        [(lambda x: km.KossakowskiMatrix.from_vector([1.0, 0.0, 0.0, 1.0, x, 1.0]), "c23")]
+        [(lambda x: km.KossakowskiMatrix.from_vector([1.0, 0.0, 0.0, 1.0, x, 1.0]), "c23"),
+         (lambda x: km.KossakowskiMatrix(1.0, 0.0, 0.0, 1.0, x, 1.0), "c23")]
         + [(lambda x, f=f: f(identity_with_c32(x)), "c32") for f in COUPLING_ENTRY_POINTS.values()],
-        ids=["from_vector", *COUPLING_ENTRY_POINTS],
+        ids=["from_vector", "constructor", *COUPLING_ENTRY_POINTS],
     )
     def test_rejects_non_finite_entries(self, entry_point, named, bad):
         # unchecked, nan passes the symmetry test (inf - inf is nan too) and
         # eigvalsh does not converge on it; forward returned six nan rates
         with pytest.raises(ValueError, match=re.escape(f"finite, got {{'{named}': {bad}}}")):
             entry_point(bad)
+
+    @pytest.mark.parametrize("bad", [1j, "1", True, None], ids=["complex", "string", "bool", "null"])
+    def test_constructor_rejects_non_real_entries(self, bad):
+        # a complex entry gave complex rates from forward
+        with pytest.raises(ValueError, match=re.escape(f"finite, got {{'c23': {bad!r}}}")):
+            km.KossakowskiMatrix(1.0, 0.0, 0.0, 1.0, bad, 1.0)
+
+    def test_constructor_stores_python_floats(self):
+        c = km.KossakowskiMatrix(np.float64(1.0), 0, np.int64(0), 1, 0.0, np.float32(1.0))
+        assert c == km.KossakowskiMatrix.identity()
+        assert all(type(getattr(c, name)) is float for name in km.PARAM_ORDER)
 
     @pytest.mark.parametrize(
         "bad, message",

@@ -178,6 +178,14 @@ class TestProgrammaticMatrix:
         assert abs(m.det) <= 1e-12
         assert m.condition_number > 1e12
 
+    def test_det_and_condition_number_derived_from_matrix(self):
+        m = probe.build_matrix_programmatic(G2, 1e-12)
+        assert m.det == float(np.linalg.det(m.matrix))
+        assert m.condition_number == float(np.linalg.cond(m.matrix)) > 1e12
+        # passed-in figures would let a near-singular M past the inversion's guard
+        with pytest.raises(TypeError):
+            probe.ProbeMatrix(m.matrix, m.g, m.phase, "programmatic", det=1.0, condition_number=1.0)
+
     def test_well_conditioned_on_grid(self):
         for g in np.linspace(0.2, 10.0, 25):
             m = probe.build_matrix_programmatic(coefficients(g))
