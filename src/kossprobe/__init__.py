@@ -42,7 +42,7 @@ _HOMES = {
         "probability_rate",
     ),
     "scattering": ("CANONICAL_PHASE", "ScatteringCoefficients", "ScatteringParams", "coefficients"),
-    "experiment": ("ExperimentConfig", "ExperimentRun", "estimate", "run", "save_run", "load_run"),
+    "experiment": ("ExperimentConfig", "ExperimentRun", "estimate", "run", "save_run"),
 }
 _HOME_OF = {name: home for home, names in _HOMES.items() for name in names}
 

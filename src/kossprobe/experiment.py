@@ -42,8 +42,8 @@ MAX_SHOTS_PER_CHANNEL = 2**63 - 1
 
 
 def _is_integer(x) -> bool:
-    # a bool is not a count or a seed here; numpy integers are
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+    # a bool is not a count or a seed here; numpy integers are; an int skips the slow ABC check
+    return type(x) is int or (isinstance(x, numbers.Integral) and not isinstance(x, bool))
 
 
 # the scalar fields of a config: name, the rule it must hold, the rule in
@@ -144,14 +144,31 @@ class ExperimentConfig:
 class ExperimentRun:
     """Aggregated detection counts for one seeded run.
 
-    ``flagged_channels`` lists channels whose true rate was negative and whose
-    per-shot probability was clamped to zero (the signature of a non-PSD
-    underlying matrix reaching the detector).
+    Invariant: ``detections`` holds one count per channel, in ``CHANNELS``
+    order, each an integer in [0, ``shots_per_channel``] (a bool is not one),
+    stored as Python ints.  ``flagged_channels`` is derived, never passed in.
     """
 
     config: ExperimentConfig
     detections: tuple[int, ...]
-    flagged_channels: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        counts, n = tuple(self.detections), self.config.shots_per_channel
+        bad = [f"{label} k = {k!r}" for label, k in zip(CHANNELS, counts)
+               if not (_is_integer(k) and 0 <= k <= n)]
+        if bad or len(counts) != len(CHANNELS):
+            raise ValueError(
+                f"run detections must be one integer in [0, {n}] per channel {list(CHANNELS)}, "
+                f"got {', '.join(bad) or f'{len(counts)} counts'}"
+            )
+        object.__setattr__(self, "detections", tuple(map(int, counts)))
+
+    @property
+    def flagged_channels(self) -> tuple[str, ...]:
+        """Channels whose true rate is negative, so their per-shot probability is
+        clamped to zero: the signature of a non-PSD matrix reaching the detector."""
+        _, unclamped = self.config.per_shot_probabilities()
+        return tuple(label for label, p in zip(CHANNELS, unclamped) if p < 0.0)
 
     @property
     def trials(self) -> int:
@@ -172,13 +189,7 @@ class ExperimentRun:
             "config": self.config.to_dict(),
             "config_hash": self.config.hash(),
             "channels": [
-                {
-                    "label": label,
-                    "N": self.trials,
-                    "k": int(k),
-                    "p_hat": float(p),
-                    "sigma": float(s),
-                }
+                {"label": label, "N": self.trials, "k": k, "p_hat": float(p), "sigma": float(s)}
                 for label, k, p, s in zip(CHANNELS, self.detections, self.p_hat, self.sigma)
             ],
             "flagged_channels": list(self.flagged_channels),
@@ -210,17 +221,14 @@ class ExperimentRun:
                     f"shots_per_channel {config.shots_per_channel}"
                 )
         detections = tuple(
-            _count(by_label[label], "k", f"run channel {label}", 0) for label in CHANNELS
+            _field(by_label[label], "k", f"run channel {label}") for label in CHANNELS
         )
-        if max(detections) > config.shots_per_channel:
-            raise ValueError(
-                f"run detections {list(detections)} exceed the shots per channel "
-                f"{config.shots_per_channel}"
-            )
-        flagged = data.get("flagged_channels", [])
-        if not isinstance(flagged, list) or not all(label in CHANNELS for label in flagged):
-            raise ValueError(f"run flagged_channels must list channel labels, got {flagged}")
-        return cls(config=config, detections=detections, flagged_channels=tuple(flagged))
+        experiment_run = cls(config, detections)
+        flagged, derived = data.get("flagged_channels", []), list(experiment_run.flagged_channels)
+        if flagged != derived:
+            raise ValueError(f"run flagged_channels {flagged!r} differs from the channels its "
+                             f"config drives negative, {derived}")
+        return experiment_run
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -228,7 +236,7 @@ class ExperimentRun:
     def to_csv(self) -> str:
         lines = [CSV_HEADER]
         for label, k, p, s in zip(CHANNELS, self.detections, self.p_hat, self.sigma):
-            lines.append(f"{label},{self.trials},{int(k)},{float(p)!r},{float(s)!r}")
+            lines.append(f"{label},{self.trials},{k},{float(p)!r},{float(s)!r}")
         return "\n".join(lines) + "\n"
 
 
@@ -236,14 +244,6 @@ def _field(data: dict, name: str, where: str):
     if name not in data:
         raise ValueError(f"{where} is missing {name!r}")
     return data[name]
-
-
-def _count(data: dict, name: str, where: str, least: int) -> int:
-    """An integer field of a run file (a count or a seed), at least ``least``."""
-    x = _field(data, name, where)
-    if not (_is_integer(x) and x >= least):
-        raise ValueError(f"{where} {name} must be an integer of at least {least}, got {x!r}")
-    return int(x)
 
 
 # numpy's SeedSequence constants (O'Neill's seed_seq_fe): hashmix XORs its
@@ -327,15 +327,12 @@ def _channel_generators(seed: int) -> list:
 
 def run(config: ExperimentConfig) -> ExperimentRun:
     """Simulate one run: six independent binomial draws from split substreams."""
-    probabilities, unclamped = config.per_shot_probabilities()
-    flagged = tuple(
-        label for label, raw in zip(CHANNELS, unclamped) if raw < 0.0
-    )
+    probabilities, _ = config.per_shot_probabilities()
     detections = tuple(
-        int(generator.binomial(config.shots_per_channel, p))
+        generator.binomial(config.shots_per_channel, p)
         for generator, p in zip(_channel_generators(config.seed), probabilities)
     )
-    return ExperimentRun(config=config, detections=detections, flagged_channels=flagged)
+    return ExperimentRun(config, detections)
 
 
 def estimate(
@@ -348,26 +345,32 @@ def estimate(
     """Pool one or more runs and push the empirical rates through the inversion.
 
     All runs must share the physics configuration (coupling, phase, exposure,
-    calibration and true matrix); seeds and shot counts may differ.  Empirical
-    per-shot probabilities are rescaled to rates by 1/(eta * exposure).
-    ``bootstrap`` and ``seed`` are passed on to :func:`invert_noisy`, which no
-    longer uses them: no verdict path draws.
+    calibration and true matrix); seeds and shot counts may differ.  ``m`` must
+    be the runs' own probe matrix: its ``g`` and ``phase`` within 1e-12 of
+    theirs.  Empirical per-shot probabilities are rescaled to rates by
+    1/(eta * exposure).  ``bootstrap`` and ``seed`` are passed on to
+    :func:`invert_noisy`, which no longer uses them: no verdict path draws.
     """
     if isinstance(runs, ExperimentRun):
         runs = [runs]
     if not runs:
         raise ValueError("estimate needs at least one run")
-    key = runs[0].config.physics_key()
+    config = runs[0].config
+    key = config.physics_key()
     if any(r.config.physics_key() != key for r in runs[1:]):
         raise ValueError("runs have mixed configurations and cannot be pooled")
+    # written as "not <=" so that a nan g or phase is a mismatch too
+    if not (abs(m.g - config.g) <= 1e-12 and abs(m.phase - config.phase) <= 1e-12):
+        raise ValueError(f"probe matrix at (g, phase) = ({m.g}, {m.phase}) is not the runs' "
+                         f"({config.g}, {config.phase})")
 
     total_n = sum(r.trials for r in runs)
     # Python ints: counts near 2^63 would wrap in int64
-    total_k = np.array([sum(map(int, ks)) for ks in zip(*(r.detections for r in runs))], float)
+    total_k = np.array([sum(ks) for ks in zip(*(r.detections for r in runs))], float)
     p_hat = total_k / total_n
     sigma_p = np.sqrt(p_hat * (1.0 - p_hat) / total_n)
 
-    scale = runs[0].config.calibration * runs[0].config.exposure
+    scale = config.calibration * config.exposure
     return invert_noisy(p_hat / scale, sigma_p / scale, m, z=z, bootstrap=bootstrap, seed=seed)
 
 
@@ -382,10 +385,3 @@ def save_run(experiment_run: ExperimentRun, directory) -> tuple[str, str]:
     json_path.write_text(experiment_run.to_json())
     csv_path.write_text(experiment_run.to_csv())
     return str(json_path), str(csv_path)
-
-
-def load_run(path) -> ExperimentRun:
-    from pathlib import Path
-
-    data = json.loads(Path(path).read_text())
-    return ExperimentRun.from_dict(data)

@@ -132,22 +132,17 @@ class KossakowskiMatrix:
 
     @classmethod
     def from_vector(cls, v) -> "KossakowskiMatrix":
-        v = np.asarray(v, dtype=float)
+        v = np.asarray(v)
         if v.shape != (6,):
             raise ValueError(f"expected 6 parameters, got shape {v.shape}")
-        return cls(*v.tolist())
+        return cls(*_real(v, PARAM_ORDER).tolist())
 
     @classmethod
     def from_matrix(cls, a) -> "KossakowskiMatrix":
         a = np.asarray(a)
         if a.shape != (3, 3):
             raise ValueError(f"expected a 3x3 matrix, got shape {a.shape}")
-        if np.iscomplexobj(a):
-            imag = {n: x for n, x in zip(_ENTRY_NAMES, a.imag.ravel().tolist()) if x != 0}
-            if imag:
-                raise ValueError(f"Kossakowski entries must be real, got imaginary parts {imag}")
-            a = a.real
-        a = a.astype(float)
+        a = _real(a, _ENTRY_NAMES)
         # checked before the symmetry test: NaN compares false, so it would pass
         if not np.isfinite(a).all():
             bad = {n: x for n, x in zip(_ENTRY_NAMES, a.ravel().tolist()) if not math.isfinite(x)}
@@ -223,6 +218,14 @@ def _is_finite_number(x) -> bool:
         return math.isfinite(x)
     except OverflowError:
         return False
+
+
+def _real(a: np.ndarray, names) -> np.ndarray:
+    """``a`` as floats, refusing (by ``names``) every entry with a nonzero imaginary part."""
+    if np.iscomplexobj(a) and a.imag.any():
+        imag = {n: x for n, x in zip(names, a.imag.ravel().tolist()) if x != 0}
+        raise ValueError(f"Kossakowski entries must be real, got imaginary parts {imag}")
+    return a.real.astype(float, copy=False)
 
 
 def symmetric_from_vector(v) -> np.ndarray:

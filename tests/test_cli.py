@@ -541,9 +541,12 @@ class TestSimulateAndInvert:
             (lambda run: run["config"].update(exposure=0), "exposure"),
             (lambda run: run["config"].update(shots_per_channel=2**70), "shots_per_channel"),
             (lambda run: [ch.update(N=10) for ch in run["channels"]], "N"),
+            # a label the identity's config does not drive negative
+            (lambda run: run.update(flagged_channels=["P1T"]), "flagged_channels"),
         ],
         ids=["g-null", "channels-number", "flagged-number", "shots-fraction", "k-string",
-             "calibration-2", "exposure-negative", "exposure-0", "shots-2**70", "N-mismatch"],
+             "calibration-2", "exposure-negative", "exposure-0", "shots-2**70", "N-mismatch",
+             "flagged-not-derived"],
     )
     def test_invert_wrong_typed_run_file(self, capsys, tmp_path, edit, named):
         c_file = write_c_file(tmp_path, IDENTITY_C)

@@ -1,3 +1,5 @@
+import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -129,6 +131,25 @@ class TestRun:
         assert out.detections[0] == 0
         assert out.detections[5] == 0
 
+    @pytest.mark.parametrize(
+        "detections, named",
+        [((2000,) * 6, "P0T k = 2000"), ((1, 2, -3, 4, 5, 6), "P2T k = -3"),
+         ((1, 1.5, 1, 1, 1, 1), "P1T k = 1.5"), ((1, 1, 1, True, 1, 1), "P0R k = True"),
+         ((1,) * 5, "got 5 counts")],
+        ids=["above-shots", "negative", "fraction", "bool", "five-counts"],
+    )
+    def test_counts_checked_at_construction(self, detections, named):
+        # each was accepted: 2000 of 1000 shots gave p_hat 2.0 and nan sigmas
+        with pytest.raises(ValueError, match=re.escape(named)):
+            experiment.ExperimentRun(make_config(shots_per_channel=1000), detections)
+
+    def test_flags_are_derived_not_passed(self):
+        config = make_config(shots_per_channel=1000)
+        with pytest.raises(TypeError, match="flagged_channels"):
+            experiment.ExperimentRun(config, (0,) * 6, flagged_channels=("bogus",))
+        out = experiment.ExperimentRun(config, (np.int64(3),) * 6)
+        assert out.flagged_channels == () and type(out.detections[0]) is int
+
     def test_bit_exact_reproducibility(self):
         config = make_config()
         a = experiment.run(config)
@@ -200,9 +221,11 @@ class TestChannelStreams:
 
 class TestPersistence:
     def test_save_load_round_trip(self, tmp_path):
+        # read back as invert reads a run file
         out = experiment.run(make_config())
         json_path, csv_path = experiment.save_run(out, tmp_path)
-        assert experiment.load_run(json_path) == out
+        with open(json_path) as f:
+            assert experiment.ExperimentRun.from_dict(json.load(f)) == out
         text = (tmp_path / "run.csv").read_text()
         assert text.startswith(experiment.CSV_HEADER)
         assert len(text.strip().splitlines()) == 7
@@ -241,6 +264,14 @@ class TestEstimate:
         # different seeds pool fine
         run_c = experiment.run(make_config(seed=9))
         experiment.estimate([run_a, run_c], m)
+
+    @pytest.mark.parametrize("g, phase", [(1.0, probe.CANONICAL_PHASE), (2.0, 0.3)])
+    def test_foreign_probe_matrix_rejected(self, g, phase):
+        # an identity truth at 10^9 shots read not-CP (c11 = 1.62) through M at g = 1
+        out = experiment.run(make_config(shots_per_channel=10**9))
+        m = probe.build_matrix_programmatic(coefficients(g), phase)
+        with pytest.raises(ValueError, match="not the runs'"):
+            experiment.estimate(out, m)
 
     def test_pooled_counts_beyond_int64(self):
         # six runs of 2^63 - 1 shots at per-shot p = 0.19 on the reflected

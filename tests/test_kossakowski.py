@@ -106,11 +106,18 @@ class TestKossakowskiMatrix:
         with pytest.raises(ValueError, match=re.escape(f"finite, got {{'{named}': {bad}}}")):
             entry_point(bad)
 
-    @pytest.mark.parametrize("bad", [1j, "1", True, None], ids=["complex", "string", "bool", "null"])
-    def test_constructor_rejects_non_real_entries(self, bad):
+    @pytest.mark.parametrize(
+        "entry_point, bad, message",
+        [(lambda entries: km.KossakowskiMatrix(*entries), bad, f"finite, got {{'c23': {bad!r}}}")
+         for bad in (1j, "1", True, None)]
+        # from_vector cast the imaginary part away with only a ComplexWarning
+        + [(km.KossakowskiMatrix.from_vector, 1 + 1j, "imaginary parts {'c23': 1.0}")],
+        ids=["complex", "string", "bool", "null", "from_vector-complex"],
+    )
+    def test_constructor_rejects_non_real_entries(self, entry_point, bad, message):
         # a complex entry gave complex rates from forward
-        with pytest.raises(ValueError, match=re.escape(f"finite, got {{'c23': {bad!r}}}")):
-            km.KossakowskiMatrix(1.0, 0.0, 0.0, 1.0, bad, 1.0)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            entry_point([1.0, 0.0, 0.0, 1.0, bad, 1.0])
 
     def test_constructor_stores_python_floats(self):
         c = km.KossakowskiMatrix(np.float64(1.0), 0, np.int64(0), 1, 0.0, np.float32(1.0))
@@ -136,6 +143,8 @@ class TestKossakowskiMatrix:
     def test_complex_dtype_with_zero_imaginary_part_accepted(self):
         a = random_symmetric(np.random.default_rng(3))
         assert km.KossakowskiMatrix.from_matrix(a.astype(complex)) == km.KossakowskiMatrix.from_matrix(a)
+        v = km.KossakowskiMatrix.from_matrix(a).vector
+        assert km.KossakowskiMatrix.from_vector(v.astype(complex)) == km.KossakowskiMatrix.from_vector(v)
 
     def test_from_dict_rejects_non_object(self):
         for bad in (5, [1.0] * 6, None):
