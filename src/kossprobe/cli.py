@@ -175,8 +175,10 @@ def _cmd_build_matrix(args) -> int:
 
 
 def _read_rates_file(path: str):
-    """Returns ('run', ExperimentRun) or ('rates', rates, sigmas-or-None)."""
+    """Returns ('run', ExperimentRun, None) or ('rates', rates, sigmas-or-None)."""
     from .experiment import ExperimentRun
+    from .inversion import _CHANNEL_NAMES
+    from .kossakowski import _finite_reals
     from .probe import CHANNELS
 
     text = Path(path).read_text()
@@ -213,20 +215,22 @@ def _read_rates_file(path: str):
         missing = [label for label in CHANNELS if label not in rates]
         if missing:
             raise ValueError(f"rates csv missing channels: {missing}")
-        r = np.array([rates[label] for label in CHANNELS])
-        s = np.array([sigmas[label] for label in CHANNELS]) if sigmas else None
-        return "rates", r, s
-    data = json.loads(text)
+        data = {"rates": [rates[label] for label in CHANNELS]}
+        if sigmas:
+            data["sigmas"] = [sigmas[label] for label in CHANNELS]
+    else:
+        data = json.loads(text)
     if isinstance(data, dict) and "channels" in data:
         try:
             return "run", ExperimentRun.from_dict(data), None
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
     if isinstance(data, list):
-        return "rates", _json_numbers(data, path), None
+        data = {"rates": data}
     if isinstance(data, dict) and "rates" in data:
-        rates = _json_numbers(data["rates"], f"{path} rates")
-        sigmas = _json_numbers(data["sigmas"], f"{path} sigmas") if "sigmas" in data else None
+        rates = _finite_reals(data["rates"], _CHANNEL_NAMES, f"{path} rates")
+        sigmas = (_finite_reals(data["sigmas"], _CHANNEL_NAMES, f"{path} sigmas")
+                  if "sigmas" in data else None)
         unknown = [key for key in data if key not in ("rates", "sigmas")]
         if unknown:
             raise ValueError(f"{path}: unknown key {unknown[0]!r}; expected 'rates' and 'sigmas'")
@@ -234,21 +238,10 @@ def _read_rates_file(path: str):
     raise ValueError(f"unrecognized rates file format: {path}")
 
 
-def _json_numbers(value, where: str) -> np.ndarray:
-    """A JSON array of numbers as floats; finiteness is checked where they are used."""
-    if isinstance(value, list) and all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in value
-    ):
-        try:
-            return np.array(value, dtype=float)
-        except OverflowError:  # an integer beyond the range of a double
-            pass
-    raise ValueError(f"{where}: expected a JSON array of numbers, got {json.dumps(value)[:80]}")
-
-
 def _cmd_invert(args) -> int:
     from .experiment import estimate
-    from .inversion import invert_noisy, psd_project
+    from .inversion import _CHANNEL_NAMES, invert_noisy, psd_project
+    from .kossakowski import _finite_reals
     from .probe import build_matrix_programmatic
     from .scattering import CANONICAL_PHASE, coefficients
 
@@ -267,7 +260,8 @@ def _cmd_invert(args) -> int:
     elif args.sigmas is not None:
         if sigmas is not None:
             raise ValueError(f"--sigmas does not apply to {args.rates}: it carries its own sigmas")
-        sigmas = _json_numbers(json.loads(Path(args.sigmas).read_text()), args.sigmas)
+        sigmas = _finite_reals(json.loads(Path(args.sigmas).read_text()), _CHANNEL_NAMES,
+                               f"{args.sigmas} sigmas")
     m = build_matrix_programmatic(coefficients(args.g), phase)
     if kind == "run":
         result = estimate(payload, m, z=args.z)

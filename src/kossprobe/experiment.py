@@ -31,6 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+try:  # CPython's built-in SHA-256: hashlib's digest, without loading OpenSSL
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    from _sha256 import sha256  # Python 3.10 and 3.11
+
 from .inversion import InversionResult, invert_noisy
 from .kossakowski import KossakowskiMatrix, _is_finite_number, as_kossakowski
 from .probe import CHANNELS, ProbeMatrix, forward
@@ -134,10 +139,8 @@ class ExperimentConfig:
         )
 
     def hash(self) -> str:
-        import hashlib  # deferred: loads OpenSSL, which only a config hash needs
-
         payload = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode()).hexdigest()
+        return sha256(payload.encode()).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -213,21 +216,13 @@ class ExperimentRun:
         missing = [label for label in CHANNELS if label not in by_label]
         if missing:
             raise ValueError(f"run channels missing: {missing}")
-        for label in CHANNELS:
-            n = by_label[label].get("N")
-            if n != config.shots_per_channel:
-                raise ValueError(
-                    f"run channel {label} N {n!r} differs from the config's "
-                    f"shots_per_channel {config.shots_per_channel}"
-                )
         detections = tuple(
             _field(by_label[label], "k", f"run channel {label}") for label in CHANNELS
         )
         experiment_run = cls(config, detections)
-        flagged, derived = data.get("flagged_channels", []), list(experiment_run.flagged_channels)
-        if flagged != derived:
-            raise ValueError(f"run flagged_channels {flagged!r} differs from the channels its "
-                             f"config drives negative, {derived}")
+        derived = experiment_run.to_dict()
+        derived["channels"] = dict(zip(CHANNELS, derived["channels"]))
+        _require_equal("run", {**data, "channels": by_label}, derived)
         return experiment_run
 
     def to_json(self) -> str:
@@ -244,6 +239,20 @@ def _field(data: dict, name: str, where: str):
     if name not in data:
         raise ValueError(f"{where} is missing {name!r}")
     return data[name]
+
+
+def _require_equal(where: str, fields: dict, derived: dict) -> None:
+    """Refuses ``fields`` unless they are exactly ``derived`` (as JSON, in which 1, 1.0 and
+    true differ), naming the first field that differs."""
+    for name in {**derived, **fields}:
+        if name not in derived:
+            raise ValueError(f"{where} {name} is not a field of a run file")
+        got, want = _field(fields, name, where), derived[name]
+        if isinstance(got, dict) and isinstance(want, dict):
+            _require_equal(f"{where} {name}", got, want)
+        elif json.dumps(got, default=repr) != json.dumps(want):
+            raise ValueError(f"{where} {name} {json.dumps(got, default=repr)[:80]} differs from "
+                             f"{json.dumps(want)}, which the run's config and counts give")
 
 
 # numpy's SeedSequence constants (O'Neill's seed_seq_fe): hashmix XORs its

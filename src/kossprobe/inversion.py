@@ -41,10 +41,12 @@ from numbers import Integral
 
 import numpy as np
 
-from .kossakowski import KossakowskiMatrix, rounding_tolerance, symmetric_from_vector
-from .probe import ProbeMatrix, ProbeResult
+from .kossakowski import (KossakowskiMatrix, _finite_reals, _is_finite_number,
+                          rounding_tolerance, symmetric_from_vector)
+from .probe import CHANNELS, ProbeMatrix, ProbeResult
 
 CONDITION_LIMIT = 1e10
+_CHANNEL_NAMES = np.array(CHANNELS)
 # The largest ``bootstrap`` that invert_noisy accepts; the keyword no longer
 # draws, but the values it refused are refused still.
 MAX_BOOTSTRAP = 1_000_000
@@ -96,17 +98,6 @@ class SingularProbeMatrixError(ArithmeticError):
             f"probe matrix refused: det = {det:.6g}, "
             f"condition number = {condition_number:.6g} exceeds {CONDITION_LIMIT:.0e}"
         )
-
-
-def _as_rates(rates) -> np.ndarray:
-    if isinstance(rates, ProbeResult):
-        rates = rates.rates
-    r = np.asarray(rates, dtype=float)
-    if r.shape != (6,):
-        raise ValueError(f"expected 6 rates, got shape {r.shape}")
-    if not np.isfinite(r).all():
-        raise ValueError(f"rates must be finite, got {r.tolist()}")
-    return r
 
 
 def _check_conditioning(m: ProbeMatrix) -> None:
@@ -357,8 +348,9 @@ def invert_noisy(
 ) -> InversionResult:
     """Solve for the mean rates and propagate the rate covariance linearly.
 
-    ``sigmas`` are per-channel one-sigma rate uncertainties (zero allowed; all
-    zero gives the plain solve of M c = rates, refusals included).  The
+    ``rates`` and ``sigmas`` are six finite real numbers each, the sigmas
+    per-channel one-sigma rate uncertainties (zero allowed; all zero gives the
+    plain solve of M c = rates, refusals included).  The
     covariance of the estimate is M^-1 diag(sigma^2) M^-T.  Refuses an
     ill-conditioned M (condition number beyond ``CONDITION_LIMIT``) instead
     of returning garbage.  Verdict: CP when the smallest eigenvalue is
@@ -370,16 +362,14 @@ def invert_noisy(
     MAX_BOOTSTRAP draws, a nonnegative integer seed) but no longer affect the
     result: no path draws.
     """
-    r = _as_rates(rates)
-    s = np.asarray(sigmas, dtype=float)
-    if s.shape != (6,):
-        raise ValueError(f"expected 6 sigmas, got shape {s.shape}")
-    if not np.isfinite(s).all():
-        raise ValueError(f"sigmas must be finite, got {s.tolist()}")
+    if isinstance(rates, ProbeResult):
+        rates = rates.rates
+    r = _finite_reals(rates, _CHANNEL_NAMES, "rates")
+    s = _finite_reals(sigmas, _CHANNEL_NAMES, "sigmas")
     if np.any(s < 0):
         raise ValueError("sigmas must be nonnegative")
-    if not 0.0 < z < np.inf:
-        raise ValueError(f"z must be positive and finite, got {z}")
+    if not (_is_finite_number(z) and z > 0.0):
+        raise ValueError(f"z must be positive and finite, got {z!r}")
     # a bool bootstrap (0 or 1 draws) is out of range too
     if not isinstance(bootstrap, Integral) or not 2 <= bootstrap <= MAX_BOOTSTRAP:
         raise ValueError(
@@ -392,7 +382,7 @@ def invert_noisy(
     m_inv = np.linalg.inv(m.matrix)
     c_vec = m_inv @ r
     covariance = m_inv @ np.diag(s**2) @ m_inv.T
-    c_hat = KossakowskiMatrix.from_vector(c_vec)
+    c_hat = KossakowskiMatrix(*c_vec.tolist())
     margin = float(c_hat.eigenvalues()[0])
     residual = float(np.linalg.norm(m.matrix @ c_vec - r))
 

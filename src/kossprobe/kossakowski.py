@@ -22,6 +22,8 @@ only by :func:`kossprobe.oracle.build_superop`, the referee of these closed
 forms.  ``d_tilde`` takes its coupling matrix already expressed in a probe
 frame; :mod:`kossprobe.probe` evaluates it once per symmetric unit coupling
 and frame, at import, and builds every rate from that constant kernel.
+Every outside array (C, its parameters, rates, sigmas) becomes floats through
+``_finite_reals``, which names each entry that is not a finite real number.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ _PARAM_OF_ENTRY = np.empty((3, 3), dtype=int)
 _PARAM_OF_ENTRY[_ROWS, _COLS] = _PARAM_OF_ENTRY[_COLS, _ROWS] = np.arange(6)
 
 _SIGMA = np.array([pauli(i) for i in (1, 2, 3)])
-_ENTRY_NAMES = tuple(f"c{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3))
+_PARAM_NAMES = np.array(PARAM_ORDER)
+_ENTRY_NAMES = np.array([[f"c{i}{j}" for j in (1, 2, 3)] for i in (1, 2, 3)])
 
 ROUNDING = 8
 _EPS = np.finfo(float).eps
@@ -132,21 +135,12 @@ class KossakowskiMatrix:
 
     @classmethod
     def from_vector(cls, v) -> "KossakowskiMatrix":
-        v = np.asarray(v)
-        if v.shape != (6,):
-            raise ValueError(f"expected 6 parameters, got shape {v.shape}")
-        return cls(*_real(v, PARAM_ORDER).tolist())
+        return cls(*_finite_reals(v, _PARAM_NAMES, "Kossakowski entries").tolist())
 
     @classmethod
     def from_matrix(cls, a) -> "KossakowskiMatrix":
-        a = np.asarray(a)
-        if a.shape != (3, 3):
-            raise ValueError(f"expected a 3x3 matrix, got shape {a.shape}")
-        a = _real(a, _ENTRY_NAMES)
-        # checked before the symmetry test: NaN compares false, so it would pass
-        if not np.isfinite(a).all():
-            bad = {n: x for n, x in zip(_ENTRY_NAMES, a.ravel().tolist()) if not math.isfinite(x)}
-            raise ValueError(f"Kossakowski entries must be finite, got {bad}")
+        # finite before the symmetry test: NaN compares false, so it would pass
+        a = _finite_reals(a, _ENTRY_NAMES, "Kossakowski entries")
         if np.max(np.abs(a - a.T)) > rounding_tolerance(a):
             raise ValueError("matrix is not symmetric within rounding")
         s = 0.5 * (a + a.T)
@@ -220,12 +214,24 @@ def _is_finite_number(x) -> bool:
         return False
 
 
-def _real(a: np.ndarray, names) -> np.ndarray:
-    """``a`` as floats, refusing (by ``names``) every entry with a nonzero imaginary part."""
-    if np.iscomplexobj(a) and a.imag.any():
-        imag = {n: x for n, x in zip(names, a.imag.ravel().tolist()) if x != 0}
-        raise ValueError(f"Kossakowski entries must be real, got imaginary parts {imag}")
-    return a.real.astype(float, copy=False)
+def _finite_reals(x, names: np.ndarray, what: str) -> np.ndarray:
+    """``x`` as floats of the shape of ``names``, which name its entries.  A numeric ndarray
+    takes one finiteness test; a list, or any other array, is judged entry by entry, since
+    ``np.asarray`` reads True as 1 (and a complex entry is not real)."""
+    a = x if isinstance(x, np.ndarray) else np.array(x, dtype=object)
+    if a.shape != names.shape:
+        raise ValueError(f"{what} must have shape {'x'.join(map(str, names.shape))}, got {a.shape}")
+    if a.dtype.kind in "fiu" or a.dtype.kind == "c" and not a.imag.any():
+        a = a.real.astype(float, copy=False)
+        if np.isfinite(a).all():
+            return a
+    entries = dict(zip(names.ravel().tolist(), a.ravel().tolist()))
+    bad = {n: v for n, v in entries.items() if not _is_finite_number(v)}
+    imag = {n: v.imag for n, v in bad.items() if isinstance(v, complex) and v.imag}
+    if bad:
+        raise ValueError(f"{what} must be real, got imaginary parts {imag}" if imag
+                         else f"{what} must be finite, got {bad}")
+    return np.array(list(entries.values()), dtype=float).reshape(names.shape)
 
 
 def symmetric_from_vector(v) -> np.ndarray:
@@ -321,9 +327,9 @@ def evolve(c, rho, t: float) -> np.ndarray:
     Some p_k are negative exactly when C is not PSD.  The oracle's matrix
     exponential of the superoperator is the referee of this closed form.
     """
+    if not (_is_finite_number(t) and t >= 0):
+        raise ValueError(f"t must be finite and nonnegative, got {t!r}")
     t = float(t)
-    if not (np.isfinite(t) and t >= 0):
-        raise ValueError(f"t must be finite and nonnegative, got {t}")
     rho = np.asarray(rho, dtype=complex)
     if rho.shape not in ((2, 2), (4, 4)):
         raise ValueError(f"expected a 2x2 or 4x4 state, got shape {rho.shape}")

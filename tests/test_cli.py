@@ -543,10 +543,20 @@ class TestSimulateAndInvert:
             (lambda run: [ch.update(N=10) for ch in run["channels"]], "N"),
             # a label the identity's config does not drive negative
             (lambda run: run.update(flagged_channels=["P1T"]), "flagged_channels"),
+            # each field is checked against the run's own serialisation: an edited
+            # exposure was inverted, to a C scaled by half, with exit 0
+            (lambda run: run["config"].update(exposure=0.02), "config_hash"),
+            (lambda run: run.update(schema_version=2), "schema_version"),
+            (lambda run: run.update(schema_version=True), "schema_version"),
+            (lambda run: run.update(config_hash="0" * 64), "config_hash"),
+            (lambda run: run["channels"][2].update(p_hat=0.5), "p_hat"),
+            (lambda run: run.update(comment="edited"), "comment"),
+            (lambda run: run["config"].update(note="edited"), "note"),
         ],
         ids=["g-null", "channels-number", "flagged-number", "shots-fraction", "k-string",
              "calibration-2", "exposure-negative", "exposure-0", "shots-2**70", "N-mismatch",
-             "flagged-not-derived"],
+             "flagged-not-derived", "exposure-edited", "schema-2", "schema-bool", "hash-edited",
+             "p_hat-edited", "unknown-key", "unknown-config-key"],
     )
     def test_invert_wrong_typed_run_file(self, capsys, tmp_path, edit, named):
         c_file = write_c_file(tmp_path, IDENTITY_C)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -177,20 +178,39 @@ class TestInvertNoisy:
         with pytest.raises(ValueError):
             inversion.invert_noisy(np.zeros(6), -np.ones(6), M2)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_rejects_non_finite_rates(self, bad):
-        rates = probe.forward(KossakowskiMatrix.diagonal(1.0, 1.0, -1.0), G2).rates.copy()
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(np.nan, "rates must be finite"), (np.inf, "rates must be finite"),
+         # a complex array was cast to floats with only a ComplexWarning, and a
+         # string or a bool in a list was read as a number
+         (1e-3j, "rates must be real, got imaginary parts {'P0T': 0.001}"),
+         ("1", "rates must be finite, got {'P0T': '1'}"),
+         (True, "rates must be finite, got {'P0T': True}")],
+        ids=["nan", "inf", "complex", "string", "bool"],
+    )
+    def test_rejects_non_finite_rates(self, bad, message):
+        rates = probe.forward(KossakowskiMatrix.diagonal(1.0, 1.0, -1.0), G2).rates.tolist()
         rates[0] = bad
-        with pytest.raises(ValueError, match="rates must be finite"):
+        if isinstance(bad, (float, complex)):  # an array of the entry's dtype
+            rates = np.array(rates)
+        with pytest.raises(ValueError, match=re.escape(message)):
             inversion.invert_noisy(rates, 0.01 * np.ones(6), M2)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_rejects_non_finite_sigma(self, bad):
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(np.nan, "sigmas must be finite"), (np.inf, "sigmas must be finite"),
+         (1e-3j, "sigmas must be real, got imaginary parts {'P2T': 0.001}"),
+         (True, "sigmas must be finite, got {'P2T': True}")],
+        ids=["nan", "inf", "complex", "bool"],
+    )
+    def test_rejects_non_finite_sigma(self, bad, message):
         # a non-PSD estimate, so an unchecked sigma would reach the verdict
         rates = probe.forward(KossakowskiMatrix.diagonal(1.0, 1.0, -1.0), G2).rates
-        sigmas = 0.01 * np.ones(6)
+        sigmas = [0.01] * 6
         sigmas[2] = bad
-        with pytest.raises(ValueError, match="sigmas must be finite"):
+        if isinstance(bad, (float, complex)):  # an array of the entry's dtype
+            sigmas = np.array(sigmas)
+        with pytest.raises(ValueError, match=re.escape(message)):
             inversion.invert_noisy(rates, sigmas, M2)
 
     @pytest.mark.parametrize(
@@ -198,7 +218,7 @@ class TestInvertNoisy:
         [
             {"bootstrap": 0}, {"bootstrap": 1}, {"z": -1.0}, {"z": 0.0}, {"z": np.nan}, {"z": np.inf},
             {"seed": -1}, {"seed": 1.5}, {"bootstrap": 2.5}, {"bootstrap": 1_000_001},
-            {"seed": True}, {"seed": False}, {"bootstrap": True},
+            {"seed": True}, {"seed": False}, {"bootstrap": True}, {"z": True},
         ],
     )
     def test_rejects_bad_verdict_settings(self, settings):

@@ -42,6 +42,12 @@ def identity_with_c32(x):
     return a
 
 
+def as_rows(entries):
+    """C as a nested list, from its six parameters (c11, c12, c13, c22, c23, c33)."""
+    c11, c12, c13, c22, c23, c33 = entries
+    return [[c11, c12, c13], [c12, c22, c23], [c13, c23, c33]]
+
+
 # Every entry point that takes C as a 3x3 array: the closed forms and the
 # oracle's superoperator take it through the one real-symmetric coercion.
 COUPLING_ENTRY_POINTS = {
@@ -111,8 +117,17 @@ class TestKossakowskiMatrix:
         [(lambda entries: km.KossakowskiMatrix(*entries), bad, f"finite, got {{'c23': {bad!r}}}")
          for bad in (1j, "1", True, None)]
         # from_vector cast the imaginary part away with only a ComplexWarning
-        + [(km.KossakowskiMatrix.from_vector, 1 + 1j, "imaginary parts {'c23': 1.0}")],
-        ids=["complex", "string", "bool", "null", "from_vector-complex"],
+        + [(km.KossakowskiMatrix.from_vector, 1 + 1j, "imaginary parts {'c23': 1.0}")]
+        # np.asarray read a string or a bool as the number 1
+        + [(km.KossakowskiMatrix.from_vector, bad, f"finite, got {{'c23': {bad!r}}}")
+           for bad in ("1", True)]
+        + [(lambda entries, f=f: f(as_rows(entries)), bad,
+            f"finite, got {{'c23': {bad!r}, 'c32': {bad!r}}}")
+           for f in (km.KossakowskiMatrix.from_matrix, lambda c: probe.forward(c, G2))
+           for bad in ("1", True)],
+        ids=["complex", "string", "bool", "null", "from_vector-complex", "from_vector-string",
+             "from_vector-bool", "from_matrix-string", "from_matrix-bool", "forward-string",
+             "forward-bool"],
     )
     def test_constructor_rejects_non_real_entries(self, entry_point, bad, message):
         # a complex entry gave complex rates from forward
@@ -337,7 +352,7 @@ class TestBloch:
 
     def test_rejects_negative_time_and_bad_state(self):
         state = bloch_state((0.0, 0.0, 1.0))
-        for t in (-0.1, np.nan, np.inf):
+        for t in (-0.1, np.nan, np.inf, "0.1", True):
             with pytest.raises(ValueError, match="t must be"):
                 km.evolve(km.KossakowskiMatrix.identity(), state, t)
         for bad in (np.eye(3), np.eye(8), np.zeros(4), np.eye(4)[:, :2]):
