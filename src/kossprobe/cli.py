@@ -13,6 +13,11 @@ Each handler imports the kossprobe modules it runs, so a call compiles and
 loads only those: ``coeffs`` loads ``scattering`` alone, ``cp-check`` no
 forward model, ``build-matrix`` and ``forward`` no inversion.  Only
 ``oracle`` needs scipy, for the matrix exponentials of its brute-force path.
+
+One reader, ``_read``, takes every input file (``--c-file``, ``--rates`` and
+``--sigmas``) to the value the library builds from it.  JSON refuses a
+repeated key, the numbers of a rates CSV follow JSON's number grammar, and
+each refusal, a decode error included, names the file.
 """
 
 from __future__ import annotations
@@ -40,14 +45,25 @@ def _emit_json(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _read_c_file(path: str):
-    from .kossakowski import KossakowskiMatrix
-
-    data = json.loads(Path(path).read_text())
+def _read(path: str, build, csv: bool = False):
+    """``build`` of the value in the file at ``path``: its JSON, or with ``csv`` a rates
+    CSV when the name ends in .csv.  Every refusal, a decode error included, names the
+    file once."""
     try:
-        return KossakowskiMatrix.from_dict(data)
-    except ValueError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+        return build(_rates_csv(text) if csv and path.endswith(".csv")
+                     else json.loads(text, object_pairs_hook=_unique_keys))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError among them
         raise ValueError(f"{path}: {exc}") from None
+
+
+def _unique_keys(pairs: list) -> dict:
+    # json.loads would keep the last of a repeated key
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"repeated key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return obj
 
 
 def _coeffs_from_args(args) -> tuple[object, float | None]:
@@ -104,10 +120,11 @@ def _cmd_coeffs(args) -> int:
 
 
 def _cmd_forward(args) -> int:
+    from .kossakowski import KossakowskiMatrix
     from .probe import forward
     from .scattering import coefficients
 
-    c = _read_c_file(args.c_file)
+    c = _read(args.c_file, KossakowskiMatrix.from_dict)
     result = forward(c, coefficients(args.g), args.phase)
     if args.output == "json":
         _emit_json(
@@ -174,80 +191,80 @@ def _cmd_build_matrix(args) -> int:
     return EXIT_OK
 
 
-def _read_rates_file(path: str):
-    """Returns ('run', ExperimentRun, None) or ('rates', rates, sigmas-or-None)."""
+def _rates_csv(text: str) -> dict:
+    """A rates CSV as the rates object it stands for; each number is read as JSON reads one."""
+    from .probe import CHANNELS
+
+    rates: dict[str, object] = {}
+    sigmas: dict[str, object] = {}
+    lines = [(n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
+    if not lines:
+        raise ValueError("rates csv is empty; expected header 'label,rate[,sigma]'")
+    header = [h.strip() for h in lines[0][1].split(",")]
+    if header not in (["label", "rate"], ["label", "rate", "sigma"]):
+        raise ValueError(f"rates csv header {lines[0][1]!r} is not 'label,rate[,sigma]'")
+    for n, line in lines[1:]:
+        parts = [p.strip() for p in line.split(",")]
+        label = parts[0]
+        where = f"rates csv line {n}"
+        if label not in CHANNELS:
+            raise ValueError(f"{where}: unknown channel {label!r}, not in {list(CHANNELS)}")
+        if label in rates:
+            raise ValueError(f"{where}: {label} repeats an earlier row")
+        if len(header) > 2 and len(parts) == 2:
+            raise ValueError(f"{where}: {label} has no sigma, but the header names one")
+        if len(parts) != len(header):
+            raise ValueError(
+                f"{where}: expected {len(header)} fields, as in the header "
+                f"{','.join(header)!r}, got {len(parts)}"
+            )
+        try:
+            rates[label] = json.loads(parts[1])
+            if len(header) > 2:
+                sigmas[label] = json.loads(parts[2])
+        except ValueError:
+            raise ValueError(f"{where}: expected 'label,rate[,sigma]' with JSON numbers, "
+                             f"got {line!r}") from None
+    missing = [label for label in CHANNELS if label not in rates]
+    if missing:
+        raise ValueError(f"rates csv missing channels: {missing}")
+    data = {"rates": [rates[label] for label in CHANNELS]}
+    if sigmas:
+        data["sigmas"] = [sigmas[label] for label in CHANNELS]
+    return data
+
+
+def _rates_input(data):
+    """(a run file's ExperimentRun, None), or (rates, sigmas or None) of a rates array or object."""
     from .experiment import ExperimentRun
     from .inversion import _CHANNEL_NAMES
     from .kossakowski import _finite_reals
-    from .probe import CHANNELS
 
-    text = Path(path).read_text()
-    if path.endswith(".csv"):
-        rates: dict[str, float] = {}
-        sigmas: dict[str, float] = {}
-        lines = [(n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
-        if not lines:
-            raise ValueError("rates csv is empty; expected header 'label,rate[,sigma]'")
-        header = [h.strip() for h in lines[0][1].split(",")]
-        if header not in (["label", "rate"], ["label", "rate", "sigma"]):
-            raise ValueError(f"rates csv header {lines[0][1]!r} is not 'label,rate[,sigma]'")
-        for n, line in lines[1:]:
-            parts = [p.strip() for p in line.split(",")]
-            label = parts[0]
-            where = f"rates csv line {n}"
-            if label not in CHANNELS:
-                raise ValueError(f"{where}: unknown channel {label!r}, not in {list(CHANNELS)}")
-            if label in rates:
-                raise ValueError(f"{where}: {label} repeats an earlier row")
-            if len(header) > 2 and len(parts) == 2:
-                raise ValueError(f"{where}: {label} has no sigma, but the header names one")
-            if len(parts) != len(header):
-                raise ValueError(
-                    f"{where}: expected {len(header)} fields, as in the header "
-                    f"{','.join(header)!r}, got {len(parts)}"
-                )
-            try:
-                rates[label] = float(parts[1])
-                if len(header) > 2:
-                    sigmas[label] = float(parts[2])
-            except ValueError:
-                raise ValueError(f"{where}: expected 'label,rate[,sigma]', got {line!r}") from None
-        missing = [label for label in CHANNELS if label not in rates]
-        if missing:
-            raise ValueError(f"rates csv missing channels: {missing}")
-        data = {"rates": [rates[label] for label in CHANNELS]}
-        if sigmas:
-            data["sigmas"] = [sigmas[label] for label in CHANNELS]
-    else:
-        data = json.loads(text)
     if isinstance(data, dict) and "channels" in data:
-        try:
-            return "run", ExperimentRun.from_dict(data), None
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+        return ExperimentRun.from_dict(data), None
     if isinstance(data, list):
         data = {"rates": data}
-    if isinstance(data, dict) and "rates" in data:
-        rates = _finite_reals(data["rates"], _CHANNEL_NAMES, f"{path} rates")
-        sigmas = (_finite_reals(data["sigmas"], _CHANNEL_NAMES, f"{path} sigmas")
-                  if "sigmas" in data else None)
-        unknown = [key for key in data if key not in ("rates", "sigmas")]
-        if unknown:
-            raise ValueError(f"{path}: unknown key {unknown[0]!r}; expected 'rates' and 'sigmas'")
-        return "rates", rates, sigmas
-    raise ValueError(f"unrecognized rates file format: {path}")
+    if not (isinstance(data, dict) and "rates" in data):
+        raise ValueError("not a rates file: expected a JSON array, an object with 'rates', "
+                         "a rates CSV or a simulate run file")
+    rates = _finite_reals(data["rates"], _CHANNEL_NAMES, "rates")
+    sigmas = _finite_reals(data["sigmas"], _CHANNEL_NAMES, "sigmas") if "sigmas" in data else None
+    unknown = [key for key in data if key not in ("rates", "sigmas")]
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r}; expected 'rates' and 'sigmas'")
+    return rates, sigmas
 
 
 def _cmd_invert(args) -> int:
-    from .experiment import estimate
+    from .experiment import ExperimentRun, estimate
     from .inversion import _CHANNEL_NAMES, invert_noisy, psd_project
     from .kossakowski import _finite_reals
     from .probe import build_matrix_programmatic
     from .scattering import CANONICAL_PHASE, coefficients
 
-    kind, payload, sigmas = _read_rates_file(args.rates)
+    payload, sigmas = _read(args.rates, _rates_input, csv=True)
     phase = CANONICAL_PHASE if args.phase is None else args.phase
-    if kind == "run":
+    if isinstance(payload, ExperimentRun):
         config = payload.config
         if abs(config.g - args.g) > 1e-12:
             raise ValueError(f"--g {args.g} does not match the run's coupling {config.g}")
@@ -260,10 +277,9 @@ def _cmd_invert(args) -> int:
     elif args.sigmas is not None:
         if sigmas is not None:
             raise ValueError(f"--sigmas does not apply to {args.rates}: it carries its own sigmas")
-        sigmas = _finite_reals(json.loads(Path(args.sigmas).read_text()), _CHANNEL_NAMES,
-                               f"{args.sigmas} sigmas")
+        sigmas = _read(args.sigmas, lambda data: _finite_reals(data, _CHANNEL_NAMES, "sigmas"))
     m = build_matrix_programmatic(coefficients(args.g), phase)
-    if kind == "run":
+    if isinstance(payload, ExperimentRun):
         result = estimate(payload, m, z=args.z)
     else:
         sigmas = np.zeros(6) if sigmas is None else sigmas
@@ -278,7 +294,9 @@ def _cmd_invert(args) -> int:
 
 
 def _cmd_cp_check(args) -> int:
-    c = _read_c_file(args.c_file)
+    from .kossakowski import KossakowskiMatrix
+
+    c = _read(args.c_file, KossakowskiMatrix.from_dict)
     report = c.cp_check()
     if args.output == "text":
         sys.stdout.write(f"eigenvalues: {report.eigenvalues}\n")
@@ -293,10 +311,11 @@ def _cmd_cp_check(args) -> int:
 
 def _cmd_simulate(args) -> int:
     from .experiment import ExperimentConfig, run, save_run
+    from .kossakowski import KossakowskiMatrix
     from .probe import CHANNELS
 
     config = ExperimentConfig(
-        true_c=_read_c_file(args.c_file),
+        true_c=_read(args.c_file, KossakowskiMatrix.from_dict),
         g=args.g,
         phase=args.phase,
         exposure=args.exposure,

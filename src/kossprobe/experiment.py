@@ -37,7 +37,7 @@ except ImportError:
     from _sha256 import sha256  # Python 3.10 and 3.11
 
 from .inversion import InversionResult, invert_noisy
-from .kossakowski import KossakowskiMatrix, _is_finite_number, as_kossakowski
+from .kossakowski import KossakowskiMatrix, _is_finite_number, _shown, as_kossakowski
 from .probe import CHANNELS, ProbeMatrix, forward
 from .scattering import coefficients
 
@@ -93,7 +93,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "true_c", as_kossakowski(self.true_c))
         problems = [
-            f"{name} must be {rule}, got {getattr(self, name)!r}"
+            f"{name} must be {rule}, got {_shown(getattr(self, name))}"
             for name, holds, rule, _ in _FIELDS
             if not holds(getattr(self, name))
         ]
@@ -157,7 +157,7 @@ class ExperimentRun:
 
     def __post_init__(self) -> None:
         counts, n = tuple(self.detections), self.config.shots_per_channel
-        bad = [f"{label} k = {k!r}" for label, k in zip(CHANNELS, counts)
+        bad = [f"{label} k = {_shown(k)}" for label, k in zip(CHANNELS, counts)
                if not (_is_integer(k) and 0 <= k <= n)]
         if bad or len(counts) != len(CHANNELS):
             raise ValueError(
@@ -251,7 +251,7 @@ def _require_equal(where: str, fields: dict, derived: dict) -> None:
         if isinstance(got, dict) and isinstance(want, dict):
             _require_equal(f"{where} {name}", got, want)
         elif json.dumps(got, default=repr) != json.dumps(want):
-            raise ValueError(f"{where} {name} {json.dumps(got, default=repr)[:80]} differs from "
+            raise ValueError(f"{where} {name} {_shown(got)} differs from "
                              f"{json.dumps(want)}, which the run's config and counts give")
 
 

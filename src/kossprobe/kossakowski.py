@@ -23,13 +23,15 @@ forms.  ``d_tilde`` takes its coupling matrix already expressed in a probe
 frame; :mod:`kossprobe.probe` evaluates it once per symmetric unit coupling
 and frame, at import, and builds every rate from that constant kernel.
 Every outside array (C, its parameters, rates, sigmas) becomes floats through
-``_finite_reals``, which names each entry that is not a finite real number.
+``_finite_reals``, which names each entry that is not a finite real number;
+a refusal quotes a value through ``_shown``, which bounds its length.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,7 +121,7 @@ class KossakowskiMatrix:
         values = (self.c11, self.c12, self.c13, self.c22, self.c23, self.c33)
         if not all(map(_is_finite_number, values)):
             bad = {name: x for name, x in zip(PARAM_ORDER, values) if not _is_finite_number(x)}
-            raise ValueError(f"Kossakowski entries must be real and finite, got {bad}")
+            raise ValueError(f"Kossakowski entries must be real and finite, got {_shown(bad)}")
         for name, x in zip(PARAM_ORDER, values):
             if type(x) is not float:
                 object.__setattr__(self, name, float(x))
@@ -200,7 +202,11 @@ class KossakowskiMatrix:
         missing = [name for name in PARAM_ORDER if name not in data]
         if missing:
             raise ValueError(f"missing Kossakowski entries: {missing}")
-        return cls(**{name: data[name] for name in PARAM_ORDER})
+        unknown = [key for key in data if key not in PARAM_ORDER]
+        if unknown:
+            raise ValueError(f"unknown key {_shown(unknown[0])}; a Kossakowski matrix is given "
+                             f"by exactly the entries {list(PARAM_ORDER)}")
+        return cls(**data)
 
 
 def _is_finite_number(x) -> bool:
@@ -229,9 +235,18 @@ def _finite_reals(x, names: np.ndarray, what: str) -> np.ndarray:
     bad = {n: v for n, v in entries.items() if not _is_finite_number(v)}
     imag = {n: v.imag for n, v in bad.items() if isinstance(v, complex) and v.imag}
     if bad:
-        raise ValueError(f"{what} must be real, got imaginary parts {imag}" if imag
-                         else f"{what} must be finite, got {bad}")
+        raise ValueError(f"{what} must be real, got imaginary parts {_shown(imag)}" if imag
+                         else f"{what} must be finite, got {_shown(bad)}")
     return np.array(list(entries.values()), dtype=float).reshape(names.shape)
+
+
+def _shown(x) -> str:
+    """``repr(x)`` with each number, string and container cut to reprlib's default limits (40
+    digits, 30 characters), so that a refusal stays short whatever it quotes; a dict keeps
+    its order."""
+    if isinstance(x, dict):
+        return "{" + ", ".join(f"{reprlib.repr(k)}: {reprlib.repr(v)}" for k, v in x.items()) + "}"
+    return reprlib.repr(x)
 
 
 def symmetric_from_vector(v) -> np.ndarray:

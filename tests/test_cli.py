@@ -1,3 +1,6 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
@@ -6,9 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kossprobe
-from kossprobe import cli, probe
+from kossprobe import cli, experiment, probe
 from kossprobe.cli import main
 from kossprobe.kossakowski import KossakowskiMatrix
 from kossprobe.scattering import coefficients
@@ -39,6 +44,22 @@ def write_c_file(tmp_path, entries, name="c.json"):
 IDENTITY_C = {"c11": 1, "c12": 0, "c13": 0, "c22": 1, "c23": 0, "c33": 1}
 COUNTER_C = {"c11": 1, "c12": 0, "c13": 0, "c22": 1, "c23": 0, "c33": -1}
 RANK1_C = {"c11": 1, "c12": -0.5, "c13": 0.25, "c22": 0.25, "c23": -0.125, "c33": 0.0625}
+
+
+def simulated_run(c) -> dict:
+    """The run file that simulate writes for ``c`` at SIMULATE_ARGS."""
+    config = experiment.ExperimentConfig(
+        KossakowskiMatrix.from_dict(c), 2.0, probe.CANONICAL_PHASE, 0.01, 1.0, 1000, 3
+    )
+    return experiment.run(config).to_dict()
+
+
+class RepeatedKey(dict):
+    """An object that json.dumps writes with its first key twice."""
+
+    def items(self):
+        first, *rest = super().items()
+        return [first, first, *rest]
 
 
 class TestCoeffs:
@@ -552,11 +573,15 @@ class TestSimulateAndInvert:
             (lambda run: run["channels"][2].update(p_hat=0.5), "p_hat"),
             (lambda run: run.update(comment="edited"), "comment"),
             (lambda run: run["config"].update(note="edited"), "note"),
+            # the run of the counterexample diag(1, 1, -1), which flags P0T and P2R, with its
+            # flags emptied
+            (lambda run: run.update(simulated_run(COUNTER_C), flagged_channels=[]),
+             "flagged_channels"),
         ],
         ids=["g-null", "channels-number", "flagged-number", "shots-fraction", "k-string",
              "calibration-2", "exposure-negative", "exposure-0", "shots-2**70", "N-mismatch",
              "flagged-not-derived", "exposure-edited", "schema-2", "schema-bool", "hash-edited",
-             "p_hat-edited", "unknown-key", "unknown-config-key"],
+             "p_hat-edited", "unknown-key", "unknown-config-key", "counterexample-flags-emptied"],
     )
     def test_invert_wrong_typed_run_file(self, capsys, tmp_path, edit, named):
         c_file = write_c_file(tmp_path, IDENTITY_C)
@@ -695,16 +720,26 @@ class TestSimulateAndInvert:
 SIMULATE_ARGS = ("--g", "2", "--shots", "1000", "--exposure", "0.01", "--calibration", "1.0",
                  "--seed", "3", "--out", "r")
 C_FILE_WITH_C11 = '{{"c11": {}, "c12": 0, "c13": 0, "c22": 1, "c23": 0, "c33": 1}}'
+C_COMMANDS = (("cp-check", ()), ("forward", ("--g", "2")), ("simulate", SIMULATE_ARGS))
+IDENTITY_TEXT = C_FILE_WITH_C11.format(1)
 INVERT = ("invert", "--rates", "r.json", "--g", "2")
+INVERT_CSV = ("invert", "--rates", "r.csv", "--g", "2")
+ZEROS_CSV = "label,rate\n" + "".join(f"{label},0\n" for label in probe.CHANNELS)
+NOT_UTF_8 = b"\xb5"  # a micro sign in Latin-1
+
+
+def run_with_repeated_config_key() -> str:
+    run = simulated_run(IDENTITY_C)
+    return json.dumps({**run, "config": RepeatedKey(run["config"])})
 
 
 @pytest.mark.parametrize(
     "files, argv, named",
     [
-        pytest.param({}, ["invert", "--rates", "f.json", "--g", "2"], "f.json rates",
+        pytest.param({}, ["invert", "--rates", "f.json", "--g", "2"], "f.json: rates",
                      id="forward-output-as-rates"),
         pytest.param({"r.json": '{"rates": [1, 1, 1, 1, 1, 1], "sigmas": {"P0T": 1}}'},
-                     INVERT, "r.json sigmas", id="sigmas-object-in-rates-file"),
+                     INVERT, "r.json: sigmas", id="sigmas-object-in-rates-file"),
         pytest.param({"r.json": "[1, 1, 1, 1, 1, 1]", "sig.json": '{"P0T": 1}'},
                      [*INVERT, "--sigmas", "sig.json"], "sig.json", id="sigmas-file-object"),
         pytest.param({"r.json": '["1", "1", "1", "1", "1", "1"]'}, INVERT, "r.json",
@@ -712,17 +747,56 @@ INVERT = ("invert", "--rates", "r.json", "--g", "2")
         pytest.param({"r.json": "[1, 1, 1, 1, 1, null]"}, INVERT, "r.json", id="rates-null"),
         pytest.param({"r.json": f"[1, 1, 1, 1, 1, 1{'0' * 400}]"}, INVERT, "r.json",
                      id="rates-huge-int"),
-        pytest.param({"r.json": '{"rates": [1, 1, 1, 1, 1, true]}'}, INVERT, "r.json rates",
+        pytest.param({"r.json": '{"rates": [1, 1, 1, 1, 1, true]}'}, INVERT, "r.json: rates",
                      id="rates-bool"),
         *(
             pytest.param({"c.json": C_FILE_WITH_C11.format(value)},
                          [command, "--c-file", "c.json", *extra], "c11", id=f"{command}-c11-{value}")
             for value in ("null", "NaN", "Infinity")
-            for command, extra in (("cp-check", ()), ("forward", ("--g", "2")),
-                                   ("simulate", SIMULATE_ARGS))
+            for command, extra in C_COMMANDS
         ),
         pytest.param({"c.json": "5"}, ["cp-check", "--c-file", "c.json"], "c.json",
                      id="c-file-number"),
+        # each of these read the identity, with exit 0: the lower triangle next to the
+        # upper one, an unknown key, and the first of a repeated key
+        *(
+            pytest.param({"c.json": IDENTITY_TEXT[:-1] + ', "c32": 5, "c21": 0.5}'},
+                         [command, "--c-file", "c.json", *extra], "c.json: unknown key 'c32'",
+                         id=f"{command}-lower-triangle")
+            for command, extra in C_COMMANDS
+        ),
+        pytest.param({"c.json": IDENTITY_TEXT[:-1] + ', "schema_version": 1}'},
+                     ["cp-check", "--c-file", "c.json"], "c.json: unknown key 'schema_version'",
+                     id="c-file-unknown-key"),
+        pytest.param({"c.json": '{"c33": -1, ' + IDENTITY_TEXT[1:]},
+                     ["cp-check", "--c-file", "c.json"], "c.json: repeated key 'c33'",
+                     id="c-file-repeated-key"),
+        pytest.param({"r.json": '{"rates": [1, 1, 1, 1, 1, 1], "rates": [0, 0, 0, 0, 0, 0]}'},
+                     INVERT, "r.json: repeated key 'rates'", id="rates-repeated-key"),
+        pytest.param({"r.json": run_with_repeated_config_key()}, INVERT,
+                     "r.json: repeated key 'true_c'", id="run-config-repeated-key"),
+        # a truncated file and a Latin-1 file: each refusal named no file
+        pytest.param({"c.json": IDENTITY_TEXT[:20]}, ["cp-check", "--c-file", "c.json"],
+                     "c.json: Expecting", id="c-file-truncated"),
+        pytest.param({"c.json": NOT_UTF_8 + IDENTITY_TEXT.encode()},
+                     ["cp-check", "--c-file", "c.json"], "c.json: 'utf-8' codec",
+                     id="c-file-not-utf-8"),
+        pytest.param({"r.json": "[1, 1, 1"}, INVERT, "r.json: Expecting", id="rates-truncated"),
+        pytest.param({"r.json": NOT_UTF_8 + b"[1, 1, 1, 1, 1, 1]"}, INVERT,
+                     "r.json: 'utf-8' codec", id="rates-not-utf-8"),
+        pytest.param({"r.json": "[1, 1, 1, 1, 1, 1]", "sig.json": "[0.1, 0.1"},
+                     [*INVERT, "--sigmas", "sig.json"], "sig.json: Expecting",
+                     id="sigmas-truncated"),
+        pytest.param({"r.json": "[1, 1, 1, 1, 1, 1]",
+                      "sig.json": NOT_UTF_8 + b"[1, 1, 1, 1, 1, 1]"},
+                     [*INVERT, "--sigmas", "sig.json"], "sig.json: 'utf-8' codec",
+                     id="sigmas-not-utf-8"),
+        # float() read 1_0 as 10 and .5 as 0.5; neither is a JSON number
+        *(
+            pytest.param({"r.csv": ZEROS_CSV.replace("P1T,0", f"P1T,{token}")}, INVERT_CSV,
+                         "r.csv: rates csv line 3", id=f"csv-rate-{token}")
+            for token in ("1_0", ".5")
+        ),
     ],
 )
 def test_malformed_json_input_exits_2(capsys, tmp_path, monkeypatch, files, argv, named):
@@ -732,12 +806,116 @@ def test_malformed_json_input_exits_2(capsys, tmp_path, monkeypatch, files, argv
         _, out, _ = run_cli(capsys, "forward", "--c-file", "c.json", "--g", "2", "--output", "json")
         Path("f.json").write_text(out)
     for name, text in files.items():
-        Path(name).write_text(text)
+        Path(name).write_bytes(text if isinstance(text, bytes) else text.encode())
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and named in err
     assert not Path("r").exists()
+
+
+# single-field mutations of an input file: a leaf of another type or value, a leaf
+# deleted, an unknown key added to an object, or an object's first key repeated
+OTHER_TYPES = ("x", True, None, [], {})
+OTHER_VALUES = (1e308, -1, 0)
+
+
+def json_paths(value, at=()):
+    """The paths (key tuples) of a JSON value's leaves, and of its objects."""
+    if not isinstance(value, (dict, list)):
+        return [at], []
+    leaves, objects = [], [at] if isinstance(value, dict) else []
+    for key, child in value.items() if isinstance(value, dict) else enumerate(value):
+        child_leaves, child_objects = json_paths(child, (*at, key))
+        leaves += child_leaves
+        objects += child_objects
+    return leaves, objects
+
+
+def mutations(tree):
+    leaves, objects = json_paths(tree)
+    leaf, an_object = st.sampled_from(leaves), st.sampled_from(objects)
+    return st.one_of(
+        st.tuples(st.just("type"), leaf, st.sampled_from(OTHER_TYPES)),
+        st.tuples(st.just("value"), leaf, st.sampled_from(OTHER_VALUES)),
+        st.tuples(st.just("delete"), leaf, st.none()),
+        st.tuples(st.sampled_from(["unknown key", "repeated key"]), an_object, st.none()),
+    )
+
+
+def mutated(tree, kind, path, new):
+    tree = copy.deepcopy(tree)
+    if not path:  # the root object
+        return RepeatedKey(tree) if kind == "repeated key" else {**tree, "extra": 0}
+    *above, last = path
+    parent = tree
+    for key in above:
+        parent = parent[key]
+    if kind == "delete":
+        del parent[last]
+    elif kind == "unknown key":
+        parent[last]["extra"] = 0
+    elif kind == "repeated key":
+        parent[last] = RepeatedKey(parent[last])
+    else:
+        parent[last] = new
+    return tree
+
+
+def rates_csv(rows: dict) -> str:
+    """A rates CSV of {label: {"rate": ..., "sigma": ...}}: a row's fields in its order (items(),
+    so a RepeatedKey row repeats one), and a row that is not an object as its one field."""
+    lines = ["label,rate,sigma"]
+    for label, row in rows.items():
+        fields = [value for _, value in row.items()] if isinstance(row, dict) else [row]
+        lines.append(",".join([label, *map(json.dumps, fields)]))
+    return "\n".join(lines) + "\n"
+
+
+def mutation_input(name: str):
+    """(the file's content as a JSON tree, the CLI call that reads it, the file's writer)."""
+    rates = probe.forward(KossakowskiMatrix.from_dict(RANK1_C), coefficients(2.0)).by_channel()
+    invert = ["invert", "--g", "2", "--rates"]
+    return {
+        "c.json": (RANK1_C, ["cp-check", "--output", "json", "--c-file"], json.dumps),
+        "rates.json": ({"rates": list(rates.values()), "sigmas": [0.05] * 6}, invert, json.dumps),
+        "rates.csv": ({label: {"rate": r, "sigma": 0.05} for label, r in rates.items()},
+                      invert, rates_csv),
+        "run.json": (simulated_run(IDENTITY_C), invert, json.dumps),
+    }[name]
+
+
+# a rate or sigma of 1e308 overflows the inversion's products (exit 0 or 2 either way),
+# and a run's g of -1 warns of an attractive coupling before its stale hash is refused
+@pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore:attractive coupling:UserWarning")
+@pytest.mark.parametrize("name", ["c.json", "rates.json", "rates.csv", "run.json"])
+def test_single_field_mutations_are_refused_by_file(tmp_path, name):
+    # an unknown or repeated C entry and a repeated key in a rates or run file were
+    # read with exit 0, and a rates CSV's refusals did not name the file
+    tree, argv, write = mutation_input(name)
+    path = tmp_path / name
+
+    def call(content):
+        path.write_text(write(content))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, str(path)])
+        return code, out.getvalue(), err.getvalue()
+
+    code, unmutated_out, _ = call(tree)
+    assert code == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(mutation=mutations(tree))
+    def refused(mutation):
+        code, out, err = call(mutated(tree, *mutation))
+        if mutation[0] == "value" and name != "run.json":
+            assert code in (0, 2)
+        elif code != 2 or out or not err.startswith(f"error: {path}: "):
+            # a run file is its own serialisation: only its own value reads as it
+            assert mutation[0] == "value" and (code, out) == (0, unmutated_out), (code, err)
+
+    refused()
 
 
 class TestDemoNegative:
@@ -856,10 +1034,21 @@ class TestScipyOnlyWhereNeeded:
             str(tmp_path / "rank1"),
         )
         assert code == 0
-        # neither needs numpy.random: the cone path draws nothing, and
+        # the counterexample diag(1, 1, -1): two channels' true rates are negative and
+        # clamped, and the resolved lambda_min reads not-CP on the delta path
+        counter_file = write_c_file(tmp_path, COUNTER_C, "counter.json")
+        code, out, _ = run_cli(
+            capsys, "simulate", "--c-file", counter_file, "--g", "2", "--shots", "1000000000",
+            "--exposure", "0.01", "--calibration", "1", "--seed", "1", "--out",
+            str(tmp_path / "counter"),
+        )
+        assert code == 0 and json.loads(out)["flagged_channels"] == ["P0T", "P2R"]
+        # none needs numpy.random: the cone and delta paths draw nothing, and
         # demo-negative's test states are a fixed set
         drawless = [
             ["invert", "--rates", str(tmp_path / "rank1" / "run.json"), "--g", "2",
+             "--output", "json"],
+            ["invert", "--rates", str(tmp_path / "counter" / "run.json"), "--g", "2",
              "--output", "json"],
             ["demo-negative", "--g", "2", "--output", "json"],
         ]
@@ -897,9 +1086,10 @@ class TestScipyOnlyWhereNeeded:
         )
         # a fresh interpreter: this one has loaded scipy through other tests
         result = run_fresh(script)
-        assert [code for code, _ in result["drawless"] + result["light"]] == [0] * 8
-        (_, invert), (_, demo) = result["drawless"]
+        assert [code for code, _ in result["drawless"] + result["light"]] == [0] * 9
+        (_, invert), (_, counter), (_, demo) = result["drawless"]
         assert (invert["verdict_path"], invert["draws"]) == ("cone", 0)
+        assert (counter["cp_verdict"], counter["verdict_path"]) == ("not-CP", "delta")
         assert demo["negative_transmitted_rate"] == pytest.approx(-0.4, abs=1e-12)
         assert demo["single_qubit_evolution"]["positive"] is True
         assert demo["lifted_evolution"]["positive"] is False

@@ -238,6 +238,35 @@ class TestPersistence:
         assert (tmp_path / "a/run.csv").read_bytes() == (tmp_path / "b/run.csv").read_bytes()
 
 
+HUGE = 10**400  # a 401-digit integer: its full repr made each message 450 characters and more
+
+
+@pytest.mark.parametrize(
+    "refused, named",
+    [
+        (lambda: KossakowskiMatrix.from_vector([HUGE, 0, 0, 1, 0, 1]), "'c11': 1000"),
+        (lambda: KossakowskiMatrix(1, 0, 0, 1, 0, HUGE), "'c33': 1000"),
+        (lambda: inversion.invert_noisy(
+            [HUGE, 0, 0, 0, 0, 0], [0.0] * 6, probe.build_matrix_programmatic(coefficients(2.0))),
+         "'P0T': 1000"),
+        (lambda: make_config(shots_per_channel=HUGE), "shots_per_channel must be"),
+        (lambda: experiment.ExperimentRun(make_config(), (1, HUGE, 1, 1, 1, 1)), "P1T k = 1000"),
+        (lambda: experiment.ExperimentRun.from_dict(
+            {**experiment.run(make_config()).to_dict(), "schema_version": HUGE}),
+         "run schema_version 1000"),
+        (lambda: experiment.ExperimentRun.from_dict(
+            {**experiment.run(make_config()).to_dict(), "config_hash": "0" * 1000}),
+         "run config_hash '0000"),
+    ],
+    ids=["from_vector", "constructor", "rates", "config-field", "run-counts", "run-field",
+         "run-hash"],
+)
+def test_refusals_show_a_bounded_value(refused, named):
+    with pytest.raises(ValueError, match=re.escape(named)) as excinfo:
+        refused()
+    assert len(str(excinfo.value)) < 200, str(excinfo.value)
+
+
 class TestEstimate:
     def test_recovers_truth_within_errors(self):
         config = make_config(shots_per_channel=1_000_000)
