@@ -40,9 +40,14 @@ EXIT_NUMERICAL = 3
 EXIT_ADJUDICATION = 4
 
 
+def _json(payload: dict) -> str:
+    """Strict JSON: a NaN or an infinity is refused (a ValueError, exit 2), never
+    written as a token that JSON readers refuse."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def _emit_json(payload: dict) -> None:
-    payload = {"schema_version": SCHEMA_VERSION, **payload}
-    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(_json({"schema_version": SCHEMA_VERSION, **payload}))
 
 
 def _read(path: str, build, csv: bool = False):
@@ -418,7 +423,7 @@ def _cmd_oracle(args) -> int:
     report = adjudicate(trials=args.trials)
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        Path(args.out).write_text(_json(report))
     _emit_json(report)
     if not report["ok"]:
         sys.stderr.write("closed forms deviate from the brute-force oracle\n")

@@ -50,14 +50,14 @@ _PARAM_NAMES = np.array(PARAM_ORDER)
 _ENTRY_NAMES = np.array([[f"c{i}{j}" for j in (1, 2, 3)] for i in (1, 2, 3)])
 
 ROUNDING = 8
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
 
 
-def rounding_tolerance(c, condition_number: float = 1.0) -> float:
+def rounding_tolerance(c: np.ndarray, condition_number: float = 1.0) -> float:
     """ROUNDING * eps * condition_number * max|C|: within it, every symmetry and PSD decision
     on C (or on its six parameters) reads zero.  ``condition_number`` is 1 for a given C and
     cond(M) for an inversion; inverted noise-free boundary truths stay within 1/ROUNDING of it."""
-    return ROUNDING * _EPS * condition_number * np.max(np.abs(c))
+    return ROUNDING * _EPS * condition_number * float(np.abs(c).max())
 
 
 class NotCompletelyPositiveError(ValueError):
@@ -168,7 +168,7 @@ class KossakowskiMatrix:
         """Eigenvalue PSD verdict plus the seven minors, within :func:`rounding_tolerance`."""
         c = self.matrix
         eigs = np.linalg.eigvalsh(c)
-        tol = float(rounding_tolerance(c, condition_number))
+        tol = rounding_tolerance(c, condition_number)
         scale = float(np.max(np.abs(c)))
         minor_tol, det_tol = tol * scale, tol * scale * scale
         conditions = {

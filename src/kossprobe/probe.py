@@ -23,10 +23,12 @@ each of the three constant probe frames O_f is one kernel built at import,
     K[f, b] = d_tilde(O_f^T U_b O_f),
 
 and a (g, theta) pair reduces to the real 6x6 rate matrix
-M[r, b] = Re w_s^H K[f, b] w_s, one row per channel.
-``build_matrix_programmatic`` wraps M, which keeps it free of any
-hand-transcribed coefficient; ``forward`` is M times the parameter vector
-and ``probability_rate`` one row of it.  C enters through
+M[r, b] = Re w_s^H K[f, b] w_s, one row per channel.  M is built once per
+(coefficients, phase) and kept, read-only, in a memo of ``_MEMO_SIZE``
+pairs, which ``build_matrix_programmatic``, ``forward`` and
+``probability_rate`` share.  ``build_matrix_programmatic`` wraps M, which
+keeps it free of any hand-transcribed coefficient; ``forward`` is M times
+the parameter vector and ``probability_rate`` one row of it.  C enters through
 :func:`kossprobe.kossakowski.as_kossakowski`, which refuses anything but a
 finite, real, symmetric C.
 
@@ -38,7 +40,9 @@ to deviate from the programmatic ground truth in a handful of entries (see
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -63,6 +67,10 @@ _KERNEL = np.array(
     ]
 )
 
+
+# An analysis revisits a handful of (g, theta) designs; a scan over more
+# distinct pairs than this re-derives the oldest ones.
+_MEMO_SIZE = 64
 
 # A phase within this distance of pi/2, modulo 2 pi, is the canonical one.
 _CANONICAL_TOL = 1e-12
@@ -100,6 +108,8 @@ class ProbeMatrix:
     rows the channel order of :class:`ProbeResult`.  Invariant: ``matrix`` is
     read-only, and ``det`` and ``condition_number`` are derived from it here,
     never passed in, so the inversion's singularity guard reads M itself.
+    ``inverse`` is M^-1, read-only, computed on first use: the inversion reads
+    it only once M has passed that guard.
     """
 
     matrix: np.ndarray
@@ -114,6 +124,13 @@ class ProbeMatrix:
         object.__setattr__(self, "det", float(np.linalg.det(self.matrix)))
         object.__setattr__(self, "condition_number", float(np.linalg.cond(self.matrix)))
 
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        """M^-1, read-only, computed on first use and kept."""
+        inverse = np.linalg.inv(self.matrix)
+        inverse.setflags(write=False)
+        return inverse
+
     def to_dict(self) -> dict:
         return {
             "matrix": [[float(x) for x in row] for row in self.matrix],
@@ -127,14 +144,26 @@ class ProbeMatrix:
         }
 
 
+def _finite_phase(phase) -> float:
+    """The phase as the float that keys the memo; checked first, since a NaN key
+    never matches and an array is not hashable."""
+    if not math.isfinite(phase):
+        raise ValueError(f"probe phase must be finite, got {phase}")
+    return float(phase)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
 def _rate_matrix(coeffs: ScatteringCoefficients, phase: float) -> np.ndarray:
-    """M[r, b] = Re w_s^H K[f, b] w_s, shape (6, 6), rows in CHANNELS order and
-    columns in PARAM_ORDER.  The amplitude vectors come from
-    :func:`probe_amplitudes`, which checks side and phase."""
+    """M[r, b] = Re w_s^H K[f, b] w_s, shape (6, 6) and read-only, rows in
+    CHANNELS order and columns in PARAM_ORDER; ``phase`` is a float from
+    :func:`_finite_phase`.  The amplitude vectors come from
+    :func:`probe_amplitudes`."""
     w = np.array([probe_amplitudes(coeffs, side, phase) for side in SIDES])
     # conj(w_a) w_b for each side, against the kernel's flattened 2x2 blocks
     outer = (w.conj()[:, :, None] * w[:, None, :]).reshape(2, 4)
-    return np.real(_KERNEL @ outer.T).transpose(2, 0, 1).reshape(6, 6)
+    m = np.real(_KERNEL @ outer.T).transpose(2, 0, 1).reshape(6, 6)
+    m.setflags(write=False)
+    return m
 
 
 def probability_rate(
@@ -160,7 +189,7 @@ def probability_rate(
         )
     v = as_kossakowski(c).vector
     row = SIDES.index(side) * len(BASIS_LABELS) + BASIS_LABELS.index(probe_basis)
-    return float(_rate_matrix(coeffs, phase)[row] @ v)
+    return float(_rate_matrix(coeffs, _finite_phase(phase))[row] @ v)
 
 
 def forward(
@@ -168,7 +197,8 @@ def forward(
 ) -> ProbeResult:
     """All six rates: three probe frames on the transmitted side, then reflected."""
     v = as_kossakowski(c).vector
-    return ProbeResult(rates=_rate_matrix(coeffs, phase) @ v, g=coeffs.g, phase=phase)
+    m = _rate_matrix(coeffs, _finite_phase(phase))
+    return ProbeResult(rates=m @ v, g=coeffs.g, phase=phase)
 
 
 def build_matrix_programmatic(
@@ -177,7 +207,8 @@ def build_matrix_programmatic(
     """M from the kernel: column b holds the rates of the b-th symmetric unit
     coupling matrix (off-diagonal units carry both mirror entries, matching
     the six-parameter vector convention)."""
-    return ProbeMatrix(_rate_matrix(coeffs, phase), coeffs.g, phase, "programmatic")
+    m = _rate_matrix(coeffs, _finite_phase(phase))
+    return ProbeMatrix(m, coeffs.g, phase, "programmatic")
 
 
 def appendix_coefficients(coeffs: ScatteringCoefficients) -> dict[str, float]:

@@ -19,6 +19,15 @@ from kossprobe.kossakowski import KossakowskiMatrix
 from kossprobe.scattering import coefficients
 
 
+def _not_json(token: str):
+    raise ValueError(f"{token} is not JSON")
+
+
+def strict_json(text: str):
+    """The value of ``text``, which must be strict JSON: NaN and ±Infinity are refused."""
+    return json.loads(text, parse_constant=_not_json)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -66,7 +75,7 @@ class TestCoeffs:
     def test_zero_coupling_json(self, capsys):
         code, out, _ = run_cli(capsys, "coeffs", "--g", "0", "--output", "json")
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["schema_version"] == 1
         assert payload["t0"] == [1.0, 0.0] and payload["t1"] == [1.0, 0.0]
         assert payload["r0"] == [0.0, 0.0] and payload["r1"] == [0.0, 0.0]
@@ -81,9 +90,9 @@ class TestCoeffs:
             "--output", "json",
         )
         assert code == 0
-        a, b = json.loads(out_g), json.loads(out_p)
+        a, b = strict_json(out_g), strict_json(out_p)
         assert np.allclose(a["t0"], b["t0"], atol=1e-12)
-        assert json.loads(out_p)["k"] == pytest.approx(np.sqrt(2.0 * m * e))
+        assert strict_json(out_p)["k"] == pytest.approx(np.sqrt(2.0 * m * e))
 
     @pytest.mark.parametrize(
         "coupling", [["--g", "-1"], ["--J", "-1", "--E", "1", "--mass", "1"]], ids=["g", "physical"]
@@ -125,7 +134,7 @@ class TestForward:
             capsys, "forward", "--c-file", c_file, "--g", "2", "--output", "json"
         )
         assert code == 0
-        rates = json.loads(out)["rates"]
+        rates = strict_json(out)["rates"]
         assert rates["P0T"] == pytest.approx(-0.4, abs=1e-12)
         assert rates["P2R"] == pytest.approx(-1.0, abs=1e-12)
 
@@ -157,7 +166,7 @@ class TestBuildMatrix:
             capsys, "build-matrix", "--g", "2", "--source", "both", "--output", "json"
         )
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["programmatic"]["det"] != 0.0
         assert len(payload["comparison"]["deviating_entries"]) == 10
 
@@ -199,7 +208,7 @@ class TestBuildMatrix:
             capsys, "build-matrix", "--g", "2", "--source", source, "--output", "json"
         )
         assert code == 0
-        assert json.loads(out)["appendix"]["phase"] == probe.CANONICAL_PHASE
+        assert strict_json(out)["appendix"]["phase"] == probe.CANONICAL_PHASE
 
 
 class TestCpCheck:
@@ -209,10 +218,18 @@ class TestCpCheck:
             capsys, "cp-check", "--c-file", c_file, "--output", "json"
         )
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["psd"] is False
         assert payload["eigenvalues"] == [-1.0, 1.0, 1.0]
         assert payload["conditions"]["c33"]["ok"] is False
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_refuses_overflowing_minors(self, capsys, tmp_path):
+        # c12 * c12 overflows the 2x2 minors and the determinant to -inf
+        c_file = write_c_file(tmp_path, {**RANK1_C, "c12": 1e308})
+        code, out, err = run_cli(capsys, "cp-check", "--c-file", c_file, "--output", "json")
+        assert (code, out) == (2, "")
+        assert "not JSON compliant" in err
 
     def test_tolerance_flag(self, capsys, tmp_path):
         # a tiny negative eigenvalue is not rounding at the scale of C, and
@@ -222,8 +239,8 @@ class TestCpCheck:
         )
         code, out, _ = run_cli(capsys, "cp-check", "--c-file", c_file, "--output", "json")
         assert code == 0
-        assert json.loads(out)["psd"] is False
-        assert json.loads(out)["tolerance"] == 8 * np.finfo(float).eps
+        assert strict_json(out)["psd"] is False
+        assert strict_json(out)["tolerance"] == 8 * np.finfo(float).eps
         with pytest.raises(SystemExit) as excinfo:
             main(["cp-check", "--c-file", c_file, "--tolerance", "1e-4"])
         assert excinfo.value.code == 2
@@ -238,14 +255,14 @@ class TestSimulateAndInvert:
             "--seed", "7", "--out", str(tmp_path / "run"),
         )
         assert code == 0
-        written = json.loads(out)["written"]
+        written = strict_json(out)["written"]
         assert (tmp_path / "run" / "run.json").exists()
 
         code, out, _ = run_cli(
             capsys, "invert", "--rates", written[0], "--g", "2", "--output", "json"
         )
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["cp_verdict"] in ("CP", "indeterminate")
         assert payload["cp_report"]["psd"] is (payload["cp_verdict"] == "CP")
         for key, value in payload["c_hat"].items():
@@ -258,7 +275,7 @@ class TestSimulateAndInvert:
             capsys, "cp-check", "--c-file", estimate_file, "--output", "json"
         )
         assert code == 0
-        assert json.loads(out)["psd"] is True
+        assert strict_json(out)["psd"] is True
 
     def test_simulate_deterministic(self, capsys, tmp_path):
         c_file = write_c_file(tmp_path, IDENTITY_C)
@@ -292,7 +309,7 @@ class TestSimulateAndInvert:
             "--project-psd", "--output", "json",
         )
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["cp_verdict"] == "not-CP"
         assert payload["c_hat"]["c33"] == pytest.approx(-1.0, abs=1e-9)
         assert payload["c_hat_projected"]["c33"] == pytest.approx(0.0, abs=1e-9)
@@ -307,7 +324,7 @@ class TestSimulateAndInvert:
             capsys, "invert", "--rates", str(rates_file), "--g", "2", "--output", "json"
         )
         assert code == 0
-        assert all(v == 0.0 for v in json.loads(out)["c_hat"].values())
+        assert all(v == 0.0 for v in strict_json(out)["c_hat"].values())
 
     def test_invert_refuses_singular(self, capsys, tmp_path):
         rates_file = tmp_path / "rates.json"
@@ -412,7 +429,7 @@ class TestSimulateAndInvert:
         rates_file.write_text("\n".join(lines) + "\n")
         code, out, _ = run_cli(capsys, "invert", "--rates", str(rates_file), "--g", "2")
         assert code == 0
-        assert json.loads(out)["covariance"][0][0] > 0.0
+        assert strict_json(out)["covariance"][0][0] > 0.0
 
     def test_invert_refuses_repeated_run_channel(self, capsys, tmp_path):
         # a seventh P0T entry with three times the count is refused: read as
@@ -424,7 +441,7 @@ class TestSimulateAndInvert:
             "--seed", "3", "--out", str(tmp_path / "r"),
         )
         run_file = tmp_path / "r" / "run.json"
-        run = json.loads(run_file.read_text())
+        run = strict_json(run_file.read_text())
         extra = dict(run["channels"][0], k=3 * run["channels"][0]["k"])
         run["channels"].append(extra)
         run_file.write_text(json.dumps(run))
@@ -448,7 +465,7 @@ class TestSimulateAndInvert:
         rates_file.write_text(json.dumps({"rates": list(rates.rates), "sigmas": [0.05] * 6}))
         code, out, _ = run_cli(capsys, "invert", "--rates", str(rates_file), "--g", "2")
         assert code == 0
-        assert json.loads(out)["cp_verdict"] == "indeterminate"
+        assert strict_json(out)["cp_verdict"] == "indeterminate"
         code, out, err = run_cli_or_parser_exit(
             capsys, "invert", "--rates", str(rates_file), "--g", "2", *flag
         )
@@ -481,7 +498,7 @@ class TestSimulateAndInvert:
             rates_file.write_text("\n".join(["label,rate,sigma", *rows]) + "\n")
         code, out, _ = run_cli(capsys, "invert", "--rates", str(rates_file), "--g", "2")
         assert code == 0
-        assert json.loads(out)["cp_verdict"] == "indeterminate"
+        assert strict_json(out)["cp_verdict"] == "indeterminate"
         sigmas_file = tmp_path / "zeros.json"
         sigmas_file.write_text(json.dumps([0.0] * 6))
         code, out, err = run_cli(
@@ -498,12 +515,12 @@ class TestSimulateAndInvert:
                                          "c22": 0.25, "c23": -0.125, "c33": 0.0625})
         code, out, _ = run_cli(capsys, "forward", "--c-file", c_file, "--g", "2", "--output", "json")
         assert code == 0
-        rates = json.loads(out)["rates"]
+        rates = strict_json(out)["rates"]
         rates_file = tmp_path / "rates.json"
         rates_file.write_text(json.dumps([rates[label] for label in probe.CHANNELS]))
         code, out, _ = run_cli(capsys, "invert", "--rates", str(rates_file), "--g", "2")
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["cp_verdict"] == "CP"
         assert payload["margin"] >= 0.0
         assert payload["margin_sigma"] is None
@@ -517,7 +534,7 @@ class TestSimulateAndInvert:
         rates_file.write_text(json.dumps(list(rates.rates)))
         code, out, _ = run_cli(capsys, "invert", "--rates", str(rates_file), "--g", "2")
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["cp_verdict"] == "not-CP"
         assert payload["cp_report"]["psd"] is False
 
@@ -537,7 +554,7 @@ class TestSimulateAndInvert:
         rates_file.write_text(json.dumps({"rates": list(rates.rates), "sigmas": [0.05] * 6}))
         code, out, _ = run_cli(capsys, "invert", "--rates", str(rates_file), "--g", "2")
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert set(payload) == {
             "schema_version", "c_hat", "covariance", "residual_norm", "cp_verdict", "margin",
             "margin_sigma", "condition_number", "cp_report", "verdict_path", "draws",
@@ -591,7 +608,7 @@ class TestSimulateAndInvert:
             "--seed", "3", "--out", str(tmp_path / "r"),
         )
         run_file = tmp_path / "r" / "run.json"
-        run = json.loads(run_file.read_text())
+        run = strict_json(run_file.read_text())
         edit(run)
         run_file.write_text(json.dumps(run))
         code, out, err = run_cli(capsys, "invert", "--rates", str(run_file), "--g", "2")
@@ -641,6 +658,19 @@ class TestSimulateAndInvert:
         code, _, err = run_cli(capsys, "invert", "--rates", str(rates_file), "--g", "2")
         assert code == 2
         assert "sigmas must be finite" in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("payload", [
+        {"rates": [1, 1, 1, 1, 1, 1], "sigmas": [1e308, 1, 1, 1, 1, 1]},
+        {"rates": [1e308, 1, 1, 1, 1, 1], "sigmas": [0, 0, 0, 0, 0, 0]},
+    ], ids=["huge sigma", "huge rate"])
+    def test_invert_refuses_an_overflowing_estimate(self, capsys, tmp_path, payload):
+        # both exited 0 with Infinity and NaN tokens in the covariance, p_value and residual
+        rates_file = tmp_path / "rates.json"
+        rates_file.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, "invert", "--rates", str(rates_file), "--g", "2")
+        assert (code, out) == (2, "")
+        assert "rates or sigmas too large" in err
 
     @pytest.mark.parametrize("phase", ["nan", "inf"])
     def test_invert_non_finite_phase(self, capsys, tmp_path, phase):
@@ -885,8 +915,9 @@ def mutation_input(name: str):
     }[name]
 
 
-# a rate or sigma of 1e308 overflows the inversion's products (exit 0 or 2 either way),
-# and a run's g of -1 warns of an attractive coupling before its stale hash is refused
+# a rate, sigma or C entry of 1e308 can overflow the inversion's products or C's minors
+# (exit 2, and never a NaN or Infinity token with exit 0), and a run's g of -1 warns
+# of an attractive coupling before its stale hash is refused
 @pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore:attractive coupling:UserWarning")
 @pytest.mark.parametrize("name", ["c.json", "rates.json", "rates.csv", "run.json"])
 def test_single_field_mutations_are_refused_by_file(tmp_path, name):
@@ -904,6 +935,7 @@ def test_single_field_mutations_are_refused_by_file(tmp_path, name):
 
     code, unmutated_out, _ = call(tree)
     assert code == 0
+    strict_json(unmutated_out)
 
     @settings(max_examples=60, deadline=None)
     @given(mutation=mutations(tree))
@@ -911,6 +943,10 @@ def test_single_field_mutations_are_refused_by_file(tmp_path, name):
         code, out, err = call(mutated(tree, *mutation))
         if mutation[0] == "value" and name != "run.json":
             assert code in (0, 2)
+            if code == 0:
+                strict_json(out)
+            else:
+                assert out == "" and err.startswith("error: ")
         elif code != 2 or out or not err.startswith(f"error: {path}: "):
             # a run file is its own serialisation: only its own value reads as it
             assert mutation[0] == "value" and (code, out) == (0, unmutated_out), (code, err)
@@ -922,7 +958,7 @@ class TestDemoNegative:
     def test_json_payload(self, capsys):
         code, out, _ = run_cli(capsys, "demo-negative", "--g", "2", "--output", "json")
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["verdict"] == "not completely positive"
         assert payload["negative_transmitted_rate"] == pytest.approx(-0.4, abs=1e-12)
         assert payload["positive_semidefinite"] is False
@@ -943,9 +979,9 @@ class TestOracle:
             capsys, "oracle", "--trials", "5", "--out", str(out_path), "--output", "json"
         )
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["ok"] is True
-        assert json.loads(out_path.read_text())["ok"] is True
+        assert strict_json(out_path.read_text())["ok"] is True
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_refuses_trials_below_one(self, capsys, trials):
@@ -964,7 +1000,7 @@ def run_fresh(script: str):
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    return strict_json(proc.stdout)
 
 
 # Runs CLI calls in order, recording the exit code and the kossprobe
@@ -1018,7 +1054,7 @@ class TestImportFootprint:
         assert code == 0
         invert = ["invert", "--rates", str(tmp_path / "run.json"), "--g", "2"]
         code, out, _ = run_cli(capsys, *invert)
-        assert code == 0 and json.loads(out)["verdict_path"] == "closed"
+        assert code == 0 and strict_json(out)["verdict_path"] == "closed"
         record = run_fresh(FOOTPRINT_SCRIPT.format(steps=[invert]))
         assert record["calls"][0][0] == 0 and record["_hashlib"] is False
 
@@ -1042,7 +1078,7 @@ class TestScipyOnlyWhereNeeded:
             "--exposure", "0.01", "--calibration", "1", "--seed", "1", "--out",
             str(tmp_path / "counter"),
         )
-        assert code == 0 and json.loads(out)["flagged_channels"] == ["P0T", "P2R"]
+        assert code == 0 and strict_json(out)["flagged_channels"] == ["P0T", "P2R"]
         # none needs numpy.random: the cone and delta paths draw nothing, and
         # demo-negative's test states are a fixed set
         drawless = [

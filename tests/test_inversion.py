@@ -286,6 +286,75 @@ class TestInvertNoisy:
         assert d["p_value"] is None and d["cone_statistic"] is None
 
 
+class TestOneInversionPerProbeMatrix:
+    """M is inverted once per ProbeMatrix, and C-hat decomposed once per inversion."""
+
+    def test_inverse_is_numpys_and_read_only(self):
+        m = probe.build_matrix_programmatic(coefficients(1.3), 0.8)
+        inverse = m.inverse
+        assert inverse.tobytes() == np.linalg.inv(m.matrix).tobytes()
+        assert not inverse.flags.writeable
+        assert m.inverse is inverse
+
+    def test_singular_matrix_is_refused_uninverted(self):
+        m = probe.build_matrix_programmatic(G2, 0.0)
+        with pytest.raises(inversion.SingularProbeMatrixError):
+            inversion.invert_noisy(np.ones(6), np.zeros(6), m)
+        assert "inverse" not in vars(m)
+
+    @pytest.mark.parametrize("truth, path", [
+        ((0.8, 0.1, -0.2, 0.5, 0.05, 0.3), inversion.CLOSED),
+        (BOUNDARY_TRUTHS[1], inversion.DELTA),
+        (BOUNDARY_TRUTHS[0], inversion.CONE),
+    ], ids=["closed", "delta", "cone"])
+    def test_margin_is_the_lambda_min_the_evidence_reads(self, monkeypatch, truth, path):
+        spectra = []
+        evidence = inversion._evidence
+
+        def spy(margin, eigenvalues, *rest):
+            spectra.append((margin, eigenvalues))
+            return evidence(margin, eigenvalues, *rest)
+
+        monkeypatch.setattr(inversion, "_evidence", spy)
+        rates = probe.forward(KossakowskiMatrix(*truth), G2).rates
+        sigmas = SMALL_NOISE[0] * np.abs(rates) + SMALL_NOISE[1]
+        rng = np.random.default_rng(61)
+        paths = set()
+        for _ in range(6):
+            spectra.clear()
+            result = inversion.invert_noisy(rates + rng.normal(0.0, sigmas), sigmas, M2)
+            paths.add(result.verdict_path)
+            if result.verdict_path == inversion.CLOSED:
+                assert not spectra
+                eigenvalues = np.linalg.eigh(symmetric_from_vector(result.c_hat.vector))[0]
+                assert result.margin == max(eigenvalues[0], 0.0)
+            else:
+                ((margin, eigenvalues),) = spectra
+                assert result.margin == margin == eigenvalues[0]
+        assert path in paths
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_covariance_is_the_dense_product(self, seed):
+        # bitwise M^-1 diag(sigma^2) M^-T, zero sigmas included, with no -0.0
+        rng = np.random.default_rng(seed)
+        m = probe.build_matrix_programmatic(coefficients(rng.uniform(0.3, 6.0)),
+                                            rng.uniform(0.1, 3.0))
+        sigmas = rng.uniform(0.0, 0.1, 6) * (rng.uniform(size=6) < 0.6) if seed else np.zeros(6)
+        result = inversion.invert_noisy(rng.normal(size=6), sigmas, m)
+        m_inv = np.linalg.inv(m.matrix)
+        want = m_inv @ np.diag(sigmas**2) @ m_inv.T
+        assert result.covariance.tobytes() == want.tobytes()
+        assert not np.signbit(result.covariance[result.covariance == 0.0]).any()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("rates, sigmas", [
+        ([1.0] * 6, [1e308] + [1.0] * 5), ([1e308] + [1.0] * 5, [0.0] * 6),
+    ], ids=["huge sigma", "huge rate"])
+    def test_refuses_an_overflowing_estimate(self, rates, sigmas):
+        with pytest.raises(ValueError, match="rates or sigmas too large"):
+            inversion.invert_noisy(rates, sigmas, M2)
+
+
 def random_truth(rng, eigenvalues):
     q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
     return KossakowskiMatrix.from_matrix(q @ np.diag(eigenvalues) @ q.T)

@@ -159,6 +159,53 @@ class TestRateTensor:
         assert np.max(np.abs(m @ np.asarray(entries) - got)) <= 1e-13 * scale
 
 
+class TestRateMatrixMemo:
+    """M is built once per (coefficients, phase) and shared, read-only."""
+
+    @pytest.mark.parametrize("g", [0.0, -0.0, 2.0])
+    @pytest.mark.parametrize(
+        "phase", [0.0, -0.0, 3, np.float64(0.7), np.array(0.7), probe.CANONICAL_PHASE],
+        ids=["+0", "-0", "int", "float64", "0-d array", "canonical"],
+    )
+    def test_bit_identical_to_unmemoized(self, g, phase):
+        co = coefficients(g)
+        c = KossakowskiMatrix(0.8, 0.1, -0.2, 0.5, 0.05, 0.3)
+        want = probe._rate_matrix.__wrapped__(co, phase)
+        # the memo keys +0.0 and -0.0 alike: it is filled at the other signs first
+        flipped = (coefficients(-g) if g == 0.0 else co), (-phase if phase == 0.0 else phase)
+        probe.build_matrix_programmatic(*flipped)
+        for _ in range(2):
+            m = probe.build_matrix_programmatic(co, phase).matrix
+            assert m.tobytes() == want.tobytes()
+            got = probe.forward(c, co, phase)
+            assert got.rates.tobytes() == (want @ c.vector).tobytes()
+            assert got.phase is phase
+
+    def test_returns_read_only_matrix(self):
+        m = probe._rate_matrix(G2, probe.CANONICAL_PHASE)
+        assert not m.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            m[0, 0] = 1.0
+
+    def test_forward_reuses_the_matrix_just_built(self):
+        m = probe.build_matrix_programmatic(G2, 0.9).matrix
+        hits = probe._rate_matrix.cache_info().hits
+        probe.forward(KossakowskiMatrix.identity(), G2, 0.9)
+        assert probe._rate_matrix.cache_info().hits == hits + 1
+        assert probe._rate_matrix(G2, 0.9) is m
+
+    def test_bounded_over_a_long_scan(self):
+        for g in np.linspace(0.3, 6.0, probe._MEMO_SIZE + 20):
+            probe.build_matrix_programmatic(coefficients(g), 0.4)
+        info = probe._rate_matrix.cache_info()
+        assert info.maxsize == probe._MEMO_SIZE and info.currsize <= probe._MEMO_SIZE
+
+    @pytest.mark.parametrize("phase", [np.nan, np.inf, np.array(np.nan)])
+    def test_non_finite_phase_refused_before_the_memo(self, phase):
+        with pytest.raises(ValueError, match="phase must be finite"):
+            probe.build_matrix_programmatic(G2, phase)
+
+
 class TestProgrammaticMatrix:
     def test_matrix_times_vector_is_forward(self):
         m = probe.build_matrix_programmatic(G2)
