@@ -302,7 +302,10 @@ def _cmd_cp_check(args) -> int:
     from .kossakowski import KossakowskiMatrix
 
     c = _read(args.c_file, KossakowskiMatrix.from_dict)
-    report = c.cp_check()
+    try:
+        report = c.cp_check()
+    except ValueError as exc:  # an overflowing minor or determinant
+        raise ValueError(f"{args.c_file}: {exc}") from None
     if args.output == "text":
         sys.stdout.write(f"eigenvalues: {report.eigenvalues}\n")
         sys.stdout.write(f"positive semidefinite: {report.psd}\n")
@@ -523,7 +526,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        with np.errstate(over="ignore", invalid="ignore"):  # the library refuses overflows
+            return args.handler(args)
     except ArithmeticError as exc:
         # only inversion raises SingularProbeMatrixError, so it is loaded if one was raised
         inversion = sys.modules.get(f"{__package__}.inversion")

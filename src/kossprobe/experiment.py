@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -115,7 +116,7 @@ class ExperimentConfig:
         unclamped = self.calibration * self.exposure * self.rates()
         too_large = [
             f"{label} (p = {p:.4g})"
-            for label, p in zip(CHANNELS, unclamped)
+            for label, p in zip(CHANNELS, unclamped.tolist())
             if p > MAX_PER_SHOT_PROBABILITY
         ]
         if too_large:
@@ -123,7 +124,7 @@ class ExperimentConfig:
                 "per-shot probability exceeds the first-order validity guard "
                 f"{MAX_PER_SHOT_PROBABILITY}: " + ", ".join(too_large)
             )
-        return np.clip(unclamped, 0.0, 1.0), unclamped
+        return unclamped.clip(0.0, 1.0), unclamped
 
     def to_dict(self) -> dict:
         fields = {name: getattr(self, name) for name, *_ in _FIELDS}
@@ -294,22 +295,26 @@ _STATE_XOR, _STATE_MUL = _hash_constants(_INIT_B, _MULT_B, 0, 2 * _POOL_SIZE)
 _POOL_CYCLE = np.arange(2 * _POOL_SIZE) % _POOL_SIZE
 
 
-class _SeedWords:
-    """Four precomputed uint64 seed words, offered to PCG64 as a seed sequence.
+@cache
+def _numpy_random():
+    """numpy.random's SeedSequence, Generator and PCG64, and ``_SeedWords``, resolved once,
+    at the first run, so that importing this module loads no numpy.random."""
+    from numpy.random import PCG64, Generator, SeedSequence, bit_generator
 
-    PCG64 asks its seed sequence for ``generate_state(4, uint64)`` once, and
-    seeds its 128-bit state and increment from the answer.  The class is a
-    registered (virtual) subclass of numpy's ``ISeedSequence``, registered
-    where a run first draws, so importing this module loads no numpy.random.
-    """
+    class _SeedWords(bit_generator.ISeedSequence):
+        """Four precomputed uint64 seed words, offered to PCG64 as a seed sequence: PCG64
+        asks for ``generate_state(4, uint64)`` once, and seeds its 128-bit state and
+        increment from the answer."""
 
-    __slots__ = ("words",)
+        __slots__ = ("words",)
 
-    def __init__(self, words: np.ndarray):
-        self.words = words
+        def __init__(self, words: np.ndarray):
+            self.words = words
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return SeedSequence, Generator, PCG64, _SeedWords
 
 
 def _channel_generators(seed: int) -> list:
@@ -320,18 +325,14 @@ def _channel_generators(seed: int) -> list:
     did, so its pool is the parent's pool mixed with hashmix(i), and its seed
     words are ``generate_state``'s hash of that pool: one (6, 8) uint32 pass.
     """
-    # numpy.random loads only when a run draws: invert reads run files without it
-    from numpy.random import PCG64, Generator
-    from numpy.random.bit_generator import ISeedSequence
-
-    ISeedSequence.register(_SeedWords)
+    seed_sequence, generator, pcg64, seed_words = _numpy_random()
     seed = int(seed)
     words = max(1, -(-seed.bit_length() // 32))
     table = _SPAWN_TABLE if words <= _POOL_SIZE else _spawn_table(16 + 4 * (words - _POOL_SIZE))
-    pools = np.uint32(_MIX_L) * np.random.SeedSequence(seed).pool[_POOL_CYCLE] - table
+    pools = np.uint32(_MIX_L) * seed_sequence(seed).pool[_POOL_CYCLE] - table
     state = _xorshift((_xorshift(pools) ^ _STATE_XOR) * _STATE_MUL)
-    seed_words = state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
-    return [Generator(PCG64(_SeedWords(row))) for row in seed_words]
+    rows = state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+    return [generator(pcg64(seed_words(row))) for row in rows]
 
 
 def run(config: ExperimentConfig) -> ExperimentRun:
@@ -339,7 +340,7 @@ def run(config: ExperimentConfig) -> ExperimentRun:
     probabilities, _ = config.per_shot_probabilities()
     detections = tuple(
         generator.binomial(config.shots_per_channel, p)
-        for generator, p in zip(_channel_generators(config.seed), probabilities)
+        for generator, p in zip(_channel_generators(config.seed), probabilities.tolist())
     )
     return ExperimentRun(config, detections)
 

@@ -102,11 +102,6 @@ class SingularProbeMatrixError(ArithmeticError):
         )
 
 
-def _check_conditioning(m: ProbeMatrix) -> None:
-    if not np.isfinite(m.condition_number) or m.condition_number > CONDITION_LIMIT:
-        raise SingularProbeMatrixError(m.det, m.condition_number)
-
-
 @dataclass(frozen=True)
 class InversionResult:
     """Estimated Kossakowski matrix with propagated uncertainty and CP verdict.
@@ -321,7 +316,7 @@ def _evidence(
     """
     to_frame = (frame.T @ _UNITS @ frame)[:, _ROWS, _COLS].T
     frame_covariance = to_frame @ covariance @ to_frame.T
-    spreads = np.sqrt(np.maximum(np.diag(frame_covariance), 0.0))
+    spreads = np.sqrt(np.maximum(frame_covariance.diagonal(), 0.0))
     resolved = RESOLVED_GAP * spreads
     sigma = float(spreads[0])
     if eigenvalues[1] - eigenvalues[0] >= resolved[:3].max():
@@ -373,7 +368,7 @@ def invert_noisy(
         rates = rates.rates
     r = _finite_reals(rates, _CHANNEL_NAMES, "rates")
     s = _finite_reals(sigmas, _CHANNEL_NAMES, "sigmas")
-    if np.any(s < 0):
+    if min(s.tolist()) < 0.0:
         raise ValueError("sigmas must be nonnegative")
     if not (_is_finite_number(z) and z > 0.0):
         raise ValueError(f"z must be positive and finite, got {z!r}")
@@ -384,7 +379,8 @@ def invert_noisy(
         )
     if not isinstance(seed, Integral) or isinstance(seed, bool) or seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
-    _check_conditioning(m)
+    if not math.isfinite(m.condition_number) or m.condition_number > CONDITION_LIMIT:
+        raise SingularProbeMatrixError(m.det, m.condition_number)
 
     m_inv = m.inverse
     c_vec = m_inv @ r
@@ -393,7 +389,7 @@ def invert_noisy(
     eigenvalues, frame = np.linalg.eigh(c_vec[_PARAM_OF_ENTRY])
     misfit = m.matrix @ c_vec - r
     residual = math.sqrt(misfit @ misfit)
-    if not (np.isfinite(covariance).all() and np.isfinite(eigenvalues).all()
+    if not (np.isfinite(covariance).all() and all(map(math.isfinite, eigenvalues.tolist()))
             and math.isfinite(residual)):
         raise ValueError("rates or sigmas too large: the estimate's covariance, spectrum or "
                          "residual overflows")

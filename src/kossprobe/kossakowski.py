@@ -57,7 +57,7 @@ def rounding_tolerance(c: np.ndarray, condition_number: float = 1.0) -> float:
     """ROUNDING * eps * condition_number * max|C|: within it, every symmetry and PSD decision
     on C (or on its six parameters) reads zero.  ``condition_number`` is 1 for a given C and
     cond(M) for an inversion; inverted noise-free boundary truths stay within 1/ROUNDING of it."""
-    return ROUNDING * _EPS * condition_number * float(np.abs(c).max())
+    return ROUNDING * _EPS * condition_number * max(map(abs, c.ravel().tolist()))
 
 
 class NotCompletelyPositiveError(ValueError):
@@ -165,7 +165,8 @@ class KossakowskiMatrix:
         return np.linalg.eigvalsh(self.matrix)
 
     def cp_check(self, condition_number: float = 1.0) -> CPReport:
-        """Eigenvalue PSD verdict plus the seven minors, within :func:`rounding_tolerance`."""
+        """Eigenvalue PSD verdict plus the seven minors, within :func:`rounding_tolerance`;
+        refuses, as a ValueError, a C so large that a minor or the determinant overflows."""
         c = self.matrix
         eigs = np.linalg.eigvalsh(c)
         tol = rounding_tolerance(c, condition_number)
@@ -180,6 +181,8 @@ class KossakowskiMatrix:
             "minor_23": (self.c22 * self.c33 - self.c23 * self.c23, minor_tol),
             "det": (np.linalg.det(c), det_tol),
         }
+        if overflowed := [k for k, (v, _) in conditions.items() if not math.isfinite(v)]:
+            raise ValueError(f"C is too large: its CP conditions {', '.join(overflowed)} overflow")
         return CPReport(
             psd=bool(eigs[0] >= -tol),
             min_eigenvalue=float(eigs[0]),
@@ -229,7 +232,7 @@ def _finite_reals(x, names: np.ndarray, what: str) -> np.ndarray:
         raise ValueError(f"{what} must have shape {'x'.join(map(str, names.shape))}, got {a.shape}")
     if a.dtype.kind in "fiu" or a.dtype.kind == "c" and not a.imag.any():
         a = a.real.astype(float, copy=False)
-        if np.isfinite(a).all():
+        if all(map(math.isfinite, a.ravel().tolist())):
             return a
     entries = dict(zip(names.ravel().tolist(), a.ravel().tolist()))
     bad = {n: v for n, v in entries.items() if not _is_finite_number(v)}

@@ -107,22 +107,27 @@ class ProbeMatrix:
     Columns follow the coupling-vector order (c11, c12, c13, c22, c23, c33),
     rows the channel order of :class:`ProbeResult`.  Invariant: ``matrix`` is
     read-only, and ``det`` and ``condition_number`` are derived from it here,
-    never passed in, so the inversion's singularity guard reads M itself.
-    ``inverse`` is M^-1, read-only, computed on first use: the inversion reads
-    it only once M has passed that guard.
+    never passed in, so the inversion's singularity guard reads M itself:
+    ``condition_number`` is np.linalg.cond's s_max / s_min (inf when s_min is 0),
+    ``det`` is computed on first read, as only ``to_dict`` and the singular refusal
+    read it, and ``inverse`` is M^-1, read-only, computed on first use, once M has
+    passed that guard.
     """
 
     matrix: np.ndarray
     g: float
     phase: float
     source: str
-    det: float = field(init=False)
     condition_number: float = field(init=False)
 
     def __post_init__(self) -> None:
         self.matrix.setflags(write=False)
-        object.__setattr__(self, "det", float(np.linalg.det(self.matrix)))
-        object.__setattr__(self, "condition_number", float(np.linalg.cond(self.matrix)))
+        s = np.linalg.svd(self.matrix, compute_uv=False).tolist()
+        object.__setattr__(self, "condition_number", s[0] / s[-1] if s[-1] else math.inf)
+
+    @cached_property
+    def det(self) -> float:
+        return float(np.linalg.det(self.matrix))
 
     @cached_property
     def inverse(self) -> np.ndarray:
@@ -161,7 +166,7 @@ def _rate_matrix(coeffs: ScatteringCoefficients, phase: float) -> np.ndarray:
     w = np.array([probe_amplitudes(coeffs, side, phase) for side in SIDES])
     # conj(w_a) w_b for each side, against the kernel's flattened 2x2 blocks
     outer = (w.conj()[:, :, None] * w[:, None, :]).reshape(2, 4)
-    m = np.real(_KERNEL @ outer.T).transpose(2, 0, 1).reshape(6, 6)
+    m = (_KERNEL @ outer.T).real.transpose(2, 0, 1).reshape(6, 6)
     m.setflags(write=False)
     return m
 

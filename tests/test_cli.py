@@ -223,13 +223,13 @@ class TestCpCheck:
         assert payload["eigenvalues"] == [-1.0, 1.0, 1.0]
         assert payload["conditions"]["c33"]["ok"] is False
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_refuses_overflowing_minors(self, capsys, tmp_path):
-        # c12 * c12 overflows the 2x2 minors and the determinant to -inf
+        # c12 * c12 overflows the 2x2 minor and the determinant to -inf: refused,
+        # naming the file and the conditions
         c_file = write_c_file(tmp_path, {**RANK1_C, "c12": 1e308})
         code, out, err = run_cli(capsys, "cp-check", "--c-file", c_file, "--output", "json")
         assert (code, out) == (2, "")
-        assert "not JSON compliant" in err
+        assert err == f"error: {c_file}: C is too large: its CP conditions minor_12, det overflow\n"
 
     def test_tolerance_flag(self, capsys, tmp_path):
         # a tiny negative eigenvalue is not rounding at the scale of C, and
@@ -671,6 +671,22 @@ class TestSimulateAndInvert:
         code, out, err = run_cli(capsys, "invert", "--rates", str(rates_file), "--g", "2")
         assert (code, out) == (2, "")
         assert "rates or sigmas too large" in err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command, name, payload", [
+        ("invert", "rates.json", {"rates": [1, 1, 1, 1, 1, 1], "sigmas": [1e308, 1, 1, 1, 1, 1]}),
+        ("invert", "rates.json", {"rates": [1e308, 1, 1, 1, 1, 1], "sigmas": [0, 0, 0, 0, 0, 0]}),
+        ("cp-check", "c.json", {**RANK1_C, "c12": 1e308}),
+    ], ids=["huge sigma", "huge rate", "huge c12"])
+    def test_an_overflow_prints_one_error_line(self, capsys, tmp_path, command, name, payload):
+        # under "error", a numpy RuntimeWarning raises through main
+        path = tmp_path / name
+        path.write_text(json.dumps(payload))
+        flag = "--rates" if command == "invert" else "--c-file"
+        argv = [command, flag, str(path)] + (["--g", "2"] if command == "invert" else [])
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
 
     @pytest.mark.parametrize("phase", ["nan", "inf"])
     def test_invert_non_finite_phase(self, capsys, tmp_path, phase):

@@ -1,3 +1,5 @@
+import abc
+import builtins
 import json
 import re
 from dataclasses import replace
@@ -113,6 +115,19 @@ class TestRun:
         config = make_config(true_c=KossakowskiMatrix.zero())
         out = experiment.run(config)
         assert out.detections == (0, 0, 0, 0, 0, 0)
+
+    def test_a_second_run_imports_and_registers_nothing(self, monkeypatch):
+        # numpy.random's types are resolved once per process, at the first run
+        experiment.run(make_config())
+        calls, real_import = [], builtins.__import__
+        monkeypatch.setattr(abc.ABCMeta, "register", lambda cls, subclass: calls.append(subclass))
+        monkeypatch.setattr(builtins, "__import__",
+                            lambda name, *args, **kwargs: calls.append(name)
+                            or real_import(name, *args, **kwargs))
+        out = experiment.run(make_config(seed=8))
+        monkeypatch.undo()
+        assert calls == []
+        assert out == experiment.run(make_config(seed=8))
 
     def test_counts_track_probabilities(self):
         config = make_config(shots_per_channel=1_000_000)

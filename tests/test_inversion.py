@@ -296,6 +296,24 @@ class TestOneInversionPerProbeMatrix:
         assert not inverse.flags.writeable
         assert m.inverse is inverse
 
+    def test_det_is_computed_only_where_it_is_read(self, monkeypatch):
+        def no_det(a):
+            raise AssertionError("np.linalg.det called")
+
+        monkeypatch.setattr(np.linalg, "det", no_det)
+        coeffs, truth = coefficients(1.7), KossakowskiMatrix(*BOUNDARY_TRUTHS[0])
+        m = probe.build_matrix_programmatic(coeffs, 0.9)
+        rates = probe.forward(truth, coeffs, 0.9).rates
+        inversion.invert_noisy(rates, np.full(6, 1e-3), m)
+        config = ExperimentConfig(truth, 1.7, 0.9, 0.01, 1.0, 10**9, 3)
+        estimate(run(config), m)
+        monkeypatch.undo()
+        assert m.to_dict()["det"] == float(np.linalg.det(m.matrix))
+        singular = probe.build_matrix_programmatic(G2, 0.0)
+        det = float(np.linalg.det(singular.matrix))
+        with pytest.raises(inversion.SingularProbeMatrixError, match=f"det = {det:.6g},"):
+            inversion.invert_noisy(rates, np.zeros(6), singular)
+
     def test_singular_matrix_is_refused_uninverted(self):
         m = probe.build_matrix_programmatic(G2, 0.0)
         with pytest.raises(inversion.SingularProbeMatrixError):
@@ -345,6 +363,30 @@ class TestOneInversionPerProbeMatrix:
         want = m_inv @ np.diag(sigmas**2) @ m_inv.T
         assert result.covariance.tobytes() == want.tobytes()
         assert not np.signbit(result.covariance[result.covariance == 0.0]).any()
+
+    @pytest.mark.parametrize("rates, sigmas, message", [
+        ([math.nan] + [0.1] * 5, [0.01] * 6, "rates must be finite, got {'P0T': nan}"),
+        ([0.1] * 5 + [-math.inf], [0.01] * 6, "rates must be finite, got {'P2R': -inf}"),
+        ([True] + [0.1] * 5, [0.01] * 6, "rates must be finite, got {'P0T': True}"),
+        ([0.1 + 1j] + [0.1] * 5, [0.01] * 6, "rates must be real, got imaginary parts {'P0T': 1.0}"),
+        ([0.1] * 6, [0.01] * 2 + [math.nan] + [0.01] * 3, "sigmas must be finite, got {'P2T': nan}"),
+        ([0.1] * 6, [math.inf] + [0.01] * 5, "sigmas must be finite, got {'P0T': inf}"),
+        ([0.1] * 6, [0.01] * 5 + [False], "sigmas must be finite, got {'P2R': False}"),
+        ([0.1] * 6, [0.01 + 0.5j] + [0.01] * 5,
+         "sigmas must be real, got imaginary parts {'P0T': 0.5}"),
+        (np.full(6, 0.1), np.array([np.nan] + [0.01] * 5), "sigmas must be finite, got {'P0T': nan}"),
+        ([0.1] * 6, [-1e-300] + [0.01] * 5, "sigmas must be nonnegative"),
+        (np.full(6, 0.1), np.array([0.01] * 5 + [-0.01]), "sigmas must be nonnegative"),
+    ])
+    def test_refusals_and_their_messages(self, rates, sigmas, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            inversion.invert_noisy(rates, sigmas, M2)
+
+    def test_negative_zero_sigma_is_accepted(self):
+        rates = probe.forward(KossakowskiMatrix.identity(), G2).rates
+        result = inversion.invert_noisy(rates, [-0.0] + [0.01] * 5, M2)
+        want = inversion.invert_noisy(rates, [0.0] + [0.01] * 5, M2)
+        assert result.covariance.tobytes() == want.covariance.tobytes()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("rates, sigmas", [

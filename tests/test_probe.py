@@ -233,6 +233,27 @@ class TestProgrammaticMatrix:
         with pytest.raises(TypeError):
             probe.ProbeMatrix(m.matrix, m.g, m.phase, "programmatic", det=1.0, condition_number=1.0)
 
+    @pytest.mark.parametrize("g", [0.0, -0.0, 0.3, 1.0, 2.0, 6.0])
+    def test_condition_number_and_det_are_numpys_bit_for_bit(self, g):
+        # the singular theta = 0 included
+        for k in range(8):
+            m = probe.build_matrix_programmatic(coefficients(g), k * np.pi / 4)
+            assert m.condition_number.hex() == float(np.linalg.cond(m.matrix)).hex()
+            assert m.det.hex() == float(np.linalg.det(m.matrix)).hex()
+
+    @pytest.mark.parametrize("matrix, cond, det", [
+        (np.zeros((6, 6)), np.inf, 0.0), (1e-200 * np.eye(6), 1.0, 0.0),
+        (np.diag([3.0, 1.0, 1.0, 1.0, 1.0, 0.0]), np.inf, 0.0),
+    ], ids=["zeros", "tiny identity", "rank 5"])
+    def test_hand_built_condition_number_and_det(self, matrix, cond, det):
+        m = probe.ProbeMatrix(matrix, 1.0, 0.0, "hand-built")
+        assert m.condition_number == cond == np.linalg.cond(matrix)
+        assert m.det.hex() == det.hex() == float(np.linalg.det(matrix)).hex()
+
+    def test_nan_matrix_is_refused_by_the_svd(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            probe.ProbeMatrix(np.full((6, 6), np.nan), 1.0, 0.0, "hand-built")
+
     def test_well_conditioned_on_grid(self):
         for g in np.linspace(0.2, 10.0, 25):
             m = probe.build_matrix_programmatic(coefficients(g))
