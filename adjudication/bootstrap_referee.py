@@ -5,10 +5,8 @@ eigenvalue was not resolved read not-CP when margin <= -z sigma_boot, with
 sigma_boot the spread of lambda_min over 10k seeded draws from
 N(c_hat, covariance).  This module keeps that bootstrap outside the library,
 in plain numpy: ``multivariate_normal`` draws and ``eigvalsh``, 14-16 ms per
-10k-draw call on a 2-core host with one BLAS thread.
-``calibrate_cp_test.py`` judges its trials by it for the "bootstrap (parent)"
-column, and the tests take it as the referee of the delta spread.  It shares
-no code with the cone test it judges.
+10k-draw call on a 2-core host with one BLAS thread.  The tests take it as the
+referee of the delta spread.  It shares no code with the cone test it judges.
 
     from adjudication.bootstrap_referee import bootstrap_min_eigenvalue_sigma
 

@@ -26,6 +26,7 @@ _HOMES = {
     "inversion": ("InversionResult", "SingularProbeMatrixError", "invert_noisy", "psd_project"),
     "kossakowski": (
         "CPReport",
+        "InputOverflowError",
         "KossakowskiMatrix",
         "NotCompletelyPositiveError",
         "d_tilde",

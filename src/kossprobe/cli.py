@@ -263,7 +263,7 @@ def _rates_input(data):
 def _cmd_invert(args) -> int:
     from .experiment import ExperimentRun, estimate
     from .inversion import _CHANNEL_NAMES, invert_noisy, psd_project
-    from .kossakowski import _finite_reals
+    from .kossakowski import InputOverflowError, _finite_reals
     from .probe import build_matrix_programmatic
     from .scattering import CANONICAL_PHASE, coefficients
 
@@ -284,14 +284,18 @@ def _cmd_invert(args) -> int:
             raise ValueError(f"--sigmas does not apply to {args.rates}: it carries its own sigmas")
         sigmas = _read(args.sigmas, lambda data: _finite_reals(data, _CHANNEL_NAMES, "sigmas"))
     m = build_matrix_programmatic(coefficients(args.g), phase)
-    if isinstance(payload, ExperimentRun):
-        result = estimate(payload, m, z=args.z)
-    else:
-        sigmas = np.zeros(6) if sigmas is None else sigmas
-        result = invert_noisy(payload, sigmas, m, z=args.z)
+    try:
+        if isinstance(payload, ExperimentRun):
+            result = estimate(payload, m, z=args.z)
+        else:
+            sigmas = np.zeros(6) if sigmas is None else sigmas
+            result = invert_noisy(payload, sigmas, m, z=args.z)
+        report = result.c_hat.cp_check(result.condition_number)
+    except InputOverflowError as exc:  # an overflowing estimate or CP conditions
+        raise ValueError(f"{args.rates}: {exc}") from None
 
     out = result.to_dict()
-    out["cp_report"] = result.c_hat.cp_check(result.condition_number).to_dict()
+    out["cp_report"] = report.to_dict()
     if args.project_psd:
         out["c_hat_projected"] = psd_project(result.c_hat).to_dict()
     _emit_json(out)
@@ -299,12 +303,12 @@ def _cmd_invert(args) -> int:
 
 
 def _cmd_cp_check(args) -> int:
-    from .kossakowski import KossakowskiMatrix
+    from .kossakowski import InputOverflowError, KossakowskiMatrix
 
     c = _read(args.c_file, KossakowskiMatrix.from_dict)
     try:
         report = c.cp_check()
-    except ValueError as exc:  # an overflowing minor or determinant
+    except InputOverflowError as exc:  # an overflowing minor or determinant
         raise ValueError(f"{args.c_file}: {exc}") from None
     if args.output == "text":
         sys.stdout.write(f"eigenvalues: {report.eigenvalues}\n")

@@ -112,12 +112,12 @@ class ExperimentConfig:
 
     def per_shot_probabilities(self) -> tuple[np.ndarray, np.ndarray]:
         """(clamped probabilities, unclamped values); refuses, as a ConfigError, a
-        config whose unclamped probability exceeds the first-order guard."""
+        config whose unclamped probability exceeds the first-order guard or is NaN."""
         unclamped = self.calibration * self.exposure * self.rates()
         too_large = [
             f"{label} (p = {p:.4g})"
             for label, p in zip(CHANNELS, unclamped.tolist())
-            if p > MAX_PER_SHOT_PROBABILITY
+            if not p <= MAX_PER_SHOT_PROBABILITY
         ]
         if too_large:
             raise ConfigError(

@@ -24,9 +24,7 @@ lambda_min is resolved, where the cone is a half-space and the test is the
 z-test of the margin on its delta-method spread; "cone" otherwise (nearly
 degenerate spectra, such as those of rank-1 and zero truths, where lambda_min
 is not smooth in the data), whose null law is a chi-bar-squared mixture.  No
-case draws or searches: a cone-path inversion at a rank-1 truth takes
-0.12-0.13 ms on a 2-core host (0.15 ms while M was inverted on every call),
-against 2.3-2.5 ms with the 10k-draw bootstrap it replaced.
+case draws or searches.
 
 Either case reports ``p_value``, the probability of evidence at least this
 strong at a PSD truth, and ``margin_sigma``, the spread a normal margin
@@ -43,8 +41,9 @@ from numbers import Integral
 
 import numpy as np
 
-from .kossakowski import (_PARAM_OF_ENTRY, KossakowskiMatrix, _finite_reals,
-                          _is_finite_number, rounding_tolerance, symmetric_from_vector)
+from .kossakowski import (_COLS, _PARAM_OF_ENTRY, _ROWS, _UNITS, InputOverflowError,
+                          KossakowskiMatrix, _finite_reals, _is_finite_number,
+                          rounding_tolerance)
 from .probe import CHANNELS, ProbeMatrix, ProbeResult
 
 CONDITION_LIMIT = 1e10
@@ -67,12 +66,6 @@ INDETERMINATE = "indeterminate"
 CLOSED = "closed"
 DELTA = "delta"
 CONE = "cone"
-
-# The parameters (c11, c12, c13, c22, c23, c33) are the upper triangle.
-_ROWS, _COLS = np.triu_indices(3)
-# The six symmetric unit couplings: column b of the map from the parameters of
-# C to those of O^T C O is the parameters of O^T _UNITS[b] O.
-_UNITS = symmetric_from_vector(np.eye(6))
 
 # The parameters of O^T C O that form the block of the two lowest
 # eigenvectors, y = (Y11, Y12, Y22) (their covariance is frame_covariance[_BLOCK]),
@@ -314,6 +307,7 @@ def _evidence(
     The last two are the "cone" path, whose margin_sigma is the normal
     equivalent of p.
     """
+    # column b: the parameters of O^T U_b O, for the b-th unit coupling U_b
     to_frame = (frame.T @ _UNITS @ frame)[:, _ROWS, _COLS].T
     frame_covariance = to_frame @ covariance @ to_frame.T
     spreads = np.sqrt(np.maximum(frame_covariance.diagonal(), 0.0))
@@ -352,10 +346,10 @@ def invert_noisy(
     ill-conditioned M (condition number beyond ``CONDITION_LIMIT``) instead
     of returning garbage, before M is inverted: M is inverted once per
     :class:`ProbeMatrix` (``m.inverse``), so the runs estimated with one M
-    share its inverse.  Refuses, as a ``ValueError``, rates or sigmas so large
-    that the covariance, the spectrum or the residual overflows.  One ``eigh``
-    of the estimate gives the margin and the frame in which the evidence is
-    weighed.  Verdict: CP when the smallest eigenvalue is
+    share its inverse.  Refuses, as an ``InputOverflowError``, rates or
+    sigmas so large that the covariance, the spectrum or the residual
+    overflows.  One ``eigh`` of the estimate gives the margin and the frame in
+    which the evidence is weighed.  Verdict: CP when the smallest eigenvalue is
     nonnegative (or negative only within the inversion's rounding,
     ``rounding_tolerance`` at cond(M)); otherwise not-CP when the evidence
     against a PSD truth has a p-value of at most Phi(-z) (the likelihood
@@ -391,8 +385,8 @@ def invert_noisy(
     residual = math.sqrt(misfit @ misfit)
     if not (np.isfinite(covariance).all() and all(map(math.isfinite, eigenvalues.tolist()))
             and math.isfinite(residual)):
-        raise ValueError("rates or sigmas too large: the estimate's covariance, spectrum or "
-                         "residual overflows")
+        raise InputOverflowError("rates or sigmas too large: the estimate's covariance, "
+                                 "spectrum or residual overflows")
     margin = float(eigenvalues[0])
 
     p_value = statistic = None

@@ -44,6 +44,9 @@ PARAM_ORDER = ("c11", "c12", "c13", "c22", "c23", "c33")
 _ROWS, _COLS = np.triu_indices(3)
 _PARAM_OF_ENTRY = np.empty((3, 3), dtype=int)
 _PARAM_OF_ENTRY[_ROWS, _COLS] = _PARAM_OF_ENTRY[_COLS, _ROWS] = np.arange(6)
+# The six symmetric unit couplings: _UNITS[b] is the C of the b-th parameter alone,
+# its off-diagonal units carrying both mirror entries.
+_UNITS = np.eye(6)[:, _PARAM_OF_ENTRY]
 
 _SIGMA = np.array([pauli(i) for i in (1, 2, 3)])
 _PARAM_NAMES = np.array(PARAM_ORDER)
@@ -69,6 +72,10 @@ class NotCompletelyPositiveError(ValueError):
             f"Kossakowski matrix is not positive semidefinite "
             f"(eigenvalue {eigenvalue:.6g}); no Kraus form exists"
         )
+
+
+class InputOverflowError(ValueError):
+    """Raised when finite inputs are so large that a result computed from them overflows."""
 
 
 @dataclass(frozen=True)
@@ -166,7 +173,8 @@ class KossakowskiMatrix:
 
     def cp_check(self, condition_number: float = 1.0) -> CPReport:
         """Eigenvalue PSD verdict plus the seven minors, within :func:`rounding_tolerance`;
-        refuses, as a ValueError, a C so large that a minor or the determinant overflows."""
+        refuses, as an InputOverflowError, a C so large that a minor or the determinant
+        overflows."""
         c = self.matrix
         eigs = np.linalg.eigvalsh(c)
         tol = rounding_tolerance(c, condition_number)
@@ -182,7 +190,9 @@ class KossakowskiMatrix:
             "det": (np.linalg.det(c), det_tol),
         }
         if overflowed := [k for k, (v, _) in conditions.items() if not math.isfinite(v)]:
-            raise ValueError(f"C is too large: its CP conditions {', '.join(overflowed)} overflow")
+            raise InputOverflowError(
+                f"C is too large: its CP conditions {', '.join(overflowed)} overflow"
+            )
         return CPReport(
             psd=bool(eigs[0] >= -tol),
             min_eigenvalue=float(eigs[0]),

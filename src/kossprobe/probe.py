@@ -46,7 +46,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .kossakowski import PARAM_ORDER, as_kossakowski, d_tilde, symmetric_from_vector
+from .kossakowski import PARAM_ORDER, _UNITS, as_kossakowski, d_tilde
 from .scattering import CANONICAL_PHASE, ScatteringCoefficients, probe_amplitudes
 from .spin import BASIS_LABELS, basis, pauli_frame
 
@@ -62,7 +62,7 @@ _FRAMES = {label: pauli_frame(basis(label).impurity_rotation) for label in BASIS
 # compressed dissipator of the b-th symmetric unit coupling U_b in probe frame f.
 _KERNEL = np.array(
     [
-        [d_tilde(frame.T @ unit @ frame).ravel() for unit in symmetric_from_vector(np.eye(6))]
+        [d_tilde(frame.T @ unit @ frame).ravel() for unit in _UNITS]
         for frame in _FRAMES.values()
     ]
 )

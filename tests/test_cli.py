@@ -298,6 +298,17 @@ class TestSimulateAndInvert:
         assert code == 2
         assert "first-order" in err
 
+    def test_simulate_refuses_a_nan_probability_by_name(self, capsys, tmp_path):
+        c_file = write_c_file(tmp_path, {**IDENTITY_C, "c11": 1.7e308, "c12": 1.7e308,
+                                         "c22": 1.7e308, "c33": 0})
+        code, out, err = run_cli(
+            capsys, "simulate", "--c-file", c_file, "--g", "2",
+            "--shots", "1000", "--exposure", "0.01", "--calibration", "1.0",
+            "--seed", "3", "--out", str(tmp_path / "x"),
+        )
+        assert (code, out) == (2, "")
+        assert "first-order" in err and "P1R (p = nan)" in err
+
     def test_invert_plain_rates_file(self, capsys, tmp_path):
         rates = probe.forward(
             KossakowskiMatrix.diagonal(1.0, 1.0, -1.0), coefficients(2.0)
@@ -471,7 +482,8 @@ class TestSimulateAndInvert:
         )
         assert code == 2
         assert out == ""
-        assert flag[0].lstrip("-") in err
+        # a refused option is not the rates file's: its refusal names no file
+        assert flag[0].lstrip("-") in err and str(rates_file) not in err
 
     def test_invert_refuses_unknown_json_key(self, capsys, tmp_path):
         # "sigma" for "sigmas": read as no sigmas, diag(1, 1, -0.01) would read
@@ -660,24 +672,27 @@ class TestSimulateAndInvert:
         assert "sigmas must be finite" in err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("payload", [
-        {"rates": [1, 1, 1, 1, 1, 1], "sigmas": [1e308, 1, 1, 1, 1, 1]},
-        {"rates": [1e308, 1, 1, 1, 1, 1], "sigmas": [0, 0, 0, 0, 0, 0]},
-    ], ids=["huge sigma", "huge rate"])
-    def test_invert_refuses_an_overflowing_estimate(self, capsys, tmp_path, payload):
-        # both exited 0 with Infinity and NaN tokens in the covariance, p_value and residual
+    @pytest.mark.parametrize("payload, refusal", [
+        ({"rates": [1, 1, 1, 1, 1, 1], "sigmas": [1e308, 1, 1, 1, 1, 1]}, "rates or sigmas too large"),
+        ({"rates": [1e308, 1, 1, 1, 1, 1], "sigmas": [0, 0, 0, 0, 0, 0]}, "rates or sigmas too large"),
+        ({"rates": [1e120, 1, 1, 1, 1, 1]}, "C is too large: its CP conditions det overflow"),
+    ], ids=["huge sigma", "huge rate", "huge estimate"])
+    def test_invert_refuses_an_overflowing_estimate(self, capsys, tmp_path, payload, refusal):
+        # the first two exited 0 with Infinity and NaN tokens in the covariance, p_value and
+        # residual; the third has a finite estimate whose CP determinant overflows
         rates_file = tmp_path / "rates.json"
         rates_file.write_text(json.dumps(payload))
         code, out, err = run_cli(capsys, "invert", "--rates", str(rates_file), "--g", "2")
         assert (code, out) == (2, "")
-        assert "rates or sigmas too large" in err
+        assert err.startswith(f"error: {rates_file}: {refusal}")
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command, name, payload", [
         ("invert", "rates.json", {"rates": [1, 1, 1, 1, 1, 1], "sigmas": [1e308, 1, 1, 1, 1, 1]}),
         ("invert", "rates.json", {"rates": [1e308, 1, 1, 1, 1, 1], "sigmas": [0, 0, 0, 0, 0, 0]}),
+        ("invert", "rates.json", {"rates": [1e120, 1, 1, 1, 1, 1]}),
         ("cp-check", "c.json", {**RANK1_C, "c12": 1e308}),
-    ], ids=["huge sigma", "huge rate", "huge c12"])
+    ], ids=["huge sigma", "huge rate", "huge estimate", "huge c12"])
     def test_an_overflow_prints_one_error_line(self, capsys, tmp_path, command, name, payload):
         # under "error", a numpy RuntimeWarning raises through main
         path = tmp_path / name
@@ -686,7 +701,7 @@ class TestSimulateAndInvert:
         argv = [command, flag, str(path)] + (["--g", "2"] if command == "invert" else [])
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
-        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1 and err.endswith("\n")
 
     @pytest.mark.parametrize("phase", ["nan", "inf"])
     def test_invert_non_finite_phase(self, capsys, tmp_path, phase):

@@ -63,6 +63,13 @@ class TestConfig:
         with pytest.raises(experiment.ConfigError, match="P0R"):
             make_config(exposure=0.1).per_shot_probabilities()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_nan_probability_is_refused_by_name(self):
+        # inf - inf gives P1R = NaN at g = 2, which a "p > 0.2" guard let through
+        c = KossakowskiMatrix(1.7e308, 1.7e308, 0.0, 1.7e308, 0.0, 0.0)
+        with pytest.raises(experiment.ConfigError, match=r"P1R \(p = nan\)"):
+            make_config(true_c=c).per_shot_probabilities()
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_phase_rejected(self, bad):
         with pytest.raises(ValueError, match="phase must be finite"):

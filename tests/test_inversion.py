@@ -1,5 +1,6 @@
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,9 +9,10 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from adjudication import bootstrap_referee as referee
+from adjudication import calibrate_cp_test as calibration
 from kossprobe import inversion, probe
 from kossprobe.experiment import ExperimentConfig, estimate, run
-from kossprobe.kossakowski import KossakowskiMatrix, symmetric_from_vector
+from kossprobe.kossakowski import InputOverflowError, KossakowskiMatrix, symmetric_from_vector
 from kossprobe.scattering import coefficients
 
 G2 = coefficients(2.0)
@@ -393,7 +395,7 @@ class TestOneInversionPerProbeMatrix:
         ([1.0] * 6, [1e308] + [1.0] * 5), ([1e308] + [1.0] * 5, [0.0] * 6),
     ], ids=["huge sigma", "huge rate"])
     def test_refuses_an_overflowing_estimate(self, rates, sigmas):
-        with pytest.raises(ValueError, match="rates or sigmas too large"):
+        with pytest.raises(InputOverflowError, match="rates or sigmas too large"):
             inversion.invert_noisy(rates, sigmas, M2)
 
 
@@ -918,3 +920,28 @@ class TestPsdProject:
             a = rng.normal(size=(3, 3))
             q = a.T @ a
             assert base <= np.linalg.norm(q - c.matrix) + 1e-12
+
+
+class TestCalibrationGate:
+    """The calibration script fails when a PSD truth's not-CP rate is above Phi(-3)."""
+
+    PSD_ROW = ("diag(1, 0, 0)", (1.0, 0.0, 0.0), True, 200)
+
+    def test_the_librarys_verdicts_pass(self, monkeypatch, capsys):
+        monkeypatch.setattr(calibration, "TRUTHS", (self.PSD_ROW,))
+        assert calibration.main() == 0
+        out, err = capsys.readouterr()
+        assert "| `diag(1, 0, 0)` | yes | 200 |" in out and err == ""
+
+    def test_an_oversized_verdict_fails_naming_its_row(self, monkeypatch, capsys):
+        # every trial reads not-CP: only the PSD row is over its size
+        non_psd_row = ("diag(1, 0, -0.3)", (1.0, 0.0, -0.3), False, 200)
+        monkeypatch.setattr(calibration, "TRUTHS", (self.PSD_ROW, non_psd_row))
+        monkeypatch.setattr(
+            calibration, "invert_noisy",
+            lambda *args, **kwargs: SimpleNamespace(cp_verdict=inversion.NOT_CP,
+                                                    verdict_path=inversion.CONE),
+        )
+        assert calibration.main() == 1
+        err = capsys.readouterr().err
+        assert "diag(1, 0, 0)" in err and "diag(1, 0, -0.3)" not in err

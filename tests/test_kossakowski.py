@@ -242,9 +242,10 @@ class TestCPCheck:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered in det:RuntimeWarning")
     def test_refuses_overflowing_conditions(self):
-        with pytest.raises(ValueError, match=r"^C is too large: its CP conditions minor_12, det overflow$"):
+        with pytest.raises(km.InputOverflowError,
+                           match=r"^C is too large: its CP conditions minor_12, det overflow$"):
             km.KossakowskiMatrix(1.0, 1e308, 0.25, 0.25, -0.125, 0.0625).cp_check()
-        with pytest.raises(ValueError, match=r"conditions minor_23, det overflow$"):
+        with pytest.raises(km.InputOverflowError, match=r"conditions minor_23, det overflow$"):
             km.KossakowskiMatrix.diagonal(1.0, 1e200, 1e200).cp_check()
         # a large C whose conditions stay finite is still reported
         assert km.KossakowskiMatrix.diagonal(1e100, 1e100, 1e100).cp_check().psd
