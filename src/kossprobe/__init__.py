@@ -42,7 +42,7 @@ _HOMES = {
         "forward",
         "probability_rate",
     ),
-    "scattering": ("CANONICAL_PHASE", "ScatteringCoefficients", "ScatteringParams", "coefficients"),
+    "scattering": ("CANONICAL_PHASE", "ScatteringCoefficients", "coefficients", "physical_coupling"),
     "experiment": ("ExperimentConfig", "ExperimentRun", "estimate", "run", "save_run"),
 }
 _HOME_OF = {name: home for home, names in _HOMES.items() for name in names}

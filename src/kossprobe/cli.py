@@ -14,10 +14,11 @@ loads only those: ``coeffs`` loads ``scattering`` alone, ``cp-check`` no
 forward model, ``build-matrix`` and ``forward`` no inversion.  Only
 ``oracle`` needs scipy, for the matrix exponentials of its brute-force path.
 
-One reader, ``_read``, takes every input file (``--c-file``, ``--rates`` and
-``--sigmas``) to the value the library builds from it.  JSON refuses a
-repeated key, the numbers of a rates CSV follow JSON's number grammar, and
-each refusal, a decode error included, names the file.
+One reader, ``_read``, takes every input file (``--c-file`` and ``--rates``)
+to the value the library builds from it.  JSON refuses a repeated key, the
+numbers of a rates CSV follow JSON's number grammar, and each refusal, a
+decode error included, names the file.  Sigmas come only from the rates file:
+its ``sigmas`` or its CSV ``sigma`` column, or a run file's binomial counts.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -72,7 +72,7 @@ def _unique_keys(pairs: list) -> dict:
 
 
 def _coeffs_from_args(args) -> tuple[object, float | None]:
-    from .scattering import ScatteringParams, coefficients
+    from .scattering import coefficients, physical_coupling
 
     physical = [args.J, args.E, args.mass]
     if args.g is not None:
@@ -80,10 +80,8 @@ def _coeffs_from_args(args) -> tuple[object, float | None]:
             raise ValueError("give either --g or the physical set --J --E --mass")
         return coefficients(args.g), None
     if all(v is not None for v in physical):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # coefficients flags g < 0 once, below
-            params = ScatteringParams.from_physical(args.J, args.E, args.mass, args.hbar)
-        return coefficients(params.g), params.k
+        g, k = physical_coupling(args.J, args.E, args.mass, args.hbar)
+        return coefficients(g), k
     raise ValueError("coupling required: --g, or all of --J --E --mass")
 
 
@@ -240,10 +238,11 @@ def _rates_csv(text: str) -> dict:
 
 
 def _rates_input(data):
-    """(a run file's ExperimentRun, None), or (rates, sigmas or None) of a rates array or object."""
+    """(a run file's ExperimentRun, None), or (rates, sigmas) of a rates array or object,
+    the sigmas zero where it gives none."""
     from .experiment import ExperimentRun
     from .inversion import _CHANNEL_NAMES
-    from .kossakowski import _finite_reals
+    from .kossakowski import _finite_reals, _nonnegative_reals
 
     if isinstance(data, dict) and "channels" in data:
         return ExperimentRun.from_dict(data), None
@@ -253,7 +252,7 @@ def _rates_input(data):
         raise ValueError("not a rates file: expected a JSON array, an object with 'rates', "
                          "a rates CSV or a simulate run file")
     rates = _finite_reals(data["rates"], _CHANNEL_NAMES, "rates")
-    sigmas = _finite_reals(data["sigmas"], _CHANNEL_NAMES, "sigmas") if "sigmas" in data else None
+    sigmas = _nonnegative_reals(data.get("sigmas", np.zeros(6)), _CHANNEL_NAMES, "sigmas")
     unknown = [key for key in data if key not in ("rates", "sigmas")]
     if unknown:
         raise ValueError(f"unknown key {unknown[0]!r}; expected 'rates' and 'sigmas'")
@@ -262,8 +261,8 @@ def _rates_input(data):
 
 def _cmd_invert(args) -> int:
     from .experiment import ExperimentRun, estimate
-    from .inversion import _CHANNEL_NAMES, invert_noisy, psd_project
-    from .kossakowski import InputOverflowError, _finite_reals
+    from .inversion import invert_noisy, psd_project
+    from .kossakowski import InputOverflowError
     from .probe import build_matrix_programmatic
     from .scattering import CANONICAL_PHASE, coefficients
 
@@ -276,19 +275,12 @@ def _cmd_invert(args) -> int:
         # written as "not <=" so that a nan phase is a mismatch too
         if args.phase is not None and not abs(args.phase - config.phase) <= 1e-12:
             raise ValueError(f"--phase {args.phase} does not match the run's phase {config.phase}")
-        if args.sigmas is not None:
-            raise ValueError("--sigmas does not apply to a run file: it carries its own binomial sigmas")
         phase = config.phase
-    elif args.sigmas is not None:
-        if sigmas is not None:
-            raise ValueError(f"--sigmas does not apply to {args.rates}: it carries its own sigmas")
-        sigmas = _read(args.sigmas, lambda data: _finite_reals(data, _CHANNEL_NAMES, "sigmas"))
     m = build_matrix_programmatic(coefficients(args.g), phase)
     try:
         if isinstance(payload, ExperimentRun):
             result = estimate(payload, m, z=args.z)
         else:
-            sigmas = np.zeros(6) if sigmas is None else sigmas
             result = invert_noisy(payload, sigmas, m, z=args.z)
         report = result.c_hat.cp_check(result.condition_number)
     except InputOverflowError as exc:  # an overflowing estimate or CP conditions
@@ -490,7 +482,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--phase", type=float, default=None,
         help="probe phase (default pi/2, or the run's phase; must match a run file's)",
     )
-    p.add_argument("--sigmas", default=None, help="JSON array of six rate uncertainties")
     p.add_argument("--project-psd", action="store_true")
     p.add_argument("--z", type=float, default=3.0, help="significance for the not-CP verdict")
     p.set_defaults(handler=_cmd_invert)

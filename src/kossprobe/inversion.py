@@ -43,11 +43,12 @@ import numpy as np
 
 from .kossakowski import (_COLS, _PARAM_OF_ENTRY, _ROWS, _UNITS, InputOverflowError,
                           KossakowskiMatrix, _finite_reals, _is_finite_number,
-                          rounding_tolerance)
+                          _nonnegative_reals, rounding_tolerance)
 from .probe import CHANNELS, ProbeMatrix, ProbeResult
 
 CONDITION_LIMIT = 1e10
 _CHANNEL_NAMES = np.array(CHANNELS)
+_OVERFLOW = "rates or sigmas too large: the estimate, its covariance, spectrum or residual overflows"
 # The largest ``bootstrap`` that invert_noisy accepts; the keyword no longer
 # draws, but the values it refused are refused still.
 MAX_BOOTSTRAP = 1_000_000
@@ -347,8 +348,8 @@ def invert_noisy(
     of returning garbage, before M is inverted: M is inverted once per
     :class:`ProbeMatrix` (``m.inverse``), so the runs estimated with one M
     share its inverse.  Refuses, as an ``InputOverflowError``, rates or
-    sigmas so large that the covariance, the spectrum or the residual
-    overflows.  One ``eigh`` of the estimate gives the margin and the frame in
+    sigmas so large that the estimate, its covariance, the spectrum or the
+    residual overflows.  One ``eigh`` of the estimate gives the margin and the frame in
     which the evidence is weighed.  Verdict: CP when the smallest eigenvalue is
     nonnegative (or negative only within the inversion's rounding,
     ``rounding_tolerance`` at cond(M)); otherwise not-CP when the evidence
@@ -361,9 +362,7 @@ def invert_noisy(
     if isinstance(rates, ProbeResult):
         rates = rates.rates
     r = _finite_reals(rates, _CHANNEL_NAMES, "rates")
-    s = _finite_reals(sigmas, _CHANNEL_NAMES, "sigmas")
-    if min(s.tolist()) < 0.0:
-        raise ValueError("sigmas must be nonnegative")
+    s = _nonnegative_reals(sigmas, _CHANNEL_NAMES, "sigmas")
     if not (_is_finite_number(z) and z > 0.0):
         raise ValueError(f"z must be positive and finite, got {z!r}")
     # a bool bootstrap (0 or 1 draws) is out of range too
@@ -379,14 +378,16 @@ def invert_noisy(
     m_inv = m.inverse
     c_vec = m_inv @ r
     covariance = (m_inv * s**2) @ m_inv.T
-    c_hat = KossakowskiMatrix(*c_vec.tolist())
+    entries = c_vec.tolist()
+    # the estimate is tested before it is a KossakowskiMatrix, which refuses its entries
+    if not (all(map(math.isfinite, entries)) and np.isfinite(covariance).all()):
+        raise InputOverflowError(_OVERFLOW)
     eigenvalues, frame = np.linalg.eigh(c_vec[_PARAM_OF_ENTRY])
     misfit = m.matrix @ c_vec - r
     residual = math.sqrt(misfit @ misfit)
-    if not (np.isfinite(covariance).all() and all(map(math.isfinite, eigenvalues.tolist()))
-            and math.isfinite(residual)):
-        raise InputOverflowError("rates or sigmas too large: the estimate's covariance, "
-                                 "spectrum or residual overflows")
+    if not (all(map(math.isfinite, eigenvalues.tolist())) and math.isfinite(residual)):
+        raise InputOverflowError(_OVERFLOW)
+    c_hat = KossakowskiMatrix(*entries)
     margin = float(eigenvalues[0])
 
     p_value = statistic = None

@@ -23,8 +23,9 @@ forms.  ``d_tilde`` takes its coupling matrix already expressed in a probe
 frame; :mod:`kossprobe.probe` evaluates it once per symmetric unit coupling
 and frame, at import, and builds every rate from that constant kernel.
 Every outside array (C, its parameters, rates, sigmas) becomes floats through
-``_finite_reals``, which names each entry that is not a finite real number;
-a refusal quotes a value through ``_shown``, which bounds its length.
+``_finite_reals``, which names each entry that is not a finite real number,
+and sigmas through ``_nonnegative_reals``, which also names each negative
+one; a refusal quotes a value through ``_shown``, which bounds its length.
 """
 
 from __future__ import annotations
@@ -251,6 +252,16 @@ def _finite_reals(x, names: np.ndarray, what: str) -> np.ndarray:
         raise ValueError(f"{what} must be real, got imaginary parts {_shown(imag)}" if imag
                          else f"{what} must be finite, got {_shown(bad)}")
     return np.array(list(entries.values()), dtype=float).reshape(names.shape)
+
+
+def _nonnegative_reals(x, names: np.ndarray, what: str) -> np.ndarray:
+    """``_finite_reals`` of ``x``, refused when an entry is negative; the refusal
+    names each negative entry (-0.0 is not one)."""
+    a = _finite_reals(x, names, what)
+    if min(a.ravel().tolist()) < 0.0:
+        negative = {n: v for n, v in zip(names.ravel().tolist(), a.ravel().tolist()) if v < 0.0}
+        raise ValueError(f"{what} must be nonnegative, got {_shown(negative)}")
+    return a
 
 
 def _shown(x) -> str:

@@ -23,14 +23,14 @@ each of the three constant probe frames O_f is one kernel built at import,
     K[f, b] = d_tilde(O_f^T U_b O_f),
 
 and a (g, theta) pair reduces to the real 6x6 rate matrix
-M[r, b] = Re w_s^H K[f, b] w_s, one row per channel.  M is built once per
-(coefficients, phase) and kept, read-only, in a memo of ``_MEMO_SIZE``
-pairs, which ``build_matrix_programmatic``, ``forward`` and
-``probability_rate`` share.  ``build_matrix_programmatic`` wraps M, which
-keeps it free of any hand-transcribed coefficient; ``forward`` is M times
-the parameter vector and ``probability_rate`` one row of it.  C enters through
-:func:`kossprobe.kossakowski.as_kossakowski`, which refuses anything but a
-finite, real, symmetric C.
+M[r, b] = Re w_s^H K[f, b] w_s, one row per channel, free of any
+hand-transcribed coefficient.  One read-only :class:`ProbeMatrix` is built
+per (coefficients, phase) and kept in a memo of ``_MEMO_SIZE`` pairs:
+``build_matrix_programmatic`` returns it, so its determinant, condition
+number and inverse are computed once per pair, and ``forward`` (M times the
+parameter vector) and ``probability_rate`` (one row of it) read its matrix.
+C enters through :func:`kossprobe.kossakowski.as_kossakowski`, which refuses
+anything but a finite, real, symmetric C.
 
 ``build_matrix_appendix`` assembles the hand-derived closed-form table for M
 at the quarter-wave phase; it is kept as a cross-check target and is known
@@ -111,7 +111,9 @@ class ProbeMatrix:
     ``condition_number`` is np.linalg.cond's s_max / s_min (inf when s_min is 0),
     ``det`` is computed on first read, as only ``to_dict`` and the singular refusal
     read it, and ``inverse`` is M^-1, read-only, computed on first use, once M has
-    passed that guard.
+    passed that guard.  ``build_matrix_programmatic`` returns one shared instance
+    per (coefficients, phase): its ``phase`` is the float key, and its ``g`` and
+    ``phase`` keep the signs of the first caller's +-0.0.
     """
 
     matrix: np.ndarray
@@ -158,17 +160,15 @@ def _finite_phase(phase) -> float:
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _rate_matrix(coeffs: ScatteringCoefficients, phase: float) -> np.ndarray:
-    """M[r, b] = Re w_s^H K[f, b] w_s, shape (6, 6) and read-only, rows in
-    CHANNELS order and columns in PARAM_ORDER; ``phase`` is a float from
-    :func:`_finite_phase`.  The amplitude vectors come from
-    :func:`probe_amplitudes`."""
+def _probe_matrix(coeffs: ScatteringCoefficients, phase: float) -> ProbeMatrix:
+    """M[r, b] = Re w_s^H K[f, b] w_s, rows in CHANNELS order and columns in
+    PARAM_ORDER; ``phase`` is a float from :func:`_finite_phase`.  The
+    amplitude vectors come from :func:`probe_amplitudes`."""
     w = np.array([probe_amplitudes(coeffs, side, phase) for side in SIDES])
     # conj(w_a) w_b for each side, against the kernel's flattened 2x2 blocks
     outer = (w.conj()[:, :, None] * w[:, None, :]).reshape(2, 4)
     m = (_KERNEL @ outer.T).real.transpose(2, 0, 1).reshape(6, 6)
-    m.setflags(write=False)
-    return m
+    return ProbeMatrix(m, coeffs.g, phase, "programmatic")
 
 
 def probability_rate(
@@ -194,7 +194,7 @@ def probability_rate(
         )
     v = as_kossakowski(c).vector
     row = SIDES.index(side) * len(BASIS_LABELS) + BASIS_LABELS.index(probe_basis)
-    return float(_rate_matrix(coeffs, _finite_phase(phase))[row] @ v)
+    return float(_probe_matrix(coeffs, _finite_phase(phase)).matrix[row] @ v)
 
 
 def forward(
@@ -202,7 +202,7 @@ def forward(
 ) -> ProbeResult:
     """All six rates: three probe frames on the transmitted side, then reflected."""
     v = as_kossakowski(c).vector
-    m = _rate_matrix(coeffs, _finite_phase(phase))
+    m = _probe_matrix(coeffs, _finite_phase(phase)).matrix
     return ProbeResult(rates=m @ v, g=coeffs.g, phase=phase)
 
 
@@ -211,9 +211,9 @@ def build_matrix_programmatic(
 ) -> ProbeMatrix:
     """M from the kernel: column b holds the rates of the b-th symmetric unit
     coupling matrix (off-diagonal units carry both mirror entries, matching
-    the six-parameter vector convention)."""
-    m = _rate_matrix(coeffs, _finite_phase(phase))
-    return ProbeMatrix(m, coeffs.g, phase, "programmatic")
+    the six-parameter vector convention).  One instance per (coefficients,
+    phase), shared by every caller."""
+    return _probe_matrix(coeffs, _finite_phase(phase))
 
 
 def appendix_coefficients(coeffs: ScatteringCoefficients) -> dict[str, float]:

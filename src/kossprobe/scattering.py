@@ -9,7 +9,9 @@ on one dimensionless coupling
 
 with rho(E) the linear density of states of the wire at the scattering energy,
 plus, on the reflected side, the interference phase theta = 2 k |x| of the
-probe point.
+probe point.  :func:`physical_coupling` derives g and k from J, E, m and
+hbar; :func:`coefficients` is the one check of g, which must be finite and is
+flagged by a warning when negative.
 
 Channel couplings are alpha_0 = -3g/2 (singlet) and alpha_1 = +g/2 (triplet),
 giving t = 1 / (1 + i alpha) and r = t - 1.  These satisfy |t|^2 + |r|^2 = 1
@@ -35,51 +37,21 @@ _SQRT3 = np.sqrt(3.0)
 CANONICAL_PHASE = np.pi / 2.0
 
 
-def _checked_coupling(g: float, stacklevel: int) -> float:
-    """g as a float: refused unless finite, and flagged by a warning that names
-    the line ``stacklevel`` frames up when negative."""
-    g = float(g)
-    if not math.isfinite(g):
-        raise ValueError(f"coupling g must be finite, got {g}")
-    if g < 0:
-        warnings.warn(
-            "attractive coupling (g < 0): formulas remain valid but unitarity "
-            "sweeps in this package only cover g >= 0",
-            stacklevel=stacklevel,
-        )
-    return g
-
-
-@dataclass(frozen=True)
-class ScatteringParams:
-    """Dimensionless coupling g, with the wavenumber k that maps a detector
-    position x to the probe phase theta = 2k|x|.
-
-    ``from_physical`` derives both from the magnetic coupling J, the electron
-    energy E and mass m, and hbar.
-    """
-
-    g: float
-    k: float | None = None
-
-    def __post_init__(self) -> None:
-        # frames: _checked_coupling, __post_init__, the dataclass __init__, the caller
-        _checked_coupling(self.g, stacklevel=4)
-        if self.k is not None and not 0 < self.k < math.inf:
-            raise ValueError(f"wavenumber k must be positive and finite, got {self.k}")
-
-    @classmethod
-    def from_physical(
-        cls, coupling: float, energy: float, mass: float, hbar: float = 1.0
-    ) -> "ScatteringParams":
-        if energy <= 0:
-            raise ValueError(f"positive-energy scattering only, got E = {energy}")
-        if mass <= 0 or hbar <= 0:
-            raise ValueError("mass and hbar must be positive")
-        dos = np.sqrt(2.0 * mass / energy) / (np.pi * hbar)
-        g = np.pi * coupling * dos / 4.0
-        k = np.sqrt(2.0 * mass * energy) / hbar
-        return cls(g=float(g), k=float(k))
+def physical_coupling(
+    coupling: float, energy: float, mass: float, hbar: float = 1.0
+) -> tuple[float, float]:
+    """(g, k) from the magnetic coupling J, the electron energy E and mass m, and
+    hbar: the dimensionless coupling, which :func:`coefficients` checks, and the
+    wavenumber that maps a detector position x to the probe phase theta = 2k|x|."""
+    if energy <= 0:
+        raise ValueError(f"positive-energy scattering only, got E = {energy}")
+    if mass <= 0 or hbar <= 0:
+        raise ValueError("mass and hbar must be positive")
+    dos = np.sqrt(2.0 * mass / energy) / (np.pi * hbar)
+    k = float(np.sqrt(2.0 * mass * energy) / hbar)
+    if not 0 < k < math.inf:
+        raise ValueError(f"wavenumber k must be positive and finite, got {k}")
+    return float(np.pi * coupling * dos / 4.0), k
 
 
 @dataclass(frozen=True)
@@ -94,8 +66,20 @@ class ScatteringCoefficients:
 
 
 def coefficients(g: float) -> ScatteringCoefficients:
-    """Channel amplitudes t_i = 1/(1 + i alpha_i), r_i = t_i - 1, at coupling g."""
-    g = _checked_coupling(g, stacklevel=3)
+    """Channel amplitudes t_i = 1/(1 + i alpha_i), r_i = t_i - 1, at coupling g.
+
+    g must be finite; a negative g is flagged by a warning that names the
+    caller's line.
+    """
+    g = float(g)
+    if not math.isfinite(g):
+        raise ValueError(f"coupling g must be finite, got {g}")
+    if g < 0:
+        warnings.warn(
+            "attractive coupling (g < 0): formulas remain valid but unitarity "
+            "sweeps in this package only cover g >= 0",
+            stacklevel=2,
+        )
     alpha0 = -1.5 * g
     alpha1 = 0.5 * g
     t0 = 1.0 / (1.0 + 1.0j * alpha0)

@@ -498,9 +498,9 @@ class TestSimulateAndInvert:
 
     @pytest.mark.parametrize("kind", ["json", "csv"])
     def test_invert_refuses_sigmas_twice(self, capsys, tmp_path, kind):
-        # sigmas in the rates file and --sigmas: zeros from --sigmas used to
-        # replace the file's 0.05, and diag(1, 1, -0.01) read not-CP where its
-        # sigmas make it indeterminate
+        # sigmas come from the rates file alone: a second source, the retired
+        # --sigmas, once replaced the file's 0.05 with zeros, and diag(1, 1, -0.01)
+        # read not-CP where its sigmas make it indeterminate
         rates = probe.forward(KossakowskiMatrix.diagonal(1.0, 1.0, -0.01), coefficients(2.0))
         rates_file = tmp_path / f"rates.{kind}"
         if kind == "json":
@@ -513,12 +513,26 @@ class TestSimulateAndInvert:
         assert strict_json(out)["cp_verdict"] == "indeterminate"
         sigmas_file = tmp_path / "zeros.json"
         sigmas_file.write_text(json.dumps([0.0] * 6))
-        code, out, err = run_cli(
+        code, out, err = run_cli_or_parser_exit(
             capsys, "invert", "--rates", str(rates_file), "--g", "2", "--sigmas", str(sigmas_file)
         )
         assert code == 2
         assert out == ""
-        assert "--sigmas" in err and str(rates_file) in err
+        assert "unrecognized arguments: --sigmas" in err
+
+    @pytest.mark.parametrize("kind", ["json", "csv"])
+    def test_invert_negative_sigma_names_the_file_and_channel(self, capsys, tmp_path, kind):
+        rates_file = tmp_path / f"rates.{kind}"
+        sigmas = [0.01, -0.01, 0.01, 0.01, -1e-300, 0.01]
+        if kind == "json":
+            rates_file.write_text(json.dumps({"rates": [0.1] * 6, "sigmas": sigmas}))
+        else:
+            rows = [f"{label},0.1,{s!r}" for label, s in zip(probe.CHANNELS, sigmas)]
+            rates_file.write_text("\n".join(["label,rate,sigma", *rows]) + "\n")
+        code, out, err = run_cli(capsys, "invert", "--rates", str(rates_file), "--g", "2")
+        assert (code, out) == (2, "")
+        assert err == (f"error: {rates_file}: sigmas must be nonnegative, "
+                       "got {'P1T': -0.01, 'P1R': -1e-300}\n")
 
     def test_forward_then_invert_boundary_truth_is_cp(self, capsys, tmp_path):
         # rank 1, so the exact estimate's smallest eigenvalue is zero up to
@@ -676,10 +690,12 @@ class TestSimulateAndInvert:
         ({"rates": [1, 1, 1, 1, 1, 1], "sigmas": [1e308, 1, 1, 1, 1, 1]}, "rates or sigmas too large"),
         ({"rates": [1e308, 1, 1, 1, 1, 1], "sigmas": [0, 0, 0, 0, 0, 0]}, "rates or sigmas too large"),
         ({"rates": [1e120, 1, 1, 1, 1, 1]}, "C is too large: its CP conditions det overflow"),
-    ], ids=["huge sigma", "huge rate", "huge estimate"])
+        ({"rates": [1.7e308] * 6}, "rates or sigmas too large"),
+    ], ids=["huge sigma", "huge rate", "huge estimate", "overflowing estimate"])
     def test_invert_refuses_an_overflowing_estimate(self, capsys, tmp_path, payload, refusal):
         # the first two exited 0 with Infinity and NaN tokens in the covariance, p_value and
-        # residual; the third has a finite estimate whose CP determinant overflows
+        # residual; the third has a finite estimate whose CP determinant overflows; the
+        # fourth's estimate overflows, and was refused as "Kossakowski entries", with no path
         rates_file = tmp_path / "rates.json"
         rates_file.write_text(json.dumps(payload))
         code, out, err = run_cli(capsys, "invert", "--rates", str(rates_file), "--g", "2")
@@ -691,8 +707,9 @@ class TestSimulateAndInvert:
         ("invert", "rates.json", {"rates": [1, 1, 1, 1, 1, 1], "sigmas": [1e308, 1, 1, 1, 1, 1]}),
         ("invert", "rates.json", {"rates": [1e308, 1, 1, 1, 1, 1], "sigmas": [0, 0, 0, 0, 0, 0]}),
         ("invert", "rates.json", {"rates": [1e120, 1, 1, 1, 1, 1]}),
+        ("invert", "rates.json", {"rates": [1.7e308] * 6}),
         ("cp-check", "c.json", {**RANK1_C, "c12": 1e308}),
-    ], ids=["huge sigma", "huge rate", "huge estimate", "huge c12"])
+    ], ids=["huge sigma", "huge rate", "huge estimate", "overflowing estimate", "huge c12"])
     def test_an_overflow_prints_one_error_line(self, capsys, tmp_path, command, name, payload):
         # under "error", a numpy RuntimeWarning raises through main
         path = tmp_path / name
@@ -760,23 +777,6 @@ class TestSimulateAndInvert:
         assert err.startswith("error: ") and field in err
         assert not (tmp_path / "r").exists()
 
-    def test_invert_sigmas_with_run(self, capsys, tmp_path):
-        c_file = write_c_file(tmp_path, IDENTITY_C)
-        run_cli(
-            capsys, "simulate", "--c-file", c_file, "--g", "2",
-            "--shots", "1000", "--exposure", "0.01", "--calibration", "1.0",
-            "--seed", "3", "--out", str(tmp_path / "r"),
-        )
-        sigmas_file = tmp_path / "sigmas.json"
-        sigmas_file.write_text(json.dumps([100.0] * 6))
-        code, out, err = run_cli(
-            capsys, "invert", "--rates", str(tmp_path / "r/run.json"), "--g", "2",
-            "--sigmas", str(sigmas_file),
-        )
-        assert code == 2
-        assert out == ""
-        assert "--sigmas" in err and "binomial sigmas" in err
-
 
 SIMULATE_ARGS = ("--g", "2", "--shots", "1000", "--exposure", "0.01", "--calibration", "1.0",
                  "--seed", "3", "--out", "r")
@@ -801,8 +801,6 @@ def run_with_repeated_config_key() -> str:
                      id="forward-output-as-rates"),
         pytest.param({"r.json": '{"rates": [1, 1, 1, 1, 1, 1], "sigmas": {"P0T": 1}}'},
                      INVERT, "r.json: sigmas", id="sigmas-object-in-rates-file"),
-        pytest.param({"r.json": "[1, 1, 1, 1, 1, 1]", "sig.json": '{"P0T": 1}'},
-                     [*INVERT, "--sigmas", "sig.json"], "sig.json", id="sigmas-file-object"),
         pytest.param({"r.json": '["1", "1", "1", "1", "1", "1"]'}, INVERT, "r.json",
                      id="rates-strings"),
         pytest.param({"r.json": "[1, 1, 1, 1, 1, null]"}, INVERT, "r.json", id="rates-null"),
@@ -845,13 +843,6 @@ def run_with_repeated_config_key() -> str:
         pytest.param({"r.json": "[1, 1, 1"}, INVERT, "r.json: Expecting", id="rates-truncated"),
         pytest.param({"r.json": NOT_UTF_8 + b"[1, 1, 1, 1, 1, 1]"}, INVERT,
                      "r.json: 'utf-8' codec", id="rates-not-utf-8"),
-        pytest.param({"r.json": "[1, 1, 1, 1, 1, 1]", "sig.json": "[0.1, 0.1"},
-                     [*INVERT, "--sigmas", "sig.json"], "sig.json: Expecting",
-                     id="sigmas-truncated"),
-        pytest.param({"r.json": "[1, 1, 1, 1, 1, 1]",
-                      "sig.json": NOT_UTF_8 + b"[1, 1, 1, 1, 1, 1]"},
-                     [*INVERT, "--sigmas", "sig.json"], "sig.json: 'utf-8' codec",
-                     id="sigmas-not-utf-8"),
         # float() read 1_0 as 10 and .5 as 0.5; neither is a JSON number
         *(
             pytest.param({"r.csv": ZEROS_CSV.replace("P1T,0", f"P1T,{token}")}, INVERT_CSV,

@@ -63,6 +63,18 @@ class TestConfig:
         with pytest.raises(experiment.ConfigError, match="P0R"):
             make_config(exposure=0.1).per_shot_probabilities()
 
+    @pytest.mark.parametrize("side, refused", [(1.0 - 1e-9, False), (1.0 + 1e-9, True)],
+                             ids=["below", "above"])
+    def test_first_order_guard_at_its_edge(self, side, refused):
+        # the largest per-shot probability just below and just above the 0.2 cap
+        exposure = 0.2 / float(make_config().rates().max()) * side
+        config = make_config(exposure=exposure)
+        if refused:
+            with pytest.raises(experiment.ConfigError, match="validity guard 0.2: P0R"):
+                config.per_shot_probabilities()
+        else:
+            assert config.per_shot_probabilities()[1].max() <= 0.2
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_a_nan_probability_is_refused_by_name(self):
         # inf - inf gives P1R = NaN at g = 2, which a "p > 0.2" guard let through
@@ -297,6 +309,18 @@ class TestEstimate:
         err = np.abs(result.c_hat.vector - config.true_c.vector)
         assert np.all(err <= 4.0 * result.standard_errors())
         assert result.cp_verdict in (inversion.CP, inversion.INDETERMINATE)
+
+    def test_covariance_is_the_binomial_variance_through_m(self):
+        # M^-1 diag(p (1 - p) / N) M^-T / (eta t)^2, at per-shot p of 0.11 to 0.2, where
+        # the (1 - p) factor moves each variance by 11% or more
+        config = make_config(shots_per_channel=1000, exposure=0.04)
+        out = experiment.ExperimentRun(config, (150, 120, 180, 110, 200, 160))
+        m = probe.build_matrix_programmatic(coefficients(config.g))
+        p = np.array(out.detections) / 1000
+        eta_t = config.calibration * config.exposure
+        want = m.inverse @ np.diag(p * (1.0 - p) / 1000) @ m.inverse.T / eta_t**2
+        got = experiment.estimate(out, m).covariance
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_pooling_beats_single_run(self):
         config = make_config(shots_per_channel=200_000)

@@ -105,6 +105,19 @@ class TestInvertExact:
         assert excinfo.value.condition_number > inversion.CONDITION_LIMIT
         assert abs(excinfo.value.det) <= 1e-12
 
+    @pytest.mark.parametrize("side, refused", [(1.0 - 1e-9, False), (1.0 + 1e-9, True)],
+                             ids=["below", "above"])
+    def test_condition_limit_at_its_edge(self, side, refused):
+        # a condition number just below and just above 1e10
+        matrix = np.diag([1.0] * 5 + [1.0 / (1e10 * side)])
+        m = probe.ProbeMatrix(matrix, 2.0, probe.CANONICAL_PHASE, "hand-built")
+        assert (m.condition_number > 1e10) is refused
+        if refused:
+            with pytest.raises(inversion.SingularProbeMatrixError, match="exceeds 1e\\+10"):
+                solve(np.ones(6), m)
+        else:
+            assert solve(np.ones(6), m).c33 == pytest.approx(1e10 * side, rel=1e-12)
+
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
             solve(np.zeros(5), M2)
@@ -377,8 +390,9 @@ class TestOneInversionPerProbeMatrix:
         ([0.1] * 6, [0.01 + 0.5j] + [0.01] * 5,
          "sigmas must be real, got imaginary parts {'P0T': 0.5}"),
         (np.full(6, 0.1), np.array([np.nan] + [0.01] * 5), "sigmas must be finite, got {'P0T': nan}"),
-        ([0.1] * 6, [-1e-300] + [0.01] * 5, "sigmas must be nonnegative"),
-        (np.full(6, 0.1), np.array([0.01] * 5 + [-0.01]), "sigmas must be nonnegative"),
+        ([0.1] * 6, [-1e-300] + [0.01] * 5, "sigmas must be nonnegative, got {'P0T': -1e-300}"),
+        (np.full(6, 0.1), np.array([0.01] * 5 + [-0.01]),
+         "sigmas must be nonnegative, got {'P2R': -0.01}"),
     ])
     def test_refusals_and_their_messages(self, rates, sigmas, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -393,7 +407,8 @@ class TestOneInversionPerProbeMatrix:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("rates, sigmas", [
         ([1.0] * 6, [1e308] + [1.0] * 5), ([1e308] + [1.0] * 5, [0.0] * 6),
-    ], ids=["huge sigma", "huge rate"])
+        ([1.7e308] * 6, [0.0] * 6),
+    ], ids=["huge sigma", "huge rate", "overflowing estimate"])
     def test_refuses_an_overflowing_estimate(self, rates, sigmas):
         with pytest.raises(InputOverflowError, match="rates or sigmas too large"):
             inversion.invert_noisy(rates, sigmas, M2)

@@ -213,7 +213,7 @@ class TestAdjudication:
 
 # The closed forms under judgment, and the inversion's tangent-cone test.
 CLOSED_FORMS = (
-    (kossakowski, "d_tilde"), (kossakowski, "evolve"), (probe, "_rate_matrix"),
+    (kossakowski, "d_tilde"), (kossakowski, "evolve"), (probe, "_probe_matrix"),
     (inversion, "_evidence"),
 )
 

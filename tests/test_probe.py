@@ -160,7 +160,7 @@ class TestRateTensor:
 
 
 class TestRateMatrixMemo:
-    """M is built once per (coefficients, phase) and shared, read-only."""
+    """One ProbeMatrix is built per (coefficients, phase) and shared, read-only."""
 
     @pytest.mark.parametrize("g", [0.0, -0.0, 2.0])
     @pytest.mark.parametrize(
@@ -170,7 +170,7 @@ class TestRateMatrixMemo:
     def test_bit_identical_to_unmemoized(self, g, phase):
         co = coefficients(g)
         c = KossakowskiMatrix(0.8, 0.1, -0.2, 0.5, 0.05, 0.3)
-        want = probe._rate_matrix.__wrapped__(co, phase)
+        want = probe._probe_matrix.__wrapped__(co, phase).matrix
         # the memo keys +0.0 and -0.0 alike: it is filled at the other signs first
         flipped = (coefficients(-g) if g == 0.0 else co), (-phase if phase == 0.0 else phase)
         probe.build_matrix_programmatic(*flipped)
@@ -182,22 +182,42 @@ class TestRateMatrixMemo:
             assert got.phase is phase
 
     def test_returns_read_only_matrix(self):
-        m = probe._rate_matrix(G2, probe.CANONICAL_PHASE)
+        m = probe._probe_matrix(G2, probe.CANONICAL_PHASE).matrix
         assert not m.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             m[0, 0] = 1.0
 
     def test_forward_reuses_the_matrix_just_built(self):
-        m = probe.build_matrix_programmatic(G2, 0.9).matrix
-        hits = probe._rate_matrix.cache_info().hits
+        m = probe.build_matrix_programmatic(G2, 0.9)
+        hits = probe._probe_matrix.cache_info().hits
         probe.forward(KossakowskiMatrix.identity(), G2, 0.9)
-        assert probe._rate_matrix.cache_info().hits == hits + 1
-        assert probe._rate_matrix(G2, 0.9) is m
+        assert probe._probe_matrix.cache_info().hits == hits + 1
+        assert probe._probe_matrix(G2, 0.9) is m
+
+    def test_one_probe_matrix_and_one_inverse_per_pair(self):
+        co = coefficients(1.7)
+        m = probe.build_matrix_programmatic(co, 0.6)
+        assert probe.build_matrix_programmatic(coefficients(1.7), np.float64(0.6)) is m
+        assert m.inverse is probe.build_matrix_programmatic(co, 0.6).inverse
+        # the phase is the memo's float key, whatever type the first caller gave
+        m = probe.build_matrix_programmatic(co, np.array(0.65))
+        assert type(m.phase) is float and m.phase == 0.65
+        assert m.to_dict()["phase"] == 0.65
+
+    @pytest.mark.parametrize("phase", [0.0, 0.9, probe.CANONICAL_PHASE])
+    def test_forward_and_rate_read_the_memos_matrix(self, phase):
+        c = KossakowskiMatrix(0.8, 0.1, -0.2, 0.5, 0.05, 0.3)
+        m = probe._probe_matrix(G2, phase).matrix
+        assert probe.forward(c, G2, phase).rates.tobytes() == (m @ c.vector).tobytes()
+        channels = [(side, label) for side in probe.SIDES for label in probe.BASIS_LABELS]
+        for row, (side, label) in enumerate(channels):
+            rate = probe.probability_rate(c, G2, label, side, phase)
+            assert rate.hex() == float(m[row] @ c.vector).hex()
 
     def test_bounded_over_a_long_scan(self):
         for g in np.linspace(0.3, 6.0, probe._MEMO_SIZE + 20):
             probe.build_matrix_programmatic(coefficients(g), 0.4)
-        info = probe._rate_matrix.cache_info()
+        info = probe._probe_matrix.cache_info()
         assert info.maxsize == probe._MEMO_SIZE and info.currsize <= probe._MEMO_SIZE
 
     @pytest.mark.parametrize("phase", [np.nan, np.inf, np.array(np.nan)])

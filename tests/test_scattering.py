@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -45,49 +47,59 @@ class TestCoefficients:
 
 
 class TestParams:
+    """The physical inputs (J, E, m, hbar) give (g, k); ``coefficients`` alone checks g."""
+
     def test_from_physical_recovers_g_and_k(self):
         j, e, m, hbar = 0.8, 2.5, 1.3, 1.0
-        params = scattering.ScatteringParams.from_physical(j, e, m, hbar)
+        g, k = scattering.physical_coupling(j, e, m, hbar)
         dos = np.sqrt(2.0 * m / e) / (np.pi * hbar)
-        assert abs(params.g - np.pi * j * dos / 4.0) <= 1e-12
-        assert abs(params.k - np.sqrt(2.0 * m * e) / hbar) <= 1e-12
+        assert abs(g - np.pi * j * dos / 4.0) <= 1e-12
+        assert abs(k - np.sqrt(2.0 * m * e) / hbar) <= 1e-12
+        assert type(g) is float and type(k) is float
 
     def test_nonpositive_energy_rejected(self):
-        with pytest.raises(ValueError):
-            scattering.ScatteringParams.from_physical(1.0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            scattering.ScatteringParams.from_physical(1.0, -2.0, 1.0)
+        with pytest.raises(ValueError, match="positive-energy"):
+            scattering.physical_coupling(1.0, 0.0, 1.0)
+        with pytest.raises(ValueError, match="positive-energy"):
+            scattering.physical_coupling(1.0, -2.0, 1.0)
+
+    @pytest.mark.parametrize("mass, hbar", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -1.0)])
+    def test_nonpositive_mass_or_hbar_rejected(self, mass, hbar):
+        with pytest.raises(ValueError, match="mass and hbar must be positive"):
+            scattering.physical_coupling(1.0, 2.0, mass, hbar)
 
     def test_negative_g_flagged(self):
-        with pytest.warns(UserWarning):
-            scattering.ScatteringParams(g=-0.5)
+        # physical_coupling passes a negative g on; coefficients flags it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g, _ = scattering.physical_coupling(-1.0, 2.0, 1.0)
+        assert g < 0
+        with pytest.warns(UserWarning, match="attractive"):
+            scattering.coefficients(g)
 
     def test_negative_g_warning_names_the_callers_line(self):
-        for make in (lambda: scattering.coefficients(-1.0),
-                     lambda: scattering.ScatteringParams(g=-0.5)):
-            with pytest.warns(UserWarning, match="attractive") as record:
-                make()
-            assert [w.filename for w in record] == [__file__]
+        with pytest.warns(UserWarning, match="attractive") as record:
+            scattering.coefficients(-1.0)
+        assert [w.filename for w in record] == [__file__]
 
     def test_coefficients_take_a_float(self):
         with pytest.raises(TypeError):
-            scattering.coefficients(scattering.ScatteringParams(g=2.0))
+            scattering.coefficients(scattering.physical_coupling(1.0, 2.0, 1.0))
 
     def test_bad_k_rejected(self):
-        with pytest.raises(ValueError):
-            scattering.ScatteringParams(g=1.0, k=-1.0)
+        # an infinite hbar gives k = 0 (and g = 0)
+        with pytest.raises(ValueError, match="wavenumber k must be positive and finite, got 0.0"):
+            scattering.physical_coupling(1.0, 2.0, 1.0, hbar=np.inf)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_g_rejected(self, bad):
-        with pytest.raises(ValueError, match="finite"):
-            scattering.ScatteringParams(g=bad)
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match="coupling g must be finite"):
             scattering.coefficients(bad)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_k_rejected(self, bad):
-        with pytest.raises(ValueError, match="finite"):
-            scattering.ScatteringParams(g=1.0, k=bad)
+        with pytest.raises(ValueError, match="wavenumber k must be positive and finite"):
+            scattering.physical_coupling(1.0, bad, 1.0)
 
 
 class TestWavefunctions:
