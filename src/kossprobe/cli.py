@@ -18,13 +18,17 @@ One reader, ``_read``, takes every input file (``--c-file`` and ``--rates``)
 to the value the library builds from it.  JSON refuses a repeated key, the
 numbers of a rates CSV follow JSON's number grammar, and each refusal, a
 decode error included, names the file.  Sigmas come only from the rates file:
-its ``sigmas`` or its CSV ``sigma`` column, or a run file's binomial counts.
+its ``sigmas`` or its CSV ``sigma`` column, or a run file's binomial counts.  A
+run file is read in ``simulate``'s one layout; ``invert`` builds M at ``--g`` and
+``--phase`` (the run's phase by default), and ``estimate`` alone refuses an M
+that is not the run's.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -129,21 +133,20 @@ def _cmd_forward(args) -> int:
 
     c = _read(args.c_file, KossakowskiMatrix.from_dict)
     result = forward(c, coefficients(args.g), args.phase)
+    rates = result.by_channel()
+    overflowed = [label for label, value in rates.items() if not math.isfinite(value)]
+    if overflowed:  # refused here, in every format: forward itself is on the per-item path
+        raise ValueError(f"{args.c_file}: C is too large: its rates {', '.join(overflowed)} "
+                         "overflow")
     if args.output == "json":
-        _emit_json(
-            {
-                "g": result.g,
-                "phase": result.phase,
-                "canonical_phase": result.is_canonical_phase,
-                "rates": result.by_channel(),
-            }
-        )
+        _emit_json({"g": result.g, "phase": result.phase,
+                    "canonical_phase": result.is_canonical_phase, "rates": rates})
     elif args.output == "csv":
         sys.stdout.write("channel,rate\n")
-        for label, value in result.by_channel().items():
+        for label, value in rates.items():
             sys.stdout.write(f"{label},{value!r}\n")
     else:
-        for label, value in result.by_channel().items():
+        for label, value in rates.items():
             sys.stdout.write(f"{label}  {value:+.12f}\n")
     return EXIT_OK
 
@@ -267,18 +270,14 @@ def _cmd_invert(args) -> int:
     from .scattering import CANONICAL_PHASE, coefficients
 
     payload, sigmas = _read(args.rates, _rates_input, csv=True)
-    phase = CANONICAL_PHASE if args.phase is None else args.phase
-    if isinstance(payload, ExperimentRun):
-        config = payload.config
-        if abs(config.g - args.g) > 1e-12:
-            raise ValueError(f"--g {args.g} does not match the run's coupling {config.g}")
-        # written as "not <=" so that a nan phase is a mismatch too
-        if args.phase is not None and not abs(args.phase - config.phase) <= 1e-12:
-            raise ValueError(f"--phase {args.phase} does not match the run's phase {config.phase}")
-        phase = config.phase
+    is_run = isinstance(payload, ExperimentRun)
+    phase = args.phase
+    if phase is None:
+        phase = payload.config.phase if is_run else CANONICAL_PHASE
+    # estimate refuses an M whose (g, phase) is not the run's
     m = build_matrix_programmatic(coefficients(args.g), phase)
     try:
-        if isinstance(payload, ExperimentRun):
+        if is_run:
             result = estimate(payload, m, z=args.z)
         else:
             result = invert_noisy(payload, sigmas, m, z=args.z)

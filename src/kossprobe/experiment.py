@@ -201,29 +201,21 @@ class ExperimentRun:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentRun":
+        """The run of a run file's JSON in the one layout :meth:`to_dict` writes, its channels
+        in ``CHANNELS`` order and each ``k`` read by position; every field must then equal
+        the run's own serialisation, so a channel out of place is refused as any edit is."""
         if not isinstance(data, dict):
             raise ValueError(f"run must be an object, got {type(data).__name__}")
         config = ExperimentConfig.from_dict(_field(data, "config", "run"))
         channels = _field(data, "channels", "run")
-        if not isinstance(channels, list) or not all(
-            isinstance(ch, dict) and ch.get("label") in CHANNELS for ch in channels
-        ):
-            raise ValueError(f"run channels must be a list of objects labelled {list(CHANNELS)}")
-        by_label = {}
-        for entry, ch in enumerate(channels, 1):
-            if ch["label"] in by_label:
-                raise ValueError(f"run channel entry {entry} repeats the label {ch['label']}")
-            by_label[ch["label"]] = ch
-        missing = [label for label in CHANNELS if label not in by_label]
-        if missing:
-            raise ValueError(f"run channels missing: {missing}")
+        if not (isinstance(channels, list) and all(isinstance(ch, dict) for ch in channels)):
+            raise ValueError(f"run channels must be a list of objects, one per channel in "
+                             f"the order {list(CHANNELS)}")
         detections = tuple(
-            _field(by_label[label], "k", f"run channel {label}") for label in CHANNELS
+            _field(ch, "k", f"run channel {label}") for label, ch in zip(CHANNELS, channels)
         )
         experiment_run = cls(config, detections)
-        derived = experiment_run.to_dict()
-        derived["channels"] = dict(zip(CHANNELS, derived["channels"]))
-        _require_equal("run", {**data, "channels": by_label}, derived)
+        _require_equal("run", data, experiment_run.to_dict())
         return experiment_run
 
     def to_json(self) -> str:
@@ -242,18 +234,23 @@ def _field(data: dict, name: str, where: str):
     return data[name]
 
 
-def _require_equal(where: str, fields: dict, derived: dict) -> None:
-    """Refuses ``fields`` unless they are exactly ``derived`` (as JSON, in which 1, 1.0 and
-    true differ), naming the first field that differs."""
-    for name in {**derived, **fields}:
-        if name not in derived:
-            raise ValueError(f"{where} {name} is not a field of a run file")
-        got, want = _field(fields, name, where), derived[name]
-        if isinstance(got, dict) and isinstance(want, dict):
-            _require_equal(f"{where} {name}", got, want)
-        elif json.dumps(got, default=repr) != json.dumps(want):
-            raise ValueError(f"{where} {name} {_shown(got)} differs from "
-                             f"{json.dumps(want)}, which the run's config and counts give")
+def _require_equal(where: str, got, want) -> None:
+    """Refuses ``got`` unless it is exactly ``want`` (as JSON, in which 1, 1.0 and true
+    differ), naming the first field that differs: objects key by key, lists entry by entry."""
+    if isinstance(got, dict) and isinstance(want, dict):
+        for name in {**want, **got}:
+            if name not in want:
+                raise ValueError(f"{where} {name} is not a field of a run file")
+            _require_equal(f"{where} {name}", _field(got, name, where), want[name])
+    elif isinstance(got, list) and isinstance(want, list):
+        if len(got) != len(want):
+            raise ValueError(f"{where} length {len(got)} differs from {len(want)}, which the "
+                             f"run's config and counts give")
+        for entry, (got_entry, want_entry) in enumerate(zip(got, want), 1):
+            _require_equal(f"{where} entry {entry}", got_entry, want_entry)
+    elif json.dumps(got, default=repr) != json.dumps(want):
+        raise ValueError(f"{where} {_shown(got)} differs from {json.dumps(want)}, which the "
+                         f"run's config and counts give")
 
 
 # numpy's SeedSequence constants (O'Neill's seed_seq_fe): hashmix XORs its

@@ -108,12 +108,13 @@ class ProbeMatrix:
     rows the channel order of :class:`ProbeResult`.  Invariant: ``matrix`` is
     read-only, and ``det`` and ``condition_number`` are derived from it here,
     never passed in, so the inversion's singularity guard reads M itself:
-    ``condition_number`` is np.linalg.cond's s_max / s_min (inf when s_min is 0),
-    ``det`` is computed on first read, as only ``to_dict`` and the singular refusal
-    read it, and ``inverse`` is M^-1, read-only, computed on first use, once M has
-    passed that guard.  ``build_matrix_programmatic`` returns one shared instance
-    per (coefficients, phase): its ``phase`` is the float key, and its ``g`` and
-    ``phase`` keep the signs of the first caller's +-0.0.
+    ``condition_number`` is np.linalg.cond's s_max / s_min (inf when s_min is 0,
+    null in ``to_dict``, as JSON has no infinity), ``det`` is computed on first
+    read, as only ``to_dict`` and the singular refusal read it, and ``inverse``
+    is M^-1, read-only, computed on first use, once M has passed that guard.
+    ``build_matrix_programmatic`` returns one shared instance per (coefficients,
+    phase): its ``phase`` is the float key, and its ``g`` and ``phase`` keep the
+    signs of the first caller's +-0.0.
     """
 
     matrix: np.ndarray
@@ -145,7 +146,7 @@ class ProbeMatrix:
             "phase": self.phase,
             "source": self.source,
             "det": self.det,
-            "condition_number": self.condition_number,
+            "condition_number": self.condition_number if self.condition_number < math.inf else None,
             "rows": list(CHANNELS),
             "columns": list(PARAM_ORDER),
         }

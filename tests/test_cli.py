@@ -55,6 +55,18 @@ COUNTER_C = {"c11": 1, "c12": 0, "c13": 0, "c22": 1, "c23": 0, "c33": -1}
 RANK1_C = {"c11": 1, "c12": -0.5, "c13": 0.25, "c22": 0.25, "c23": -0.125, "c33": 0.0625}
 
 
+SIMULATE_ARGS = ("--g", "2", "--shots", "1000", "--exposure", "0.01", "--calibration", "1.0",
+                 "--seed", "3", "--out", "r")
+
+
+def simulate(capsys, tmp_path, *options, c=IDENTITY_C, out="r"):
+    """simulate on ``c`` at SIMULATE_ARGS into tmp_path / out: (exit code, stdout, stderr).
+    ``options`` follow SIMULATE_ARGS, so each one given replaces its default."""
+    c_file = write_c_file(tmp_path, c, name=f"{out}.c.json")
+    return run_cli(capsys, "simulate", "--c-file", c_file, *SIMULATE_ARGS, *options,
+                   "--out", str(tmp_path / out))
+
+
 def simulated_run(c) -> dict:
     """The run file that simulate writes for ``c`` at SIMULATE_ARGS."""
     config = experiment.ExperimentConfig(
@@ -159,6 +171,23 @@ class TestForward:
         assert out == ""
         assert "phase must be finite" in err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("output", ["text", "json", "csv"])
+    @pytest.mark.parametrize("c, overflowed", [
+        ({**IDENTITY_C, "c11": 1.7e308, "c22": 0, "c33": 0}, "P0R, P1R"),
+        ({**IDENTITY_C, "c11": 1.7e308, "c22": 1.7e308, "c33": 1.7e308},
+         "P0T, P1T, P2T, P0R, P1R, P2R"),
+    ], ids=["c11", "diagonal"])
+    def test_refuses_overflowing_rates(self, capsys, tmp_path, output, c, overflowed):
+        # json exited 2 with "Out of range float values are not JSON compliant: inf",
+        # naming neither file nor channel, and text and csv printed inf with exit 0
+        c_file = write_c_file(tmp_path, c)
+        code, out, err = run_cli(
+            capsys, "forward", "--c-file", c_file, "--g", "2", "--output", output
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: {c_file}: C is too large: its rates {overflowed} overflow\n"
+
 
 class TestBuildMatrix:
     def test_both_sources_with_comparison(self, capsys):
@@ -201,6 +230,17 @@ class TestBuildMatrix:
         assert code == 2
         assert out == ""
         assert "appendix table exists only at theta = pi/2" in err
+
+    def test_singular_matrix_has_a_null_condition_number(self, capsys):
+        # M has a zero singular value at g = 0, theta = 0: its infinite condition number
+        # made json exit 2 with "Out of range float values are not JSON compliant: inf"
+        code, out, _ = run_cli(
+            capsys, "build-matrix", "--g", "0", "--phase", "0", "--output", "json"
+        )
+        assert code == 0
+        assert strict_json(out)["programmatic"]["condition_number"] is None
+        code, out, _ = run_cli(capsys, "build-matrix", "--g", "0", "--phase", "0")
+        assert code == 0 and "cond = inf" in out
 
     @pytest.mark.parametrize("source", ["appendix", "both"])
     def test_appendix_default_phase(self, capsys, source):
@@ -248,12 +288,7 @@ class TestCpCheck:
 
 class TestSimulateAndInvert:
     def test_pipeline(self, capsys, tmp_path):
-        c_file = write_c_file(tmp_path, IDENTITY_C)
-        code, out, _ = run_cli(
-            capsys, "simulate", "--c-file", c_file, "--g", "2",
-            "--shots", "1000000", "--exposure", "0.01", "--calibration", "1.0",
-            "--seed", "7", "--out", str(tmp_path / "run"),
-        )
+        code, out, _ = simulate(capsys, tmp_path, "--shots", "1000000", "--seed", "7", out="run")
         assert code == 0
         written = strict_json(out)["written"]
         assert (tmp_path / "run" / "run.json").exists()
@@ -278,34 +313,19 @@ class TestSimulateAndInvert:
         assert strict_json(out)["psd"] is True
 
     def test_simulate_deterministic(self, capsys, tmp_path):
-        c_file = write_c_file(tmp_path, IDENTITY_C)
         for sub in ("a", "b"):
-            run_cli(
-                capsys, "simulate", "--c-file", c_file, "--g", "2",
-                "--shots", "1000", "--exposure", "0.01", "--calibration", "1.0",
-                "--seed", "3", "--out", str(tmp_path / sub),
-            )
+            simulate(capsys, tmp_path, out=sub)
         assert (tmp_path / "a/run.json").read_bytes() == (tmp_path / "b/run.json").read_bytes()
         assert (tmp_path / "a/run.csv").read_bytes() == (tmp_path / "b/run.csv").read_bytes()
 
     def test_simulate_guard_violation(self, capsys, tmp_path):
-        c_file = write_c_file(tmp_path, IDENTITY_C)
-        code, _, err = run_cli(
-            capsys, "simulate", "--c-file", c_file, "--g", "2",
-            "--shots", "1000", "--exposure", "0.2", "--calibration", "1.0",
-            "--seed", "3", "--out", str(tmp_path / "x"),
-        )
+        code, _, err = simulate(capsys, tmp_path, "--exposure", "0.2", out="x")
         assert code == 2
         assert "first-order" in err
 
     def test_simulate_refuses_a_nan_probability_by_name(self, capsys, tmp_path):
-        c_file = write_c_file(tmp_path, {**IDENTITY_C, "c11": 1.7e308, "c12": 1.7e308,
-                                         "c22": 1.7e308, "c33": 0})
-        code, out, err = run_cli(
-            capsys, "simulate", "--c-file", c_file, "--g", "2",
-            "--shots", "1000", "--exposure", "0.01", "--calibration", "1.0",
-            "--seed", "3", "--out", str(tmp_path / "x"),
-        )
+        huge = {**IDENTITY_C, "c11": 1.7e308, "c12": 1.7e308, "c22": 1.7e308, "c33": 0}
+        code, out, err = simulate(capsys, tmp_path, c=huge, out="x")
         assert (code, out) == (2, "")
         assert "first-order" in err and "P1R (p = nan)" in err
 
@@ -355,35 +375,32 @@ class TestSimulateAndInvert:
             main(["coeffs", "--g", "1"])
 
     def test_invert_g_mismatch_with_run(self, capsys, tmp_path):
-        c_file = write_c_file(tmp_path, IDENTITY_C)
-        run_cli(
-            capsys, "simulate", "--c-file", c_file, "--g", "2",
-            "--shots", "1000", "--exposure", "0.01", "--calibration", "1.0",
-            "--seed", "3", "--out", str(tmp_path / "r"),
-        )
-        code, _, err = run_cli(
+        # M is built at --g, and estimate refuses it as not the run's
+        simulate(capsys, tmp_path)
+        code, out, err = run_cli(
             capsys, "invert", "--rates", str(tmp_path / "r/run.json"), "--g", "3"
         )
-        assert code == 2
-        assert "does not match" in err
+        assert (code, out) == (2, "")
+        assert err == ("error: probe matrix at (g, phase) = (3.0, 1.5707963267948966) is not "
+                       "the runs' (2.0, 1.5707963267948966)\n")
 
     def test_invert_phase_mismatch_with_run(self, capsys, tmp_path):
-        c_file = write_c_file(tmp_path, IDENTITY_C)
-        run_cli(
-            capsys, "simulate", "--c-file", c_file, "--g", "2",
-            "--shots", "1000", "--exposure", "0.01", "--calibration", "1.0",
-            "--seed", "3", "--out", str(tmp_path / "r"),
-        )
+        # M is built at --phase: estimate refuses another phase than the run's, and
+        # the probe matrix a phase that is not finite, as for a rates file
+        simulate(capsys, tmp_path)
         run_file = str(tmp_path / "r/run.json")
-        for phase in ("0.3", "nan"):
+        for phase, refusal in [
+            ("0.3", "probe matrix at (g, phase) = (2.0, 0.3) is not the runs' (2.0, "),
+            ("nan", "probe phase must be finite, got nan"),
+        ]:
             code, out, err = run_cli(
                 capsys, "invert", "--rates", run_file, "--g", "2", "--phase", phase
             )
-            assert code == 2
-            assert out == ""
-            assert "--phase" in err and "does not match" in err
-        # the run's own phase, given or left out, is accepted
-        for flag in ([], ["--phase", repr(probe.CANONICAL_PHASE)]):
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: {refusal}")
+        # the run's own phase, given, left out or within estimate's 1e-12 of it, is accepted
+        near = repr(probe.CANONICAL_PHASE + 1e-13)
+        for flag in ([], ["--phase", repr(probe.CANONICAL_PHASE)], ["--phase", near]):
             code, _, _ = run_cli(capsys, "invert", "--rates", run_file, "--g", "2", *flag)
             assert code == 0
 
@@ -445,12 +462,7 @@ class TestSimulateAndInvert:
     def test_invert_refuses_repeated_run_channel(self, capsys, tmp_path):
         # a seventh P0T entry with three times the count is refused: read as
         # the channel's count, it would put c11 far from the truth's 1
-        c_file = write_c_file(tmp_path, IDENTITY_C)
-        run_cli(
-            capsys, "simulate", "--c-file", c_file, "--g", "2",
-            "--shots", "1000", "--exposure", "0.01", "--calibration", "1.0",
-            "--seed", "3", "--out", str(tmp_path / "r"),
-        )
+        simulate(capsys, tmp_path)
         run_file = tmp_path / "r" / "run.json"
         run = strict_json(run_file.read_text())
         extra = dict(run["channels"][0], k=3 * run["channels"][0]["k"])
@@ -459,7 +471,20 @@ class TestSimulateAndInvert:
         code, out, err = run_cli(capsys, "invert", "--rates", str(run_file), "--g", "2")
         assert code == 2
         assert out == ""
-        assert str(run_file) in err and "entry 7 repeats the label P0T" in err
+        assert err.startswith(f"error: {run_file}: run channels length 7 differs from 6")
+
+    def test_invert_refuses_reversed_run_channels(self, capsys, tmp_path):
+        # channels come in simulate's order only: reversed, each count is read by
+        # position, and the first entry's label is not the first channel's
+        simulate(capsys, tmp_path)
+        run_file = tmp_path / "r" / "run.json"
+        run = strict_json(run_file.read_text())
+        run["channels"].reverse()
+        run_file.write_text(json.dumps(run))
+        code, out, err = run_cli(capsys, "invert", "--rates", str(run_file), "--g", "2")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {run_file}: run channels entry 1 label 'P2R' differs "
+                              f'from "P0T"')
 
     @pytest.mark.parametrize(
         "flag",
@@ -620,19 +645,17 @@ class TestSimulateAndInvert:
             # flags emptied
             (lambda run: run.update(simulated_run(COUNTER_C), flagged_channels=[]),
              "flagged_channels"),
+            # five channels: five counts for six channels
+            (lambda run: run["channels"].pop(), "detections"),
         ],
         ids=["g-null", "channels-number", "flagged-number", "shots-fraction", "k-string",
              "calibration-2", "exposure-negative", "exposure-0", "shots-2**70", "N-mismatch",
              "flagged-not-derived", "exposure-edited", "schema-2", "schema-bool", "hash-edited",
-             "p_hat-edited", "unknown-key", "unknown-config-key", "counterexample-flags-emptied"],
+             "p_hat-edited", "unknown-key", "unknown-config-key", "counterexample-flags-emptied",
+             "channel-dropped"],
     )
     def test_invert_wrong_typed_run_file(self, capsys, tmp_path, edit, named):
-        c_file = write_c_file(tmp_path, IDENTITY_C)
-        run_cli(
-            capsys, "simulate", "--c-file", c_file, "--g", "2",
-            "--shots", "1000", "--exposure", "0.01", "--calibration", "1.0",
-            "--seed", "3", "--out", str(tmp_path / "r"),
-        )
+        simulate(capsys, tmp_path)
         run_file = tmp_path / "r" / "run.json"
         run = strict_json(run_file.read_text())
         edit(run)
@@ -656,12 +679,7 @@ class TestSimulateAndInvert:
         assert "seed" in err
 
     def test_invert_nan_coupling_with_run(self, capsys, tmp_path):
-        c_file = write_c_file(tmp_path, IDENTITY_C)
-        run_cli(
-            capsys, "simulate", "--c-file", c_file, "--g", "2",
-            "--shots", "1000", "--exposure", "0.01", "--calibration", "1.0",
-            "--seed", "3", "--out", str(tmp_path / "r"),
-        )
+        simulate(capsys, tmp_path)
         code, out, err = run_cli(
             capsys, "invert", "--rates", str(tmp_path / "r/run.json"), "--g", "nan"
         )
@@ -733,12 +751,7 @@ class TestSimulateAndInvert:
 
     @pytest.mark.parametrize("phase", ["nan", "inf"])
     def test_simulate_non_finite_phase(self, capsys, tmp_path, phase):
-        c_file = write_c_file(tmp_path, IDENTITY_C)
-        code, out, err = run_cli(
-            capsys, "simulate", "--c-file", c_file, "--g", "2",
-            "--shots", "1000", "--exposure", "0.01", "--calibration", "1.0",
-            "--seed", "3", "--phase", phase, "--out", str(tmp_path / "r"),
-        )
+        code, out, err = simulate(capsys, tmp_path, "--phase", phase)
         assert code == 2
         assert out == ""
         assert "phase must be finite" in err
@@ -746,12 +759,7 @@ class TestSimulateAndInvert:
 
     @pytest.mark.parametrize("exposure", ["nan", "inf"])
     def test_simulate_non_finite_exposure(self, capsys, tmp_path, exposure):
-        c_file = write_c_file(tmp_path, IDENTITY_C)
-        code, out, err = run_cli(
-            capsys, "simulate", "--c-file", c_file, "--g", "2",
-            "--shots", "1000", "--exposure", exposure, "--calibration", "1.0",
-            "--seed", "3", "--out", str(tmp_path / "r"),
-        )
+        code, out, err = simulate(capsys, tmp_path, "--exposure", exposure)
         assert code == 2
         assert out == ""
         assert "exposure must be positive and finite" in err
@@ -765,21 +773,13 @@ class TestSimulateAndInvert:
     def test_simulate_out_of_range_count_or_seed(self, capsys, tmp_path, flag, value, field):
         # Generator.binomial takes a C long: a larger shot count is refused
         # with the field's name, not an OverflowError traceback
-        c_file = write_c_file(tmp_path, IDENTITY_C)
-        argv = {"--shots": "1000", "--seed": "3", flag: value}
-        code, out, err = run_cli(
-            capsys, "simulate", "--c-file", c_file, "--g", "2", "--exposure", "0.01",
-            "--calibration", "1.0", "--shots", argv["--shots"], "--seed", argv["--seed"],
-            "--out", str(tmp_path / "r"),
-        )
+        code, out, err = simulate(capsys, tmp_path, flag, value)
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and field in err
         assert not (tmp_path / "r").exists()
 
 
-SIMULATE_ARGS = ("--g", "2", "--shots", "1000", "--exposure", "0.01", "--calibration", "1.0",
-                 "--seed", "3", "--out", "r")
 C_FILE_WITH_C11 = '{{"c11": {}, "c12": 0, "c13": 0, "c22": 1, "c23": 0, "c33": 1}}'
 C_COMMANDS = (("cp-check", ()), ("forward", ("--g", "2")), ("simulate", SIMULATE_ARGS))
 IDENTITY_TEXT = C_FILE_WITH_C11.format(1)
@@ -1068,13 +1068,9 @@ class TestImportFootprint:
         assert invert[0] == 3 and "inversion" in invert[1]
 
     def test_invert_on_a_closed_form_run_loads_no_openssl(self, tmp_path, capsys):
-        c_file = write_c_file(tmp_path, IDENTITY_C)
-        code, _, _ = run_cli(
-            capsys, "simulate", "--c-file", c_file, "--g", "2", "--shots", "100000",
-            "--exposure", "0.01", "--calibration", "1", "--seed", "3", "--out", str(tmp_path),
-        )
+        code, _, _ = simulate(capsys, tmp_path, "--shots", "100000")
         assert code == 0
-        invert = ["invert", "--rates", str(tmp_path / "run.json"), "--g", "2"]
+        invert = ["invert", "--rates", str(tmp_path / "r" / "run.json"), "--g", "2"]
         code, out, _ = run_cli(capsys, *invert)
         assert code == 0 and strict_json(out)["verdict_path"] == "closed"
         record = run_fresh(FOOTPRINT_SCRIPT.format(steps=[invert]))
@@ -1085,21 +1081,12 @@ class TestScipyOnlyWhereNeeded:
     def test_only_oracle_loads_scipy(self, tmp_path, capsys):
         c_file = write_c_file(tmp_path, IDENTITY_C)
         # a rank-1 truth at 10^9 shots: the verdict takes the cone path
-        rank1_file = write_c_file(tmp_path, RANK1_C, "rank1.json")
-        code, _, _ = run_cli(
-            capsys, "simulate", "--c-file", rank1_file, "--g", "2", "--shots", "1000000000",
-            "--exposure", "0.01", "--calibration", "1", "--seed", "1", "--out",
-            str(tmp_path / "rank1"),
-        )
+        at_1e9 = ("--shots", "1000000000", "--seed", "1")
+        code, _, _ = simulate(capsys, tmp_path, *at_1e9, c=RANK1_C, out="rank1")
         assert code == 0
         # the counterexample diag(1, 1, -1): two channels' true rates are negative and
         # clamped, and the resolved lambda_min reads not-CP on the delta path
-        counter_file = write_c_file(tmp_path, COUNTER_C, "counter.json")
-        code, out, _ = run_cli(
-            capsys, "simulate", "--c-file", counter_file, "--g", "2", "--shots", "1000000000",
-            "--exposure", "0.01", "--calibration", "1", "--seed", "1", "--out",
-            str(tmp_path / "counter"),
-        )
+        code, out, _ = simulate(capsys, tmp_path, *at_1e9, c=COUNTER_C, out="counter")
         assert code == 0 and strict_json(out)["flagged_channels"] == ["P0T", "P2R"]
         # none needs numpy.random: the cone and delta paths draw nothing, and
         # demo-negative's test states are a fixed set
@@ -1115,9 +1102,7 @@ class TestScipyOnlyWhereNeeded:
             ["forward", "--c-file", c_file, "--g", "2", "--output", "json"],
             ["build-matrix", "--g", "2", "--output", "json"],
             ["cp-check", "--c-file", c_file, "--output", "json"],
-            ["simulate", "--c-file", c_file, "--g", "2", "--shots", "1000",
-             "--exposure", "0.01", "--calibration", "1.0", "--seed", "3",
-             "--out", str(tmp_path / "r")],
+            ["simulate", "--c-file", c_file, *SIMULATE_ARGS, "--out", str(tmp_path / "r")],
             ["invert", "--rates", str(tmp_path / "r" / "run.json"), "--g", "2",
              "--output", "json"],
         ]

@@ -830,6 +830,31 @@ class TestConeTest:
         assert p == pytest.approx(inversion._block_cone_test(np.array([-0.01, 0.0, 0.0]),
                                                              np.diag([1e-4, 1e-12, 1e-4]))[1])
 
+    @pytest.mark.parametrize("spreads", [(2.0, 4.0), (4.0, 2.0)], ids=["c13-smaller", "c23-smaller"])
+    def test_block_needs_both_couplings_to_the_top_resolved(self, spreads):
+        # frame I: the couplings of the two lowest eigenvectors to the top one are
+        # c13 and c23, of spreads 2 and 4.  lambda_3 - lambda_2 = 30 is 10 spreads of
+        # the quieter one but not of the noisier, so the block is not resolved from
+        # the top eigenvalue: T is the half-space statistic under Perlman's bound
+        eigenvalues = np.array([-1.0, 0.0, 30.0])
+        covariance = np.diag([1.0, 1.0, spreads[0] ** 2, 1.0, spreads[1] ** 2, 1.0])
+        path, p, _, t = inversion._evidence(-1.0, eigenvalues, np.eye(3), covariance, 3.0)
+        assert path == inversion.CONE and t == 1.0
+        assert p == pytest.approx(0.5 * (stats.chi2.sf(1.0, 5) + stats.chi2.sf(1.0, 6)), rel=1e-12)
+        # at 50, 10 spreads of both, it is: the block test
+        eigenvalues[2] = 50.0
+        path, p, _, _ = inversion._evidence(-1.0, eigenvalues, np.eye(3), covariance, 3.0)
+        assert path == inversion.CONE
+        assert p == inversion._block_cone_test(np.array([-1.0, 0.0, 0.0]), np.eye(3))[1]
+
+    @pytest.mark.parametrize("gap, path", [(9.0, inversion.CONE), (11.0, inversion.DELTA)])
+    def test_lambda_min_is_resolved_at_ten_spreads(self, gap, path):
+        # unit spreads, frame I: lambda_min is resolved from lambda_2 at a gap of
+        # 10 spreads (RESOLVED_GAP), so 11 takes the delta path and 9 does not
+        eigenvalues = np.array([-1.0, gap - 1.0, 100.0])
+        result = inversion._evidence(-1.0, eigenvalues, np.eye(3), np.eye(6), 3.0)
+        assert result[0] == path
+
     @settings(max_examples=200, deadline=None)
     @given(
         frame=st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9),
