@@ -31,18 +31,17 @@ import sys
 import tempfile
 from pathlib import Path
 
-from kossprobe import cli, estimate, run
+from kossprobe import KossakowskiMatrix, cli, estimate, run
 from perfbench.workloads import Estimate
 
 DIRECTORY = Path(__file__).resolve().parent / "golden"
 
 RANK1 = {"c11": 1.0, "c12": -0.5, "c13": 0.25, "c22": 0.25, "c23": -0.125, "c33": 0.0625}
-NEGATIVE = {"c11": 1.0, "c12": 0.0, "c13": 0.0, "c22": 1.0, "c23": 0.0, "c33": -1.0}
-IDENTITY = {"c11": 1.0, "c12": 0.0, "c13": 0.0, "c22": 1.0, "c23": 0.0, "c33": 1.0}
+NEGATIVE = KossakowskiMatrix.diagonal(1.0, 1.0, -1.0).to_dict()
+IDENTITY = KossakowskiMatrix.identity().to_dict()
 # a C whose smallest eigenvalue lies within a few ulps of -rounding_tolerance
-EDGE = dict(zip(("c11", "c12", "c13", "c22", "c23", "c33"),
-                (3.4395040780903914, -0.3427482147956835, -1.4827317532351783,
-                 3.4047401241309254, 0.059593123845791296, 0.6414950616870653)))
+EDGE = KossakowskiMatrix(3.4395040780903914, -0.3427482147956835, -1.4827317532351783,
+                         3.4047401241309254, 0.059593123845791296, 0.6414950616870653).to_dict()
 # noise-free rates at g = 2 whose estimate has its smallest eigenvalue at that edge
 EDGE_RATES = {"rates": [4.220598435133103, 4.941141116183993, 3.307178618159048,
                         2.591998314799737, 8.663870824108967, 15.488486683019108]}
@@ -54,7 +53,8 @@ RUNS = {
     "negative": ("0.7", ["--shots", "1000000", "--exposure", "0.01", "--calibration", "0.5",
                          "--seed", str(0x9E3779B97F4A7C15F39CC0605CEDC834_1082)]),
 }
-GRID = [(g, theta) for g in ("0.7", "2", "3.5") for theta in ("1.5707963267948966", "0.9")]
+COUPLINGS = ("0.7", "2", "3.5")
+PHASES = ("1.5707963267948966", "0.9")  # the canonical pi/2, and one other
 BOUNDARY_SEEDS = (3, 11)
 BOUNDARY_BATCHES = 150  # four items each
 
@@ -77,12 +77,13 @@ def _calls(inputs: Path, runs: Path) -> dict[str, list[str]]:
         calls[f"invert-{name}"] = ["invert", *rates]
         calls[f"invert-{name}-project-psd"] = ["invert", *rates, "--project-psd"]
     calls["invert-edge"] = ["invert", "--rates", str(inputs / "edge-rates.json"), "--g", "2"]
-    for g, theta in GRID:
-        at = ["--g", g, "--phase", theta]
-        calls[f"build-matrix-g{g}-theta{theta}"] = ["build-matrix", *at]
-        for c in ("rank1", "negative"):
-            calls[f"forward-{c}-g{g}-theta{theta}"] = ["forward", "--c-file", str(inputs / c), *at]
-    for g, _ in GRID[::2]:
+    for g in COUPLINGS:
+        for theta in PHASES:
+            at = ["--g", g, "--phase", theta]
+            calls[f"build-matrix-g{g}-theta{theta}"] = ["build-matrix", *at]
+            for c in ("rank1", "negative"):
+                c_file = str(inputs / c)
+                calls[f"forward-{c}-g{g}-theta{theta}"] = ["forward", "--c-file", c_file, *at]
         calls[f"build-matrix-g{g}-both"] = ["build-matrix", "--g", g, "--source", "both"]
         calls[f"demo-negative-g{g}"] = ["demo-negative", "--g", g]
     for c in ("rank1", "negative", "identity", "edge"):

@@ -416,7 +416,7 @@ def invert_noisy(
 def psd_project(c: KossakowskiMatrix) -> KossakowskiMatrix:
     """Nearest positive semidefinite matrix in Frobenius norm.
 
-    Eigenvalue clipping at zero in the eigenbasis; idempotent.
+    Eigenvalue clipping at zero in the eigenbasis; idempotent to rounding.
     """
     eigvals, eigvecs = np.linalg.eigh(c.matrix)
     clipped = np.clip(eigvals, 0.0, None)

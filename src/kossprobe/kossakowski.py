@@ -169,15 +169,15 @@ class KossakowskiMatrix:
         return cls.diagonal(0.0, 0.0, 0.0)
 
     def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues in ascending order."""
-        return np.linalg.eigvalsh(self.matrix)
+        """Eigenvalues in ascending order, from ``np.linalg.eigh``, as every PSD test on C."""
+        return np.linalg.eigh(self.matrix)[0]
 
     def cp_check(self, condition_number: float = 1.0) -> CPReport:
-        """Eigenvalue PSD verdict plus the seven minors, within :func:`rounding_tolerance`;
-        refuses, as an InputOverflowError, a C so large that a minor or the determinant
-        overflows."""
+        """Eigenvalue PSD verdict (the :meth:`eigenvalues` of ``eigh``) plus the seven minors,
+        within :func:`rounding_tolerance`; refuses, as an InputOverflowError, a C so large
+        that a minor or the determinant overflows."""
         c = self.matrix
-        eigs = np.linalg.eigvalsh(c)
+        eigs = self.eigenvalues()
         tol = rounding_tolerance(c, condition_number)
         scale = float(np.max(np.abs(c)))
         minor_tol, det_tol = tol * scale, tol * scale * scale

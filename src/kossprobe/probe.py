@@ -183,7 +183,7 @@ def probability_rate(
 
     Rotating the probe frame is equivalent to expressing the Kossakowski
     matrix in the rotated Pauli frame; the rotation is folded into the
-    constant kernel, so the rate is one row of M times the parameter vector.
+    constant kernel, so the rate is one entry of :func:`forward`'s M c, bit for bit.
     Transmitted-side rates are independent of the probe phase.
     ``probe_basis`` is one of ``BASIS_LABELS``.
     """
@@ -193,9 +193,8 @@ def probability_rate(
         raise ValueError(
             f"unknown basis label {probe_basis!r}, expected one of {BASIS_LABELS}"
         )
-    v = as_kossakowski(c).vector
     row = SIDES.index(side) * len(BASIS_LABELS) + BASIS_LABELS.index(probe_basis)
-    return float(_probe_matrix(coeffs, _finite_phase(phase)).matrix[row] @ v)
+    return float(forward(c, coeffs, phase).rates[row])
 
 
 def forward(

@@ -312,6 +312,21 @@ class TestSimulateAndInvert:
         assert code == 0
         assert strict_json(out)["psd"] is True
 
+    def test_cp_report_agrees_with_the_verdict_at_the_rounding_edge(self, capsys, tmp_path):
+        # the estimate's smallest eigenvalue lies within an ulp of C's entries of
+        # -rounding_tolerance at cond(M): the verdict and cp_report read one eigh of one
+        # matrix against one tolerance, so they agree however the last bits fall
+        rates = [4.220598435133103, 4.941141116183993, 3.307178618159048,
+                 2.591998314799737, 8.663870824108967, 15.488486683019108]
+        rates_file = tmp_path / "rates.json"
+        rates_file.write_text(json.dumps({"rates": rates}))
+        code, out, _ = run_cli(
+            capsys, "invert", "--rates", str(rates_file), "--g", "2", "--output", "json"
+        )
+        assert code == 0
+        payload = strict_json(out)
+        assert payload["cp_report"]["psd"] is (payload["cp_verdict"] == "CP")
+
     def test_simulate_deterministic(self, capsys, tmp_path):
         for sub in ("a", "b"):
             simulate(capsys, tmp_path, out=sub)

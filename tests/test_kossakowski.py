@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kossprobe import kossakowski as km
-from kossprobe import oracle, probe
+from kossprobe import inversion, oracle, probe
 from kossprobe.scattering import coefficients
 from kossprobe.spin import pauli
 
@@ -34,6 +34,20 @@ def random_truth(rng, eigenvalues):
 def random_hermitian(rng, dim):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return 0.5 * (a + a.conj().T)
+
+
+def bits(xs) -> list[str]:
+    """Each number as ``float.hex``, so that equal lists agree bit for bit."""
+    return [float(x).hex() for x in xs]
+
+
+def kraus_refuses(c) -> bool:
+    """Whether ``kraus_noise`` refuses C as not completely positive."""
+    try:
+        km.kraus_noise(c)
+    except km.NotCompletelyPositiveError:
+        return True
+    return False
 
 
 def identity_with_c32(x):
@@ -240,6 +254,42 @@ class TestCPCheck:
             with pytest.raises(km.NotCompletelyPositiveError):
                 km.kraus_noise(c)
 
+    def test_one_spectrum_and_one_rate_route_at_the_rounding_edge(self):
+        # random C shifted so that the smallest eigenvalue lies within a few ulps of its
+        # entries of -rounding_tolerance, at cond 1 (cp_check alone) and at cond(M) (an
+        # inversion): every reading of the spectrum, and every rate, agrees bit for bit
+        rng = np.random.default_rng(33)
+        m = probe.build_matrix_programmatic(G2)
+        channels = [(side, label) for side in probe.SIDES for label in probe.BASIS_LABELS]
+        psd, verdicts = set(), set()
+        for _ in range(500):
+            a = random_symmetric(rng)
+            b = a - np.linalg.eigh(a)[0][0] * np.eye(3)
+            ulps = rng.uniform(-2.0, 2.0) * np.spacing(abs(b).max())
+            shifted = [b - (km.rounding_tolerance(b, cond) + ulps) * np.eye(3)
+                       for cond in (1.0, m.condition_number)]
+            c, estimated = map(km.KossakowskiMatrix.from_matrix, shifted)
+
+            report = c.cp_check()
+            assert bits(c.eigenvalues()) == bits(report.eigenvalues)
+            assert kraus_refuses(c) is not report.psd
+            psd.add(report.psd)
+
+            rates = probe.forward(estimated, G2).rates
+            result = inversion.invert_noisy(rates, np.full(6, 0.01), m)
+            report = result.c_hat.cp_check(result.condition_number)
+            assert report.psd is (result.cp_verdict == inversion.CP)
+            if result.verdict_path != inversion.CLOSED:
+                assert bits([result.margin]) == bits([report.min_eigenvalue])
+            verdicts.add(result.cp_verdict)
+
+            for row, (side, label) in enumerate(channels):
+                rate = probe.probability_rate(estimated, G2, label, side)
+                assert bits([rate]) == bits([rates[row]])
+        # both sides of the edge are reached, for cp_check and for the inversion
+        assert psd == {True, False}
+        assert verdicts >= {inversion.CP, inversion.INDETERMINATE}
+
     @pytest.mark.filterwarnings("ignore:overflow encountered in det:RuntimeWarning")
     def test_refuses_overflowing_conditions(self):
         with pytest.raises(km.InputOverflowError,
@@ -296,6 +346,13 @@ class TestKraus:
         with pytest.raises(km.NotCompletelyPositiveError) as excinfo:
             km.kraus_noise(km.KossakowskiMatrix.diagonal(1.0, 1.0, -1.0))
         assert np.isclose(excinfo.value.eigenvalue, -1.0)
+
+    def test_raises_exactly_when_cp_check_reads_not_psd(self):
+        # the smallest eigenvalue is -6.07e-15 against a tolerance of 6.11e-15; cp_check and
+        # kraus_noise read one eigh against one rounding_tolerance, so they agree at the edge
+        c = km.KossakowskiMatrix(3.4395040780903914, -0.3427482147956835, -1.4827317532351783,
+                                 3.4047401241309254, 0.059593123845791296, 0.6414950616870653)
+        assert kraus_refuses(c) is not c.cp_check().psd
 
     def test_reconstruction_on_random_states(self):
         rng = np.random.default_rng(7)

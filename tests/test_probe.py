@@ -212,7 +212,7 @@ class TestRateMatrixMemo:
         channels = [(side, label) for side in probe.SIDES for label in probe.BASIS_LABELS]
         for row, (side, label) in enumerate(channels):
             rate = probe.probability_rate(c, G2, label, side, phase)
-            assert rate.hex() == float(m[row] @ c.vector).hex()
+            assert rate.hex() == float((m @ c.vector)[row]).hex()
 
     def test_bounded_over_a_long_scan(self):
         for g in np.linspace(0.3, 6.0, probe._MEMO_SIZE + 20):
