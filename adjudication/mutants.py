@@ -64,14 +64,14 @@ MUTANTS = (
     Mutant(INVERSION, "max(quantile, 0.5 * z)", "max(quantile, 0.4 * z)",
            "the normal-equivalent floor of margin_sigma moves from z/2 to 0.4 z",
            "killed by test_the_corpus_is_reproduced"),
-    Mutant(INVERSION, "if eigenvalues[1] >= resolved[3]:", "if eigenvalues[1] >= resolved[1]:",
+    Mutant(INVERSION, "if l2 >= r3:", "if l2 >= r1:",
            "lambda_2 is resolved from zero by the wrong spread",
            "killed by test_half_space_at_evident_rank_2"),
     Mutant(KOSSAKOWSKI, "ROUNDING = 8", "ROUNDING = 16",
            "every PSD and symmetry decision on C allows twice the rounding",
            "killed by test_tolerance_flag"),
-    Mutant(EXPERIMENT, "sigma_p = np.sqrt(p_hat * (1.0 - p_hat) / total_n)",
-           "sigma_p = np.sqrt(p_hat / total_n)",
+    Mutant(EXPERIMENT, "sigmas.append(math.sqrt(p_hat * (1.0 - p_hat) / n) / scale)",
+           "sigmas.append(math.sqrt(p_hat / n) / scale)",
            "estimate's covariance loses the binomial (1 - p) factor",
            "killed by test_covariance_is_the_binomial_variance_through_m"),
     Mutant(EXPERIMENT, "MAX_PER_SHOT_PROBABILITY = 0.2", "MAX_PER_SHOT_PROBABILITY = 0.3",
@@ -80,7 +80,7 @@ MUTANTS = (
     Mutant(INVERSION, "CONDITION_LIMIT = 1e10", "CONDITION_LIMIT = 1e12",
            "an M of condition number up to 1e12 is inverted, not refused",
            "killed by test_condition_limit_at_its_edge"),
-    Mutant(INVERSION, "resolved[_COUPLINGS_TO_TOP].max()", "resolved[_COUPLINGS_TO_TOP].min()",
+    Mutant(INVERSION, "top_gap >= r2 and top_gap >= r4", "(top_gap >= r2 or top_gap >= r4)",
            "the block test runs when only one coupling to the top is resolved",
            "killed by test_block_needs_both_couplings_to_the_top_resolved"),
     Mutant(INVERSION, "floor = 0.5 * float(d[0])", "floor = 0.25 * float(d[0])",
@@ -96,6 +96,21 @@ MUTANTS = (
            "cp_check reads C's spectrum by a second route, so it can refuse a C that "
            "invert_noisy reads as CP and kraus_noise decomposes",
            "killed by test_cp_report_agrees_with_the_verdict_at_the_rounding_edge"),
+    Mutant(KOSSAKOWSKI, "return type(x) is int or", "return isinstance(x, int) or",
+           "a bool passes the integer fast path, so True is a shot count or a seed",
+           "killed by test_count_and_seed_guards_name_the_field"),
+    Mutant(INVERSION, "if low_gap >= r0 and", "if low_gap > r0 and",
+           "lambda_min is not resolved at exactly RESOLVED_GAP spreads",
+           "killed by test_lambda_min_is_resolved_at_ten_spreads"),
+    Mutant(INVERSION, "entries + covariance.ravel().tolist()", "entries",
+           "an overflowing covariance is not refused",
+           "killed by test_invert_refuses_an_overflowing_estimate"),
+    Mutant(KOSSAKOWSKI, "== {float} and all(map(math.isfinite, values)):", "== {float}:",
+           "six floats skip the finiteness test, so a nan or inf entry is stored",
+           "killed by test_from_dict_rejects_non_numbers"),
+    Mutant(EXPERIMENT, "state *= np.uint32(_MIX_L)", "state *= np.uint32(_MIX_R)",
+           "the children's pools are mixed with the wrong constant",
+           "killed by test_detections_match_numpys_spawned_streams"),
     Mutant(PROBE, "return float(forward(c, coeffs, phase).rates[row])",
            "return float(_probe_matrix(coeffs, _finite_phase(phase)).matrix[row] "
            "@ as_kossakowski(c).vector)",

@@ -26,7 +26,7 @@ artifacts contain no wall-clock data for the same reason.
 from __future__ import annotations
 
 import json
-import numbers
+import math
 from dataclasses import dataclass
 from functools import cache
 
@@ -38,18 +38,14 @@ except ImportError:
     from _sha256 import sha256  # Python 3.10 and 3.11
 
 from .inversion import InversionResult, invert_noisy
-from .kossakowski import KossakowskiMatrix, _is_finite_number, _shown, as_kossakowski
+from .kossakowski import (KossakowskiMatrix, _is_finite_number, _is_integer, _shown,
+                          as_kossakowski)
 from .probe import CHANNELS, ProbeMatrix, forward
 from .scattering import coefficients
 
 MAX_PER_SHOT_PROBABILITY = 0.2
 # Generator.binomial takes its trial count as a C long
 MAX_SHOTS_PER_CHANNEL = 2**63 - 1
-
-
-def _is_integer(x) -> bool:
-    # a bool is not a count or a seed here; numpy integers are; an int skips the slow ABC check
-    return type(x) is int or (isinstance(x, numbers.Integral) and not isinstance(x, bool))
 
 
 # the scalar fields of a config: name, the rule it must hold, the rule in
@@ -288,8 +284,11 @@ def _spawn_table(position: int) -> np.ndarray:
 # first 16 hash steps, so its children's spawn words are hashed at steps
 # 16..19; each further seed word takes four more steps.
 _SPAWN_TABLE = _spawn_table(16)
-_STATE_XOR, _STATE_MUL = _hash_constants(_INIT_B, _MULT_B, 0, 2 * _POOL_SIZE)
-_POOL_CYCLE = np.arange(2 * _POOL_SIZE) % _POOL_SIZE
+# generate_state's constants, and the pool word that each of its eight steps
+# reads, one row per child, so that the in-place hash broadcasts nothing
+_STATE_XOR, _STATE_MUL = (np.tile(c, (len(CHANNELS), 1))
+                          for c in _hash_constants(_INIT_B, _MULT_B, 0, 2 * _POOL_SIZE))
+_POOL_CYCLE = np.tile(np.arange(2 * _POOL_SIZE) % _POOL_SIZE, (len(CHANNELS), 1))
 
 
 @cache
@@ -326,8 +325,14 @@ def _channel_generators(seed: int) -> list:
     seed = int(seed)
     words = max(1, -(-seed.bit_length() // 32))
     table = _SPAWN_TABLE if words <= _POOL_SIZE else _spawn_table(16 + 4 * (words - _POOL_SIZE))
-    pools = np.uint32(_MIX_L) * seed_sequence(seed).pool[_POOL_CYCLE] - table
-    state = _xorshift((_xorshift(pools) ^ _STATE_XOR) * _STATE_MUL)
+    # in place on one (6, 8) array: each ufunc call costs more than its 48 words
+    state = seed_sequence(seed).pool[_POOL_CYCLE]
+    state *= np.uint32(_MIX_L)
+    state -= table
+    state ^= state >> _SHIFT
+    state ^= _STATE_XOR
+    state *= _STATE_MUL
+    state ^= state >> _SHIFT
     rows = state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
     return [generator(pcg64(seed_words(row))) for row in rows]
 
@@ -371,14 +376,16 @@ def estimate(
         raise ValueError(f"probe matrix at (g, phase) = ({m.g}, {m.phase}) is not the runs' "
                          f"({config.g}, {config.phase})")
 
-    total_n = sum(r.trials for r in runs)
-    # Python ints: counts near 2^63 would wrap in int64
-    total_k = np.array([sum(ks) for ks in zip(*(r.detections for r in runs))], float)
-    p_hat = total_k / total_n
-    sigma_p = np.sqrt(p_hat * (1.0 - p_hat) / total_n)
-
+    # counts pooled as Python ints, which do not wrap near 2^63 as int64 would, and each
+    # rate and sigma in Python floats, rounded as numpy rounds them
+    n = float(sum(r.trials for r in runs))
     scale = config.calibration * config.exposure
-    return invert_noisy(p_hat / scale, sigma_p / scale, m, z=z, bootstrap=bootstrap, seed=seed)
+    rates, sigmas = [], []
+    for k in map(sum, zip(*(r.detections for r in runs))):
+        p_hat = float(k) / n
+        rates.append(p_hat / scale)
+        sigmas.append(math.sqrt(p_hat * (1.0 - p_hat) / n) / scale)
+    return invert_noisy(np.array(rates), np.array(sigmas), m, z=z, bootstrap=bootstrap, seed=seed)
 
 
 def save_run(experiment_run: ExperimentRun, directory) -> tuple[str, str]:

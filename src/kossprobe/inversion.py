@@ -37,12 +37,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
 from .kossakowski import (_COLS, _PARAM_OF_ENTRY, _ROWS, _UNITS, InputOverflowError,
-                          KossakowskiMatrix, _finite_reals, _is_finite_number,
+                          KossakowskiMatrix, _finite_reals, _is_finite_number, _is_integer,
                           _nonnegative_reals, rounding_tolerance)
 from .probe import CHANNELS, ProbeMatrix, ProbeResult
 
@@ -69,10 +68,9 @@ DELTA = "delta"
 CONE = "cone"
 
 # The parameters of O^T C O that form the block of the two lowest
-# eigenvectors, y = (Y11, Y12, Y22) (their covariance is frame_covariance[_BLOCK]),
-# and those of its couplings to the third.
+# eigenvectors, y = (Y11, Y12, Y22) (their covariance is frame_covariance[_BLOCK]);
+# Y13 and Y23, parameters 2 and 4, are its couplings to the third.
 _BLOCK = np.ix_([0, 1, 3], [0, 1, 3])
-_COUPLINGS_TO_TOP = [2, 4]
 # y^T _DETERMINANT y = det Y, positive inside the 2x2 PSD cone.
 _DETERMINANT = np.array([[0.0, 0.0, 0.5], [0.0, -1.0, 0.0], [0.5, 0.0, 0.0]])
 # Bulirsch's cel stops when its arithmetic-geometric mean agrees to this
@@ -311,19 +309,21 @@ def _evidence(
     # column b: the parameters of O^T U_b O, for the b-th unit coupling U_b
     to_frame = (frame.T @ _UNITS @ frame)[:, _ROWS, _COLS].T
     frame_covariance = to_frame @ covariance @ to_frame.T
-    spreads = np.sqrt(np.maximum(frame_covariance.diagonal(), 0.0))
-    resolved = RESOLVED_GAP * spreads
-    sigma = float(spreads[0])
-    if eigenvalues[1] - eigenvalues[0] >= resolved[:3].max():
+    spreads = np.sqrt(np.maximum(frame_covariance.diagonal(), 0.0)).tolist()
+    sigma = spreads[0]
+    # r_b is RESOLVED_GAP spreads of parameter b; 2 and 4 are the couplings to the top
+    r0, r1, r2, r3, r4, r5 = (RESOLVED_GAP * s for s in spreads)
+    l1, l2, l3 = eigenvalues.tolist()
+    low_gap, top_gap = l2 - l1, l3 - l2
+    # each gap is compared with each spread, so that a nan spread resolves nothing
+    if low_gap >= r0 and low_gap >= r1 and low_gap >= r2:
         p = 0.5 * math.erfc(-margin / (_SQRT2 * sigma)) if sigma else 0.0
         return DELTA, p, sigma, None
-    top_clear = eigenvalues[2] - eigenvalues[1] >= resolved[_COUPLINGS_TO_TOP].max()
-    if eigenvalues[2] >= resolved[5] and top_clear:
-        y = np.array([eigenvalues[0], 0.0, eigenvalues[1]])
-        statistic, p = _block_cone_test(y, frame_covariance[_BLOCK])
+    if l3 >= r5 and top_gap >= r2 and top_gap >= r4:
+        statistic, p = _block_cone_test(np.array([l1, 0.0, l2]), frame_covariance[_BLOCK])
     else:
         statistic = (margin / sigma) ** 2 if sigma > 0.0 else math.inf
-        if eigenvalues[1] >= resolved[3]:
+        if l2 >= r3:
             p = 0.5 * _chi2_tail(1, statistic)
         else:
             p = 0.5 * (_chi2_tail(5, statistic) + _chi2_tail(6, statistic))
@@ -366,11 +366,11 @@ def invert_noisy(
     if not (_is_finite_number(z) and z > 0.0):
         raise ValueError(f"z must be positive and finite, got {z!r}")
     # a bool bootstrap (0 or 1 draws) is out of range too
-    if not isinstance(bootstrap, Integral) or not 2 <= bootstrap <= MAX_BOOTSTRAP:
+    if not _is_integer(bootstrap) or not 2 <= bootstrap <= MAX_BOOTSTRAP:
         raise ValueError(
             f"bootstrap needs an integer of 2 to {MAX_BOOTSTRAP} draws, got {bootstrap!r}"
         )
-    if not isinstance(seed, Integral) or isinstance(seed, bool) or seed < 0:
+    if not _is_integer(seed) or seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     if not math.isfinite(m.condition_number) or m.condition_number > CONDITION_LIMIT:
         raise SingularProbeMatrixError(m.det, m.condition_number)
@@ -380,7 +380,7 @@ def invert_noisy(
     covariance = (m_inv * s**2) @ m_inv.T
     entries = c_vec.tolist()
     # the estimate is tested before it is a KossakowskiMatrix, which refuses its entries
-    if not (all(map(math.isfinite, entries)) and np.isfinite(covariance).all()):
+    if not all(map(math.isfinite, entries + covariance.ravel().tolist())):
         raise InputOverflowError(_OVERFLOW)
     eigenvalues, frame = np.linalg.eigh(c_vec[_PARAM_OF_ENTRY])
     misfit = m.matrix @ c_vec - r

@@ -127,12 +127,14 @@ class KossakowskiMatrix:
 
     def __post_init__(self) -> None:
         values = (self.c11, self.c12, self.c13, self.c22, self.c23, self.c33)
+        # six finite floats, as every estimate gives, are stored as they are
+        if {*map(type, values)} == {float} and all(map(math.isfinite, values)):
+            return
         if not all(map(_is_finite_number, values)):
             bad = {name: x for name, x in zip(PARAM_ORDER, values) if not _is_finite_number(x)}
             raise ValueError(f"Kossakowski entries must be real and finite, got {_shown(bad)}")
         for name, x in zip(PARAM_ORDER, values):
-            if type(x) is not float:
-                object.__setattr__(self, name, float(x))
+            object.__setattr__(self, name, float(x))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -232,6 +234,12 @@ def _is_finite_number(x) -> bool:
         return math.isfinite(x)
     except OverflowError:
         return False
+
+
+def _is_integer(x) -> bool:
+    # a bool is not a count, a draw count or a seed here; numpy integers are; an int skips
+    # the (slow) abstract-class check
+    return type(x) is int or (isinstance(x, numbers.Integral) and not isinstance(x, bool))
 
 
 def _finite_reals(x, names: np.ndarray, what: str) -> np.ndarray:

@@ -847,10 +847,13 @@ class TestConeTest:
         assert path == inversion.CONE
         assert p == inversion._block_cone_test(np.array([-1.0, 0.0, 0.0]), np.eye(3))[1]
 
-    @pytest.mark.parametrize("gap, path", [(9.0, inversion.CONE), (11.0, inversion.DELTA)])
+    @pytest.mark.parametrize(
+        "gap, path", [(9.0, inversion.CONE), (10.0, inversion.DELTA), (11.0, inversion.DELTA)]
+    )
     def test_lambda_min_is_resolved_at_ten_spreads(self, gap, path):
         # unit spreads, frame I: lambda_min is resolved from lambda_2 at a gap of
-        # 10 spreads (RESOLVED_GAP), so 11 takes the delta path and 9 does not
+        # 10 spreads (RESOLVED_GAP), exactly 10 included, so 11 takes the delta path and 9
+        # does not
         eigenvalues = np.array([-1.0, gap - 1.0, 100.0])
         result = inversion._evidence(-1.0, eigenvalues, np.eye(3), np.eye(6), 3.0)
         assert result[0] == path
