@@ -111,6 +111,14 @@ MUTANTS = (
     Mutant(EXPERIMENT, "state *= np.uint32(_MIX_L)", "state *= np.uint32(_MIX_R)",
            "the children's pools are mixed with the wrong constant",
            "killed by test_detections_match_numpys_spawned_streams"),
+    Mutant(KOSSAKOWSKI, "tol * abs(rest)", "tol * rest",
+           "the det tolerance takes the sign of lambda_2 lambda_3, so a PSD C with two "
+           "eigenvalues just below zero reads det violated",
+           "killed by test_the_corpus_is_reproduced"),
+    Mutant(KOSSAKOWSKI, '"det": (low * rest,', '"det": (np.linalg.det(c),',
+           "the det margin comes from a second route, whose rounding can exceed the "
+           "tolerance at a PSD C",
+           "killed by test_the_corpus_is_reproduced"),
     Mutant(PROBE, "return float(forward(c, coeffs, phase).rates[row])",
            "return float(_probe_matrix(coeffs, _finite_phase(phase)).matrix[row] "
            "@ as_kossakowski(c).vector)",

@@ -85,9 +85,12 @@ class CPReport:
 
     ``conditions`` maps each nonnegativity condition (three diagonal entries,
     three 2x2 minors, the determinant) to its margin; ``conditions_ok`` holds
-    the verdicts, each at ``tol`` times max|C|^(degree - 1), so that margin and
-    tolerance scale alike on 2^k C.  Noisy estimates can violate some minors but
-    not others, which is why they are reported alongside the eigenvalue test.
+    the verdicts, the entries and minors each at ``tol`` times max|C|^(degree - 1),
+    so that margin and tolerance scale alike on 2^k C.  The determinant is the
+    product of the eigenvalues, lambda_1 (lambda_2 lambda_3), at ``tol`` times
+    |lambda_2 lambda_3|, so it is ok whenever ``psd`` is.  Noisy estimates can
+    violate some minors but not others, which is why they are reported
+    alongside the eigenvalue test.
     """
 
     psd: bool
@@ -180,9 +183,12 @@ class KossakowskiMatrix:
         that a minor or the determinant overflows."""
         c = self.matrix
         eigs = self.eigenvalues()
+        low, mid, top = eigs.tolist()
         tol = rounding_tolerance(c, condition_number)
-        scale = float(np.max(np.abs(c)))
-        minor_tol, det_tol = tol * scale, tol * scale * scale
+        minor_tol = tol * float(np.max(np.abs(c)))
+        # the determinant is low * rest from the same eigh, ok within tol * |rest|: rounding
+        # is monotone, so it is ok whenever low >= -tol
+        rest = mid * top
         conditions = {
             "c11": (self.c11, tol),
             "c22": (self.c22, tol),
@@ -190,16 +196,16 @@ class KossakowskiMatrix:
             "minor_12": (self.c11 * self.c22 - self.c12 * self.c12, minor_tol),
             "minor_13": (self.c11 * self.c33 - self.c13 * self.c13, minor_tol),
             "minor_23": (self.c22 * self.c33 - self.c23 * self.c23, minor_tol),
-            "det": (np.linalg.det(c), det_tol),
+            "det": (low * rest, tol * abs(rest)),
         }
         if overflowed := [k for k, (v, _) in conditions.items() if not math.isfinite(v)]:
             raise InputOverflowError(
                 f"C is too large: its CP conditions {', '.join(overflowed)} overflow"
             )
         return CPReport(
-            psd=bool(eigs[0] >= -tol),
-            min_eigenvalue=float(eigs[0]),
-            eigenvalues=tuple(float(e) for e in eigs),
+            psd=low >= -tol,
+            min_eigenvalue=low,
+            eigenvalues=(low, mid, top),
             conditions={k: float(v) for k, (v, _) in conditions.items()},
             conditions_ok={k: bool(v >= -t) for k, (v, t) in conditions.items()},
             tol=tol,

@@ -273,12 +273,15 @@ class TestCPCheck:
             report = c.cp_check()
             assert bits(c.eigenvalues()) == bits(report.eigenvalues)
             assert kraus_refuses(c) is not report.psd
+            # the determinant reads the same eigh: a PSD C has its det ok
+            assert report.conditions_ok["det"] or not report.psd
             psd.add(report.psd)
 
             rates = probe.forward(estimated, G2).rates
             result = inversion.invert_noisy(rates, np.full(6, 0.01), m)
             report = result.c_hat.cp_check(result.condition_number)
             assert report.psd is (result.cp_verdict == inversion.CP)
+            assert report.conditions_ok["det"] or not report.psd
             if result.verdict_path != inversion.CLOSED:
                 assert bits([result.margin]) == bits([report.min_eigenvalue])
             verdicts.add(result.cp_verdict)
@@ -290,7 +293,26 @@ class TestCPCheck:
         assert psd == {True, False}
         assert verdicts >= {inversion.CP, inversion.INDETERMINATE}
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in det:RuntimeWarning")
+    def test_det_is_ok_at_both_rounding_edge_inputs(self):
+        # the golden corpus's cp-check and invert inputs at the edge: their smallest
+        # eigenvalue is within the tolerance, and the determinant, lambda_min times the
+        # other two, within tol * |lambda_2 lambda_3| (np.linalg.det's own rounding
+        # read -8.62e-14 against 7.23e-14, and -1.047e-12 against 6.86e-13)
+        edge = km.KossakowskiMatrix(3.4395040780903914, -0.3427482147956835,
+                                    -1.4827317532351783, 3.4047401241309254,
+                                    0.059593123845791296, 0.6414950616870653)
+        rates = [4.220598435133103, 4.941141116183993, 3.307178618159048,
+                 2.591998314799737, 8.663870824108967, 15.488486683019108]
+        result = inversion.invert_noisy(rates, np.zeros(6), probe.build_matrix_programmatic(G2))
+        for report in (edge.cp_check(), result.c_hat.cp_check(result.condition_number)):
+            low, mid, top = report.eigenvalues
+            assert report.psd and report.min_eigenvalue < 0.0
+            assert report.conditions["det"] == low * (mid * top) < 0.0
+            assert report.conditions_ok["det"]
+        # two eigenvalues within rounding below zero: det is positive, and ok
+        report = km.KossakowskiMatrix.diagonal(-1e-20, -1e-20, 1.0).cp_check()
+        assert report.psd and report.conditions["det"] > 0.0 and report.conditions_ok["det"]
+
     def test_refuses_overflowing_conditions(self):
         with pytest.raises(km.InputOverflowError,
                            match=r"^C is too large: its CP conditions minor_12, det overflow$"):
