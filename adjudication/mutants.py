@@ -92,7 +92,8 @@ MUTANTS = (
            "the nappe's sign test flips at zero",
            "equivalent because the cone's axis lies inside the cone, where the trace is at "
            "least 2 sqrt(det) > 0, so the product is never zero"),
-    Mutant(KOSSAKOWSKI, "eigs = self.eigenvalues()", "eigs = np.linalg.eigvalsh(c)",
+    Mutant(KOSSAKOWSKI, "low, mid, top = self.eigenvalues().tolist()",
+           "low, mid, top = np.linalg.eigvalsh(c).tolist()",
            "cp_check reads C's spectrum by a second route, so it can refuse a C that "
            "invert_noisy reads as CP and kraus_noise decomposes",
            "killed by test_cp_report_agrees_with_the_verdict_at_the_rounding_edge"),

@@ -182,8 +182,7 @@ class KossakowskiMatrix:
         within :func:`rounding_tolerance`; refuses, as an InputOverflowError, a C so large
         that a minor or the determinant overflows."""
         c = self.matrix
-        eigs = self.eigenvalues()
-        low, mid, top = eigs.tolist()
+        low, mid, top = self.eigenvalues().tolist()
         tol = rounding_tolerance(c, condition_number)
         minor_tol = tol * float(np.max(np.abs(c)))
         # the determinant is low * rest from the same eigh, ok within tol * |rest|: rounding
