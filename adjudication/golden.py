@@ -15,7 +15,15 @@ writes the corpus into DIRECTORY (default ``adjudication/golden``):
   ``cp-check`` of such a C;
 - ``estimate_boundary-seed-<s>.jsonl``: for each of the first 600 items of the
   benchmark's ``estimate_boundary`` workload at seeds 3 and 11, the run's
-  counts, the verdict, its path, C-hat, the margin and the p-value.
+  counts, the verdict, its path, C-hat, the margin and the p-value;
+- ``design_scan-seed-<s>.jsonl``: for each of the first 32 items of the
+  benchmark's ``design_scan`` workload at seeds 3 and 11, two lines: g, theta
+  and M, then M's condition number, C-hat, the margin, the verdict and the
+  A-criterion (the trace of C-hat's covariance), or, at theta = 0, the
+  refusal.  M has a line of its own, so that its entries are held at their
+  own scale and not at the condition number's; a refused M's condition
+  number and determinant are rounding noise, so its line names only the
+  refusal.
 
 ``tests/test_golden.py`` writes the corpus again into a temporary directory
 and compares it with the committed one.  A change that means to move an
@@ -32,7 +40,7 @@ import tempfile
 from pathlib import Path
 
 from kossprobe import KossakowskiMatrix, cli, estimate, run
-from perfbench.workloads import Estimate
+from perfbench.workloads import DesignScan, Estimate
 
 DIRECTORY = Path(__file__).resolve().parent / "golden"
 
@@ -57,6 +65,8 @@ COUPLINGS = ("0.7", "2", "3.5")
 PHASES = ("1.5707963267948966", "0.9")  # the canonical pi/2, and one other
 BOUNDARY_SEEDS = (3, 11)
 BOUNDARY_BATCHES = 150  # four items each
+DESIGN_SEEDS = (3, 11)
+DESIGN_BATCHES = 4  # eight items each, one per phase k pi/4
 
 
 def _cli(argv: list[str]) -> str:
@@ -111,6 +121,27 @@ def _boundary_items(seed: int) -> list[str]:
     return lines
 
 
+def _design_items(seed: int) -> list[str]:
+    workload = DesignScan(seed)
+    lines = []
+    for b in range(DESIGN_BATCHES):
+        for g, theta, prior in workload.batch_inputs(b):
+            m, _, result, a_criterion = workload.run_item((g, theta, prior))
+            probe_line = {"g": g, "theta": theta, "matrix": m.matrix.tolist()}
+            if result is None:
+                design_line = {"refused": "SingularProbeMatrixError"}
+            else:
+                design_line = {
+                    "condition_number": m.condition_number,
+                    "c_hat": result.c_hat.vector.tolist(),
+                    "margin": result.margin,
+                    "verdict": result.cp_verdict,
+                    "a_criterion": a_criterion,
+                }
+            lines += [json.dumps(line, allow_nan=False) + "\n" for line in (probe_line, design_line)]
+    return lines
+
+
 def write(directory: Path) -> None:
     """Write the whole corpus into ``directory``."""
     runs, out = directory / "runs", directory / "cli"
@@ -129,6 +160,8 @@ def write(directory: Path) -> None:
     for seed in BOUNDARY_SEEDS:
         (directory / f"estimate_boundary-seed-{seed}.jsonl").write_text(
             "".join(_boundary_items(seed)))
+    for seed in DESIGN_SEEDS:
+        (directory / f"design_scan-seed-{seed}.jsonl").write_text("".join(_design_items(seed)))
 
 
 if __name__ == "__main__":
