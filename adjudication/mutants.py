@@ -42,6 +42,7 @@ class Mutant(NamedTuple):
 
 INVERSION, KOSSAKOWSKI = "src/kossprobe/inversion.py", "src/kossprobe/kossakowski.py"
 EXPERIMENT, PROBE = "src/kossprobe/experiment.py", "src/kossprobe/probe.py"
+SCATTERING = "src/kossprobe/scattering.py"
 
 MUTANTS = (
     Mutant(INVERSION, "RESOLVED_GAP = 10.0", "RESOLVED_GAP = 6.0",
@@ -106,7 +107,7 @@ MUTANTS = (
     Mutant(INVERSION, "entries + covariance.ravel().tolist()", "entries",
            "an overflowing covariance is not refused",
            "killed by test_invert_refuses_an_overflowing_estimate"),
-    Mutant(KOSSAKOWSKI, "== {float} and all(map(math.isfinite, values)):", "== {float}:",
+    Mutant(KOSSAKOWSKI, "== {float} and all(map(math.isfinite, values))):", "== {float}):",
            "six floats skip the finiteness test, so a nan or inf entry is stored",
            "killed by test_from_dict_rejects_non_numbers"),
     Mutant(EXPERIMENT, "state *= np.uint32(_MIX_L)", "state *= np.uint32(_MIX_R)",
@@ -126,6 +127,30 @@ MUTANTS = (
            "probability_rate takes a row dot product, which can differ from forward's M c "
            "in the last bit",
            "killed by test_one_spectrum_and_one_rate_route_at_the_rounding_edge"),
+    Mutant(SCATTERING, "[half + coeffs.r0 * back, _SQRT3 * (half + coeffs.r1 * back)]",
+           "[half + coeffs.r1 * back, _SQRT3 * (half + coeffs.r0 * back)]",
+           "the reflected row swaps the singlet's and the triplet's reflection amplitudes",
+           "killed by test_criterion_03_forward_model_adjudication"),
+    Mutant(SCATTERING, "back = np.conj(half)", "back = half",
+           "the reflected wave carries the incident wave's phase, not its conjugate",
+           "killed by test_criterion_03_forward_model_adjudication"),
+    Mutant(SCATTERING, '"r0": r0, "r1": r1', '"r0": r1, "r1": r0',
+           "ScatteringCoefficients stores each channel's reflection amplitude under the other's name",
+           "killed by test_criterion_01_unitarity_and_coefficient_identities"),
+    Mutant(PROBE, "value = instance.__dict__[self.name] = self.compute(instance)",
+           "value = self.compute(instance)",
+           "det and inverse are computed at every read, not once per ProbeMatrix",
+           "killed by test_inverse_is_numpys_and_read_only"),
+    Mutant(PROBE, "        matrix.setflags(write=False)\n", "",
+           "a ProbeMatrix leaves M writeable, so a caller can change the memo's shared M",
+           "killed by test_returns_read_only_matrix"),
+    Mutant(KOSSAKOWSKI, "c11, c12, c13, c22, c23, c33 = map(float, values)",
+           "values = tuple(map(float, values))",
+           "an int or numpy entry is stored as given, not as a Python float",
+           "killed by test_constructor_stores_python_floats"),
+    Mutant(INVERSION, '"cone_statistic": cone_statistic,', '"cone_statistic": p_value,',
+           "InversionResult stores the p-value as the cone statistic",
+           "killed by test_invert_reports_verdict_path"),
 )
 
 

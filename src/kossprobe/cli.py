@@ -421,7 +421,7 @@ def _cmd_oracle(args) -> int:
     report = adjudicate(trials=args.trials)
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(_json(report))
+        Path(args.out).write_text(_json(report), encoding="utf-8")
     _emit_json(report)
     if not report["ok"]:
         sys.stderr.write("closed forms deviate from the brute-force oracle\n")

@@ -396,6 +396,6 @@ def save_run(experiment_run: ExperimentRun, directory) -> tuple[str, str]:
     directory.mkdir(parents=True, exist_ok=True)
     json_path = directory / "run.json"
     csv_path = directory / "run.csv"
-    json_path.write_text(experiment_run.to_json())
-    csv_path.write_text(experiment_run.to_csv())
+    json_path.write_text(experiment_run.to_json(), encoding="utf-8")
+    csv_path.write_text(experiment_run.to_csv(), encoding="utf-8")
     return str(json_path), str(csv_path)

@@ -94,7 +94,7 @@ class SingularProbeMatrixError(ArithmeticError):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class InversionResult:
     """Estimated Kossakowski matrix with propagated uncertainty and CP verdict.
 
@@ -122,8 +122,17 @@ class InversionResult:
     p_value: float | None = None
     cone_statistic: float | None = None
 
-    def __post_init__(self) -> None:
-        self.covariance.setflags(write=False)
+    def __init__(self, c_hat, covariance, residual_norm, cp_verdict, margin, margin_sigma,
+                 condition_number, verdict_path=CLOSED, draws=0, p_value=None,
+                 cone_statistic=None) -> None:
+        covariance.setflags(write=False)
+        # one write of the instance dict, in place of a frozen __setattr__ per field
+        object.__setattr__(self, "__dict__", {
+            "c_hat": c_hat, "covariance": covariance, "residual_norm": residual_norm,
+            "cp_verdict": cp_verdict, "margin": margin, "margin_sigma": margin_sigma,
+            "condition_number": condition_number, "verdict_path": verdict_path,
+            "draws": draws, "p_value": p_value, "cone_statistic": cone_statistic,
+        })
 
     def standard_errors(self) -> np.ndarray:
         """Propagated one-sigma errors of the six estimated parameters."""

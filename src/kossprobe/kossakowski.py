@@ -113,7 +113,7 @@ class CPReport:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class KossakowskiMatrix:
     """Real symmetric 3x3 noise-parameter matrix, stored by its six free entries.
 
@@ -128,16 +128,17 @@ class KossakowskiMatrix:
     c23: float
     c33: float
 
-    def __post_init__(self) -> None:
-        values = (self.c11, self.c12, self.c13, self.c22, self.c23, self.c33)
+    def __init__(self, c11, c12, c13, c22, c23, c33) -> None:
+        values = (c11, c12, c13, c22, c23, c33)
         # six finite floats, as every estimate gives, are stored as they are
-        if {*map(type, values)} == {float} and all(map(math.isfinite, values)):
-            return
-        if not all(map(_is_finite_number, values)):
-            bad = {name: x for name, x in zip(PARAM_ORDER, values) if not _is_finite_number(x)}
-            raise ValueError(f"Kossakowski entries must be real and finite, got {_shown(bad)}")
-        for name, x in zip(PARAM_ORDER, values):
-            object.__setattr__(self, name, float(x))
+        if not ({*map(type, values)} == {float} and all(map(math.isfinite, values))):
+            if not all(map(_is_finite_number, values)):
+                bad = {name: x for name, x in zip(PARAM_ORDER, values) if not _is_finite_number(x)}
+                raise ValueError(f"Kossakowski entries must be real and finite, got {_shown(bad)}")
+            c11, c12, c13, c22, c23, c33 = map(float, values)
+        # one write of the instance dict, in place of a frozen __setattr__ per field
+        object.__setattr__(self, "__dict__", {"c11": c11, "c12": c12, "c13": c13,
+                                              "c22": c22, "c23": c23, "c33": c33})
 
     @property
     def matrix(self) -> np.ndarray:

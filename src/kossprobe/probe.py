@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -81,7 +81,7 @@ def _is_canonical(phase: float) -> bool:
     return bool(offset <= _CANONICAL_TOL or 2.0 * np.pi - offset <= _CANONICAL_TOL)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ProbeResult:
     """The six probability rates, ordered (P0T, P1T, P2T, P0R, P1R, P2R)."""
 
@@ -89,8 +89,10 @@ class ProbeResult:
     g: float
     phase: float
 
-    def __post_init__(self) -> None:
-        self.rates.setflags(write=False)
+    def __init__(self, rates: np.ndarray, g: float, phase: float) -> None:
+        rates.setflags(write=False)
+        # one write of the instance dict, in place of a frozen __setattr__ per field
+        object.__setattr__(self, "__dict__", {"rates": rates, "g": g, "phase": phase})
 
     @property
     def is_canonical_phase(self) -> bool:
@@ -100,7 +102,33 @@ class ProbeResult:
         return {label: float(r) for label, r in zip(CHANNELS, self.rates)}
 
 
-@dataclass(frozen=True)
+class _KeptOnFirstRead:
+    """An attribute computed from its instance on the first read and kept in the
+    instance dict, where every later read finds it first, since this descriptor
+    defines no ``__set__``.  functools.cached_property does the same, but takes a
+    lock on every first read on Python 3.11; two threads that read it first at
+    once may each compute it here, and one equal value is kept."""
+
+    def __init__(self, compute) -> None:
+        self.compute = compute
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.compute(instance)
+        return value
+
+
+def _read_only_inverse(m: "ProbeMatrix") -> np.ndarray:
+    inverse = np.linalg.inv(m.matrix)
+    inverse.setflags(write=False)
+    return inverse
+
+
+@dataclass(frozen=True, init=False)
 class ProbeMatrix:
     """The 6x6 rate matrix with its determinant and condition number.
 
@@ -111,7 +139,8 @@ class ProbeMatrix:
     ``condition_number`` is np.linalg.cond's s_max / s_min (inf when s_min is 0,
     null in ``to_dict``, as JSON has no infinity), ``det`` is computed on first
     read, as only ``to_dict`` and the singular refusal read it, and ``inverse``
-    is M^-1, read-only, computed on first use, once M has passed that guard.
+    is M^-1, read-only, computed on first use, once M has passed that guard;
+    both are kept.
     ``build_matrix_programmatic`` returns one shared instance per (coefficients,
     phase): its ``phase`` is the float key, and its ``g`` and ``phase`` keep the
     signs of the first caller's +-0.0.
@@ -123,21 +152,17 @@ class ProbeMatrix:
     source: str
     condition_number: float = field(init=False)
 
-    def __post_init__(self) -> None:
-        self.matrix.setflags(write=False)
-        s = np.linalg.svd(self.matrix, compute_uv=False).tolist()
-        object.__setattr__(self, "condition_number", s[0] / s[-1] if s[-1] else math.inf)
+    def __init__(self, matrix: np.ndarray, g: float, phase: float, source: str) -> None:
+        matrix.setflags(write=False)
+        s = np.linalg.svd(matrix, compute_uv=False).tolist()
+        # one write of the instance dict, in place of a frozen __setattr__ per field
+        object.__setattr__(self, "__dict__", {
+            "matrix": matrix, "g": g, "phase": phase, "source": source,
+            "condition_number": s[0] / s[-1] if s[-1] else math.inf,
+        })
 
-    @cached_property
-    def det(self) -> float:
-        return float(np.linalg.det(self.matrix))
-
-    @cached_property
-    def inverse(self) -> np.ndarray:
-        """M^-1, read-only, computed on first use and kept."""
-        inverse = np.linalg.inv(self.matrix)
-        inverse.setflags(write=False)
-        return inverse
+    det = _KeptOnFirstRead(lambda m: float(np.linalg.det(m.matrix)))
+    inverse = _KeptOnFirstRead(_read_only_inverse)
 
     def to_dict(self) -> dict:
         return {
@@ -164,8 +189,8 @@ def _finite_phase(phase) -> float:
 def _probe_matrix(coeffs: ScatteringCoefficients, phase: float) -> ProbeMatrix:
     """M[r, b] = Re w_s^H K[f, b] w_s, rows in CHANNELS order and columns in
     PARAM_ORDER; ``phase`` is a float from :func:`_finite_phase`.  The
-    amplitude vectors come from :func:`probe_amplitudes`."""
-    w = np.array([probe_amplitudes(coeffs, side, phase) for side in SIDES])
+    amplitude vectors w_s, one row per side, come from :func:`probe_amplitudes`."""
+    w = probe_amplitudes(coeffs, phase)
     # conj(w_a) w_b for each side, against the kernel's flattened 2x2 blocks
     outer = (w.conj()[:, :, None] * w[:, None, :]).reshape(2, 4)
     m = (_KERNEL @ outer.T).real.transpose(2, 0, 1).reshape(6, 6)

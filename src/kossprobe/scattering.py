@@ -54,7 +54,7 @@ def physical_coupling(
     return float(np.pi * coupling * dos / 4.0), k
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ScatteringCoefficients:
     """Transmission/reflection amplitudes per total-spin channel."""
 
@@ -63,6 +63,10 @@ class ScatteringCoefficients:
     r0: complex
     r1: complex
     g: float
+
+    def __init__(self, t0: complex, t1: complex, r0: complex, r1: complex, g: float) -> None:
+        # one write of the instance dict, in place of a frozen __setattr__ per field
+        object.__setattr__(self, "__dict__", {"t0": t0, "t1": t1, "r0": r0, "r1": r1, "g": g})
 
 
 def coefficients(g: float) -> ScatteringCoefficients:
@@ -87,25 +91,22 @@ def coefficients(g: float) -> ScatteringCoefficients:
     return ScatteringCoefficients(t0=t0, t1=t1, r0=t0 - 1.0, r1=t1 - 1.0, g=g)
 
 
-def probe_amplitudes(
-    coeffs: ScatteringCoefficients, side: str, phase: float
-) -> np.ndarray:
-    """Two-component amplitude vector (phi0, phi1) at probe phase theta = 2k|x|.
+def probe_amplitudes(coeffs: ScatteringCoefficients, phase: float) -> np.ndarray:
+    """Both sides' amplitude vectors (phi0, phi1) at probe phase theta = 2k|x|, as one
+    (2, 2) array: row 0 the transmitted side, row 1 the reflected side.
 
     phi0 multiplies the singlet spin state and phi1 (with its sqrt(3)
     normalization) the symmetric triplet combination.
-    The detection rates are quadratic forms in this vector; the common
+    The detection rates are quadratic forms in these vectors; the common
     plane-wave factor on the transmitted side is kept for symmetry and
     cancels in every rate.  A non-finite phase raises ``ValueError``; every
     rate's phase passes through here.
     """
-    if side not in ("transmitted", "reflected"):
-        raise ValueError(f"side must be 'transmitted' or 'reflected', got {side!r}")
     if not math.isfinite(phase):
         raise ValueError(f"probe phase must be finite, got {phase}")
     half = np.exp(0.5j * phase)
-    if side == "transmitted":
-        return np.array([coeffs.t0 * half, _SQRT3 * coeffs.t1 * half])
-    f0 = half + coeffs.r0 * np.conj(half)
-    f1 = half + coeffs.r1 * np.conj(half)
-    return np.array([f0, _SQRT3 * f1])
+    back = np.conj(half)
+    return np.array([
+        [coeffs.t0 * half, _SQRT3 * coeffs.t1 * half],
+        [half + coeffs.r0 * back, _SQRT3 * (half + coeffs.r1 * back)],
+    ])

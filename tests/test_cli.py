@@ -1028,13 +1028,16 @@ class TestOracle:
         assert "trials must be at least 1" in err
 
 
+def fresh_env() -> dict:
+    """The environment of a fresh interpreter that imports this checkout's kossprobe."""
+    src = str(Path(kossprobe.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def run_fresh(script: str):
     """Run ``script`` in a fresh interpreter on this checkout; its stdout, parsed as JSON."""
-    src = str(Path(kossprobe.__file__).resolve().parents[1])
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": pythonpath},
-        capture_output=True, text=True, timeout=60,
+        [sys.executable, "-c", script], env=fresh_env(), capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     return strict_json(proc.stdout)
@@ -1090,6 +1093,26 @@ class TestImportFootprint:
         assert code == 0 and strict_json(out)["verdict_path"] == "closed"
         record = run_fresh(FOOTPRINT_SCRIPT.format(steps=[invert]))
         assert record["calls"][0][0] == 0 and record["_hashlib"] is False
+
+
+class TestWrittenFilesAreUtf8:
+    def test_no_write_takes_the_locales_encoding(self, tmp_path):
+        # every reader decodes UTF-8; -X warn_default_encoding warns at each text
+        # open that names no encoding, and -W error makes that warning exit 1
+        c_file = write_c_file(tmp_path, IDENTITY_C)
+        run_dir, report = tmp_path / "r", tmp_path / "oracle.json"
+        for argv in (["forward", "--c-file", c_file, "--g", "2"],
+                     ["simulate", "--c-file", c_file, *SIMULATE_ARGS, "--out", str(run_dir)],
+                     ["oracle", "--trials", "1", "--out", str(report)]):
+            proc = subprocess.run(
+                [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+                 "-m", "kossprobe.cli", *argv],
+                env=fresh_env(), capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, f"{argv[0]}: {proc.stderr}"
+        assert strict_json((run_dir / "run.json").read_text(encoding="utf-8"))["config"]["seed"] == 3
+        assert (run_dir / "run.csv").read_text(encoding="utf-8").startswith("label,N,k,")
+        assert strict_json(report.read_text(encoding="utf-8"))["ok"] is True
 
 
 class TestScipyOnlyWhereNeeded:

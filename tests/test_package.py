@@ -1,5 +1,6 @@
 """The package's public names: exported lazily, each the very object of its home module."""
 
+import dataclasses
 import importlib
 
 import pytest
@@ -44,3 +45,38 @@ def test_exports_bound_once_their_home_is_imported():
         "                  after['forward'] is kossprobe.probe.forward]))\n"
     )
     assert run_fresh(script) == [["__version__"], True, True, False, True]
+
+
+def _records():
+    """One of each frozen record that the per-item path builds, by the library's own calls."""
+    co = kossprobe.coefficients(2.0)
+    m = kossprobe.build_matrix_programmatic(co, 0.3)
+    c = kossprobe.KossakowskiMatrix(1.0, 0.1, -0.2, 0.8, 0.05, 0.6)
+    rates = kossprobe.forward(c, co, 0.3)
+    result = kossprobe.invert_noisy(rates, [0.01] * 6, m)
+    return {"ScatteringCoefficients": co, "ProbeMatrix": m, "KossakowskiMatrix": c,
+            "ProbeResult": rates, "InversionResult": result}
+
+
+@pytest.mark.parametrize("name", ["ScatteringCoefficients", "ProbeMatrix", "KossakowskiMatrix",
+                                  "ProbeResult", "InversionResult"])
+def test_records_keep_their_dataclass_behaviour(name):
+    record = _records()[name]
+    names = [f.name for f in dataclasses.fields(record)]
+    assert type(record).__name__ == name and names == list(vars(type(record))["__annotations__"])
+    assert repr(record).startswith(f"{name}({names[0]}=")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, names[0], getattr(record, names[0]))
+    copy = dataclasses.replace(record)
+    assert copy == record and copy is not record
+    keywords = {f.name: getattr(record, f.name) for f in dataclasses.fields(record) if f.init}
+    assert type(record)(**keywords) == record
+    if name in ("ScatteringCoefficients", "KossakowskiMatrix"):
+        assert hash(copy) == hash(record)
+
+
+def test_replace_runs_the_entry_checks():
+    c = kossprobe.KossakowskiMatrix.identity()
+    assert type(dataclasses.replace(c, c22=2).c22) is float
+    with pytest.raises(ValueError, match="real and finite"):
+        dataclasses.replace(c, c11=float("nan"))

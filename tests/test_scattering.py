@@ -103,19 +103,18 @@ class TestParams:
 
 
 class TestWavefunctions:
-    """The spatial amplitudes (phi0, phi1) at probe phase theta = 2k|x|."""
+    """The spatial amplitudes (phi0, phi1) at probe phase theta = 2k|x|, one row per side."""
 
     def test_free_propagation(self):
         co = scattering.coefficients(0.0)
         theta = 1.4
-        for side in ("transmitted", "reflected"):
-            phi0, phi1 = scattering.probe_amplitudes(co, side, theta)
+        for phi0, phi1 in scattering.probe_amplitudes(co, theta):
             assert np.isclose(phi0, np.exp(0.5j * theta), atol=1e-15)
             assert np.isclose(phi1, np.sqrt(3) * np.exp(0.5j * theta), atol=1e-15)
 
     def test_transmitted_moduli(self):
         co = scattering.coefficients(2.0)
-        phi0, phi1 = scattering.probe_amplitudes(co, "transmitted", 2.6)
+        phi0, phi1 = scattering.probe_amplitudes(co, 2.6)[0]
         assert abs(abs(phi0) ** 2 - 0.1) <= 1e-12
         assert abs(abs(phi1) ** 2 - 1.5) <= 1e-12
 
@@ -123,15 +122,14 @@ class TestWavefunctions:
         # at 2k|x| = pi/2 the squared moduli reproduce the quarter-wave
         # constants 2 - |t|^2 + 2 Im(t) of the reflected-side rates
         co = scattering.coefficients(2.0)
-        phi0, phi1 = scattering.probe_amplitudes(co, "reflected", np.pi / 2.0)
+        phi0, phi1 = scattering.probe_amplitudes(co, np.pi / 2.0)[1]
         assert abs(abs(phi0) ** 2 - 2.5) <= 1e-12
         assert abs(abs(phi1) ** 2 / 3.0 - 0.5) <= 1e-12
 
     def test_x_zero_is_right_limit(self):
         # at the impurity (theta = 0) both sides give (t0, sqrt(3) t1): 1 + r = t
         co = scattering.coefficients(2.0)
-        for side in ("transmitted", "reflected"):
-            phi0, phi1 = scattering.probe_amplitudes(co, side, 0.0)
+        for phi0, phi1 in scattering.probe_amplitudes(co, 0.0):
             assert np.isclose(phi0, co.t0)
             assert np.isclose(phi1, np.sqrt(3) * co.t1)
 
@@ -139,18 +137,24 @@ class TestWavefunctions:
 class TestProbeAmplitudes:
     def test_transmitted_modulus_phase_independent(self):
         co = scattering.coefficients(1.7)
-        a = scattering.probe_amplitudes(co, "transmitted", 0.3)
-        b = scattering.probe_amplitudes(co, "transmitted", 2.9)
+        a = scattering.probe_amplitudes(co, 0.3)[0]
+        b = scattering.probe_amplitudes(co, 2.9)[0]
         assert np.allclose(np.abs(a), np.abs(b), atol=1e-15)
 
-    def test_bad_side(self):
-        co = scattering.coefficients(1.0)
-        with pytest.raises(ValueError):
-            scattering.probe_amplitudes(co, "up", 0.0)
+    def test_each_side_is_its_wave(self):
+        # transmitted t e^{i theta/2}, reflected e^{i theta/2} + r e^{-i theta/2}, per
+        # channel, at a coupling where the channels differ and a phase off every axis
+        co = scattering.coefficients(1.3)
+        theta = 0.7
+        half = complex(np.exp(0.5j * theta))
+        want = [[co.t0 * half, np.sqrt(3) * co.t1 * half],
+                [half + co.r0 * half.conjugate(), np.sqrt(3) * (half + co.r1 * half.conjugate())]]
+        got = scattering.probe_amplitudes(co, theta)
+        assert got.shape == (2, 2) and got.dtype == complex
+        assert np.allclose(got, want, rtol=0.0, atol=1e-15)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_phase_rejected(self, bad):
         co = scattering.coefficients(1.0)
-        for side in ("transmitted", "reflected"):
-            with pytest.raises(ValueError, match="phase must be finite"):
-                scattering.probe_amplitudes(co, side, bad)
+        with pytest.raises(ValueError, match="phase must be finite"):
+            scattering.probe_amplitudes(co, bad)
