@@ -4,12 +4,15 @@
 
 Each mutant replaces one text, which must occur exactly once in its file, in a
 temporary copy of the checkout; the Tier-1 command then runs there with ``-x``.
-A mutant is killed when a test fails.  Its expected outcome is "killed by" the
-first test that fails on it, "equivalent because" no input can tell it from
-the library, or "open because" no test can pin it yet.  The script prints each
-outcome and the survivors, and exits 1 when a mutant expected to be killed
-survives, or when an old text is not found exactly once.  It is not part of
-Tier-1: a pass runs the suite once per mutant, about four minutes on two
+A mutant is killed when a test fails.  Its expected outcome is "killed by" a
+test that fails on it, "equivalent because" no input can tell it from the
+library, or "open because" no test can pin it yet.  The test named in "killed
+by" runs first, alone; the whole suite runs only when it passes (or is not
+found), so a mutant that another test kills is still killed, and reported
+with its killer's name.  The script prints each outcome, the survivors and
+the mutants killed by another test than the named one, and exits 1 when a
+mutant expected to be killed survives, or when an old text is not found
+exactly once.  It is not part of Tier-1: a pass takes about a minute on two
 cores.  A change that adds a constant or a branch adds its mutant here.
 """
 
@@ -151,6 +154,21 @@ MUTANTS = (
     Mutant(INVERSION, '"cone_statistic": cone_statistic,', '"cone_statistic": p_value,',
            "InversionResult stores the p-value as the cone statistic",
            "killed by test_invert_reports_verdict_path"),
+    Mutant(KOSSAKOWSKI, "_gufuncs.eigh_lo", "_gufuncs.eigh_up",
+           "eigh reads the upper triangle, not np.linalg's lower one, so its last bits differ",
+           "killed by test_equal_to_numpy_bit_for_bit"),
+    Mutant(KOSSAKOWSKI, "return gufunc(a, signature=signature)", "return gufunc(a)",
+           "a decomposition takes its input's own loop, so float32 is decomposed in single "
+           "precision",
+           "killed by test_float32_and_integer_inputs_are_computed_in_float64"),
+    Mutant(KOSSAKOWSKI, 'call=refusal, invalid="call"', 'invalid="warn"',
+           "the refusal callback is dropped, so a failed decomposition warns and returns NaN "
+           "in place of numpy's LinAlgError",
+           "killed by test_refusals_are_numpys_linalg_error_without_a_warning"),
+    Mutant(KOSSAKOWSKI, "_ERRSTATE.reset(token)", "None",
+           "a decomposition leaves its error state set, so the caller's later invalid values "
+           "raise LinAlgError",
+           "killed by test_the_callers_error_state_is_kept"),
 )
 
 
@@ -160,28 +178,61 @@ def misplaced(root: Path) -> list[str]:
     return [f"{m.file}: {m.old!r} occurs {n} times" for m, n in counts if n != 1]
 
 
-def run_suite(copy: Path) -> tuple[bool, str]:
-    """(killed, the first failing test) of one Tier-1 run in ``copy``."""
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": f"src{os.pathsep}{path}" if path else "src"}
-    proc = subprocess.run(TIER1, cwd=copy, env=env, capture_output=True, text=True)
-    failed = re.search(r"^(?:FAILED|ERROR) (\S+)", proc.stdout, re.MULTILINE)
+def run_suite(copy: Path, tests: list[str] | None = None) -> tuple[bool, str]:
+    """(killed, the first failing test) of one Tier-1 run in ``copy``, of ``tests`` alone
+    when they are given."""
+    proc = subprocess.run(TIER1 + (tests or []), cwd=copy, env=suite_env(), capture_output=True,
+                          text=True)
+    # a parametrized id may hold spaces; pytest ends the id with " - " and the reason
+    failed = re.search(r"^(?:FAILED|ERROR) (.+?)(?: - |$)", proc.stdout, re.MULTILINE)
     return proc.returncode != 0, failed.group(1) if failed else ""
+
+
+def suite_env() -> dict[str, str]:
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": f"src{os.pathsep}{path}" if path else "src"}
+
+
+def test_name(node: str) -> str:
+    """The function name of a pytest node id, without its parameters."""
+    return node.partition("[")[0].rpartition("::")[2]
+
+
+def node_ids(copy: Path) -> dict[str, list[str]]:
+    """Each test function's name to its node ids (a parametrized test's, without the
+    parameters), as the unmutated suite collects them in ``copy``."""
+    proc = subprocess.run(TIER1 + ["--collect-only"], cwd=copy, env=suite_env(),
+                          capture_output=True, text=True, check=True)
+    ids: dict[str, dict[str, None]] = {}
+    for line in proc.stdout.splitlines():
+        if "::" in line:
+            ids.setdefault(test_name(line), {})[line.partition("[")[0]] = None
+    return {name: list(nodes) for name, nodes in ids.items()}
+
+
+def killer(mutant: Mutant) -> str:
+    """The test named in a "killed by" outcome, or ""."""
+    named = mutant.expected.removeprefix("killed by ")
+    return named if named != mutant.expected else ""
 
 
 def main() -> int:
     if problems := misplaced(ROOT):
         print("\n".join(problems))
         return 1
-    survivors, unexpected = [], []
+    survivors, unexpected, misnamed = [], [], []
     with tempfile.TemporaryDirectory() as scratch:
         copy = Path(scratch) / "checkout"
         shutil.copytree(ROOT, copy, ignore=LEFT_OUT)
+        ids = node_ids(copy)
         for mutant in MUTANTS:
             path = copy / mutant.file
             original = path.read_text()
             path.write_text(original.replace(mutant.old, mutant.new))
-            killed, by = run_suite(copy)
+            named = ids.get(killer(mutant))
+            killed, by = run_suite(copy, named) if named else (False, "")
+            if not killed:
+                killed, by = run_suite(copy)
             path.write_text(original)
             expected_kill = mutant.expected.startswith("killed by")
             print(f"{'killed' if killed else 'SURVIVED':8s} {mutant.file}: {mutant.breaks}"
@@ -190,9 +241,15 @@ def main() -> int:
                 survivors.append(mutant)
                 if expected_kill:
                     unexpected.append(mutant)
+            elif expected_kill and test_name(by) != killer(mutant):
+                misnamed.append((mutant, by))
     print(f"\n{len(survivors)} of {len(MUTANTS)} mutants survived:")
     for mutant in survivors:
         print(f"  {mutant.file}: {mutant.old!r} -> {mutant.new!r}: {mutant.expected}")
+    if misnamed:
+        print(f"{len(misnamed)} killed by another test than the named one:")
+        for mutant, by in misnamed:
+            print(f"  {mutant.file}: {mutant.old!r}: {by}, not {killer(mutant)}")
     if unexpected:
         print(f"{len(unexpected)} survived that a test should kill")
     return 1 if unexpected else 0

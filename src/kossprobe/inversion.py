@@ -4,7 +4,8 @@ The forward model is linear, rates = M @ c, with M the 6x6 probe matrix, so
 recovery is c = M^-1 @ rates with M inverted once per probe matrix.  For
 empirical rates that inverse also propagates the covariance, and the estimate
 gets a statistically guarded complete-positivity verdict and an optional
-nearest-PSD repair.
+nearest-PSD repair.  Each ``eigh`` here is np.linalg's, bit for bit, from the
+LAPACK gufunc that :mod:`kossprobe.kossakowski` calls directly.
 
 The not-CP verdict requires significance: shot noise can push the smallest
 eigenvalue of the estimate slightly negative even when the true matrix is
@@ -41,8 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kossakowski import (_COLS, _PARAM_OF_ENTRY, _ROWS, _UNITS, InputOverflowError,
-                          KossakowskiMatrix, _finite_reals, _is_finite_number, _is_integer,
-                          _nonnegative_reals, rounding_tolerance)
+                          KossakowskiMatrix, _eigh, _finite_reals, _is_finite_number,
+                          _is_integer, _nonnegative_reals, rounding_tolerance)
 from .probe import CHANNELS, ProbeMatrix, ProbeResult
 
 CONDITION_LIMIT = 1e10
@@ -260,7 +261,7 @@ def _block_cone_test(y: np.ndarray, block_covariance: np.ndarray) -> tuple[float
     largest plus max|y|^2, so that a singular covariance (some rate sigmas
     zero) gives a huge distance along its null directions, not an error.
     """
-    d, q = np.linalg.eigh(block_covariance)
+    d, q = _eigh(block_covariance)
     d = np.maximum(d, _EPS * (d[2] + max(map(abs, y.tolist())) ** 2))
     # In whitened coordinates x, y = root x, the cone is x^T B x >= 0 with
     # B = root^T _DETERMINANT root, of one positive and two negative
@@ -269,7 +270,7 @@ def _block_cone_test(y: np.ndarray, block_covariance: np.ndarray) -> tuple[float
     # Since root^T root = diag(d), each |mu| is at least d[0] / 2 (Ostrowski),
     # a bound that rounding can cross when d[0] is near the floor.
     root = q * np.sqrt(d)
-    mu, v = np.linalg.eigh(root.T @ _DETERMINANT @ root)
+    mu, v = _eigh(root.T @ _DETERMINANT @ root)
     floor = 0.5 * float(d[0])
     mu0, mu1, mu2 = (max(abs(m), floor) for m in mu.tolist())
     r0, r1 = mu0 / mu2, mu1 / mu2
@@ -391,7 +392,7 @@ def invert_noisy(
     # the estimate is tested before it is a KossakowskiMatrix, which refuses its entries
     if not all(map(math.isfinite, entries + covariance.ravel().tolist())):
         raise InputOverflowError(_OVERFLOW)
-    eigenvalues, frame = np.linalg.eigh(c_vec[_PARAM_OF_ENTRY])
+    eigenvalues, frame = _eigh(c_vec[_PARAM_OF_ENTRY])
     misfit = m.matrix @ c_vec - r
     residual = math.sqrt(misfit @ misfit)
     if not (all(map(math.isfinite, eigenvalues.tolist())) and math.isfinite(residual)):
@@ -427,7 +428,7 @@ def psd_project(c: KossakowskiMatrix) -> KossakowskiMatrix:
 
     Eigenvalue clipping at zero in the eigenbasis; idempotent to rounding.
     """
-    eigvals, eigvecs = np.linalg.eigh(c.matrix)
+    eigvals, eigvecs = _eigh(c.matrix)
     clipped = np.clip(eigvals, 0.0, None)
     projected = eigvecs @ np.diag(clipped) @ eigvecs.T
     return KossakowskiMatrix.from_matrix(0.5 * (projected + projected.T))

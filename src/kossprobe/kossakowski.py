@@ -26,6 +26,11 @@ Every outside array (C, its parameters, rates, sigmas) becomes floats through
 ``_finite_reals``, which names each entry that is not a finite real number,
 and sigmas through ``_nonnegative_reals``, which also names each negative
 one; a refusal quotes a value through ``_shown``, which bounds its length.
+Every real ``eigh``, singular-value, inverse and determinant in the library
+runs through ``_eigh``, ``_singular_values``, ``_inv`` and ``_det``, which
+call the LAPACK gufunc that ``np.linalg`` calls, in float64 and under its
+error state, without its Python dispatch: the same values, bit for bit, and
+the same LinAlgError.
 """
 
 from __future__ import annotations
@@ -36,6 +41,11 @@ import reprlib
 from dataclasses import dataclass
 
 import numpy as np
+from numpy._core.umath import _extobj_contextvar as _ERRSTATE
+from numpy.linalg import _umath_linalg as _gufuncs
+from numpy.linalg._linalg import (_raise_linalgerror_eigenvalues_nonconvergence,
+                                  _raise_linalgerror_singular,
+                                  _raise_linalgerror_svd_nonconvergence)
 
 from .spin import IDENTITY_2, pauli
 
@@ -55,6 +65,51 @@ _ENTRY_NAMES = np.array([[f"c{i}{j}" for j in (1, 2, 3)] for i in (1, 2, 3)])
 
 ROUNDING = 8
 _EPS = float(np.finfo(float).eps)
+
+
+def _linalg_errors(refusal):
+    """The ufunc error state that np.linalg sets around a decomposition, captured once: a
+    LAPACK failure (a NaN entry, a singular inverse, no convergence) flags an invalid value,
+    which calls ``refusal``, numpy's own raiser of its LinAlgError; the other flags are
+    ignored."""
+    with np.errstate(call=refusal, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        return _ERRSTATE.get()
+
+
+_EIGH_ERRORS = _linalg_errors(_raise_linalgerror_eigenvalues_nonconvergence)
+_SVD_ERRORS = _linalg_errors(_raise_linalgerror_svd_nonconvergence)
+_INV_ERRORS = _linalg_errors(_raise_linalgerror_singular)
+
+
+def _lapack(gufunc, signature: str, errors, a: np.ndarray):
+    """``gufunc(a)`` in its float64 loop (``signature``) under ``errors``, as np.linalg
+    calls it: the state is set and reset in this thread's context, so it costs no
+    np.errstate object per call."""
+    token = _ERRSTATE.set(errors)
+    try:
+        return gufunc(a, signature=signature)
+    finally:
+        _ERRSTATE.reset(token)
+
+
+def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh(a): ascending eigenvalues and eigenvectors, from the lower triangle."""
+    return _lapack(_gufuncs.eigh_lo, "d->dd", _EIGH_ERRORS, a)
+
+
+def _singular_values(a: np.ndarray) -> np.ndarray:
+    """np.linalg.svd(a, compute_uv=False): the singular values, descending."""
+    return _lapack(_gufuncs.svd, "d->d", _SVD_ERRORS, a)
+
+
+def _inv(a: np.ndarray) -> np.ndarray:
+    """np.linalg.inv(a); a singular ``a`` raises LinAlgError("Singular matrix")."""
+    return _lapack(_gufuncs.inv, "d->d", _INV_ERRORS, a)
+
+
+def _det(a: np.ndarray) -> np.float64:
+    """np.linalg.det(a), which sets no error state."""
+    return _gufuncs.det(a, signature="d->d")
 
 
 def rounding_tolerance(c: np.ndarray, condition_number: float = 1.0) -> float:
@@ -175,8 +230,8 @@ class KossakowskiMatrix:
         return cls.diagonal(0.0, 0.0, 0.0)
 
     def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues in ascending order, from ``np.linalg.eigh``, as every PSD test on C."""
-        return np.linalg.eigh(self.matrix)[0]
+        """Eigenvalues in ascending order, from ``_eigh``, as every PSD test on C."""
+        return _eigh(self.matrix)[0]
 
     def cp_check(self, condition_number: float = 1.0) -> CPReport:
         """Eigenvalue PSD verdict (the :meth:`eigenvalues` of ``eigh``) plus the seven minors,
@@ -342,7 +397,7 @@ def kraus_noise(c) -> list[np.ndarray]:
     nonzero component made positive to fix the sign.
     """
     a = as_kossakowski(c).matrix
-    eigvals, eigvecs = np.linalg.eigh(a)
+    eigvals, eigvecs = _eigh(a)
     if eigvals[0] < -rounding_tolerance(a):
         raise NotCompletelyPositiveError(eigvals[0])
     order = np.argsort(-eigvals, kind="stable")
@@ -386,7 +441,7 @@ def evolve(c, rho, t: float) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape not in ((2, 2), (4, 4)):
         raise ValueError(f"expected a 2x2 or 4x4 state, got shape {rho.shape}")
-    lam, o = np.linalg.eigh(as_kossakowski(c).matrix)
+    lam, o = _eigh(as_kossakowski(c).matrix)
     f = np.exp(-2.0 * (lam.sum() - lam) * t)
     p = 0.25 * (1.0 + 2.0 * f - f.sum())
     tau = np.tensordot(o.T, _SIGMA, axes=1)

@@ -29,6 +29,8 @@ per (coefficients, phase) and kept in a memo of ``_MEMO_SIZE`` pairs:
 ``build_matrix_programmatic`` returns it, so its determinant, condition
 number and inverse are computed once per pair, and ``forward`` (M times the
 parameter vector) and ``probability_rate`` (one row of it) read its matrix.
+M's singular values, inverse and determinant are np.linalg's, bit for bit,
+from the LAPACK gufuncs that :mod:`kossprobe.kossakowski` calls directly.
 C enters through :func:`kossprobe.kossakowski.as_kossakowski`, which refuses
 anything but a finite, real, symmetric C.
 
@@ -46,7 +48,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kossakowski import PARAM_ORDER, _UNITS, as_kossakowski, d_tilde
+from .kossakowski import (PARAM_ORDER, _UNITS, _det, _inv, _singular_values, as_kossakowski,
+                          d_tilde)
 from .scattering import CANONICAL_PHASE, ScatteringCoefficients, probe_amplitudes
 from .spin import BASIS_LABELS, basis, pauli_frame
 
@@ -123,7 +126,7 @@ class _KeptOnFirstRead:
 
 
 def _read_only_inverse(m: "ProbeMatrix") -> np.ndarray:
-    inverse = np.linalg.inv(m.matrix)
+    inverse = _inv(m.matrix)
     inverse.setflags(write=False)
     return inverse
 
@@ -136,7 +139,7 @@ class ProbeMatrix:
     rows the channel order of :class:`ProbeResult`.  Invariant: ``matrix`` is
     read-only, and ``det`` and ``condition_number`` are derived from it here,
     never passed in, so the inversion's singularity guard reads M itself:
-    ``condition_number`` is np.linalg.cond's s_max / s_min (inf when s_min is 0,
+    ``condition_number`` is s_max / s_min, as np.linalg.cond (inf when s_min is 0,
     null in ``to_dict``, as JSON has no infinity), ``det`` is computed on first
     read, as only ``to_dict`` and the singular refusal read it, and ``inverse``
     is M^-1, read-only, computed on first use, once M has passed that guard;
@@ -154,14 +157,14 @@ class ProbeMatrix:
 
     def __init__(self, matrix: np.ndarray, g: float, phase: float, source: str) -> None:
         matrix.setflags(write=False)
-        s = np.linalg.svd(matrix, compute_uv=False).tolist()
+        s = _singular_values(matrix).tolist()
         # one write of the instance dict, in place of a frozen __setattr__ per field
         object.__setattr__(self, "__dict__", {
             "matrix": matrix, "g": g, "phase": phase, "source": source,
             "condition_number": s[0] / s[-1] if s[-1] else math.inf,
         })
 
-    det = _KeptOnFirstRead(lambda m: float(np.linalg.det(m.matrix)))
+    det = _KeptOnFirstRead(lambda m: float(_det(m.matrix)))
     inverse = _KeptOnFirstRead(_read_only_inverse)
 
     def to_dict(self) -> dict:

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -475,3 +476,73 @@ class TestEvolve:
                 scale = max(1.0, float(np.max(np.abs(want))))
                 assert np.max(np.abs(km.evolve(c, rho, t) - want)) <= 1e-12 * scale
         assert not_psd >= 100
+
+
+class TestDecompositionsAreNumpys:
+    """The library's eigh, singular values, inverse and det call np.linalg's own gufuncs:
+    equal to np.linalg bit for bit, in float64, with its LinAlgError and no warning."""
+
+    @staticmethod
+    def pairs(rng):
+        """(helper, np.linalg route, input) for seeded symmetric 3x3 and general 6x6 inputs."""
+        for _ in range(40):
+            yield km._eigh, np.linalg.eigh, random_symmetric(rng)
+            general = rng.normal(size=(6, 6))
+            yield km._singular_values, lambda a: np.linalg.svd(a, compute_uv=False), general
+            yield km._inv, np.linalg.inv, general
+            yield km._det, np.linalg.det, general
+
+    @staticmethod
+    def outputs(x) -> list[np.ndarray]:
+        return [np.asarray(y) for y in (x if isinstance(x, tuple) else (x,))]
+
+    def assert_same_bits(self, mine, want):
+        mine, want = self.outputs(mine), self.outputs(want)
+        assert len(mine) == len(want)
+        for a, b in zip(mine, want):
+            assert a.dtype == np.float64 and a.shape == b.shape
+            assert bits(a.ravel()) == bits(b.ravel())
+
+    def test_equal_to_numpy_bit_for_bit(self):
+        for helper, numpys, a in self.pairs(np.random.default_rng(5)):
+            self.assert_same_bits(helper(a), numpys(a))
+
+    def test_float32_and_integer_inputs_are_computed_in_float64(self):
+        for helper, numpys, a in self.pairs(np.random.default_rng(6)):
+            single = a.astype(np.float32)
+            self.assert_same_bits(helper(single), numpys(single.astype(np.float64)))
+            # np.linalg rounds its float64 result back to float32
+            for mine, want in zip(self.outputs(helper(single)), self.outputs(numpys(single))):
+                assert mine.astype(np.float32).tobytes() == want.tobytes()
+            whole = np.rint(8.0 * a).astype(np.int64)
+            self.assert_same_bits(helper(whole), numpys(whole))
+
+    @pytest.mark.parametrize("helper, numpys, a", [
+        (km._eigh, np.linalg.eigh, np.full((3, 3), np.nan)),
+        (km._singular_values, lambda a: np.linalg.svd(a, compute_uv=False), np.full((6, 6), np.nan)),
+        (km._inv, np.linalg.inv, np.zeros((6, 6))),
+    ], ids=["eigh of nan", "svd of nan", "inv of singular"])
+    def test_refusals_are_numpys_linalg_error_without_a_warning(self, helper, numpys, a):
+        with pytest.raises(np.linalg.LinAlgError) as want:
+            numpys(a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError) as refusal:
+                helper(a)
+        assert str(refusal.value) == str(want.value)
+
+    def test_inverse_of_a_singular_probe_matrix_is_refused(self):
+        m = probe.ProbeMatrix(np.diag([3.0, 1.0, 1.0, 1.0, 1.0, 0.0]), 1.0, 0.0, "hand-built")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+                m.inverse
+        assert "inverse" not in vars(m)
+
+    def test_the_callers_error_state_is_kept(self):
+        with np.errstate(invalid="raise", over="warn"):
+            before = np.geterr(), np.geterrcall()
+            km._eigh(np.eye(3))
+            with pytest.raises(np.linalg.LinAlgError):
+                km._inv(np.zeros((6, 6)))
+            assert (np.geterr(), np.geterrcall()) == before

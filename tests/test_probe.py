@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -271,8 +273,10 @@ class TestProgrammaticMatrix:
         assert m.det.hex() == det.hex() == float(np.linalg.det(matrix)).hex()
 
     def test_nan_matrix_is_refused_by_the_svd(self):
-        with pytest.raises(np.linalg.LinAlgError):
-            probe.ProbeMatrix(np.full((6, 6), np.nan), 1.0, 0.0, "hand-built")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError, match="^SVD did not converge$"):
+                probe.ProbeMatrix(np.full((6, 6), np.nan), 1.0, 0.0, "hand-built")
 
     def test_well_conditioned_on_grid(self):
         for g in np.linspace(0.2, 10.0, 25):
