@@ -169,6 +169,14 @@ MUTANTS = (
            "a decomposition leaves its error state set, so the caller's later invalid values "
            "raise LinAlgError",
            "killed by test_the_callers_error_state_is_kept"),
+    Mutant(SCATTERING, "if not math.isfinite(1.5 * g):", "if not math.isfinite(g):",
+           "a finite coupling whose alpha_0 = -1.5 g overflows is accepted, and t0 = r0 = nan",
+           "killed by test_non_finite_g_rejected"),
+    Mutant(EXPERIMENT, "if self.calibration * self.exposure == 0.0:",
+           "if self.calibration * self.exposure < 0.0:",
+           "a config whose calibration * exposure underflows to 0.0 is accepted, so estimate "
+           "divides by zero",
+           "killed by test_an_underflowing_eta_t_is_refused"),
 )
 
 

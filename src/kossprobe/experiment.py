@@ -74,8 +74,9 @@ class ExperimentConfig:
 
     Invariant: ``true_c`` is a KossakowskiMatrix (an array goes through
     :func:`as_kossakowski`); ``g`` and ``phase`` are finite, ``exposure`` positive
-    and finite and ``calibration`` in (0, 1], as Python floats; ``shots_per_channel``
-    is in [1, 2**63 - 1] and ``seed`` at least 0, as Python ints (a bool is
+    and finite and ``calibration`` in (0, 1], as Python floats, whose product
+    ``calibration * exposure`` is positive too; ``shots_per_channel`` is in
+    [1, 2**63 - 1] and ``seed`` at least 0, as Python ints (a bool is
     neither).  A violation is one :class:`ConfigError` naming every such field.
     """
 
@@ -98,18 +99,20 @@ class ExperimentConfig:
             raise ConfigError("; ".join(problems))
         for name, _, _, stored_as in _FIELDS:
             object.__setattr__(self, name, stored_as(getattr(self, name)))
+        # each in range, but a product that underflows scales every rate by 1/0
+        if self.calibration * self.exposure == 0.0:
+            raise ConfigError(f"calibration * exposure must be positive, got "
+                              f"{self.calibration!r} * {self.exposure!r}, which underflows to 0.0")
 
     def physics_key(self) -> tuple:
         """The fields that must match for runs to be poolable."""
         return (self.g, self.phase, self.exposure, self.calibration, self.true_c)
 
-    def rates(self) -> np.ndarray:
-        return forward(self.true_c, coefficients(self.g), self.phase).rates
-
     def per_shot_probabilities(self) -> tuple[np.ndarray, np.ndarray]:
         """(clamped probabilities, unclamped values); refuses, as a ConfigError, a
         config whose unclamped probability exceeds the first-order guard or is NaN."""
-        unclamped = self.calibration * self.exposure * self.rates()
+        rates = forward(self.true_c, coefficients(self.g), self.phase).rates
+        unclamped = self.calibration * self.exposure * rates
         too_large = [
             f"{label} (p = {p:.4g})"
             for label, p in zip(CHANNELS, unclamped.tolist())
@@ -351,7 +354,6 @@ def estimate(
     runs: ExperimentRun | list[ExperimentRun],
     m: ProbeMatrix,
     z: float = 3.0,
-    bootstrap: int = 10_000,
     seed: int = 0,
 ) -> InversionResult:
     """Pool one or more runs and push the empirical rates through the inversion.
@@ -360,8 +362,8 @@ def estimate(
     calibration and true matrix); seeds and shot counts may differ.  ``m`` must
     be the runs' own probe matrix: its ``g`` and ``phase`` within 1e-12 of
     theirs.  Empirical per-shot probabilities are rescaled to rates by
-    1/(eta * exposure).  ``bootstrap`` and ``seed`` are passed on to
-    :func:`invert_noisy`, which no longer uses them: no verdict path draws.
+    1/(eta * exposure).  ``seed`` is neither read nor checked (no verdict path
+    draws); it stays because the benchmark's ``perfbench/workloads.py`` passes it.
     """
     if isinstance(runs, ExperimentRun):
         runs = [runs]
@@ -385,7 +387,7 @@ def estimate(
         p_hat = float(k) / n
         rates.append(p_hat / scale)
         sigmas.append(math.sqrt(p_hat * (1.0 - p_hat) / n) / scale)
-    return invert_noisy(np.array(rates), np.array(sigmas), m, z=z, bootstrap=bootstrap, seed=seed)
+    return invert_noisy(np.array(rates), np.array(sigmas), m, z=z)
 
 
 def save_run(experiment_run: ExperimentRun, directory) -> tuple[str, str]:

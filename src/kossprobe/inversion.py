@@ -43,15 +43,12 @@ import numpy as np
 
 from .kossakowski import (_COLS, _PARAM_OF_ENTRY, _ROWS, _UNITS, InputOverflowError,
                           KossakowskiMatrix, _eigh, _finite_reals, _is_finite_number,
-                          _is_integer, _nonnegative_reals, rounding_tolerance)
+                          _nonnegative_reals, rounding_tolerance)
 from .probe import CHANNELS, ProbeMatrix, ProbeResult
 
 CONDITION_LIMIT = 1e10
 _CHANNEL_NAMES = np.array(CHANNELS)
 _OVERFLOW = "rates or sigmas too large: the estimate, its covariance, spectrum or residual overflows"
-# The largest ``bootstrap`` that invert_noisy accepts; the keyword no longer
-# draws, but the values it refused are refused still.
-MAX_BOOTSTRAP = 1_000_000
 
 # lambda_min counts as resolved, and its delta-method spread weighs the
 # evidence, when its gap to the next eigenvalue is at least this many spreads
@@ -346,7 +343,6 @@ def invert_noisy(
     m: ProbeMatrix,
     z: float = 3.0,
     bootstrap: int = 10_000,
-    seed: int = 0,
 ) -> InversionResult:
     """Solve for the mean rates and propagate the rate covariance linearly.
 
@@ -365,9 +361,8 @@ def invert_noisy(
     ``rounding_tolerance`` at cond(M)); otherwise not-CP when the evidence
     against a PSD truth has a p-value of at most Phi(-z) (the likelihood
     ratio on the tangent cone, a z-test on the delta path), indeterminate
-    when it does not.  ``bootstrap`` and ``seed`` are checked as before (2 to
-    MAX_BOOTSTRAP draws, a nonnegative integer seed) but no longer affect the
-    result: no path draws.
+    when it does not.  ``bootstrap`` is neither read nor checked (no path
+    draws); it stays because the benchmark's ``perfbench/tracer.py`` binds it by name.
     """
     if isinstance(rates, ProbeResult):
         rates = rates.rates
@@ -375,13 +370,6 @@ def invert_noisy(
     s = _nonnegative_reals(sigmas, _CHANNEL_NAMES, "sigmas")
     if not (_is_finite_number(z) and z > 0.0):
         raise ValueError(f"z must be positive and finite, got {z!r}")
-    # a bool bootstrap (0 or 1 draws) is out of range too
-    if not _is_integer(bootstrap) or not 2 <= bootstrap <= MAX_BOOTSTRAP:
-        raise ValueError(
-            f"bootstrap needs an integer of 2 to {MAX_BOOTSTRAP} draws, got {bootstrap!r}"
-        )
-    if not _is_integer(seed) or seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     if not math.isfinite(m.condition_number) or m.condition_number > CONDITION_LIMIT:
         raise SingularProbeMatrixError(m.det, m.condition_number)
 

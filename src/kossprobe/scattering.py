@@ -10,8 +10,8 @@ on one dimensionless coupling
 with rho(E) the linear density of states of the wire at the scattering energy,
 plus, on the reflected side, the interference phase theta = 2 k |x| of the
 probe point.  :func:`physical_coupling` derives g and k from J, E, m and
-hbar; :func:`coefficients` is the one check of g, which must be finite and is
-flagged by a warning when negative.
+hbar; :func:`coefficients` is the one check of g, which must be finite with
+-1.5 g finite, and is flagged by a warning when negative.
 
 Channel couplings are alpha_0 = -3g/2 (singlet) and alpha_1 = +g/2 (triplet),
 giving t = 1 / (1 + i alpha) and r = t - 1.  These satisfy |t|^2 + |r|^2 = 1
@@ -72,12 +72,12 @@ class ScatteringCoefficients:
 def coefficients(g: float) -> ScatteringCoefficients:
     """Channel amplitudes t_i = 1/(1 + i alpha_i), r_i = t_i - 1, at coupling g.
 
-    g must be finite; a negative g is flagged by a warning that names the
-    caller's line.
+    g must be finite, and so must alpha_0 = -1.5 g (|g| below about 1.2e308);
+    a negative g is flagged by a warning that names the caller's line.
     """
     g = float(g)
-    if not math.isfinite(g):
-        raise ValueError(f"coupling g must be finite, got {g}")
+    if not math.isfinite(1.5 * g):  # a nan or infinite g too
+        raise ValueError(f"coupling g must be finite, and so must alpha_0 = -1.5 g, got {g}")
     if g < 0:
         warnings.warn(
             "attractive coupling (g < 0): formulas remain valid but unitarity "

@@ -55,6 +55,9 @@ COUNTER_C = {"c11": 1, "c12": 0, "c13": 0, "c22": 1, "c23": 0, "c33": -1}
 RANK1_C = {"c11": 1, "c12": -0.5, "c13": 0.25, "c22": 0.25, "c23": -0.125, "c33": 0.0625}
 
 
+# the refusal of a coupling g = 1.7e308, whose alpha_0 = -1.5 g overflows
+ALPHA0_OVERFLOWS = "error: coupling g must be finite, and so must alpha_0 = -1.5 g, got 1.7e+308\n"
+
 SIMULATE_ARGS = ("--g", "2", "--shots", "1000", "--exposure", "0.01", "--calibration", "1.0",
                  "--seed", "3", "--out", "r")
 
@@ -131,6 +134,13 @@ class TestCoeffs:
         assert out == ""
         assert "finite" in err
 
+    @pytest.mark.parametrize("output", ["text", "csv", "json"])
+    def test_coupling_whose_alpha0_overflows(self, capsys, output):
+        # alpha_0 = -1.5 g overflowed: text and csv printed t0 = nan with exit 0, and json
+        # exited 2 naming only the nan
+        code, out, err = run_cli(capsys, "coeffs", "--g", "1.7e308", "--output", output)
+        assert (code, out, err) == (2, "", ALPHA0_OVERFLOWS)
+
     def test_csv_output(self, capsys):
         code, out, _ = run_cli(capsys, "coeffs", "--g", "2", "--output", "csv")
         assert code == 0
@@ -159,6 +169,12 @@ class TestForward:
         code, _, err = run_cli(capsys, "forward", "--c-file", c_file, "--g", "2")
         assert code == 2
         assert "missing" in err
+
+    def test_coupling_whose_alpha0_overflows(self, capsys, tmp_path):
+        # exited 2 with "SVD did not converge", which names nothing given
+        c_file = write_c_file(tmp_path, IDENTITY_C)
+        code, out, err = run_cli(capsys, "forward", "--c-file", c_file, "--g", "1.7e308")
+        assert (code, out, err) == (2, "", ALPHA0_OVERFLOWS)
 
     @pytest.mark.parametrize("phase", ["nan", "inf"])
     def test_non_finite_phase(self, capsys, tmp_path, phase):
@@ -213,6 +229,11 @@ class TestBuildMatrix:
             capsys, "build-matrix", "--g", "2", "--source", "both", "--output", "csv"
         )
         assert code == 2
+
+    def test_coupling_whose_alpha0_overflows(self, capsys):
+        # exited 2 with "SVD did not converge", which names nothing given
+        code, out, err = run_cli(capsys, "build-matrix", "--g", "1.7e308")
+        assert (code, out, err) == (2, "", ALPHA0_OVERFLOWS)
 
     @pytest.mark.parametrize("phase", ["nan", "inf"])
     def test_non_finite_phase(self, capsys, phase):
@@ -679,6 +700,23 @@ class TestSimulateAndInvert:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and str(run_file) in err and f" {named} " in err
+
+    def test_simulate_and_invert_refuse_an_underflowing_eta_t(self, capsys, tmp_path):
+        # calibration and exposure 1e-200 are each in range, but their product is 0.0:
+        # simulate wrote six zero counts, and invert raised ZeroDivisionError (exit 1)
+        message = ("calibration * exposure must be positive, got 1e-200 * 1e-200, "
+                   "which underflows to 0.0\n")
+        code, out, err = simulate(capsys, tmp_path, "--exposure", "1e-200",
+                                  "--calibration", "1e-200")
+        assert (code, out, err) == (2, "", f"error: {message}")
+        assert not (tmp_path / "r").exists()
+        simulate(capsys, tmp_path)
+        run_file = tmp_path / "r" / "run.json"
+        run = strict_json(run_file.read_text())
+        run["config"].update(exposure=1e-200, calibration=1e-200)
+        run_file.write_text(json.dumps(run))
+        code, out, err = run_cli(capsys, "invert", "--rates", str(run_file), "--g", "2")
+        assert (code, out, err) == (2, "", f"error: {run_file}: {message}")
 
     @pytest.mark.parametrize("truth", [(1.0, 1.0, -0.01), (1.0, 1.0, 1.0)])
     def test_invert_negative_seed(self, capsys, tmp_path, truth):

@@ -51,6 +51,15 @@ class TestConfig:
         with pytest.raises(experiment.ConfigError, match="exposure .*; calibration .*; seed "):
             make_config(exposure=0.0, calibration=0.0, seed=-1)
 
+    @pytest.mark.parametrize("exposure, calibration", [(1e-200, 1e-200), (5e-324, 0.5)])
+    def test_an_underflowing_eta_t_is_refused(self, exposure, calibration):
+        # each is in range, but their product is 0.0, by which estimate divided
+        message = (f"calibration * exposure must be positive, got {calibration!r} * "
+                   f"{exposure!r}, which underflows to 0.0")
+        with pytest.raises(experiment.ConfigError, match=f"^{re.escape(message)}$"):
+            make_config(exposure=exposure, calibration=calibration)
+        assert make_config(exposure=1e-200, calibration=1e-110).exposure == 1e-200  # subnormal
+
     def test_fields_stored_as_python_numbers(self):
         config = make_config(true_c=np.eye(3), g=2, shots_per_channel=np.int64(1000))
         assert config.true_c == KossakowskiMatrix.identity()
@@ -67,7 +76,9 @@ class TestConfig:
                              ids=["below", "above"])
     def test_first_order_guard_at_its_edge(self, side, refused):
         # the largest per-shot probability just below and just above the 0.2 cap
-        exposure = 0.2 / float(make_config().rates().max()) * side
+        base = make_config()
+        rates = probe.forward(base.true_c, coefficients(base.g), base.phase).rates
+        exposure = 0.2 / float(rates.max()) * side
         config = make_config(exposure=exposure)
         if refused:
             with pytest.raises(experiment.ConfigError, match="validity guard 0.2: P0R"):
@@ -202,8 +213,8 @@ class TestRun:
         other = make_config(true_c=KossakowskiMatrix(1.0, 0.0, 0.0, 1.0, 0.1, 1.0))
         run_a = experiment.run(base)
         run_b = experiment.run(other)
-        rates_a = base.rates()
-        rates_b = other.rates()
+        rates_a, rates_b = (probe.forward(c.true_c, coefficients(c.g), c.phase).rates
+                            for c in (base, other))
         same = [i for i in range(6) if abs(rates_a[i] - rates_b[i]) <= 1e-15]
         assert same == [0, 1, 3, 4]
         for i in same:

@@ -10,7 +10,7 @@ from scipy import integrate, stats
 
 from adjudication import bootstrap_referee as referee
 from adjudication import calibrate_cp_test as calibration
-from kossprobe import inversion, probe
+from kossprobe import experiment, inversion, probe
 from kossprobe.experiment import ExperimentConfig, estimate, run
 from kossprobe.kossakowski import InputOverflowError, KossakowskiMatrix, symmetric_from_vector
 from kossprobe.scattering import coefficients
@@ -229,17 +229,11 @@ class TestInvertNoisy:
             inversion.invert_noisy(rates, sigmas, M2)
 
     @pytest.mark.parametrize(
-        "settings",
-        [
-            {"bootstrap": 0}, {"bootstrap": 1}, {"z": -1.0}, {"z": 0.0}, {"z": np.nan}, {"z": np.inf},
-            {"seed": -1}, {"seed": 1.5}, {"bootstrap": 2.5}, {"bootstrap": 1_000_001},
-            {"seed": True}, {"seed": False}, {"bootstrap": True}, {"z": True},
-        ],
+        "settings", [{"z": -1.0}, {"z": 0.0}, {"z": np.nan}, {"z": np.inf}, {"z": True}]
     )
     def test_rejects_bad_verdict_settings(self, settings):
         # indeterminate by default; a degenerate z must not turn it into
-        # not-CP, and it is refused even where the verdict is closed, as are
-        # the bootstrap and seed values refused when they still drew
+        # not-CP, and it is refused even where the verdict is closed
         near = probe.forward(KossakowskiMatrix.diagonal(1.0, 1.0, -0.01), G2).rates
         sigmas = 0.05 * np.ones(6)
         assert inversion.invert_noisy(near, sigmas, M2).cp_verdict == inversion.INDETERMINATE
@@ -252,16 +246,47 @@ class TestInvertNoisy:
         "truth, path", [((1.0, 1.0, -1.0), "delta"), ((1.0, 0.0, -0.01), "cone")]
     )
     def test_bootstrap_and_seed_are_inert(self, truth, path):
-        # kept in the signature, but no path draws: any accepted value gives the
-        # same result
+        # invert_noisy's bootstrap and estimate's seed are kept for the benchmark,
+        # but no path draws and neither is checked: any value, those refused
+        # when they still drew included, gives the default call's result
         rates = probe.forward(KossakowskiMatrix.diagonal(*truth), G2).rates
         sigmas = 0.05 * np.ones(6)
         want = inversion.invert_noisy(rates, sigmas, M2).to_dict()
         assert want["verdict_path"] == path and want["draws"] == 0
-        for settings in (
-            {"bootstrap": 2}, {"bootstrap": inversion.MAX_BOOTSTRAP}, {"seed": 7}, {"seed": 2**70},
-        ):
-            assert inversion.invert_noisy(rates, sigmas, M2, **settings).to_dict() == want
+        experiment_run = run(ExperimentConfig(
+            true_c=KossakowskiMatrix.diagonal(*truth), g=2.0, phase=probe.CANONICAL_PHASE,
+            exposure=0.01, calibration=1.0, shots_per_channel=10**6, seed=7,
+        ))
+        want_estimate = estimate(experiment_run, M2).to_dict()
+        for value in (0, 1, 2, True, False, 2.5, -1, 1_000_001, 2**70):
+            assert inversion.invert_noisy(rates, sigmas, M2, bootstrap=value).to_dict() == want
+            assert estimate(experiment_run, M2, seed=value).to_dict() == want_estimate
+
+    def test_benchmark_tracer_binds_the_kept_keywords(self):
+        # perfbench's tracer binds invert_noisy's bootstrap by name on every
+        # non-closed verdict, estimate's call included, which passes none; its
+        # estimate workloads pass estimate a seed
+        from perfbench.tracer import INVERT, Tracer
+
+        rates = probe.forward(KossakowskiMatrix.diagonal(1.0, 0.0, -0.01), G2).rates
+        experiment_run = run(ExperimentConfig(
+            true_c=KossakowskiMatrix.diagonal(1.0, 1.0, -0.5), g=2.0, phase=probe.CANONICAL_PHASE,
+            exposure=0.01, calibration=1.0, shots_per_channel=10**6, seed=7,
+        ))
+        tracer = Tracer()
+        tracer.install()
+        try:
+            cone = inversion.invert_noisy(rates, 0.05 * np.ones(6), M2)
+            # through the module, whose name the tracer rebinds
+            delta = experiment.estimate(experiment_run, M2, seed=7)
+        finally:
+            tracer.uninstall()
+        assert (cone.verdict_path, delta.verdict_path) == (inversion.CONE, inversion.DELTA)
+        spans = [(layer, tag, draws) for _, layer, _, _, _, _, tag, draws in tracer.spans]
+        assert [span for span in spans if span[0] == INVERT] == [
+            (INVERT, "bootstrap", 10_000), (INVERT, "bootstrap", 10_000),
+        ]
+        assert ("experiment.estimate", None, 0) in spans
 
     @pytest.mark.parametrize("truth", [(1.0, 1.0, -1.0), (0.3, 0.7, -0.1), (1e-3, 2.0, -7.3)])
     def test_zero_sigmas_give_zero_margin_sigma(self, truth):
@@ -467,9 +492,9 @@ class TestVerdictPath:
         "truth", [BOUNDARY_TRUTHS[0], (0.0,) * 6], ids=["rank1", "zero"]
     )
     def test_bootstrap_for_degenerate_spectra(self, g, truth):
-        # where the bootstrap ran, a call that still asks for 2000 seeded draws
-        # takes the cone path with none, and gets the default call's result
-        asked = list(estimates_with_spread(g, truth, SMALL_NOISE, 49, bootstrap=2000, seed=5))
+        # where the bootstrap ran, a call that still asks for 2000 draws takes
+        # the cone path with none, and gets the default call's result
+        asked = list(estimates_with_spread(g, truth, SMALL_NOISE, 49, bootstrap=2000))
         default = list(estimates_with_spread(g, truth, SMALL_NOISE, 49))
         assert asked and len(asked) == len(default)
         for (_, result), (_, want) in zip(asked, default):

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -91,10 +92,15 @@ class TestParams:
         with pytest.raises(ValueError, match="wavenumber k must be positive and finite, got 0.0"):
             scattering.physical_coupling(1.0, 2.0, 1.0, hbar=np.inf)
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    # at 1.7e308, alpha_0 = -1.5 g overflowed to -inf, and t0 = r0 = nan
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 1.7e308, -1.7e308])
     def test_non_finite_g_rejected(self, bad):
-        with pytest.raises(ValueError, match="coupling g must be finite"):
+        with pytest.raises(ValueError, match=re.escape(f"alpha_0 = -1.5 g, got {bad}")):
             scattering.coefficients(bad)
+
+    def test_largest_couplings_accepted(self):
+        co = scattering.coefficients(1.19e308)
+        assert all(np.isfinite([co.t0, co.t1, co.r0, co.r1]))
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_k_rejected(self, bad):
