@@ -177,6 +177,48 @@ MUTANTS = (
            "a config whose calibration * exposure underflows to 0.0 is accepted, so estimate "
            "divides by zero",
            "killed by test_an_underflowing_eta_t_is_refused"),
+    Mutant(KOSSAKOWSKI, "if all(map(math.isfinite, x.ravel().tolist())):", "if True:",
+           "a float64 array skips the finiteness test, so a nan or inf rate is accepted",
+           "killed by test_values_and_refusals_are_kept"),
+    Mutant(KOSSAKOWSKI, "x.dtype is _FLOAT64 and x.shape == names.shape:\n        if all(",
+           "x.shape == names.shape:\n        if all(",
+           "any array of the right shape takes the float64 path, so a float32, int or bool "
+           "array is returned unconverted",
+           "killed by test_values_and_refusals_are_kept"),
+    Mutant(KOSSAKOWSKI, "x.dtype is _FLOAT64 and x.shape == names.shape:\n        if all(",
+           "x.dtype is _FLOAT64:\n        if all(",
+           "a float64 array of any shape takes the fast path, so a (6, 1) rate array is "
+           "accepted",
+           "killed by test_values_and_refusals_are_kept"),
+    Mutant(KOSSAKOWSKI, "if all(map(math.isfinite, values)) and min(values) >= 0.0:",
+           "if min(values) >= 0.0:",
+           "a float64 sigma array skips the finiteness test, so a nan or inf sigma is accepted",
+           "killed by test_values_and_refusals_are_kept"),
+    Mutant(KOSSAKOWSKI, "if all(map(math.isfinite, values)) and min(values) >= 0.0:",
+           "if all(map(math.isfinite, values)):",
+           "a float64 sigma array skips the sign test, so a negative sigma is accepted",
+           "killed by test_values_and_refusals_are_kept"),
+    Mutant(KOSSAKOWSKI, "x.dtype is _FLOAT64 and x.shape == names.shape:\n        values",
+           "x.shape == names.shape:\n        values",
+           "any sigma array of the right shape takes the float64 path, so a float32 or int "
+           "array is returned unconverted",
+           "killed by test_values_and_refusals_are_kept"),
+    Mutant(KOSSAKOWSKI, "x.dtype is _FLOAT64 and x.shape == names.shape:\n        values",
+           "x.dtype is _FLOAT64:\n        values",
+           "a float64 sigma array of any shape takes the fast path, so a (6, 1) array is "
+           "accepted",
+           "killed by test_values_and_refusals_are_kept"),
+    Mutant(EXPERIMENT, "p if p >= 0.0 else 0.0)", "p)",
+           "run draws at the unclamped values, so a non-PSD truth's negative rate reaches "
+           "the binomial draw",
+           "killed by test_per_shot_values_are_forwards_rates_bit_for_bit"),
+    Mutant(EXPERIMENT, "if not isinstance(m, ProbeMatrix):", "if False:",
+           "estimate reads g from a plain array, and fails with an AttributeError",
+           "killed by test_a_plain_array_for_m_is_refused"),
+    Mutant(INVERSION, "if not isinstance(m, ProbeMatrix):", "if False:",
+           "invert_noisy reads condition_number from a plain array, and fails with an "
+           "AttributeError",
+           "killed by test_a_plain_array_for_m_is_refused"),
 )
 
 

@@ -49,6 +49,7 @@ from .probe import CHANNELS, ProbeMatrix, ProbeResult
 CONDITION_LIMIT = 1e10
 _CHANNEL_NAMES = np.array(CHANNELS)
 _OVERFLOW = "rates or sigmas too large: the estimate, its covariance, spectrum or residual overflows"
+_NOT_A_PROBE_MATRIX = "m must be a ProbeMatrix, as build_matrix_programmatic returns, got {}"
 
 # lambda_min counts as resolved, and its delta-method spread weighs the
 # evidence, when its gap to the next eigenvalue is at least this many spreads
@@ -364,6 +365,8 @@ def invert_noisy(
     when it does not.  ``bootstrap`` is neither read nor checked (no path
     draws); it stays because the benchmark's ``perfbench/tracer.py`` binds it by name.
     """
+    if not isinstance(m, ProbeMatrix):
+        raise TypeError(_NOT_A_PROBE_MATRIX.format(type(m).__name__))
     if isinstance(rates, ProbeResult):
         rates = rates.rates
     r = _finite_reals(rates, _CHANNEL_NAMES, "rates")

@@ -58,6 +58,7 @@ _PARAM_OF_ENTRY[_ROWS, _COLS] = _PARAM_OF_ENTRY[_COLS, _ROWS] = np.arange(6)
 # The six symmetric unit couplings: _UNITS[b] is the C of the b-th parameter alone,
 # its off-diagonal units carrying both mirror entries.
 _UNITS = np.eye(6)[:, _PARAM_OF_ENTRY]
+_FLOAT64 = np.dtype(np.float64)  # numpy's one native float64 dtype, tested by identity
 
 _SIGMA = np.array([pauli(i) for i in (1, 2, 3)])
 _PARAM_NAMES = np.array(PARAM_ORDER)
@@ -304,9 +305,12 @@ def _is_integer(x) -> bool:
 
 
 def _finite_reals(x, names: np.ndarray, what: str) -> np.ndarray:
-    """``x`` as floats of the shape of ``names``, which name its entries.  A numeric ndarray
-    takes one finiteness test; a list, or any other array, is judged entry by entry, since
-    ``np.asarray`` reads True as 1 (and a complex entry is not real)."""
+    """``x`` as floats of the shape of ``names``, which name its entries.  An exact float64
+    ndarray takes one pass, another numeric one a conversion first; a list, or any other
+    array, is judged entry by entry, as ``np.asarray`` reads True as 1 (and complex is not real)."""
+    if type(x) is np.ndarray and x.dtype is _FLOAT64 and x.shape == names.shape:
+        if all(map(math.isfinite, x.ravel().tolist())):
+            return x
     a = x if isinstance(x, np.ndarray) else np.array(x, dtype=object)
     if a.shape != names.shape:
         raise ValueError(f"{what} must have shape {'x'.join(map(str, names.shape))}, got {a.shape}")
@@ -326,6 +330,10 @@ def _finite_reals(x, names: np.ndarray, what: str) -> np.ndarray:
 def _nonnegative_reals(x, names: np.ndarray, what: str) -> np.ndarray:
     """``_finite_reals`` of ``x``, refused when an entry is negative; the refusal
     names each negative entry (-0.0 is not one)."""
+    if type(x) is np.ndarray and x.dtype is _FLOAT64 and x.shape == names.shape:
+        values = x.ravel().tolist()
+        if all(map(math.isfinite, values)) and min(values) >= 0.0:
+            return x
     a = _finite_reals(x, names, what)
     if min(a.ravel().tolist()) < 0.0:
         negative = {n: v for n, v in zip(names.ravel().tolist(), a.ravel().tolist()) if v < 0.0}

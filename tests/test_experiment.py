@@ -14,6 +14,11 @@ from kossprobe.kossakowski import KossakowskiMatrix
 from kossprobe.scattering import coefficients
 
 
+def bits(xs) -> list[str]:
+    """Each number as ``float.hex``, so that equal lists agree bit for bit."""
+    return [float(x).hex() for x in xs]
+
+
 def make_config(**overrides):
     defaults = dict(
         true_c=KossakowskiMatrix.identity(),
@@ -138,6 +143,29 @@ class TestConfig:
         assert np.allclose(unclamped[:3], 0.016, atol=1e-12)
         assert np.allclose(unclamped[3:], 0.040, atol=1e-12)
         assert np.array_equal(p, unclamped)
+
+    @pytest.mark.parametrize(
+        "truth, g, phase",
+        [((1.0, 0.8, 0.6), g, phase) for g in (0.3, 2.0, 6.0)
+         for phase in (np.pi / 2, 0.9, 7 * np.pi / 4)]
+        + [((1.0, 1.0, -1.0), 2.0, probe.CANONICAL_PHASE), ((1.0, 1.0, -1.0), 6.0, 0.9),
+           ((0.0, 0.0, 0.0), 2.0, probe.CANONICAL_PHASE)],
+    )
+    def test_per_shot_values_are_forwards_rates_bit_for_bit(self, truth, g, phase):
+        # the per-shot model reads the memoised M, not forward: the same product, so the
+        # same bits, and run draws numpy's own spawned streams at the clamped values
+        config = make_config(true_c=KossakowskiMatrix.diagonal(*truth), g=g, phase=phase,
+                             calibration=0.8, shots_per_channel=10**9, seed=11)
+        want = 0.8 * 0.01 * probe.forward(config.true_c, coefficients(g), phase).rates
+        p, unclamped = config.per_shot_probabilities()
+        assert bits(unclamped) == bits(want)
+        assert bits(p) == bits(want.clip(0.0, 1.0))
+        out = experiment.run(config)
+        clamped = tuple(label for label, q in zip(probe.CHANNELS, want) if q < 0.0)
+        assert out.flagged_channels == clamped and bool(clamped) == (truth[2] < 0.0)
+        assert out.detections == tuple(
+            int(rng.binomial(10**9, q)) for rng, q in zip(referee_generators(11), p)
+        )
 
 
 class TestRun:

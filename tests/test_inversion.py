@@ -262,6 +262,22 @@ class TestInvertNoisy:
             assert inversion.invert_noisy(rates, sigmas, M2, bootstrap=value).to_dict() == want
             assert estimate(experiment_run, M2, seed=value).to_dict() == want_estimate
 
+    @pytest.mark.parametrize("call", ["invert_noisy", "estimate"])
+    def test_a_plain_array_for_m_is_refused(self, call):
+        # M's array in place of its ProbeMatrix failed with an AttributeError on
+        # condition_number or g
+        config = ExperimentConfig(
+            true_c=KossakowskiMatrix.identity(), g=2.0, phase=probe.CANONICAL_PHASE,
+            exposure=0.01, calibration=1.0, shots_per_channel=10**6, seed=7,
+        )
+        rates = probe.forward(config.true_c, G2).rates
+        refused = {"invert_noisy": lambda m: inversion.invert_noisy(rates, np.zeros(6), m),
+                   "estimate": lambda m: estimate(run(config), m)}[call]
+        with pytest.raises(TypeError, match=re.escape(
+                "m must be a ProbeMatrix, as build_matrix_programmatic returns, got ndarray")):
+            refused(M2.matrix)
+        assert refused(M2).cp_verdict == inversion.CP
+
     def test_benchmark_tracer_binds_the_kept_keywords(self):
         # perfbench's tracer binds invert_noisy's bootstrap by name on every
         # non-closed verdict, estimate's call included, which passes none; its

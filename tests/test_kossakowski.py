@@ -546,3 +546,74 @@ class TestDecompositionsAreNumpys:
             with pytest.raises(np.linalg.LinAlgError):
                 km._inv(np.zeros((6, 6)))
             assert (np.geterr(), np.geterrcall()) == before
+
+
+_BASE = [0.5, 0.25, 1.0, 2.0, 0.125, 3.0]
+
+
+def _with(index, value):
+    a = np.array(_BASE)
+    a[index] = value
+    return a
+
+
+def _matrix(values):
+    with warnings.catch_warnings():  # numpy's PendingDeprecationWarning for np.matrix
+        warnings.simplefilter("ignore", PendingDeprecationWarning)
+        return np.matrix(values)
+
+
+_FINITE = "{} must be finite, got {}"
+_SHAPE = "{} must have shape 6, got {}"
+
+
+class TestFloat64FastPath:
+    """An exact float64 array of the right shape is checked in one pass; every other input
+    keeps its conversion and its refusal.  The expected values and messages are those of
+    the validators before the fast path: (input, rates' outcome, sigmas' outcome), each a
+    message or the accepted floats."""
+
+    CASES = {
+        "nan": (_with(2, np.nan), _FINITE.format("rates", "{'P2T': nan}"),
+                _FINITE.format("sigmas", "{'P2T': nan}")),
+        "inf": (_with(0, np.inf), _FINITE.format("rates", "{'P0T': inf}"),
+                _FINITE.format("sigmas", "{'P0T': inf}")),
+        "-inf": (_with(5, -np.inf), _FINITE.format("rates", "{'P2R': -inf}"),
+                 _FINITE.format("sigmas", "{'P2R': -inf}")),
+        "tiny-negative": (_with(3, -1e-300), [0.5, 0.25, 1.0, -1e-300, 0.125, 3.0],
+                          "sigmas must be nonnegative, got {'P0R': -1e-300}"),
+        "negative-zero": (_with(1, -0.0), [0.5, -0.0, 1.0, 2.0, 0.125, 3.0],
+                          [0.5, -0.0, 1.0, 2.0, 0.125, 3.0]),
+        "shape-6x1": (np.array(_BASE).reshape(6, 1), _SHAPE.format("rates", "(6, 1)"),
+                      _SHAPE.format("sigmas", "(6, 1)")),
+        "shape-5": (np.array(_BASE[:5]), _SHAPE.format("rates", "(5,)"),
+                    _SHAPE.format("sigmas", "(5,)")),
+        "shape-1x6": (np.array(_BASE).reshape(1, 6), _SHAPE.format("rates", "(1, 6)"),
+                      _SHAPE.format("sigmas", "(1, 6)")),
+        "float32": (np.array(_BASE, dtype=np.float32), _BASE, _BASE),
+        "int64": (np.arange(1, 7), [1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),
+        "bool": (np.ones(6, dtype=bool),
+                 _FINITE.format("rates", {name: True for name in probe.CHANNELS}),
+                 _FINITE.format("sigmas", {name: True for name in probe.CHANNELS})),
+        "complex": (np.array(_BASE, dtype=complex), _BASE, _BASE),
+        "object": (np.array(_BASE, dtype=object), _BASE, _BASE),
+        "matrix": (_matrix(_BASE), _SHAPE.format("rates", "(1, 6)"),
+                   _SHAPE.format("sigmas", "(1, 6)")),
+        "strided": (np.arange(12.0)[::2], [0.0, 2.0, 4.0, 6.0, 8.0, 10.0],
+                    [0.0, 2.0, 4.0, 6.0, 8.0, 10.0]),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("what", ["rates", "sigmas"])
+    def test_values_and_refusals_are_kept(self, case, what):
+        x, *outcomes = self.CASES[case]
+        want = outcomes[what == "sigmas"]
+        check = km._finite_reals if what == "rates" else km._nonnegative_reals
+        if isinstance(want, str):
+            with pytest.raises(ValueError) as excinfo:
+                check(x, inversion._CHANNEL_NAMES, what)
+            assert str(excinfo.value) == want
+        else:
+            got = check(x, inversion._CHANNEL_NAMES, what)
+            assert type(got) is np.ndarray and got.dtype == np.float64 and got.shape == (6,)
+            assert bits(got) == bits(want)
