@@ -12,8 +12,8 @@ found), so a mutant that another test kills is still killed, and reported
 with its killer's name.  The script prints each outcome, the survivors and
 the mutants killed by another test than the named one, and exits 1 when a
 mutant expected to be killed survives, or when an old text is not found
-exactly once.  It is not part of Tier-1: a pass takes about a minute on two
-cores.  A change that adds a constant or a branch adds its mutant here.
+exactly once.  It is not part of Tier-1: a pass takes about two minutes on
+two cores.  A change that adds a constant or a branch adds its mutant here.
 """
 
 from __future__ import annotations
@@ -81,9 +81,18 @@ MUTANTS = (
     Mutant(EXPERIMENT, "MAX_PER_SHOT_PROBABILITY = 0.2", "MAX_PER_SHOT_PROBABILITY = 0.3",
            "the first-order guard admits per-shot probabilities up to 0.3",
            "killed by test_first_order_guard_at_its_edge"),
-    Mutant(INVERSION, "CONDITION_LIMIT = 1e10", "CONDITION_LIMIT = 1e12",
+    Mutant(PROBE, "CONDITION_LIMIT = 1e10", "CONDITION_LIMIT = 1e12",
            "an M of condition number up to 1e12 is inverted, not refused",
            "killed by test_condition_limit_at_its_edge"),
+    Mutant(PROBE, "<= CONDITION_LIMIT:", "< CONDITION_LIMIT:",
+           "an M of condition number exactly 1e10 is refused, not inverted",
+           "killed by test_condition_limit_at_its_edge"),
+    Mutant(PROBE, "if condition_number <= CONDITION_LIMIT:", "if True:",
+           "every M is inverted, a singular one too, so building it can fail",
+           "killed by test_singular_matrix_is_refused_uninverted"),
+    Mutant(INVERSION, "if m_inv is None:", "if False:",
+           "an uninverted M is not refused, and invert_noisy fails with a TypeError",
+           "killed by test_singular_matrix_is_refused_uninverted"),
     Mutant(INVERSION, "top_gap >= r2 and top_gap >= r4", "(top_gap >= r2 or top_gap >= r4)",
            "the block test runs when only one coupling to the top is resolved",
            "killed by test_block_needs_both_couplings_to_the_top_resolved"),
@@ -140,10 +149,6 @@ MUTANTS = (
     Mutant(SCATTERING, '"r0": r0, "r1": r1', '"r0": r1, "r1": r0',
            "ScatteringCoefficients stores each channel's reflection amplitude under the other's name",
            "killed by test_criterion_01_unitarity_and_coefficient_identities"),
-    Mutant(PROBE, "value = instance.__dict__[self.name] = self.compute(instance)",
-           "value = self.compute(instance)",
-           "det and inverse are computed at every read, not once per ProbeMatrix",
-           "killed by test_inverse_is_numpys_and_read_only"),
     Mutant(PROBE, "        matrix.setflags(write=False)\n", "",
            "a ProbeMatrix leaves M writeable, so a caller can change the memo's shared M",
            "killed by test_returns_read_only_matrix"),

@@ -44,9 +44,8 @@ import numpy as np
 from .kossakowski import (_COLS, _PARAM_OF_ENTRY, _ROWS, _UNITS, InputOverflowError,
                           KossakowskiMatrix, _eigh, _finite_reals, _is_finite_number,
                           _nonnegative_reals, rounding_tolerance)
-from .probe import CHANNELS, ProbeMatrix, ProbeResult
+from .probe import CHANNELS, CONDITION_LIMIT, ProbeMatrix, ProbeResult
 
-CONDITION_LIMIT = 1e10
 _CHANNEL_NAMES = np.array(CHANNELS)
 _OVERFLOW = "rates or sigmas too large: the estimate, its covariance, spectrum or residual overflows"
 _NOT_A_PROBE_MATRIX = "m must be a ProbeMatrix, as build_matrix_programmatic returns, got {}"
@@ -350,11 +349,10 @@ def invert_noisy(
     ``rates`` and ``sigmas`` are six finite real numbers each, the sigmas
     per-channel one-sigma rate uncertainties (zero allowed; all zero gives the
     plain solve of M c = rates, refusals included).  The
-    covariance of the estimate is M^-1 diag(sigma^2) M^-T.  Refuses an
-    ill-conditioned M (condition number beyond ``CONDITION_LIMIT``) instead
-    of returning garbage, before M is inverted: M is inverted once per
-    :class:`ProbeMatrix` (``m.inverse``), so the runs estimated with one M
-    share its inverse.  Refuses, as an ``InputOverflowError``, rates or
+    covariance of the estimate is M^-1 diag(sigma^2) M^-T, with M^-1 the
+    :class:`ProbeMatrix`'s own ``m.inverse``; an M it left uninverted
+    (condition number beyond ``CONDITION_LIMIT``) is refused instead of
+    returning garbage.  Refuses, as an ``InputOverflowError``, rates or
     sigmas so large that the estimate, its covariance, the spectrum or the
     residual overflows.  One ``eigh`` of the estimate gives the margin and the frame in
     which the evidence is weighed.  Verdict: CP when the smallest eigenvalue is
@@ -373,10 +371,10 @@ def invert_noisy(
     s = _nonnegative_reals(sigmas, _CHANNEL_NAMES, "sigmas")
     if not (_is_finite_number(z) and z > 0.0):
         raise ValueError(f"z must be positive and finite, got {z!r}")
-    if not math.isfinite(m.condition_number) or m.condition_number > CONDITION_LIMIT:
+    m_inv = m.inverse
+    if m_inv is None:
         raise SingularProbeMatrixError(m.det, m.condition_number)
 
-    m_inv = m.inverse
     c_vec = m_inv @ r
     covariance = (m_inv * s**2) @ m_inv.T
     entries = c_vec.tolist()

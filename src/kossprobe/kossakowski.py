@@ -306,12 +306,13 @@ def _is_integer(x) -> bool:
 
 def _finite_reals(x, names: np.ndarray, what: str) -> np.ndarray:
     """``x`` as floats of the shape of ``names``, which name its entries.  An exact float64
-    ndarray takes one pass, another numeric one a conversion first; a list, or any other
-    array, is judged entry by entry, as ``np.asarray`` reads True as 1 (and complex is not real)."""
+    ndarray takes one pass, another numeric one a conversion first (an ndarray subclass,
+    such as np.matrix, as its base ndarray); a list, or any other array, is judged entry by
+    entry, as ``np.asarray`` reads True as 1 (and complex is not real)."""
     if type(x) is np.ndarray and x.dtype is _FLOAT64 and x.shape == names.shape:
         if all(map(math.isfinite, x.ravel().tolist())):
             return x
-    a = x if isinstance(x, np.ndarray) else np.array(x, dtype=object)
+    a = np.asarray(x) if isinstance(x, np.ndarray) else np.array(x, dtype=object)
     if a.shape != names.shape:
         raise ValueError(f"{what} must have shape {'x'.join(map(str, names.shape))}, got {a.shape}")
     if a.dtype.kind in "fiu" or a.dtype.kind == "c" and not a.imag.any():

@@ -26,8 +26,8 @@ and a (g, theta) pair reduces to the real 6x6 rate matrix
 M[r, b] = Re w_s^H K[f, b] w_s, one row per channel, free of any
 hand-transcribed coefficient.  One read-only :class:`ProbeMatrix` is built
 per (coefficients, phase) and kept in a memo of ``_MEMO_SIZE`` pairs:
-``build_matrix_programmatic`` returns it, so its determinant, condition
-number and inverse are computed once per pair, and ``forward`` (M times the
+``build_matrix_programmatic`` returns it, so its condition number and
+inverse are computed once per pair, and ``forward`` (M times the
 parameter vector) and ``probability_rate`` (one row of it) read its matrix.
 M's singular values, inverse and determinant are np.linalg's, bit for bit,
 from the LAPACK gufuncs that :mod:`kossprobe.kossakowski` calls directly.
@@ -57,6 +57,8 @@ CHANNELS = ("P0T", "P1T", "P2T", "P0R", "P1R", "P2R")
 SIDES = ("transmitted", "reflected")
 # Two constructions of M agree where their entries differ by at most this.
 AGREEMENT_TOL = 1e-12
+# An M of a larger condition number is not inverted: the inversion refuses it.
+CONDITION_LIMIT = 1e10
 
 # The Pauli frame of each probe basis's impurity rotation, built once at import.
 _FRAMES = {label: pauli_frame(basis(label).impurity_rotation) for label in BASIS_LABELS}
@@ -105,45 +107,18 @@ class ProbeResult:
         return {label: float(r) for label, r in zip(CHANNELS, self.rates)}
 
 
-class _KeptOnFirstRead:
-    """An attribute computed from its instance on the first read and kept in the
-    instance dict, where every later read finds it first, since this descriptor
-    defines no ``__set__``.  functools.cached_property does the same, but takes a
-    lock on every first read on Python 3.11; two threads that read it first at
-    once may each compute it here, and one equal value is kept."""
-
-    def __init__(self, compute) -> None:
-        self.compute = compute
-
-    def __set_name__(self, owner, name: str) -> None:
-        self.name = name
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = instance.__dict__[self.name] = self.compute(instance)
-        return value
-
-
-def _read_only_inverse(m: "ProbeMatrix") -> np.ndarray:
-    inverse = _inv(m.matrix)
-    inverse.setflags(write=False)
-    return inverse
-
-
 @dataclass(frozen=True, init=False)
 class ProbeMatrix:
-    """The 6x6 rate matrix with its determinant and condition number.
+    """The 6x6 rate matrix with its condition number and inverse.
 
     Columns follow the coupling-vector order (c11, c12, c13, c22, c23, c33),
     rows the channel order of :class:`ProbeResult`.  Invariant: ``matrix`` is
-    read-only, and ``det`` and ``condition_number`` are derived from it here,
-    never passed in, so the inversion's singularity guard reads M itself:
-    ``condition_number`` is s_max / s_min, as np.linalg.cond (inf when s_min is 0,
-    null in ``to_dict``, as JSON has no infinity), ``det`` is computed on first
-    read, as only ``to_dict`` and the singular refusal read it, and ``inverse``
-    is M^-1, read-only, computed on first use, once M has passed that guard;
-    both are kept.
+    read-only, and ``condition_number`` and ``inverse`` are derived from it
+    here, never passed in: ``condition_number`` is s_max / s_min, as
+    np.linalg.cond (inf when s_min is 0, null in ``to_dict``, as JSON has no
+    infinity), and ``inverse`` is M^-1, read-only, when the condition number is
+    at most ``CONDITION_LIMIT``, and None otherwise, so an ill-conditioned M is
+    never inverted.  ``inverse`` is not a field: ``==`` and ``repr`` ignore it.
     ``build_matrix_programmatic`` returns one shared instance per (coefficients,
     phase): its ``phase`` is the float key, and its ``g`` and ``phase`` keep the
     signs of the first caller's +-0.0.
@@ -158,14 +133,21 @@ class ProbeMatrix:
     def __init__(self, matrix: np.ndarray, g: float, phase: float, source: str) -> None:
         matrix.setflags(write=False)
         s = _singular_values(matrix).tolist()
+        condition_number = s[0] / s[-1] if s[-1] else math.inf
+        inverse = None
+        if condition_number <= CONDITION_LIMIT:
+            inverse = _inv(matrix)
+            inverse.setflags(write=False)
         # one write of the instance dict, in place of a frozen __setattr__ per field
         object.__setattr__(self, "__dict__", {
             "matrix": matrix, "g": g, "phase": phase, "source": source,
-            "condition_number": s[0] / s[-1] if s[-1] else math.inf,
+            "condition_number": condition_number, "inverse": inverse,
         })
 
-    det = _KeptOnFirstRead(lambda m: float(_det(m.matrix)))
-    inverse = _KeptOnFirstRead(_read_only_inverse)
+    @property
+    def det(self) -> float:
+        """det M, as np.linalg.det, computed at each read."""
+        return float(_det(self.matrix))
 
     def to_dict(self) -> dict:
         return {

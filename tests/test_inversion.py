@@ -105,13 +105,17 @@ class TestInvertExact:
         assert excinfo.value.condition_number > inversion.CONDITION_LIMIT
         assert abs(excinfo.value.det) <= 1e-12
 
-    @pytest.mark.parametrize("side, refused", [(1.0 - 1e-9, False), (1.0 + 1e-9, True)],
-                             ids=["below", "above"])
+    @pytest.mark.parametrize("side, refused",
+                             [(1.0 - 1e-9, False), (1.0, False), (1.0 + 1e-9, True)],
+                             ids=["below", "at", "above"])
     def test_condition_limit_at_its_edge(self, side, refused):
-        # a condition number just below and just above 1e10
+        # a condition number just below, exactly at and just above 1e10
         matrix = np.diag([1.0] * 5 + [1.0 / (1e10 * side)])
         m = probe.ProbeMatrix(matrix, 2.0, probe.CANONICAL_PHASE, "hand-built")
         assert (m.condition_number > 1e10) is refused
+        assert (m.inverse is None) is refused
+        if side == 1.0:
+            assert m.condition_number == 1e10
         if refused:
             with pytest.raises(inversion.SingularProbeMatrixError, match="exceeds 1e\\+10"):
                 solve(np.ones(6), m)
@@ -370,11 +374,16 @@ class TestOneInversionPerProbeMatrix:
         with pytest.raises(inversion.SingularProbeMatrixError, match=f"det = {det:.6g},"):
             inversion.invert_noisy(rates, np.zeros(6), singular)
 
-    def test_singular_matrix_is_refused_uninverted(self):
-        m = probe.build_matrix_programmatic(G2, 0.0)
+    def test_singular_matrix_is_refused_uninverted(self, monkeypatch):
+        def no_inv(a):
+            raise AssertionError("inv called")
+
+        monkeypatch.setattr(probe, "_inv", no_inv)
+        # a fresh M, past the memo, which may already hold this pair
+        m = probe._probe_matrix.__wrapped__(G2, 0.0)
+        assert m.inverse is None
         with pytest.raises(inversion.SingularProbeMatrixError):
             inversion.invert_noisy(np.ones(6), np.zeros(6), m)
-        assert "inverse" not in vars(m)
 
     @pytest.mark.parametrize("truth, path", [
         ((0.8, 0.1, -0.2, 0.5, 0.05, 0.3), inversion.CLOSED),

@@ -176,6 +176,13 @@ class TestKossakowskiMatrix:
         v = km.KossakowskiMatrix.from_matrix(a).vector
         assert km.KossakowskiMatrix.from_vector(v.astype(complex)) == km.KossakowskiMatrix.from_vector(v)
 
+    def test_an_ndarray_subclass_is_read_as_its_base_array(self):
+        # an np.matrix's ravel().tolist() is nested, so only its base ndarray lists its entries
+        a = random_symmetric(np.random.default_rng(3))
+        assert km.KossakowskiMatrix.from_matrix(a.view(np.matrix)) == km.KossakowskiMatrix.from_matrix(a)
+        with pytest.raises(ValueError, match=re.escape("finite, got {'c33': nan}")):
+            km.KossakowskiMatrix.from_matrix(np.diag([1.0, 1.0, np.nan]).view(np.matrix))
+
     def test_from_dict_rejects_non_object(self):
         for bad in (5, [1.0] * 6, None):
             with pytest.raises(ValueError, match="object"):
@@ -532,12 +539,10 @@ class TestDecompositionsAreNumpys:
         assert str(refusal.value) == str(want.value)
 
     def test_inverse_of_a_singular_probe_matrix_is_refused(self):
-        m = probe.ProbeMatrix(np.diag([3.0, 1.0, 1.0, 1.0, 1.0, 0.0]), 1.0, 0.0, "hand-built")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
-                m.inverse
-        assert "inverse" not in vars(m)
+            m = probe.ProbeMatrix(np.diag([3.0, 1.0, 1.0, 1.0, 1.0, 0.0]), 1.0, 0.0, "hand-built")
+        assert m.inverse is None
 
     def test_the_callers_error_state_is_kept(self):
         with np.errstate(invalid="raise", over="warn"):
