@@ -45,7 +45,7 @@ class Mutant(NamedTuple):
 
 INVERSION, KOSSAKOWSKI = "src/kossprobe/inversion.py", "src/kossprobe/kossakowski.py"
 EXPERIMENT, PROBE = "src/kossprobe/experiment.py", "src/kossprobe/probe.py"
-SCATTERING = "src/kossprobe/scattering.py"
+SCATTERING, SPIN = "src/kossprobe/scattering.py", "src/kossprobe/spin.py"
 
 MUTANTS = (
     Mutant(INVERSION, "RESOLVED_GAP = 10.0", "RESOLVED_GAP = 6.0",
@@ -195,23 +195,8 @@ MUTANTS = (
            "a float64 array of any shape takes the fast path, so a (6, 1) rate array is "
            "accepted",
            "killed by test_values_and_refusals_are_kept"),
-    Mutant(KOSSAKOWSKI, "if all(map(math.isfinite, values)) and min(values) >= 0.0:",
-           "if min(values) >= 0.0:",
-           "a float64 sigma array skips the finiteness test, so a nan or inf sigma is accepted",
-           "killed by test_values_and_refusals_are_kept"),
-    Mutant(KOSSAKOWSKI, "if all(map(math.isfinite, values)) and min(values) >= 0.0:",
-           "if all(map(math.isfinite, values)):",
-           "a float64 sigma array skips the sign test, so a negative sigma is accepted",
-           "killed by test_values_and_refusals_are_kept"),
-    Mutant(KOSSAKOWSKI, "x.dtype is _FLOAT64 and x.shape == names.shape:\n        values",
-           "x.shape == names.shape:\n        values",
-           "any sigma array of the right shape takes the float64 path, so a float32 or int "
-           "array is returned unconverted",
-           "killed by test_values_and_refusals_are_kept"),
-    Mutant(KOSSAKOWSKI, "x.dtype is _FLOAT64 and x.shape == names.shape:\n        values",
-           "x.dtype is _FLOAT64:\n        values",
-           "a float64 sigma array of any shape takes the fast path, so a (6, 1) array is "
-           "accepted",
+    Mutant(KOSSAKOWSKI, "if min(a.ravel().tolist()) < 0.0:", "if False:",
+           "the sigma sign test is dropped, so a negative sigma is accepted",
            "killed by test_values_and_refusals_are_kept"),
     Mutant(EXPERIMENT, "p if p >= 0.0 else 0.0)", "p)",
            "run draws at the unclamped values, so a non-PSD truth's negative rate reaches "
@@ -224,6 +209,15 @@ MUTANTS = (
            "invert_noisy reads condition_number from a plain array, and fails with an "
            "AttributeError",
            "killed by test_a_plain_array_for_m_is_refused"),
+    Mutant(SCATTERING, "if isinstance(g, _NOT_NUMBERS):", "if False:",
+           "a string or a bool is read as a coupling: coefficients(True).g == 1.0",
+           "killed by test_a_string_or_a_bool_is_not_a_coupling"),
+    Mutant(PROBE, "if isinstance(phase, _NOT_NUMBERS):", "if False:",
+           "a bool is read as a probe phase of 0 or 1 rad, and a string fails with a TypeError",
+           "killed by test_a_string_or_a_bool_is_not_a_phase"),
+    Mutant(SPIN, "if not deviation <= 1e-12:", "if False:",
+           "pauli_frame reads a non-unitary u as a frame, so O is not orthogonal",
+           "killed by test_pauli_frame_refuses_a_non_unitary_u"),
 )
 
 

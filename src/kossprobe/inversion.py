@@ -137,19 +137,7 @@ class InversionResult:
         return np.sqrt(np.clip(np.diag(self.covariance), 0.0, None))
 
     def to_dict(self) -> dict:
-        return {
-            "c_hat": self.c_hat.to_dict(),
-            "covariance": [[float(x) for x in row] for row in self.covariance],
-            "residual_norm": self.residual_norm,
-            "cp_verdict": self.cp_verdict,
-            "margin": self.margin,
-            "margin_sigma": self.margin_sigma,
-            "condition_number": self.condition_number,
-            "verdict_path": self.verdict_path,
-            "draws": self.draws,
-            "p_value": self.p_value,
-            "cone_statistic": self.cone_statistic,
-        }
+        return {**vars(self), "c_hat": self.c_hat.to_dict(), "covariance": self.covariance.tolist()}
 
 
 def _chi2_tail(k: int, t: float) -> float:

@@ -23,9 +23,10 @@ forms.  ``d_tilde`` takes its coupling matrix already expressed in a probe
 frame; :mod:`kossprobe.probe` evaluates it once per symmetric unit coupling
 and frame, at import, and builds every rate from that constant kernel.
 Every outside array (C, its parameters, rates, sigmas) becomes floats through
-``_finite_reals``, which names each entry that is not a finite real number,
-and sigmas through ``_nonnegative_reals``, which also names each negative
-one; a refusal quotes a value through ``_shown``, which bounds its length.
+``_finite_reals``, which names each entry that is not a finite real number;
+sigmas then take ``_nonnegative_reals``' one sign test, which names each
+negative one.  A refusal quotes a value through ``_shown``, which bounds its
+length.
 Every real ``eigh``, singular-value, inverse and determinant in the library
 runs through ``_eigh``, ``_singular_values``, ``_inv`` and ``_det``, which
 call the LAPACK gufunc that ``np.linalg`` calls, in float64 and under its
@@ -299,8 +300,8 @@ def _is_finite_number(x) -> bool:
 
 
 def _is_integer(x) -> bool:
-    # a bool is not a count, a draw count or a seed here; numpy integers are; an int skips
-    # the (slow) abstract-class check
+    # a bool is not a shot count, a detection count or a seed here; numpy integers are; an
+    # int skips the (slow) abstract-class check
     return type(x) is int or (isinstance(x, numbers.Integral) and not isinstance(x, bool))
 
 
@@ -331,10 +332,6 @@ def _finite_reals(x, names: np.ndarray, what: str) -> np.ndarray:
 def _nonnegative_reals(x, names: np.ndarray, what: str) -> np.ndarray:
     """``_finite_reals`` of ``x``, refused when an entry is negative; the refusal
     names each negative entry (-0.0 is not one)."""
-    if type(x) is np.ndarray and x.dtype is _FLOAT64 and x.shape == names.shape:
-        values = x.ravel().tolist()
-        if all(map(math.isfinite, values)) and min(values) >= 0.0:
-            return x
     a = _finite_reals(x, names, what)
     if min(a.ravel().tolist()) < 0.0:
         negative = {n: v for n, v in zip(names.ravel().tolist(), a.ravel().tolist()) if v < 0.0}

@@ -48,9 +48,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kossakowski import (PARAM_ORDER, _UNITS, _det, _inv, _singular_values, as_kossakowski,
-                          d_tilde)
-from .scattering import CANONICAL_PHASE, ScatteringCoefficients, probe_amplitudes
+from .kossakowski import (PARAM_ORDER, _UNITS, _det, _inv, _shown, _singular_values,
+                          as_kossakowski, d_tilde)
+from .scattering import CANONICAL_PHASE, _NOT_NUMBERS, ScatteringCoefficients, probe_amplitudes
 from .spin import BASIS_LABELS, basis, pauli_frame
 
 CHANNELS = ("P0T", "P1T", "P2T", "P0R", "P1R", "P2R")
@@ -164,7 +164,9 @@ class ProbeMatrix:
 
 def _finite_phase(phase) -> float:
     """The phase as the float that keys the memo; checked first, since a NaN key
-    never matches and an array is not hashable."""
+    never matches and an array is not hashable.  A string or a bool is refused."""
+    if isinstance(phase, _NOT_NUMBERS):
+        raise ValueError(f"probe phase must be a real number, got {_shown(phase)}")
     if not math.isfinite(phase):
         raise ValueError(f"probe phase must be finite, got {phase}")
     return float(phase)
@@ -287,17 +289,3 @@ def compare_matrices(reference: ProbeMatrix, other: ProbeMatrix) -> dict:
         "agrees": not entries,
     }
 
-
-__all__ = [
-    "CHANNELS",
-    "SIDES",
-    "CANONICAL_PHASE",
-    "ProbeResult",
-    "ProbeMatrix",
-    "probability_rate",
-    "forward",
-    "build_matrix_programmatic",
-    "build_matrix_appendix",
-    "appendix_coefficients",
-    "compare_matrices",
-]

@@ -10,8 +10,9 @@ on one dimensionless coupling
 with rho(E) the linear density of states of the wire at the scattering energy,
 plus, on the reflected side, the interference phase theta = 2 k |x| of the
 probe point.  :func:`physical_coupling` derives g and k from J, E, m and
-hbar; :func:`coefficients` is the one check of g, which must be finite with
--1.5 g finite, and is flagged by a warning when negative.
+hbar; :func:`coefficients` is the one check of g, which must be a finite
+number (not a string or a bool) with -1.5 g finite, and is flagged by a
+warning when negative.
 
 Channel couplings are alpha_0 = -3g/2 (singlet) and alpha_1 = +g/2 (triplet),
 giving t = 1 / (1 + i alpha) and r = t - 1.  These satisfy |t|^2 + |r|^2 = 1
@@ -27,6 +28,7 @@ sit at 2k|x| = 3pi/2 (mod 2pi).
 from __future__ import annotations
 
 import math
+import reprlib
 import warnings
 from dataclasses import dataclass
 
@@ -35,6 +37,8 @@ import numpy as np
 _SQRT3 = np.sqrt(3.0)
 # The quarter-wave probe phase theta = pi/2 of the paper's six rates.
 CANONICAL_PHASE = np.pi / 2.0
+# float() reads these, but a coupling or a phase given as one is refused
+_NOT_NUMBERS = (str, bytes, bytearray, bool, np.bool_)
 
 
 def physical_coupling(
@@ -73,8 +77,11 @@ def coefficients(g: float) -> ScatteringCoefficients:
     """Channel amplitudes t_i = 1/(1 + i alpha_i), r_i = t_i - 1, at coupling g.
 
     g must be finite, and so must alpha_0 = -1.5 g (|g| below about 1.2e308);
-    a negative g is flagged by a warning that names the caller's line.
+    a string or a bool is refused; a negative g is flagged by a warning that names the
+    caller's line.
     """
+    if isinstance(g, _NOT_NUMBERS):
+        raise ValueError(f"coupling g must be a real number, got {reprlib.repr(g)}")
     g = float(g)
     if not math.isfinite(1.5 * g):  # a nan or infinite g too
         raise ValueError(f"coupling g must be finite, and so must alpha_0 = -1.5 g, got {g}")

@@ -119,17 +119,18 @@ def pauli_frame(u: np.ndarray) -> np.ndarray:
     """Real 3x3 matrix O with u^dag sigma_i u = sum_j O[i, j] sigma_j.
 
     O is the rotation induced on Pauli labels by conjugating with the 2x2
-    unitary ``u``; it is orthogonal whenever ``u`` is unitary.
+    unitary ``u``, so it is orthogonal; a ``u`` that is not unitary within
+    1e-12 is refused.  Each O[i, j] is real, as u^dag sigma_i u is Hermitian.
     """
     u = np.asarray(u, dtype=complex)
+    deviation = np.max(np.abs(u.conj().T @ u - IDENTITY_2))
+    if not deviation <= 1e-12:  # a nan entry too
+        raise ValueError(f"u must be unitary, got max |u^dag u - 1| = {deviation:.3g}")
     o = np.empty((3, 3))
     for i in range(3):
         conj = u.conj().T @ _PAULI[i] @ u
         for j in range(3):
-            coeff = 0.5 * np.trace(_PAULI[j] @ conj)
-            if abs(coeff.imag) > 1e-12:
-                raise ValueError("conjugation left the Pauli span; u is not unitary")
-            o[i, j] = coeff.real
+            o[i, j] = (0.5 * np.trace(_PAULI[j] @ conj)).real
     return o
 
 

@@ -149,6 +149,27 @@ class TestCoeffs:
         assert len(lines) == 5
 
 
+# forward and cp-check of COUNTER_C at g = 2 and the canonical phase, in the text and CSV
+# layouts, byte for byte
+COUNTER_RATES = {
+    "csv": "channel,rate\nP0T,-0.3999999999999999\nP1T,0.5999999999999996\n"
+           "P2T,1.3999999999999992\nP0R,2.0\nP1R,2.999999999999999\nP2R,-1.0\n",
+    "text": "P0T  -0.400000000000\nP1T  +0.600000000000\nP2T  +1.400000000000\n"
+            "P0R  +2.000000000000\nP1R  +3.000000000000\nP2R  -1.000000000000\n",
+}
+COUNTER_CP_TEXT = (
+    "eigenvalues: (-1.0, 1.0, 1.0)\n"
+    "positive semidefinite: False\n"
+    "  c11        margin +1  ok \n"
+    "  c22        margin +1  ok \n"
+    "  c33        margin -1  VIOLATED\n"
+    "  minor_12   margin +1  ok \n"
+    "  minor_13   margin -1  VIOLATED\n"
+    "  minor_23   margin -1  VIOLATED\n"
+    "  det        margin -1  VIOLATED\n"
+)
+
+
 class TestForward:
     def test_counterexample_rates(self, capsys, tmp_path):
         c_file = write_c_file(tmp_path, COUNTER_C)
@@ -159,6 +180,12 @@ class TestForward:
         rates = strict_json(out)["rates"]
         assert rates["P0T"] == pytest.approx(-0.4, abs=1e-12)
         assert rates["P2R"] == pytest.approx(-1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("output", ["csv", "text"])
+    def test_csv_and_text_output(self, capsys, tmp_path, output):
+        c_file = write_c_file(tmp_path, COUNTER_C)
+        got = run_cli(capsys, "forward", "--c-file", c_file, "--g", "2", "--output", output)
+        assert got == (0, COUNTER_RATES[output], "")
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "forward", "--c-file", "/nope.json", "--g", "2")
@@ -283,6 +310,11 @@ class TestCpCheck:
         assert payload["psd"] is False
         assert payload["eigenvalues"] == [-1.0, 1.0, 1.0]
         assert payload["conditions"]["c33"]["ok"] is False
+
+    def test_text_output(self, capsys, tmp_path):
+        c_file = write_c_file(tmp_path, COUNTER_C)
+        got = run_cli(capsys, "cp-check", "--c-file", c_file, "--output", "text")
+        assert got == (0, COUNTER_CP_TEXT, "")
 
     def test_refuses_overflowing_minors(self, capsys, tmp_path):
         # c12 * c12 overflows the 2x2 minor and the determinant to -inf: refused,
@@ -840,6 +872,8 @@ INVERT = ("invert", "--rates", "r.json", "--g", "2")
 INVERT_CSV = ("invert", "--rates", "r.csv", "--g", "2")
 ZEROS_CSV = "label,rate\n" + "".join(f"{label},0\n" for label in probe.CHANNELS)
 NOT_UTF_8 = b"\xb5"  # a micro sign in Latin-1
+NOT_RATES = ("r.json: not a rates file: expected a JSON array, an object with 'rates', a rates "
+             "CSV or a simulate run file")
 
 
 def run_with_repeated_config_key() -> str:
@@ -901,6 +935,14 @@ def run_with_repeated_config_key() -> str:
             pytest.param({"r.csv": ZEROS_CSV.replace("P1T,0", f"P1T,{token}")}, INVERT_CSV,
                          "r.csv: rates csv line 3", id=f"csv-rate-{token}")
             for token in ("1_0", ".5")
+        ),
+        pytest.param({"r.csv": "".join(ZEROS_CSV.splitlines(True)[i] for i in (0, 1, 2, 3, 5))},
+                     INVERT_CSV, "r.csv: rates csv missing channels: ['P0R', 'P2R']",
+                     id="csv-missing-channels"),
+        *(
+            pytest.param({"r.json": text}, INVERT, NOT_RATES, id=f"not-rates-{kind}")
+            for kind, text in (("object", '{"counts": [1, 2]}'), ("number", "3"),
+                               ("string", '"rates"'), ("null", "null"))
         ),
     ],
 )
@@ -1057,6 +1099,13 @@ class TestOracle:
         payload = strict_json(out)
         assert payload["ok"] is True
         assert strict_json(out_path.read_text())["ok"] is True
+
+    def test_a_deviating_report_exits_4(self, capsys, monkeypatch):
+        monkeypatch.setattr("kossprobe.oracle.adjudicate",
+                            lambda trials: {"ok": False, "trials": trials})
+        code, out, err = run_cli(capsys, "oracle", "--trials", "2")
+        assert (code, err) == (4, "closed forms deviate from the brute-force oracle\n")
+        assert strict_json(out) == {"schema_version": cli.SCHEMA_VERSION, "ok": False, "trials": 2}
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_refuses_trials_below_one(self, capsys, trials):

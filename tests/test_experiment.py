@@ -303,6 +303,16 @@ class TestPersistence:
         assert text.startswith(experiment.CSV_HEADER)
         assert len(text.strip().splitlines()) == 7
 
+    @pytest.mark.parametrize("data", [[], "run", None, 3])
+    @pytest.mark.parametrize("read, what", [
+        (experiment.ExperimentConfig.from_dict, "run config"),
+        (experiment.ExperimentRun.from_dict, "run"),
+    ], ids=["config", "run"])
+    def test_a_non_object_is_refused(self, read, what, data):
+        with pytest.raises(ValueError,
+                           match=f"^{what} must be an object, got {type(data).__name__}$"):
+            read(data)
+
     def test_identical_seeds_identical_bytes(self, tmp_path):
         config = make_config()
         experiment.save_run(experiment.run(config), tmp_path / "a")

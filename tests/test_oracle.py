@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -178,6 +180,19 @@ class TestExactEvolution:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             oracle.exact_evolution(COUNTEREXAMPLE, np.eye(2) / 2, -1.0)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2,), (4, 2)])
+    def test_a_state_of_another_shape_is_refused(self, shape):
+        with pytest.raises(ValueError, match=re.escape(
+                f"expected a 2x2 or 4x4 state, got shape {shape}")):
+            oracle.exact_evolution(COUNTEREXAMPLE, np.zeros(shape), 0.5)
+
+    def test_a_failed_step_doubling_check_is_refused(self, monkeypatch):
+        # a first-order "exponential", 1 + A, is not the square of its own half step
+        monkeypatch.setattr(oracle, "expm", lambda a: np.eye(len(a)) + a)
+        with pytest.raises(ArithmeticError,
+                           match="^matrix exponential failed the step-doubling check$"):
+            oracle.exact_evolution(COUNTEREXAMPLE, np.eye(2) / 2, 0.5)
 
     def test_first_order_consistency(self):
         rng = np.random.default_rng(32)

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -123,6 +124,19 @@ class TestForward:
         with pytest.raises(ValueError, match="phase must be finite"):
             probe.probability_rate(c, G2, "rot1", "reflected", bad)
         with pytest.raises(ValueError, match="phase must be finite"):
+            probe.build_matrix_programmatic(G2, bad)
+
+    # a string raised a TypeError, and a bool was read as theta = 0 or 1 rad
+    @pytest.mark.parametrize("bad", ["0.9", b"0.9", np.str_("0.9"), True, np.False_],
+                             ids=["str", "bytes", "np.str_", "bool", "np.bool_"])
+    def test_a_string_or_a_bool_is_not_a_phase(self, bad):
+        c = KossakowskiMatrix.identity()
+        refused = re.escape(f"probe phase must be a real number, got {bad!r}")
+        with pytest.raises(ValueError, match=refused):
+            probe.forward(c, G2, bad)
+        with pytest.raises(ValueError, match=refused):
+            probe.probability_rate(c, G2, "rot1", "reflected", bad)
+        with pytest.raises(ValueError, match=refused):
             probe.build_matrix_programmatic(G2, bad)
 
     @pytest.mark.parametrize("shape", [(2, 2), (3,), (3, 4), (6,)])

@@ -87,6 +87,21 @@ class TestParams:
         with pytest.raises(TypeError):
             scattering.coefficients(scattering.physical_coupling(1.0, 2.0, 1.0))
 
+    # float() read each of these, as g = 2.0 or 1.0
+    @pytest.mark.parametrize("bad", ["2", b"2", bytearray(b"2"), np.str_("2"), True, np.True_],
+                             ids=["str", "bytes", "bytearray", "np.str_", "bool", "np.bool_"])
+    def test_a_string_or_a_bool_is_not_a_coupling(self, bad):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"coupling g must be a real number, got {bad!r}")):
+            scattering.coefficients(bad)
+
+    @pytest.mark.parametrize("g", [2, np.int64(2), np.float64(2.0), np.array(2.0)],
+                             ids=["int", "np.int64", "np.float64", "0-d array"])
+    def test_a_number_is_a_coupling(self, g):
+        co = scattering.coefficients(g)
+        assert co == scattering.coefficients(2.0)
+        assert type(co.g) is float
+
     def test_bad_k_rejected(self):
         # an infinite hbar gives k = 0 (and g = 0)
         with pytest.raises(ValueError, match="wavenumber k must be positive and finite, got 0.0"):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,17 @@ class TestRotations:
 
     def test_pauli_frame_identity(self):
         assert np.allclose(spin.pauli_frame(np.eye(2)), np.eye(3))
+
+    # each was read as a frame: 1.5 * I gave O = 2.25 * I, and a nan entry an O of nans
+    @pytest.mark.parametrize("u, deviation", [
+        ([[2.0, 1.0j], [0.5, 1.0]], "3.25"),
+        (1.5 * np.eye(2), "1.25"),
+        ([[np.nan, 0.0], [0.0, 1.0]], "nan"),
+    ], ids=["general", "scaled", "nan"])
+    def test_pauli_frame_refuses_a_non_unitary_u(self, u, deviation):
+        refused = re.escape(f"u must be unitary, got max |u^dag u - 1| = {deviation}")
+        with pytest.raises(ValueError, match=f"^{refused}$"):
+            spin.pauli_frame(u)
 
 
 class TestBases:
