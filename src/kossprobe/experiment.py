@@ -38,28 +38,27 @@ except ImportError:
     from _sha256 import sha256  # Python 3.10 and 3.11
 
 from .inversion import _NOT_A_PROBE_MATRIX, InversionResult, invert_noisy
-from .kossakowski import (KossakowskiMatrix, _is_finite_number, _is_integer, _shown,
-                          as_kossakowski)
+from .kossakowski import KossakowskiMatrix, _shown, as_kossakowski
 # forward is not called here but stays bound, since perfbench/selftest.py checks that the
 # benchmark's tracer rebinds this module's alias of it
 from .probe import CHANNELS, ProbeMatrix, build_matrix_programmatic, forward  # noqa: F401
-from .scattering import coefficients
+from .scattering import _integer, _real, coefficients
 
 MAX_PER_SHOT_PROBABILITY = 0.2
 # Generator.binomial takes its trial count as a C long
 MAX_SHOTS_PER_CHANNEL = 2**63 - 1
 
 
-# the scalar fields of a config: name, the rule it must hold, the rule in
-# words, and the type it is stored as
+# the scalar fields of a config: name, the reading that gives the stored float or int (None
+# for a value of another type), the range the stored value must lie in, and the rule in words
 _FIELDS = (
-    ("g", _is_finite_number, "finite and real", float),
-    ("phase", _is_finite_number, "finite and real", float),
-    ("exposure", lambda x: _is_finite_number(x) and x > 0.0, "positive and finite", float),
-    ("calibration", lambda x: _is_finite_number(x) and 0.0 < x <= 1.0, "in (0, 1]", float),
-    ("shots_per_channel", lambda x: _is_integer(x) and 0 < x <= MAX_SHOTS_PER_CHANNEL,
-     "a positive integer of at most 2**63 - 1", int),
-    ("seed", lambda x: _is_integer(x) and x >= 0, "a non-negative integer", int),
+    ("g", _real, math.isfinite, "finite and real"),
+    ("phase", _real, math.isfinite, "finite and real"),
+    ("exposure", _real, lambda x: 0.0 < x < math.inf, "positive and finite"),
+    ("calibration", _real, lambda x: 0.0 < x <= 1.0, "in (0, 1]"),
+    ("shots_per_channel", _integer, lambda n: 0 < n <= MAX_SHOTS_PER_CHANNEL,
+     "a positive integer of at most 2**63 - 1"),
+    ("seed", _integer, lambda n: n >= 0, "a non-negative integer"),
 )
 
 RUN_SCHEMA_VERSION = 1
@@ -92,15 +91,16 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "true_c", as_kossakowski(self.true_c))
+        stored = {name: read(getattr(self, name)) for name, read, _, _ in _FIELDS}
         problems = [
             f"{name} must be {rule}, got {_shown(getattr(self, name))}"
-            for name, holds, rule, _ in _FIELDS
-            if not holds(getattr(self, name))
+            for name, _, holds, rule in _FIELDS
+            if stored[name] is None or not holds(stored[name])
         ]
         if problems:
             raise ConfigError("; ".join(problems))
-        for name, _, _, stored_as in _FIELDS:
-            object.__setattr__(self, name, stored_as(getattr(self, name)))
+        for name, value in stored.items():
+            object.__setattr__(self, name, value)
         # each in range, but a product that underflows scales every rate by 1/0
         if self.calibration * self.exposure == 0.0:
             raise ConfigError(f"calibration * exposure must be positive, got "
@@ -163,15 +163,16 @@ class ExperimentRun:
     detections: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        counts, n = tuple(self.detections), self.config.shots_per_channel
-        bad = [f"{label} k = {_shown(k)}" for label, k in zip(CHANNELS, counts)
-               if not (_is_integer(k) and 0 <= k <= n)]
+        given, n = tuple(self.detections), self.config.shots_per_channel
+        counts = tuple(map(_integer, given))
+        bad = [f"{label} k = {_shown(k)}" for label, k, count in zip(CHANNELS, given, counts)
+               if count is None or not 0 <= count <= n]
         if bad or len(counts) != len(CHANNELS):
             raise ValueError(
                 f"run detections must be one integer in [0, {n}] per channel {list(CHANNELS)}, "
                 f"got {', '.join(bad) or f'{len(counts)} counts'}"
             )
-        object.__setattr__(self, "detections", tuple(map(int, counts)))
+        object.__setattr__(self, "detections", counts)
 
     @property
     def flagged_channels(self) -> tuple[str, ...]:
@@ -190,8 +191,7 @@ class ExperimentRun:
 
     @property
     def sigma(self) -> np.ndarray:
-        p = self.p_hat
-        return np.sqrt(p * (1.0 - p) / self.trials)
+        return np.array([_wald_sigma(p, self.trials) for p in self.p_hat.tolist()])
 
     def to_dict(self) -> dict:
         return {
@@ -232,6 +232,11 @@ class ExperimentRun:
         for label, k, p, s in zip(CHANNELS, self.detections, self.p_hat, self.sigma):
             lines.append(f"{label},{self.trials},{k},{float(p)!r},{float(s)!r}")
         return "\n".join(lines) + "\n"
+
+
+def _wald_sigma(p_hat: float, n: float) -> float:
+    """The Wald standard error sqrt(p (1 - p) / N) of a frequency p over N shots."""
+    return math.sqrt(p_hat * (1.0 - p_hat) / n)
 
 
 def _field(data: dict, name: str, where: str):
@@ -332,7 +337,6 @@ def _channel_generators(seed: int) -> list:
     words are ``generate_state``'s hash of that pool: one (6, 8) uint32 pass.
     """
     seed_sequence, generator, pcg64, seed_words = _numpy_random()
-    seed = int(seed)
     words = max(1, -(-seed.bit_length() // 32))
     table = _SPAWN_TABLE if words <= _POOL_SIZE else _spawn_table(16 + 4 * (words - _POOL_SIZE))
     # in place on one (6, 8) array: each ufunc call costs more than its 48 words
@@ -395,7 +399,7 @@ def estimate(
     for k in map(sum, zip(*(r.detections for r in runs))):
         p_hat = float(k) / n
         rates.append(p_hat / scale)
-        sigmas.append(math.sqrt(p_hat * (1.0 - p_hat) / n) / scale)
+        sigmas.append(_wald_sigma(p_hat, n) / scale)
     return invert_noisy(np.array(rates), np.array(sigmas), m, z=z)
 
 

@@ -42,9 +42,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kossakowski import (_COLS, _PARAM_OF_ENTRY, _ROWS, _UNITS, InputOverflowError,
-                          KossakowskiMatrix, _eigh, _finite_reals, _is_finite_number,
-                          _nonnegative_reals, rounding_tolerance)
+                          KossakowskiMatrix, _eigh, _finite_reals, _nonnegative_reals,
+                          rounding_tolerance)
 from .probe import CHANNELS, CONDITION_LIMIT, ProbeMatrix, ProbeResult
+from .scattering import _real
 
 _CHANNEL_NAMES = np.array(CHANNELS)
 _OVERFLOW = "rates or sigmas too large: the estimate, its covariance, spectrum or residual overflows"
@@ -357,8 +358,9 @@ def invert_noisy(
         rates = rates.rates
     r = _finite_reals(rates, _CHANNEL_NAMES, "rates")
     s = _nonnegative_reals(sigmas, _CHANNEL_NAMES, "sigmas")
-    if not (_is_finite_number(z) and z > 0.0):
+    if (real := _real(z)) is None or not 0.0 < real < math.inf:
         raise ValueError(f"z must be positive and finite, got {z!r}")
+    z = real
     m_inv = m.inverse
     if m_inv is None:
         raise SingularProbeMatrixError(m.det, m.condition_number)

@@ -23,10 +23,11 @@ forms.  ``d_tilde`` takes its coupling matrix already expressed in a probe
 frame; :mod:`kossprobe.probe` evaluates it once per symmetric unit coupling
 and frame, at import, and builds every rate from that constant kernel.
 Every outside array (C, its parameters, rates, sigmas) becomes floats through
-``_finite_reals``, which names each entry that is not a finite real number;
-sigmas then take ``_nonnegative_reals``' one sign test, which names each
-negative one.  A refusal quotes a value through ``_shown``, which bounds its
-length.
+``_finite_reals``, which names each entry that is not a finite real number (by
+:func:`kossprobe.scattering._real`, the rule C's entries, ``evolve``'s t and
+``cp_check``'s condition number take too); sigmas then take ``_nonnegative_reals``'
+one sign test, which names each negative one.  A refusal quotes a value through
+``_shown``, which bounds its length.
 Every real ``eigh``, singular-value, inverse and determinant in the library
 runs through ``_eigh``, ``_singular_values``, ``_inv`` and ``_det``, which
 call the LAPACK gufunc that ``np.linalg`` calls, in float64 and under its
@@ -37,7 +38,6 @@ the same LinAlgError.
 from __future__ import annotations
 
 import math
-import numbers
 import reprlib
 from dataclasses import dataclass
 
@@ -48,6 +48,7 @@ from numpy.linalg._linalg import (_raise_linalgerror_eigenvalues_nonconvergence,
                                   _raise_linalgerror_singular,
                                   _raise_linalgerror_svd_nonconvergence)
 
+from .scattering import _real
 from .spin import IDENTITY_2, pauli
 
 # The six free entries of C are its upper triangle in row-major order,
@@ -187,12 +188,12 @@ class KossakowskiMatrix:
 
     def __init__(self, c11, c12, c13, c22, c23, c33) -> None:
         values = (c11, c12, c13, c22, c23, c33)
-        # six finite floats, as every estimate gives, are stored as they are
-        if not ({*map(type, values)} == {float} and all(map(math.isfinite, values))):
-            if not all(map(_is_finite_number, values)):
-                bad = {name: x for name, x in zip(PARAM_ORDER, values) if not _is_finite_number(x)}
-                raise ValueError(f"Kossakowski entries must be real and finite, got {_shown(bad)}")
-            c11, c12, c13, c22, c23, c33 = map(float, values)
+        reals = [_real(x) for x in values]
+        if None in reals or not all(map(math.isfinite, reals)):
+            bad = {name: x for name, x, real in zip(PARAM_ORDER, values, reals)
+                   if real is None or not math.isfinite(real)}
+            raise ValueError(f"Kossakowski entries must be real and finite, got {_shown(bad)}")
+        c11, c12, c13, c22, c23, c33 = reals
         # one write of the instance dict, in place of a frozen __setattr__ per field
         object.__setattr__(self, "__dict__", {"c11": c11, "c12": c12, "c13": c13,
                                               "c22": c22, "c23": c23, "c33": c33})
@@ -238,10 +239,14 @@ class KossakowskiMatrix:
     def cp_check(self, condition_number: float = 1.0) -> CPReport:
         """Eigenvalue PSD verdict (the :meth:`eigenvalues` of ``eigh``) plus the seven minors,
         within :func:`rounding_tolerance`; refuses, as an InputOverflowError, a C so large
-        that a minor or the determinant overflows."""
+        that a minor or the determinant overflows.  ``condition_number`` must be a positive,
+        finite real number."""
+        if (kappa := _real(condition_number)) is None or not 0.0 < kappa < math.inf:
+            raise ValueError(f"condition_number must be positive and finite, "
+                             f"got {_shown(condition_number)}")
         c = self.matrix
         low, mid, top = self.eigenvalues().tolist()
-        tol = rounding_tolerance(c, condition_number)
+        tol = rounding_tolerance(c, kappa)
         minor_tol = tol * float(np.max(np.abs(c)))
         # the determinant is low * rest from the same eigh, ok within tol * |rest|: rounding
         # is monotone, so it is ok whenever low >= -tol
@@ -288,23 +293,6 @@ class KossakowskiMatrix:
         return cls(**data)
 
 
-def _is_finite_number(x) -> bool:
-    # a bool is not a number here, nor are nan, inf and ints too large for a
-    # double; a float skips the (slow) abstract-class checks
-    if type(x) is not float and (not isinstance(x, numbers.Real) or isinstance(x, bool)):
-        return False
-    try:
-        return math.isfinite(x)
-    except OverflowError:
-        return False
-
-
-def _is_integer(x) -> bool:
-    # a bool is not a shot count, a detection count or a seed here; numpy integers are; an
-    # int skips the (slow) abstract-class check
-    return type(x) is int or (isinstance(x, numbers.Integral) and not isinstance(x, bool))
-
-
 def _finite_reals(x, names: np.ndarray, what: str) -> np.ndarray:
     """``x`` as floats of the shape of ``names``, which name its entries.  An exact float64
     ndarray takes one pass, another numeric one a conversion first (an ndarray subclass,
@@ -321,12 +309,14 @@ def _finite_reals(x, names: np.ndarray, what: str) -> np.ndarray:
         if all(map(math.isfinite, a.ravel().tolist())):
             return a
     entries = dict(zip(names.ravel().tolist(), a.ravel().tolist()))
-    bad = {n: v for n, v in entries.items() if not _is_finite_number(v)}
+    reals = [_real(v) for v in entries.values()]
+    bad = {n: v for (n, v), real in zip(entries.items(), reals)
+           if real is None or not math.isfinite(real)}
     imag = {n: v.imag for n, v in bad.items() if isinstance(v, complex) and v.imag}
     if bad:
         raise ValueError(f"{what} must be real, got imaginary parts {_shown(imag)}" if imag
                          else f"{what} must be finite, got {_shown(bad)}")
-    return np.array(list(entries.values()), dtype=float).reshape(names.shape)
+    return np.array(reals).reshape(names.shape)
 
 
 def _nonnegative_reals(x, names: np.ndarray, what: str) -> np.ndarray:
@@ -441,9 +431,9 @@ def evolve(c, rho, t: float) -> np.ndarray:
     Some p_k are negative exactly when C is not PSD.  The oracle's matrix
     exponential of the superoperator is the referee of this closed form.
     """
-    if not (_is_finite_number(t) and t >= 0):
+    if (real := _real(t)) is None or not 0.0 <= real < math.inf:
         raise ValueError(f"t must be finite and nonnegative, got {t!r}")
-    t = float(t)
+    t = real
     rho = np.asarray(rho, dtype=complex)
     if rho.shape not in ((2, 2), (4, 4)):
         raise ValueError(f"expected a 2x2 or 4x4 state, got shape {rho.shape}")

@@ -20,7 +20,7 @@ from scipy.linalg import expm
 
 from .kossakowski import as_kossakowski
 from .probe import AGREEMENT_TOL, CANONICAL_PHASE, CHANNELS, build_matrix_appendix, build_matrix_programmatic, compare_matrices, forward
-from .scattering import ScatteringCoefficients, coefficients
+from .scattering import ScatteringCoefficients, _finite_phase, _integer, _real, coefficients
 from .spin import BASIS_LABELS, IDENTITY_2, basis, pauli, unvec, vec
 
 _SQRT3 = np.sqrt(3.0)
@@ -101,7 +101,9 @@ def rates_bruteforce(
     phase: float = CANONICAL_PHASE,
 ) -> tuple[float, float]:
     """(transmitted, reflected) rates for one probe frame, straight from the
-    wavefunction values and the brute-force compressed form."""
+    wavefunction values and the brute-force compressed form; the phase is read by the
+    library's one phase rule."""
+    phase = _finite_phase(phase)
     d = d_tilde_bruteforce(c, probe_basis)
     out = []
     for side in ("transmitted", "reflected"):
@@ -133,13 +135,13 @@ def _expm_checked(l: np.ndarray, t: float) -> np.ndarray:
 
 def exact_evolution(c, rho0: np.ndarray, t: float) -> np.ndarray:
     """Evolve a 2x2 impurity state, or a 4x4 electron x impurity state under
-    the lifted dissipator, for time t."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    the lifted dissipator, for a time t that is a finite, nonnegative real number."""
+    if (real := _real(t)) is None or not 0.0 <= real < np.inf:
+        raise ValueError(f"t must be finite and nonnegative, got {t!r}")
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape not in ((2, 2), (4, 4)):
         raise ValueError(f"expected a 2x2 or 4x4 state, got shape {rho0.shape}")
-    u = _expm_checked(build_superop(c, lifted=rho0.shape == (4, 4)), t)
+    u = _expm_checked(build_superop(c, lifted=rho0.shape == (4, 4)), real)
     return unvec(u @ vec(rho0))
 
 
@@ -160,13 +162,16 @@ def adjudicate(trials: int = 100) -> dict:
     brute-force path, at the canonical phase, to within ``AGREEMENT_TOL``
     (the report's ``ok`` flag).  The hand-derived coefficient table for M is
     compared as well; its deviations are expected, listed entry by entry, and
-    do not affect ``ok``.  ``trials`` must be at least 1, so that the
-    report compares something.
+    do not affect ``ok``.  ``trials`` must be an integer of at least 1, so
+    that the report compares something.
     """
     from .kossakowski import d_tilde
 
-    if trials < 1:
+    if (count := _integer(trials)) is None:
+        raise ValueError(f"trials must be an integer, got {trials!r}")
+    if count < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    trials = count
 
     rng = np.random.default_rng(ADJUDICATION_SEED)
 

@@ -48,9 +48,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kossakowski import (PARAM_ORDER, _UNITS, _det, _inv, _shown, _singular_values,
+from .kossakowski import (PARAM_ORDER, _UNITS, _det, _inv, _singular_values,
                           as_kossakowski, d_tilde)
-from .scattering import CANONICAL_PHASE, _NOT_NUMBERS, ScatteringCoefficients, probe_amplitudes
+from .scattering import CANONICAL_PHASE, ScatteringCoefficients, _finite_phase, probe_amplitudes
 from .spin import BASIS_LABELS, basis, pauli_frame
 
 CHANNELS = ("P0T", "P1T", "P2T", "P0R", "P1R", "P2R")
@@ -160,16 +160,6 @@ class ProbeMatrix:
             "rows": list(CHANNELS),
             "columns": list(PARAM_ORDER),
         }
-
-
-def _finite_phase(phase) -> float:
-    """The phase as the float that keys the memo; checked first, since a NaN key
-    never matches and an array is not hashable.  A string or a bool is refused."""
-    if isinstance(phase, _NOT_NUMBERS):
-        raise ValueError(f"probe phase must be a real number, got {_shown(phase)}")
-    if not math.isfinite(phase):
-        raise ValueError(f"probe phase must be finite, got {phase}")
-    return float(phase)
 
 
 @lru_cache(maxsize=_MEMO_SIZE)

@@ -11,8 +11,11 @@ with rho(E) the linear density of states of the wire at the scattering energy,
 plus, on the reflected side, the interference phase theta = 2 k |x| of the
 probe point.  :func:`physical_coupling` derives g and k from J, E, m and
 hbar; :func:`coefficients` is the one check of g, which must be a finite
-number (not a string or a bool) with -1.5 g finite, and is flagged by a
-warning when negative.
+number with -1.5 g finite, and is flagged by a warning when negative.
+
+:func:`_real` is the library's one test of an outside scalar (g, theta, J, E, m,
+hbar, C's entries, a config's fields, z, a condition number, t), :func:`_integer` its
+twin for counts, seeds and trials, and :func:`_finite_phase` the one rule for theta.
 
 Channel couplings are alpha_0 = -3g/2 (singlet) and alpha_1 = +g/2 (triplet),
 giving t = 1 / (1 + i alpha) and r = t - 1.  These satisfy |t|^2 + |r|^2 = 1
@@ -28,6 +31,7 @@ sit at 2k|x| = 3pi/2 (mod 2pi).
 from __future__ import annotations
 
 import math
+import numbers
 import reprlib
 import warnings
 from dataclasses import dataclass
@@ -37,8 +41,44 @@ import numpy as np
 _SQRT3 = np.sqrt(3.0)
 # The quarter-wave probe phase theta = pi/2 of the paper's six rates.
 CANONICAL_PHASE = np.pi / 2.0
-# float() reads these, but a coupling or a phase given as one is refused
-_NOT_NUMBERS = (str, bytes, bytearray, bool, np.bool_)
+
+
+def _real(x) -> float | None:
+    """``x`` as a Python float when it is a ``numbers.Real`` (numpy's among them) or a 0-d
+    array of one, else None (a bool, a str, bytes and complex are not real numbers here);
+    nan and inf are, and an integer too large for a double reads as inf of its sign."""
+    if type(x) is float:
+        return x
+    if isinstance(x, np.ndarray) and not x.shape:
+        x = x[()]
+    if not isinstance(x, numbers.Real) or isinstance(x, bool):
+        return None
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def _integer(x) -> int | None:
+    """:func:`_real`'s twin: ``x`` as a Python int when it is a ``numbers.Integral`` (numpy's
+    among them) or a 0-d array of one, else None (a bool is not an integer here)."""
+    if type(x) is int:
+        return x
+    if isinstance(x, np.ndarray) and not x.shape:
+        x = x[()]
+    if not isinstance(x, numbers.Integral) or isinstance(x, bool):
+        return None
+    return int(x)
+
+
+def _finite_phase(phase) -> float:
+    """The probe phase theta as a finite Python float: the probe matrix memo's key, so tested
+    before the memo is read (a NaN key never matches, and an array is not hashable)."""
+    if (theta := _real(phase)) is None:
+        raise ValueError(f"probe phase must be a real number, got {reprlib.repr(phase)}")
+    if not math.isfinite(theta):
+        raise ValueError(f"probe phase must be finite, got {theta}")
+    return theta
 
 
 def physical_coupling(
@@ -46,7 +86,12 @@ def physical_coupling(
 ) -> tuple[float, float]:
     """(g, k) from the magnetic coupling J, the electron energy E and mass m, and
     hbar: the dimensionless coupling, which :func:`coefficients` checks, and the
-    wavenumber that maps a detector position x to the probe phase theta = 2k|x|."""
+    wavenumber that maps a detector position x to the probe phase theta = 2k|x|; each of
+    J, E, m and hbar must be a real number."""
+    named = {"J": coupling, "E": energy, "m": mass, "hbar": hbar}
+    if bad := [f"{name} = {reprlib.repr(x)}" for name, x in named.items() if _real(x) is None]:
+        raise ValueError(f"J, E, m and hbar must be real numbers, got {', '.join(bad)}")
+    coupling, energy, mass, hbar = map(_real, named.values())
     if energy <= 0:
         raise ValueError(f"positive-energy scattering only, got E = {energy}")
     if mass <= 0 or hbar <= 0:
@@ -55,7 +100,10 @@ def physical_coupling(
     k = float(np.sqrt(2.0 * mass * energy) / hbar)
     if not 0 < k < math.inf:
         raise ValueError(f"wavenumber k must be positive and finite, got {k}")
-    return float(np.pi * coupling * dos / 4.0), k
+    g = float(np.pi * coupling * dos / 4.0)
+    if not math.isfinite(g):
+        raise ValueError(f"coupling g must be finite, got {g}")
+    return g, k
 
 
 @dataclass(frozen=True, init=False)
@@ -76,13 +124,13 @@ class ScatteringCoefficients:
 def coefficients(g: float) -> ScatteringCoefficients:
     """Channel amplitudes t_i = 1/(1 + i alpha_i), r_i = t_i - 1, at coupling g.
 
-    g must be finite, and so must alpha_0 = -1.5 g (|g| below about 1.2e308);
-    a string or a bool is refused; a negative g is flagged by a warning that names the
+    g must be a real number (:func:`_real`), finite, and so must alpha_0 = -1.5 g
+    (|g| below about 1.2e308); a negative g is flagged by a warning that names the
     caller's line.
     """
-    if isinstance(g, _NOT_NUMBERS):
+    if (real := _real(g)) is None:
         raise ValueError(f"coupling g must be a real number, got {reprlib.repr(g)}")
-    g = float(g)
+    g = real
     if not math.isfinite(1.5 * g):  # a nan or infinite g too
         raise ValueError(f"coupling g must be finite, and so must alpha_0 = -1.5 g, got {g}")
     if g < 0:
@@ -106,12 +154,9 @@ def probe_amplitudes(coeffs: ScatteringCoefficients, phase: float) -> np.ndarray
     normalization) the symmetric triplet combination.
     The detection rates are quadratic forms in these vectors; the common
     plane-wave factor on the transmitted side is kept for symmetry and
-    cancels in every rate.  A non-finite phase raises ``ValueError``; every
-    rate's phase passes through here.
+    cancels in every rate.  The phase goes through :func:`_finite_phase`.
     """
-    if not math.isfinite(phase):
-        raise ValueError(f"probe phase must be finite, got {phase}")
-    half = np.exp(0.5j * phase)
+    half = np.exp(0.5j * _finite_phase(phase))
     back = np.conj(half)
     return np.array([
         [coeffs.t0 * half, _SQRT3 * coeffs.t1 * half],

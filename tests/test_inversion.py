@@ -986,6 +986,55 @@ class TestConeTest:
         assert t > 1e12 and p == 0.0
 
 
+class TestWhatTheVerdictDoesNotDependOn:
+    """The PSD cone is a cone: a common positive scale of the rates and the sigmas scales
+    the estimate, its margin and its spread alike, and moves no verdict, path or p-value.
+    A power of two scales each float exactly, so the verdict holds bit for bit."""
+
+    # seeded noisy inputs at an interior, a rank-2 and a rank-1 truth: closed, delta and
+    # cone verdicts
+    TRUTHS = [(1.0, 0.0, 0.0, 1.0, 0.0, 1.0), BOUNDARY_TRUTHS[1], BOUNDARY_TRUTHS[0]]
+
+    @classmethod
+    def noisy_inputs(cls):
+        rng = np.random.default_rng(3)
+        for truth in cls.TRUTHS:
+            rates = probe.forward(KossakowskiMatrix(*truth), G2).rates
+            sigmas = SMALL_NOISE[0] * np.abs(rates) + SMALL_NOISE[1]
+            for _ in range(12):
+                yield rates + rng.normal(0.0, sigmas), sigmas
+
+    @pytest.mark.parametrize("k", [-40, -3, 5, 60])
+    def test_a_power_of_two_scale_of_rates_and_sigmas(self, k):
+        paths = set()
+        for rates, sigmas in self.noisy_inputs():
+            want = inversion.invert_noisy(rates, sigmas, M2)
+            got = inversion.invert_noisy(2.0**k * rates, 2.0**k * sigmas, M2)
+            assert (got.cp_verdict, got.verdict_path, got.p_value) == (
+                want.cp_verdict, want.verdict_path, want.p_value)
+            assert got.margin == 2.0**k * want.margin
+            paths.add(want.verdict_path)
+        assert paths == {inversion.CLOSED, inversion.DELTA, inversion.CONE}
+
+    def test_the_stated_calibration_of_the_same_counts(self):
+        # estimate divides the rates and the sigmas by calibration x exposure, so a common
+        # detector efficiency scales C-hat alone; unequal per-channel ones would not
+        paths = set()
+        for truth in [*self.TRUTHS, (1.0, 0.0, 0.0, 1.0, 0.0, -0.002)]:
+            for seed in range(8):
+                counts = run(ExperimentConfig(KossakowskiMatrix(*truth), 2.0, probe.CANONICAL_PHASE,
+                                              0.01, 1.0, 10**7, seed))
+                verdicts = set()
+                for calibration in (1.0, 0.5, 0.25):
+                    config = ExperimentConfig(counts.config.true_c, 2.0, probe.CANONICAL_PHASE,
+                                              0.01, calibration, 10**7, seed)
+                    result = estimate(experiment.ExperimentRun(config, counts.detections), M2)
+                    verdicts.add((result.cp_verdict, result.verdict_path, result.p_value))
+                    paths.add(result.verdict_path)
+                assert len(verdicts) == 1
+        assert paths == {inversion.CLOSED, inversion.DELTA, inversion.CONE}
+
+
 class TestPsdProject:
     def test_psd_unchanged(self):
         c = KossakowskiMatrix.identity()

@@ -80,3 +80,11 @@ def test_replace_runs_the_entry_checks():
     assert type(dataclasses.replace(c, c22=2).c22) is float
     with pytest.raises(ValueError, match="real and finite"):
         dataclasses.replace(c, c11=float("nan"))
+
+
+def test_every_mutant_finds_its_text():
+    # each mutant's text occurs exactly once in its file, so a change that moves a mutated
+    # line fails here, not only in the mutant run (adjudication/mutants.py)
+    from adjudication import mutants
+
+    assert mutants.misplaced(mutants.ROOT) == []

@@ -348,6 +348,28 @@ class TestAppendixMatrix:
         assert abs(prog[3, 2] - np.sqrt(2.0) * app[3, 2]) <= 1e-12
         assert abs(prog[2, 4] + app[2, 4]) <= 1e-12  # opposite sign
 
+    # the three corrections, each at the cells it moves: c and f times sqrt(2), the sign of
+    # e's im0 re1 term, and the c23 entries of the second rotated frame, -b and -e
+    CORRECTED_CELLS = {(0, 2), (1, 1), (2, 2), (3, 2), (4, 1), (5, 2),
+                       (3, 1), (4, 2), (2, 4), (5, 4)}
+
+    @pytest.mark.parametrize("g", [0.1, 0.5, 2.0, 5.0, 9.0])
+    def test_the_corrected_table_is_the_programmatic_matrix(self, g, monkeypatch):
+        co = coefficients(g)
+        verbatim = probe.build_matrix_appendix(co).matrix
+        k = probe.appendix_coefficients(co)
+        corrected_k = {**k, "c": np.sqrt(2.0) * k["c"], "f": np.sqrt(2.0) * k["f"],
+                       "e": k["e"] - 4.0 * co.t0.imag * co.t1.real}
+        monkeypatch.setattr(probe, "appendix_coefficients", lambda _: corrected_k)
+        corrected = probe.build_matrix_appendix(co).matrix.copy()
+        corrected[2, 4], corrected[5, 4] = -corrected[2, 4], -corrected[5, 4]
+        prog = probe.build_matrix_programmatic(co).matrix
+        assert np.max(np.abs(corrected - prog)) <= 1e-13
+        moved = {(int(i), int(j)) for i, j in zip(*np.nonzero(corrected != verbatim))}
+        assert moved == self.CORRECTED_CELLS
+        deviating = np.abs(verbatim - prog) > probe.AGREEMENT_TOL
+        assert {(int(i), int(j)) for i, j in zip(*np.nonzero(deviating))} == moved
+
     def test_compare_agrees_with_itself(self):
         m = probe.build_matrix_programmatic(G2)
         assert probe.compare_matrices(m, m)["agrees"]

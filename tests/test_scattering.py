@@ -4,7 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from kossprobe import scattering
+from kossprobe import experiment, inversion, kossakowski, oracle, probe, scattering
+from kossprobe.kossakowski import KossakowskiMatrix
 
 
 class TestCoefficients:
@@ -84,7 +85,8 @@ class TestParams:
         assert [w.filename for w in record] == [__file__]
 
     def test_coefficients_take_a_float(self):
-        with pytest.raises(TypeError):
+        # the (g, k) pair is not a real number
+        with pytest.raises(ValueError, match=re.escape("coupling g must be a real number, got (")):
             scattering.coefficients(scattering.physical_coupling(1.0, 2.0, 1.0))
 
     # float() read each of these, as g = 2.0 or 1.0
@@ -179,3 +181,91 @@ class TestProbeAmplitudes:
         co = scattering.coefficients(1.0)
         with pytest.raises(ValueError, match="phase must be finite"):
             scattering.probe_amplitudes(co, bad)
+
+
+# Each scalar site of the library passes x to one argument, the others fixed in range, and
+# returns what it read in a form that compares with ==.
+_CO = scattering.coefficients(2.0)
+_C = KossakowskiMatrix.identity()
+_RHO = np.diag([0.75, 0.25])
+_M = probe.build_matrix_programmatic(_CO)
+# rates of a C that is not PSD, whose verdict reads z (not-CP at 3, indeterminate at 10)
+_NOT_CP_RATES = probe.forward(KossakowskiMatrix.diagonal(1.0, 1.0, -0.3), _CO).rates
+
+
+def _config(**field):
+    fields = dict(true_c=_C, g=2.0, phase=1.0, exposure=0.01, calibration=1.0,
+                  shots_per_channel=100, seed=7)
+    return experiment.ExperimentConfig(**{**fields, **field})
+
+
+def _verdict(z):
+    result = inversion.invert_noisy(_NOT_CP_RATES, np.full(6, 0.05), _M, z=z)
+    return result.cp_verdict, result.margin_sigma
+
+
+REAL_SITES = {
+    "coefficients g": scattering.coefficients,
+    "probe_amplitudes phase": lambda x: scattering.probe_amplitudes(_CO, x).tolist(),
+    "build_matrix phase": lambda x: probe.build_matrix_programmatic(_CO, x).matrix.tolist(),
+    "forward phase": lambda x: probe.forward(_C, _CO, x).rates.tolist(),
+    "probability_rate phase": lambda x: probe.probability_rate(_C, _CO, "rot1", "reflected", x),
+    "physical_coupling J": lambda x: scattering.physical_coupling(x, 2.0, 1.0, 1.0),
+    "physical_coupling E": lambda x: scattering.physical_coupling(1.0, x, 1.0, 1.0),
+    "physical_coupling m": lambda x: scattering.physical_coupling(1.0, 2.0, x, 1.0),
+    "physical_coupling hbar": lambda x: scattering.physical_coupling(1.0, 2.0, 1.0, x),
+    "KossakowskiMatrix entry": lambda x: KossakowskiMatrix(x, 0, 0, 1, 0, 1),
+    "from_vector entry": lambda x: KossakowskiMatrix.from_vector([x, 0, 0, 1, 0, 1]),
+    "evolve t": lambda x: kossakowski.evolve(_C, _RHO, x).tolist(),
+    "config g": lambda x: _config(g=x),
+    "config phase": lambda x: _config(phase=x),
+    "config exposure": lambda x: _config(exposure=x),
+    "invert_noisy z": _verdict,
+    "exact_evolution t": lambda x: oracle.exact_evolution(_C, _RHO, x).tolist(),
+    "rates_bruteforce phase": lambda x: oracle.rates_bruteforce(_C, _CO, "canonical", x),
+    "forward_bruteforce phase": lambda x: oracle.forward_bruteforce(_C, _CO, x).tolist(),
+    "cp_check condition_number": lambda x: _C.cp_check(x).to_dict(),
+}
+INTEGER_SITES = {
+    "config shots_per_channel": lambda x: _config(shots_per_channel=x),
+    "config seed": lambda x: _config(seed=x),
+    "adjudicate trials": lambda x: oracle.adjudicate(trials=x)["trials"],
+}
+# 2 is out of the calibration's range (0, 1], so it is refused whatever its type
+SCALAR_SITES = {**REAL_SITES, **INTEGER_SITES,
+                "config calibration": lambda x: _config(calibration=x)}
+
+
+def _refusal(site: str) -> type:
+    return experiment.ConfigError if site.startswith("config") else ValueError
+
+
+class TestOneRuleForEveryScalar:
+    """Every outside scalar is read by one rule, ``scattering._real``, or its integer twin:
+    a bool, a string, bytes, complex and a non-finite value are refused at every site, and
+    a Python or numpy number, or a 0-d array of one, is read as the Python float (or int)
+    of its value."""
+
+    @pytest.mark.parametrize("bad", [True, np.True_, np.array(True), "1", b"1", 1j,
+                                     float("nan"), float("inf"), -float("inf")],
+                             ids=["True", "np.True_", "0-d bool", "str", "bytes", "complex",
+                                  "nan", "inf", "-inf"])
+    @pytest.mark.parametrize("site", SCALAR_SITES)
+    def test_a_value_that_is_not_a_finite_number_is_refused(self, site, bad):
+        with pytest.raises(_refusal(site)):
+            SCALAR_SITES[site](bad)
+
+    @pytest.mark.parametrize("number", [2, np.int64(2), np.float64(2.0), np.array(2.0)],
+                             ids=["int", "np.int64", "np.float64", "0-d array"])
+    @pytest.mark.parametrize("site", REAL_SITES)
+    def test_a_number_is_read_as_its_float(self, site, number):
+        assert REAL_SITES[site](number) == REAL_SITES[site](2.0)
+
+    @pytest.mark.parametrize("number", [2, np.int64(2), np.array(2)],
+                             ids=["int", "np.int64", "0-d array"])
+    @pytest.mark.parametrize("site", INTEGER_SITES)
+    def test_an_integer_is_read_as_its_int(self, site, number):
+        assert INTEGER_SITES[site](number) == INTEGER_SITES[site](2)
+        # a float, even a whole one, is not a count, a seed or a number of trials
+        with pytest.raises(_refusal(site)):
+            INTEGER_SITES[site](np.float64(2.0))
